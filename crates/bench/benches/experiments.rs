@@ -18,7 +18,7 @@ use ec_core::harness::MultiInstanceProposer;
 use ec_core::spec::{EcChecker, EicChecker, EtobChecker, ProposalRecord};
 use ec_core::tob_consensus::{ConsensusTob, ConsensusTobConfig};
 use ec_core::transforms::{EcToEic, EcToEtob};
-use ec_core::types::{AppMessage, DeliveredSequence, EicInput, EicOutput, MsgId};
+use ec_core::types::{materialize, AppMessage, DeliveryDelta, EicInput, EicOutput, MsgId};
 use ec_core::workload::{BroadcastWorkload, KvWorkload, ZipfMix};
 use ec_detectors::heartbeat::{HeartbeatConfig, HeartbeatOmega};
 use ec_detectors::omega::{OmegaOracle, PreStabilization};
@@ -33,12 +33,9 @@ fn configure(c: &mut Criterion) -> &mut Criterion {
     c
 }
 
-fn first_delivery(
-    history: &OutputHistory<DeliveredSequence>,
-    id: MsgId,
-    n: usize,
-    from: u64,
-) -> u64 {
+fn first_delivery(history: &OutputHistory<DeliveryDelta>, id: MsgId, n: usize, from: u64) -> u64 {
+    // d_i(t): the delivery deltas folded back into sequences
+    let history = materialize(history);
     let mut first: Option<Time> = None;
     for p in (0..n).map(ProcessId::new) {
         if let Some(t) = history.first_time_where(p, |seq| seq.iter().any(|m| m.id == id)) {

@@ -77,7 +77,8 @@ use std::fmt;
 use ec_sim::{Algorithm, Context, ProcessId};
 
 use crate::types::{
-    decode_node, decode_sequence, AppMessage, DeliveredSequence, EtobBroadcast, MsgId,
+    common_prefix_len, decode_node, decode_sequence, AppMessage, DeliveryDelta, EtobBroadcast,
+    MsgId,
 };
 use crate::version::VersionVector;
 
@@ -530,12 +531,6 @@ fn hash_step(h: u64, id: MsgId) -> u64 {
     crate::types::seq_hash_step(h, id)
 }
 
-/// The rolling prefix hashes of a sequence: `out[k]` hashes the identifiers
-/// of the first `k` entries (`out.len() == sequence.len() + 1`).
-fn prefix_hashes(sequence: &[AppMessage]) -> Vec<u64> {
-    prefix_hashes_from(FNV_OFFSET, sequence)
-}
-
 /// The rolling prefix hashes of a sequence continuing from `h0` — the hash
 /// of an already-folded absolute prefix: `out[k]` extends `h0` with the
 /// first `k` identifiers (`out.len() == sequence.len() + 1`).
@@ -959,20 +954,13 @@ impl EtobOmega {
     }
 
     /// Adopts a full promotion sequence as the delivered sequence
-    /// (full-promote reception) iff it differs from the current one,
-    /// rebuilding the prefix hashes. With a folded prefix the sequence is
+    /// (full-promote reception). With a folded prefix the sequence is
     /// adopted only if its first `folded` entries hash to our fold hash —
     /// a divergent history can never silently replace compacted state.
-    fn adopt_full_promote(&mut self, sequence: Vec<AppMessage>, ctx: &mut Context<'_, Self>) {
-        if self.folded == 0 {
-            if self.delivered != sequence {
-                self.delivered = sequence;
-                self.delivered_hashes = prefix_hashes(&self.delivered);
-                self.record_delivered_tail();
-                ctx.output(self.delivered.clone());
-            }
-            return;
-        }
+    /// What lies beyond the fold goes through the same adoption as a
+    /// verified delta suffix, so a process that is merely behind extends
+    /// from its first differing index instead of starting over.
+    fn adopt_full_promote(&mut self, mut sequence: Vec<AppMessage>, ctx: &mut Context<'_, Self>) {
         let Some(prefix) = sequence.get(..self.folded) else {
             // Shorter than our compacted history: a below-fold rewrite.
             self.compact_conflicts += 1;
@@ -983,43 +971,42 @@ impl EtobOmega {
             self.compact_conflicts += 1;
             return;
         }
-        let tail = sequence.get(self.folded..).unwrap_or_default();
-        if self.delivered.as_slice() != tail {
-            self.delivered = tail.to_vec();
-            self.delivered_hashes = prefix_hashes_from(h, &self.delivered);
-            self.record_delivered_tail();
-            ctx.output(self.delivered.clone());
-        }
+        sequence.drain(..self.folded);
+        self.apply_verified_suffix(0, sequence, ctx);
     }
 
     /// Applies a hash-verified promote suffix at *resident* offset `rel`:
-    /// reconstructs exactly the sequence the leader holds and adopts it iff
-    /// it differs from the current delivered sequence (the same condition as
-    /// the full-promote path).
+    /// `d_i := d_i[..folded + rel] ++ suffix`, exactly the sequence the
+    /// leader holds, adopted iff it differs from the current one (the same
+    /// condition as the paper's full-promote path). The emitted
+    /// [`DeliveryDelta`] starts at the first entry that actually differs,
+    /// so consumers see a rewrite only where the sequence was rewritten.
     fn apply_verified_suffix(
         &mut self,
         rel: usize,
-        suffix: Vec<AppMessage>,
+        mut suffix: Vec<AppMessage>,
         ctx: &mut Context<'_, Self>,
     ) {
-        let same = self.delivered.len() == rel + suffix.len()
-            && self
-                .delivered
-                .get(rel..)
-                .is_some_and(|tail| tail == suffix.as_slice());
-        if same {
+        let current = self.delivered.get(rel..).unwrap_or_default();
+        let agree = common_prefix_len(current, &suffix);
+        if agree == current.len() && agree == suffix.len() {
             return;
         }
-        self.delivered.truncate(rel);
-        self.delivered_hashes.truncate(rel.saturating_add(1));
+        let keep = rel.saturating_add(agree).min(self.delivered.len());
+        suffix.drain(..agree);
+        self.delivered.truncate(keep);
+        self.delivered_hashes.truncate(keep.saturating_add(1));
         let mut h = self.delivered_hashes.last().copied().unwrap_or(FNV_OFFSET);
-        for m in suffix {
+        for m in &suffix {
             h = hash_step(h, m.id);
             self.delivered_hashes.push(h);
-            self.delivered.push(m);
         }
+        self.delivered.extend(suffix.iter().cloned());
         self.record_delivered_tail();
-        ctx.output(self.delivered.clone());
+        ctx.output(DeliveryDelta {
+            keep: self.folded.saturating_add(keep),
+            suffix,
+        });
     }
 
     /// Compaction evidence exchange, at promote cadence: every process sends
@@ -1190,7 +1177,7 @@ impl fmt::Debug for EtobOmega {
 impl Algorithm for EtobOmega {
     type Msg = EtobMsg;
     type Input = EtobBroadcast;
-    type Output = DeliveredSequence;
+    type Output = DeliveryDelta;
     type Fd = ProcessId;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
@@ -1519,6 +1506,7 @@ impl crate::types::Instrumented for EtobOmega {
 mod tests {
     use super::*;
     use crate::spec::EtobChecker;
+    use crate::types::materialize;
     use crate::workload::BroadcastWorkload;
     use ec_detectors::omega::{OmegaOracle, PreStabilization};
     use ec_sim::{
@@ -1534,7 +1522,7 @@ mod tests {
         network: NetworkModel,
         horizon: u64,
         config: EtobConfig,
-    ) -> OutputHistory<DeliveredSequence> {
+    ) -> OutputHistory<DeliveryDelta> {
         let mut world = WorldBuilder::new(n)
             .network(network)
             .failures(failures)
@@ -1671,7 +1659,7 @@ mod tests {
         );
         assert!(checker.check_all().is_ok(), "{:?}", checker.check_all());
         // every broadcast message was actually delivered by the survivors
-        let final_len = history
+        let final_len = materialize(&history)
             .last(ProcessId::new(0))
             .map(|s| s.len())
             .unwrap_or(0);
@@ -1713,7 +1701,7 @@ mod tests {
 
         // during the partition (t = 550 < heal) p1 has already delivered
         // messages broadcast on its side
-        let during = history
+        let during = materialize(&history)
             .value_at(ProcessId::new(1), Time::new(550))
             .map(|s| s.len())
             .unwrap_or(0);
@@ -1752,6 +1740,7 @@ mod tests {
         );
         let id = workload.ids()[0];
         // find the first time any non-broadcasting process delivered it
+        let history = materialize(&history);
         let mut first_delivery = None;
         for p in (0..n).map(ProcessId::new) {
             if let Some(t) = history.first_time_where(p, |seq| seq.iter().any(|m| m.id == id)) {
@@ -1806,8 +1795,8 @@ mod tests {
             "batching must coalesce update broadcasts ({updates_batched} vs {updates_unbatched})"
         );
         // both runs deliver the same set of messages everywhere
-        let ids = |h: &OutputHistory<DeliveredSequence>| {
-            let mut v: Vec<MsgId> = h
+        let ids = |h: &OutputHistory<DeliveryDelta>| {
+            let mut v: Vec<MsgId> = materialize(h)
                 .last(ProcessId::new(0))
                 .map(|s| s.iter().map(|m| m.id).collect())
                 .unwrap_or_default();
@@ -1847,8 +1836,9 @@ mod tests {
         let unbatched = run(EtobConfig::default());
         let batched = run(EtobConfig::batched(7));
         for p in (0..n).map(ProcessId::new) {
-            let ids = |h: &OutputHistory<DeliveredSequence>| -> Vec<MsgId> {
-                h.last(p)
+            let ids = |h: &OutputHistory<DeliveryDelta>| -> Vec<MsgId> {
+                materialize(h)
+                    .last(p)
                     .map(|s| s.iter().map(|m| m.id).collect())
                     .unwrap_or_default()
             };
@@ -2138,6 +2128,110 @@ mod tests {
         assert_eq!(ids, expected);
     }
 
+    /// Delivers `msg` from p1 (whom Ω trusts) to `alg` and returns what it
+    /// output.
+    fn deliver_from_leader(alg: &mut EtobOmega, msg: EtobMsg) -> Vec<DeliveryDelta> {
+        let mut actions = ec_sim::Actions::<EtobOmega>::new();
+        let mut ctx = Context::new(
+            ProcessId::new(0),
+            Time::new(5),
+            2,
+            ProcessId::new(1),
+            &mut actions,
+        );
+        alg.on_message(ProcessId::new(1), msg, &mut ctx);
+        actions.outputs
+    }
+
+    #[test]
+    fn a_full_promote_is_adopted_from_its_first_differing_index() {
+        let mk = |seq| AppMessage::new(MsgId::new(ProcessId::new(1), seq), b"x".to_vec());
+        let seq = |ids: &[u64]| -> Vec<AppMessage> { ids.iter().map(|s| mk(*s)).collect() };
+        let mut alg = EtobOmega::new(ProcessId::new(0), EtobConfig::default());
+        let first = deliver_from_leader(&mut alg, EtobMsg::Promote(seq(&[1, 2, 3])));
+        assert_eq!(
+            first,
+            vec![DeliveryDelta {
+                keep: 0,
+                suffix: seq(&[1, 2, 3])
+            }]
+        );
+        // identical resend: d_i did not change, so nothing is output
+        assert!(deliver_from_leader(&mut alg, EtobMsg::Promote(seq(&[1, 2, 3]))).is_empty());
+        // merely behind: a pure extension from the old length
+        let behind = deliver_from_leader(&mut alg, EtobMsg::Promote(seq(&[1, 2, 3, 4, 5])));
+        assert_eq!(
+            behind,
+            vec![DeliveryDelta {
+                keep: 3,
+                suffix: seq(&[4, 5])
+            }]
+        );
+        // divergent tail: kept up to the fork, rewritten from there
+        let forked = deliver_from_leader(&mut alg, EtobMsg::Promote(seq(&[1, 2, 9, 3])));
+        assert_eq!(
+            forked,
+            vec![DeliveryDelta {
+                keep: 2,
+                suffix: seq(&[9, 3])
+            }]
+        );
+        // a shorter promote truncates (Algorithm 5 adopts it as it is)
+        let shorter = deliver_from_leader(&mut alg, EtobMsg::Promote(seq(&[1, 2])));
+        assert_eq!(
+            shorter,
+            vec![DeliveryDelta {
+                keep: 2,
+                suffix: vec![]
+            }]
+        );
+        let ids: Vec<MsgId> = alg.delivered().iter().map(|m| m.id).collect();
+        assert_eq!(ids, vec![mk(1).id, mk(2).id]);
+        assert_eq!(
+            alg.delivered_hash(),
+            ids.iter().fold(FNV_OFFSET, |h, id| hash_step(h, *id))
+        );
+        assert_eq!(alg.compact_conflicts(), 0);
+    }
+
+    #[test]
+    fn a_full_promote_beyond_a_fold_keeps_absolute_positions() {
+        use crate::types::Compactable;
+        let mk = |seq| AppMessage::new(MsgId::new(ProcessId::new(1), seq), b"x".to_vec());
+        let history: Vec<AppMessage> = (1..=5u64).map(mk).collect();
+        let hashes = prefix_hashes_from(FNV_OFFSET, &history);
+        let mut frontier = VersionVector::new();
+        for m in &history[..2] {
+            frontier.insert(m.id);
+        }
+        // 2 entries folded, entry 3 resident
+        let mut alg = EtobOmega::new(ProcessId::new(0), EtobConfig::default());
+        assert!(alg.prime_recovery(2, hashes[2], frontier, vec![history[2].clone()]));
+        // the same lineage, two entries longer: extension at absolute 3
+        let out = deliver_from_leader(&mut alg, EtobMsg::Promote(history.clone()));
+        assert_eq!(
+            out,
+            vec![DeliveryDelta {
+                keep: 3,
+                suffix: history[3..].to_vec()
+            }]
+        );
+        assert_eq!(alg.delivered_total(), 5);
+        assert_eq!(alg.delivered_hash(), hashes[5]);
+        // a below-fold prefix mismatch is counted and outputs nothing …
+        let mut divergent = history.clone();
+        divergent[0] = mk(77);
+        assert!(deliver_from_leader(&mut alg, EtobMsg::Promote(divergent)).is_empty());
+        // … as is a promote shorter than the fold
+        assert!(deliver_from_leader(&mut alg, EtobMsg::Promote(vec![mk(1)])).is_empty());
+        assert_eq!(alg.compact_conflicts(), 2);
+        assert_eq!(
+            alg.delivered_hash(),
+            hashes[5],
+            "compacted history survived"
+        );
+    }
+
     #[test]
     fn wire_sizes_scale_with_content_not_history() {
         let m = AppMessage::new(MsgId::new(ProcessId::new(0), 1), vec![0u8; 100]);
@@ -2182,6 +2276,7 @@ mod tests {
             6_000,
             EtobConfig::default().with_resend(15),
         );
+        let history = materialize(&history);
         let reference: Vec<MsgId> = history
             .last(ProcessId::new(0))
             .map(|s| s.iter().map(|m| m.id).collect())
@@ -2301,7 +2396,7 @@ mod tests {
         use crate::types::Compactable;
         let mk = |seq| AppMessage::new(MsgId::new(ProcessId::new(1), seq), b"x".to_vec());
         let history: Vec<AppMessage> = (1..=3u64).map(mk).collect();
-        let hashes = prefix_hashes(&history);
+        let hashes = prefix_hashes_from(FNV_OFFSET, &history);
         let mut frontier = VersionVector::new();
         for m in &history[..2] {
             frontier.insert(m.id);
@@ -2370,7 +2465,7 @@ mod tests {
     fn acks_are_hash_checked_before_counting_as_compaction_evidence() {
         let mk = |seq| AppMessage::new(MsgId::new(ProcessId::new(1), seq), b"x".to_vec());
         let history: Vec<AppMessage> = (1..=4u64).map(mk).collect();
-        let hashes = prefix_hashes(&history);
+        let hashes = prefix_hashes_from(FNV_OFFSET, &history);
         let mut alg = EtobOmega::new(ProcessId::new(0), EtobConfig::default().with_compaction(2));
         let mut actions = ec_sim::Actions::<EtobOmega>::new();
         {

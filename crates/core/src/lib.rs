@@ -58,8 +58,8 @@ pub use spec::{
 pub use tob_consensus::{ConsensusTob, ConsensusTobConfig, TobMsg};
 pub use transforms::{EcToEic, EcToEtob, EicToEc, EtobToEc};
 pub use types::{
-    seq_hash_step, AppMessage, Compactable, DeliveredSequence, EcInput, EcOutput, EicInput,
-    EicOutput, Either, EtobBroadcast, EventualConsensus, EventualIrrevocableConsensus,
+    seq_hash_step, AppMessage, Compactable, DeliveredSequence, DeliveryDelta, EcInput, EcOutput,
+    EicInput, EicOutput, Either, EtobBroadcast, EventualConsensus, EventualIrrevocableConsensus,
     EventualTotalOrderBroadcast, Instrumented, MsgId, Payload, SEQ_HASH_SEED,
 };
 pub use version::{SeqRanges, VersionVector};

@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ec_sim::{OutputHistory, ProcessId, ProcessSet, Time};
 
-use crate::types::{DeliveredSequence, MsgId};
+use crate::types::{DeliveryDelta, MsgId};
 
 /// A record of one `broadcastETOB(m, C(m))` invocation, kept by the workload
 /// so the checker knows which messages exist, who broadcast them, when, and
@@ -197,15 +197,20 @@ impl EtobChecker {
         }
     }
 
-    /// Creates a checker from the raw [`DeliveredSequence`] history produced
-    /// by an (E)TOB algorithm's output trace.
+    /// Creates a checker from the raw [`DeliveryDelta`] history produced by
+    /// an (E)TOB algorithm's output trace: each process's deltas are folded
+    /// back into the identifier sequence `d_i(t)` they describe, output by
+    /// output, which is what the properties quantify over.
     pub fn from_delivered(
-        history: &OutputHistory<DeliveredSequence>,
+        history: &OutputHistory<DeliveryDelta>,
         broadcasts: Vec<BroadcastRecord>,
         correct: ProcessSet,
         tau: Time,
     ) -> Self {
-        let projected = history.map(|seq| seq.iter().map(|m| m.id).collect::<Vec<_>>());
+        let projected = history.scan(Vec::new(), |ids: &mut Vec<MsgId>, delta| {
+            ids.truncate(delta.keep);
+            ids.extend(delta.suffix.iter().map(|m| m.id));
+        });
         Self::new(projected, broadcasts, correct, tau)
     }
 
@@ -578,6 +583,30 @@ mod tests {
         let checker = EtobChecker::new(h, b, correct(2), Time::ZERO);
         assert!(checker.check_all_with_causal().is_ok());
         assert_eq!(checker.find_stabilization_time(), Some(Time::ZERO));
+    }
+
+    #[test]
+    fn delivery_deltas_are_folded_back_into_the_sequences_they_describe() {
+        use crate::types::AppMessage;
+        let (a, b, c) = (id(0, 1), id(1, 1), id(1, 2));
+        let delta = |keep, ids: &[MsgId]| DeliveryDelta {
+            keep,
+            suffix: ids.iter().map(|id| AppMessage::new(*id, vec![])).collect(),
+        };
+        // p0: [b] → rewritten to [a, b] → extended to [a, b, c]
+        let mut deltas = OutputHistory::new(2);
+        deltas.record(ProcessId::new(0), Time::new(5), delta(0, &[b]));
+        deltas.record(ProcessId::new(0), Time::new(10), delta(0, &[a, b]));
+        deltas.record(ProcessId::new(0), Time::new(15), delta(2, &[c]));
+        deltas.record(ProcessId::new(1), Time::new(12), delta(0, &[a, b, c]));
+        let records = vec![broadcast(0, 1, 1), broadcast(1, 1, 1), broadcast(1, 2, 2)];
+        let checker = EtobChecker::from_delivered(&deltas, records, correct(2), Time::ZERO);
+        assert_eq!(checker.final_sequence(ProcessId::new(0)), &[a, b, c]);
+        // the rewrite at t=10 is a stability violation of strong TOB …
+        assert_eq!(checker.check_stability().len(), 1);
+        // … and the extension at t=15 is not: ETOB holds from t=10
+        assert_eq!(checker.find_stabilization_time(), Some(Time::new(10)));
+        assert!(checker.with_tau(Time::new(10)).check_all().is_ok());
     }
 
     #[test]

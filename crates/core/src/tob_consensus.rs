@@ -36,7 +36,7 @@ use std::fmt;
 
 use ec_sim::{Algorithm, Context, ProcessId, ProcessSet};
 
-use crate::types::{decode_sequence, AppMessage, DeliveredSequence, EtobBroadcast, MsgId};
+use crate::types::{decode_sequence, AppMessage, DeliveryDelta, EtobBroadcast, MsgId};
 
 /// Messages of [`ConsensusTob`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -291,9 +291,25 @@ impl ConsensusTob {
         }
     }
 
+    /// Outputs what was appended to the delivered prefix since it was
+    /// `before` entries long — decided slots are final, so every delta of
+    /// this implementation is a pure extension (`keep` = the old length).
+    fn output_appended(&mut self, before: usize, ctx: &mut Context<'_, Self>) {
+        let appended = self.delivered.get(before..).unwrap_or_default();
+        if appended.is_empty() {
+            return;
+        }
+        let delta = DeliveryDelta {
+            keep: before,
+            suffix: appended.to_vec(),
+        };
+        self.record_delivered_tail();
+        ctx.output(delta);
+    }
+
     fn try_deliver(&mut self, ctx: &mut Context<'_, Self>) {
         let quorum = Self::quorum(ctx);
-        let mut changed = false;
+        let before = self.delivered.len();
         loop {
             let slot = self.next_deliver_slot;
             let Some(message) = self.proposals.get(&slot) else {
@@ -307,14 +323,10 @@ impl ConsensusTob {
             self.pending_own.remove(&message.id);
             if self.delivered_ids.insert(message.id) {
                 self.delivered.push(message);
-                changed = true;
             }
             self.next_deliver_slot += 1;
         }
-        if changed {
-            self.record_delivered_tail();
-            ctx.output(self.delivered.clone());
-        }
+        self.output_appended(before, ctx);
     }
 }
 
@@ -332,7 +344,7 @@ impl fmt::Debug for ConsensusTob {
 impl Algorithm for ConsensusTob {
     type Msg = TobMsg;
     type Input = EtobBroadcast;
-    type Output = DeliveredSequence;
+    type Output = DeliveryDelta;
     /// The pair (Ω, Σ): the eventual leader and a quorum.
     type Fd = (ProcessId, ProcessSet);
 
@@ -445,21 +457,17 @@ impl Algorithm for ConsensusTob {
                 if Self::leader(ctx) == from {
                     let have = have as usize;
                     if have <= self.delivered.len() {
-                        let skip = self.delivered.len() - have;
-                        let mut changed = false;
+                        let before = self.delivered.len();
+                        let skip = before - have;
                         for message in suffix.into_iter().skip(skip) {
                             self.pending_own.remove(&message.id);
                             self.sequenced.insert(message.id);
                             if self.delivered_ids.insert(message.id) {
                                 self.delivered.push(message);
-                                changed = true;
                             }
                         }
                         self.next_deliver_slot = self.next_deliver_slot.max(next_deliver_slot);
-                        if changed {
-                            self.record_delivered_tail();
-                            ctx.output(self.delivered.clone());
-                        }
+                        self.output_appended(before, ctx);
                     }
                 }
             }
@@ -533,6 +541,7 @@ impl crate::types::Instrumented for ConsensusTob {
 mod tests {
     use super::*;
     use crate::spec::EtobChecker;
+    use crate::types::materialize;
     use crate::workload::BroadcastWorkload;
     use ec_detectors::{omega::OmegaOracle, sigma::SigmaOracle, PairFd};
     use ec_sim::{
@@ -547,7 +556,7 @@ mod tests {
         network: NetworkModel,
         fd: impl FailureDetector<Output = (ProcessId, ProcessSet)>,
         horizon: u64,
-    ) -> OutputHistory<DeliveredSequence> {
+    ) -> OutputHistory<DeliveryDelta> {
         let mut world = WorldBuilder::new(n)
             .network(network)
             .failures(failures)
@@ -648,8 +657,9 @@ mod tests {
         );
         assert!(checker.check_all().is_ok(), "{:?}", checker.check_all());
         // everything is delivered everywhere
+        let sequences = materialize(&history);
         for p in (0..n).map(ProcessId::new) {
-            assert_eq!(history.last(p).map(|s| s.len()), Some(10));
+            assert_eq!(sequences.last(p).map(|s| s.len()), Some(10));
         }
     }
 
@@ -680,7 +690,9 @@ mod tests {
         );
         assert!(checker.check_all().is_ok(), "{:?}", checker.check_all());
         assert_eq!(
-            history.last(ProcessId::new(0)).map(|s| s.len()),
+            materialize(&history)
+                .last(ProcessId::new(0))
+                .map(|s| s.len()),
             Some(9),
             "all messages from correct processes must be delivered"
         );
@@ -717,8 +729,9 @@ mod tests {
         let history = run(n, &workload, failures.clone(), network, fd, 5_000);
 
         // during the partition: no deliveries of the new messages anywhere
+        let sequences = materialize(&history);
         for p in (0..n).map(ProcessId::new) {
-            let during = history
+            let during = sequences
                 .value_at(p, Time::new(heal - 1))
                 .map(|s| s.len())
                 .unwrap_or(0);
@@ -732,7 +745,7 @@ mod tests {
             Time::ZERO,
         );
         assert!(checker.check_all().is_ok(), "{:?}", checker.check_all());
-        assert_eq!(history.last(ProcessId::new(2)).map(|s| s.len()), Some(4));
+        assert_eq!(sequences.last(ProcessId::new(2)).map(|s| s.len()), Some(4));
     }
 
     #[test]
@@ -792,9 +805,10 @@ mod tests {
             3_000,
         );
         let id = workload.ids()[0];
+        let sequences = materialize(&history);
         let mut first_delivery = None;
         for p in (0..n).map(ProcessId::new) {
-            if let Some(t) = history.first_time_where(p, |seq| seq.iter().any(|m| m.id == id)) {
+            if let Some(t) = sequences.first_time_where(p, |seq| seq.iter().any(|m| m.id == id)) {
                 first_delivery = Some(first_delivery.map_or(t, |x: Time| x.min(t)));
             }
         }
@@ -841,7 +855,7 @@ mod tests {
                 .build_with(|p| ConsensusTob::new(p, config), fd);
             workload.submit_to(&mut world);
             world.run_until(4_000);
-            world.trace().output_history()
+            materialize(&world.trace().output_history())
         };
 
         let without = run_with(ConsensusTobConfig::default());

@@ -14,8 +14,7 @@ use std::fmt;
 use ec_sim::{Algorithm, Context, ProcessId};
 
 use crate::types::{
-    AppMessage, DeliveredSequence, EcInput, EcOutput, Either, EtobBroadcast, EventualConsensus,
-    MsgId,
+    AppMessage, DeliveryDelta, EcInput, EcOutput, Either, EtobBroadcast, EventualConsensus, MsgId,
 };
 use crate::wrapper::run_inner;
 
@@ -119,11 +118,9 @@ impl<E: EventualConsensus<Value = Vec<AppMessage>>> EcToEtob<E> {
                 // delivers exactly one response per instance, so ignore
                 continue;
             }
-            if self.delivered != response.value {
-                self.delivered = response.value.clone();
-                ctx.output(self.delivered.clone());
-            } else {
-                self.delivered = response.value.clone();
+            if let Some(delta) = DeliveryDelta::between(&self.delivered, &response.value) {
+                self.delivered = response.value;
+                ctx.output(delta);
             }
             self.count += 1;
             let mut proposal = self.delivered.clone();
@@ -147,7 +144,7 @@ impl<E: EventualConsensus<Value = Vec<AppMessage>> + fmt::Debug> fmt::Debug for 
 impl<E: EventualConsensus<Value = Vec<AppMessage>>> Algorithm for EcToEtob<E> {
     type Msg = Either<AppMessage, E::Msg>;
     type Input = EtobBroadcast;
-    type Output = DeliveredSequence;
+    type Output = DeliveryDelta;
     type Fd = E::Fd;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
@@ -226,6 +223,7 @@ mod tests {
     use super::*;
     use crate::ec_omega::{EcConfig, EcOmega};
     use crate::spec::EtobChecker;
+    use crate::types::materialize;
     use crate::workload::BroadcastWorkload;
     use ec_detectors::omega::OmegaOracle;
     use ec_sim::{FailurePattern, NetworkModel, OutputHistory, Time, WorldBuilder};
@@ -242,7 +240,7 @@ mod tests {
         failures: FailurePattern,
         omega: OmegaOracle,
         horizon: u64,
-    ) -> OutputHistory<DeliveredSequence> {
+    ) -> OutputHistory<DeliveryDelta> {
         let mut world = WorldBuilder::new(n)
             .network(NetworkModel::fixed_delay(2))
             .failures(failures)
@@ -268,8 +266,9 @@ mod tests {
         );
         assert!(checker.check_all().is_ok(), "{:?}", checker.check_all());
         // everything broadcast ends up delivered everywhere
+        let sequences = materialize(&history);
         for p in (0..n).map(ProcessId::new) {
-            assert_eq!(history.last(p).map(|s| s.len()), Some(9));
+            assert_eq!(sequences.last(p).map(|s| s.len()), Some(9));
         }
     }
 

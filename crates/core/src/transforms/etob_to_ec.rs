@@ -13,7 +13,7 @@ use std::fmt;
 use ec_sim::{Algorithm, Context, ProcessId};
 
 use crate::types::{
-    AppMessage, DeliveredSequence, EcInput, EcOutput, EtobBroadcast, EventualConsensus,
+    AppMessage, DeliveryDelta, EcInput, EcOutput, EtobBroadcast, EventualConsensus,
     EventualTotalOrderBroadcast, MsgId,
 };
 use crate::wrapper::run_inner;
@@ -40,7 +40,8 @@ pub struct EtobToEc<B: EventualTotalOrderBroadcast> {
     poll_period: u64,
     /// `count_i`: the last instance invoked.
     count: u64,
-    /// `d_i`: the sequence delivered by the wrapped ETOB.
+    /// `d_i`: the sequence delivered by the wrapped ETOB (its delivery
+    /// deltas folded into this wrapper's own copy).
     delivered: Vec<AppMessage>,
     /// Instances already decided.
     decided: BTreeSet<u64>,
@@ -86,7 +87,7 @@ impl<B: EventualTotalOrderBroadcast> EtobToEc<B> {
         &mut self,
         actions: ec_sim::Actions<B>,
         ctx: &mut Context<'_, Self>,
-        deliveries: &mut VecDeque<DeliveredSequence>,
+        deliveries: &mut VecDeque<DeliveryDelta>,
     ) {
         for (to, msg) in actions.sends {
             ctx.send(to, msg);
@@ -97,9 +98,9 @@ impl<B: EventualTotalOrderBroadcast> EtobToEc<B> {
         deliveries.extend(actions.outputs);
     }
 
-    fn absorb(&mut self, deliveries: &mut VecDeque<DeliveredSequence>) {
-        while let Some(sequence) = deliveries.pop_front() {
-            self.delivered = sequence;
+    fn absorb(&mut self, deliveries: &mut VecDeque<DeliveryDelta>) {
+        while let Some(delta) = deliveries.pop_front() {
+            delta.apply_to(&mut self.delivered);
         }
     }
 

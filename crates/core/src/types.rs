@@ -5,7 +5,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use ec_sim::{Algorithm, ProcessId};
+use ec_sim::{Algorithm, OutputHistory, ProcessId};
 
 use crate::version::VersionVector;
 
@@ -152,25 +152,84 @@ impl EtobBroadcast {
     }
 }
 
-/// The output produced by every (E)TOB implementation: the full current
-/// delivered sequence `d_i`, emitted every time it changes. Keeping the whole
-/// sequence in each output makes the paper's `d_i(t)` directly available to
-/// the specification checkers.
+/// A materialised delivered sequence `d_i` — what folding a process's
+/// [`DeliveryDelta`]s yields (see [`materialize`]).
 pub type DeliveredSequence = Vec<AppMessage>;
 
+/// The output produced by every (E)TOB implementation, emitted every time
+/// the delivered sequence `d_i` changes: `d_i := d_i[..keep] ++ suffix`.
+///
+/// **Why a delta.** `d_i` only ever grows with history, and almost every
+/// change is "append a few entries". Emitting the whole sequence made every
+/// change cost O(history) three times over — the clone here, the comparison
+/// in the consumer, the drop of the superseded copy — so a run's cost was
+/// quadratic in its length. A delta costs O(|suffix|), and a consumer that
+/// keeps its own copy (a replica, a checker) loses nothing: folding the
+/// deltas of one process in order reproduces `d_i(t)` for every `t`.
+///
+/// **What `keep` counts.** `keep` is *absolute*: the number of entries of
+/// the whole history that stay, entries folded away by stable-prefix
+/// compaction included. `keep == |d_i|` is a pure extension; a smaller
+/// `keep` is a genuine rewrite of the suffix (possible only while Ω is
+/// unstable). Because `keep` is absolute, a fold changes nothing a consumer
+/// can see: **a fold emits no output**, and a materialised history does not
+/// shrink at one.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DeliveryDelta {
+    /// Absolute length of the prefix of `d_i` that is kept.
+    pub keep: usize,
+    /// The entries that follow the kept prefix.
+    pub suffix: Vec<AppMessage>,
+}
+
+impl DeliveryDelta {
+    /// The delta that turns `old` into `new` (both whole sequences, nothing
+    /// folded), keeping their longest common prefix; `None` if they are
+    /// equal.
+    pub fn between(old: &[AppMessage], new: &[AppMessage]) -> Option<Self> {
+        let keep = common_prefix_len(old, new);
+        if keep == old.len() && keep == new.len() {
+            return None;
+        }
+        Some(DeliveryDelta {
+            keep,
+            suffix: new.get(keep..).unwrap_or_default().to_vec(),
+        })
+    }
+
+    /// Applies the delta to a materialised copy of `d_i`.
+    pub fn apply_to(&self, sequence: &mut DeliveredSequence) {
+        sequence.truncate(self.keep);
+        sequence.extend(self.suffix.iter().cloned());
+    }
+}
+
+/// Length of the longest common prefix of two sequences.
+pub fn common_prefix_len(a: &[AppMessage], b: &[AppMessage]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// The paper's `d_i(t)`: folds every process's [`DeliveryDelta`]s into the
+/// sequence they describe, output by output. Materialising costs
+/// O(history²) entries — it is for tests and checkers, not for replicas.
+pub fn materialize(history: &OutputHistory<DeliveryDelta>) -> OutputHistory<DeliveredSequence> {
+    history.scan(Vec::new(), |sequence, delta| delta.apply_to(sequence))
+}
+
 /// The interface of an eventual-total-order-broadcast implementation: an
-/// [`Algorithm`] whose input is [`EtobBroadcast`] and whose output is the
-/// current [`DeliveredSequence`]. Implementations include the direct Ω-based
-/// Algorithm 5 ([`crate::etob_omega::EtobOmega`]), the transformation from
-/// eventual consensus ([`crate::transforms::EcToEtob`], Algorithm 1), and the
+/// [`Algorithm`] whose input is [`EtobBroadcast`] and whose output is a
+/// [`DeliveryDelta`] per change of the delivered sequence. Implementations
+/// include the direct Ω-based Algorithm 5
+/// ([`crate::etob_omega::EtobOmega`]), the transformation from eventual
+/// consensus ([`crate::transforms::EcToEtob`], Algorithm 1), and the
 /// strongly consistent baseline ([`crate::tob_consensus::ConsensusTob`]).
 pub trait EventualTotalOrderBroadcast:
-    Algorithm<Input = EtobBroadcast, Output = DeliveredSequence>
+    Algorithm<Input = EtobBroadcast, Output = DeliveryDelta>
 {
 }
 
 impl<T> EventualTotalOrderBroadcast for T where
-    T: Algorithm<Input = EtobBroadcast, Output = DeliveredSequence>
+    T: Algorithm<Input = EtobBroadcast, Output = DeliveryDelta>
 {
 }
 
@@ -435,6 +494,36 @@ mod tests {
         let dep = MsgId::new(ProcessId::new(2), 8);
         let c = EtobBroadcast::with_deps(ProcessId::new(2), 10, b"y".to_vec(), vec![dep]);
         assert_eq!(c.message.deps, vec![dep]);
+    }
+
+    #[test]
+    fn deltas_fold_back_into_the_sequences_they_were_taken_between() {
+        let mk = |seq| AppMessage::new(MsgId::new(ProcessId::new(0), seq), vec![seq as u8]);
+        let old: Vec<AppMessage> = (1..=4).map(mk).collect();
+        assert_eq!(DeliveryDelta::between(&old, &old), None);
+        // extension, truncation, and a rewrite from the fork on
+        let extended: Vec<AppMessage> = (1..=6).map(mk).collect();
+        let forked = vec![mk(1), mk(2), mk(9), mk(3)];
+        for (new, keep) in [(&extended, 4), (&old[..2].to_vec(), 2), (&forked, 2)] {
+            let delta = DeliveryDelta::between(&old, new).expect("the sequences differ");
+            assert_eq!(delta.keep, keep);
+            let mut folded = old.clone();
+            delta.apply_to(&mut folded);
+            assert_eq!(&folded, new);
+        }
+        // materialising a history replays exactly that, output by output
+        let mut history = OutputHistory::new(1);
+        let p = ProcessId::new(0);
+        for (t, (from, to)) in [(&[][..], &old[..]), (&old[..], &forked[..])]
+            .into_iter()
+            .enumerate()
+        {
+            let delta = DeliveryDelta::between(from, to).expect("differ");
+            history.record(p, ec_sim::Time::new(t as u64), delta);
+        }
+        let sequences = materialize(&history);
+        assert_eq!(sequences.outputs(p)[0].1, old);
+        assert_eq!(sequences.last(p), Some(&forked));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use ec_core::etob_omega::{EtobConfig, EtobOmega};
 use ec_core::spec::EtobChecker;
-use ec_core::types::{DeliveredSequence, MsgId};
+use ec_core::types::{materialize, DeliveryDelta, MsgId};
 use ec_core::workload::BroadcastWorkload;
 use ec_detectors::omega::OmegaOracle;
 use ec_sim::{
@@ -37,7 +37,7 @@ fn run(
     seed: u64,
     config: EtobConfig,
     horizon: u64,
-) -> OutputHistory<DeliveredSequence> {
+) -> OutputHistory<DeliveryDelta> {
     run_on(
         n,
         workload,
@@ -55,7 +55,7 @@ fn run_on(
     config: EtobConfig,
     horizon: u64,
     network: NetworkModel,
-) -> OutputHistory<DeliveredSequence> {
+) -> OutputHistory<DeliveryDelta> {
     let failures = FailurePattern::no_failures(n);
     let omega = OmegaOracle::stable_from_start(failures.clone());
     let mut world = WorldBuilder::new(n)
@@ -68,8 +68,9 @@ fn run_on(
     world.trace().output_history()
 }
 
-fn final_ids(history: &OutputHistory<DeliveredSequence>, p: ProcessId) -> Vec<MsgId> {
-    history
+/// The final delivered sequence of `p`: its delivery deltas folded in order.
+fn final_ids(history: &OutputHistory<DeliveryDelta>, p: ProcessId) -> Vec<MsgId> {
+    materialize(history)
         .last(p)
         .map(|seq| seq.iter().map(|m| m.id).collect())
         .unwrap_or_default()

@@ -414,45 +414,66 @@ impl DurableStore {
 
     /// Mirrors the current delivered tail (`tail`, starting at absolute
     /// index `base` with prefix hash `hash`) into the log, appending only
-    /// the changed suffix: a `Truncate` where the sequences first disagree,
-    /// then the new entries.
+    /// the changed suffix: finds where log and tail first disagree and
+    /// records the change from there (`record_change`, the one
+    /// truncate/append path).
     pub fn record_tail(&mut self, base: u64, hash: u64, tail: &[AppMessage]) {
+        let agree = self.logged_from(base).map_or(0, |lived| {
+            lived
+                .iter()
+                .zip(tail)
+                .take_while(|(logged, new)| **logged == new.id)
+                .count()
+        });
+        self.record_change(base, hash, tail, base.saturating_add(agree as u64));
+    }
+
+    /// Mirrors one change of the delivered tail into the log: everything
+    /// below absolute index `keep` is as logged, everything from `keep` on
+    /// is `tail[keep - base..]` — a `Truncate` if the log holds entries
+    /// there (the delivered suffix was reordered, or shrank), then the new
+    /// entries. O(change), so a replica that knows what changed (it applied
+    /// a [`DeliveryDelta`](ec_core::types::DeliveryDelta)) pays nothing for
+    /// the history below it.
+    ///
+    /// A `keep` the log cannot place — beyond everything logged, or below
+    /// the log's base — is an invariant breach (folds only cover logged
+    /// entries): the whole log is re-anchored at `base` rather than
+    /// persisting a gapped history.
+    pub(crate) fn record_change(&mut self, base: u64, hash: u64, tail: &[AppMessage], keep: u64) {
         if self.degraded {
             return;
         }
-        let skip = match usize::try_from(base.saturating_sub(self.log_base)) {
-            Ok(skip) if skip <= self.logged.len() => skip,
-            // The tail starts beyond everything logged — an invariant
-            // breach (folds can only cover logged entries). Re-anchor the
-            // whole log rather than persist a gapped history.
-            _ => {
-                self.rewrite_to(base, hash, tail);
-                return;
-            }
+        let stale = self.logged_from(keep).map(<[MsgId]>::len);
+        let fresh = keep
+            .checked_sub(base)
+            .and_then(|rel| usize::try_from(rel).ok())
+            .and_then(|rel| tail.get(rel..));
+        let (Some(stale), Some(fresh)) = (stale, fresh) else {
+            self.rewrite_to(base, hash, tail);
+            return;
         };
-        // First index (relative to `tail`) where log and tail disagree.
-        // (`skip <= logged.len()` was just checked, so the slice is total.)
-        let lived = self.logged.get(skip..).unwrap_or(&[]);
-        let agree = lived
-            .iter()
-            .zip(tail.iter())
-            .take_while(|(logged, new)| **logged == new.id)
-            .count();
-        if lived.len() > agree {
-            // The delivered suffix was reordered (or shrank): cut it.
-            let cut = base + agree as u64;
-            if self.append(&encode_truncate(cut)).is_err() {
+        if stale > 0 {
+            if self.append(&encode_truncate(keep)).is_err() {
                 return;
             }
-            self.logged.truncate(skip + agree);
+            self.logged
+                .truncate(self.logged.len().saturating_sub(stale));
         }
-        for message in tail.iter().skip(agree) {
+        for message in fresh {
             if self.append(&encode_entry(message)).is_err() {
                 return;
             }
             self.logged.push(message.id);
             self.since_checkpoint += 1;
         }
+    }
+
+    /// The logged identifiers from absolute index `at` on, or `None` if
+    /// `at` lies outside what the log covers.
+    fn logged_from(&self, at: u64) -> Option<&[MsgId]> {
+        let rel = usize::try_from(at.checked_sub(self.log_base)?).ok()?;
+        self.logged.get(rel..)
     }
 
     /// Records a new own-sequence high-water mark (no-op unless it grew).
@@ -609,6 +630,67 @@ mod tests {
         drop(store);
         let (_, recovered) = DurableStore::open(&opts).expect("reopen");
         assert_eq!(recovered.expect("recovered").tail, second);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_change_is_logged_exactly_as_the_whole_tail_would_be() {
+        // the same history — extend, reorder from index 1, truncate, extend —
+        // mirrored once as whole tails and once as (tail, keep) changes
+        let steps: Vec<(Vec<AppMessage>, u64)> = vec![
+            (vec![msg(0, 1), msg(1, 1), msg(1, 2)], 0),
+            (vec![msg(0, 1), msg(1, 1), msg(1, 2), msg(2, 1)], 3),
+            (vec![msg(0, 1), msg(1, 2), msg(1, 1)], 1),
+            (vec![msg(0, 1), msg(1, 2)], 2),
+            (vec![msg(0, 1), msg(1, 2), msg(2, 1), msg(2, 2)], 2),
+        ];
+        let (whole_dir, change_dir) = (tmp_dir("whole"), tmp_dir("change"));
+        let opts = |dir: &PathBuf| DurableOptions::new(dir).checkpoint_every(100);
+        let (mut whole, _) = DurableStore::open(&opts(&whole_dir)).expect("open");
+        let (mut change, _) = DurableStore::open(&opts(&change_dir)).expect("open");
+        for (tail, keep) in &steps {
+            whole.record_tail(0, SEQ_HASH_SEED, tail);
+            change.record_change(0, SEQ_HASH_SEED, tail, *keep);
+            assert_eq!(whole.logged, change.logged);
+            assert_eq!(
+                whole.entries_since_checkpoint(),
+                change.entries_since_checkpoint()
+            );
+        }
+        let bytes = |store: &DurableStore| fs::read(store.log_path()).expect("read log");
+        assert_eq!(bytes(&whole), bytes(&change), "the logs differ on disk");
+        // an unchanged tail writes nothing
+        let before = bytes(&change);
+        change.record_change(0, SEQ_HASH_SEED, &steps[4].0, 4);
+        assert_eq!(bytes(&change), before);
+        drop((whole, change));
+        let (_, recovered) = DurableStore::open(&opts(&change_dir)).expect("reopen");
+        assert_eq!(recovered.expect("recovered").tail, steps[4].0);
+        let _ = fs::remove_dir_all(&whole_dir);
+        let _ = fs::remove_dir_all(&change_dir);
+    }
+
+    #[test]
+    fn a_change_the_log_cannot_place_re_anchors_it() {
+        let dir = tmp_dir("reanchor");
+        let opts = DurableOptions::new(&dir).checkpoint_every(100);
+        let (mut store, _) = DurableStore::open(&opts).expect("open");
+        let all: Vec<AppMessage> = (1..=6).map(|s| msg(0, s)).collect();
+        store.record_tail(0, SEQ_HASH_SEED, &all[..2]);
+        // beyond everything logged: entries 2..4 never reached the store
+        let fold_hash = roll(SEQ_HASH_SEED, &all[..4]);
+        store.record_change(4, fold_hash, &all[4..], 5);
+        assert_eq!(store.log_base, 4);
+        assert_eq!(store.logged, vec![all[4].id, all[5].id]);
+        // below the log's base (a replica that restarted blank): the same
+        let blank = vec![msg(1, 1)];
+        store.record_tail(0, SEQ_HASH_SEED, &blank);
+        assert_eq!(store.log_base, 0);
+        assert!(!store.degraded());
+        drop(store);
+        let (_, recovered) = DurableStore::open(&opts).expect("reopen");
+        let recovered = recovered.expect("recovered");
+        assert_eq!((recovered.base, recovered.tail), (0, blank));
         let _ = fs::remove_dir_all(&dir);
     }
 

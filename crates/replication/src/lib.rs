@@ -28,7 +28,7 @@
 //!   counter, a last-writer-wins register) driven by opaque commands.
 //! * [`replica`] — the low-level path: a generic replica that feeds client
 //!   commands into *any* [`ec_core::types::EventualTotalOrderBroadcast`]
-//!   implementation and replays the delivered sequence into its state
+//!   implementation and applies its delivery deltas to its state
 //!   machine. The facade wires this for you; drive it by hand only when an
 //!   experiment needs direct control over the world or the broadcast layer.
 //! * [`durable`] — the per-replica durability layer behind

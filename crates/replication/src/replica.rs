@@ -4,7 +4,7 @@
 use std::fmt;
 
 use ec_core::types::{
-    AppMessage, Compactable, DeliveredSequence, EtobBroadcast, EventualTotalOrderBroadcast,
+    AppMessage, Compactable, DeliveryDelta, EtobBroadcast, EventualTotalOrderBroadcast,
     Instrumented, MsgId, Payload,
 };
 use ec_sim::{Algorithm, Context, ProcessId};
@@ -99,30 +99,43 @@ pub struct ReplicaOutput {
 ///
 /// With `B = EtobOmega` (Algorithm 5) this is an **eventually consistent**
 /// replicated service that only needs Ω; with `B = ConsensusTob` it is a
-/// **strongly consistent** one that needs Ω + Σ. The replica replays the full
-/// delivered sequence whenever it changes, so divergence and convergence of
-/// the broadcast layer translate directly into divergence and convergence of
+/// **strongly consistent** one that needs Ω + Σ. The replica keeps its own
+/// copy of the delivered sequence and applies every [`DeliveryDelta`] the
+/// broadcast layer emits to it, so divergence and convergence of the
+/// broadcast layer translate directly into divergence and convergence of
 /// replica snapshots.
+///
+/// ## Adoption: extension, rewrite, below-fold
+///
+/// A delta `{ keep, suffix }` is one of three things (`DESIGN.md`, "Replica
+/// adoption"): `keep` at the end of the replica's copy is an **extension** —
+/// the suffix is applied to the live state, O(|suffix|), whatever the length
+/// of the history; `keep` inside the resident tail is a genuine **rewrite**
+/// (Ω was unstable) — the tail is cut there and the state rebuilt from
+/// `base_state`; `keep` below the folded prefix, or beyond the copy, cannot
+/// be applied — it is **rejected** and counted
+/// ([`Replica::rejected_deltas`]), never a panic or a mis-truncation.
 ///
 /// ## Stable-prefix folding
 ///
-/// When the broadcast layer compacts ([`Compactable::stable_base`] grows),
-/// its delivered outputs shrink to the resident tail. The replica mirrors
-/// the fold: the folded prefix's effect is absorbed into `base_state` (the
-/// state machine at absolute index `base_applied`) and only the tail is
-/// replayed on top, so replica memory tracks the broadcast layer's instead
-/// of the full history. With compaction off, `base_applied` stays 0 and
-/// this is exactly the classic full replay.
+/// When the broadcast layer compacts ([`Compactable::stable_base`] grows)
+/// it emits nothing — `keep` is absolute, so a fold changes no position.
+/// The replica mirrors the fold: the folded prefix's effect is absorbed into
+/// `base_state` (the state machine at absolute index `base_applied`) and
+/// dropped from the tail, so replica memory tracks the broadcast layer's
+/// instead of the full history. With compaction off, `base_applied` stays 0.
 ///
 /// ## Durability
 ///
 /// [`Replica::durable`] attaches a [`DurableStore`]: every delivered-tail
-/// change is mirrored into the record log, periodic checkpoints snapshot
-/// `base_state`, and on (re)start the replica recovers from disk and primes
-/// the broadcast layer ([`Compactable::prime_recovery`]) so anti-entropy
-/// only fetches the suffix missed while down. Recovery is **lazy** —
-/// nothing touches the disk until `on_start` runs — so a pre-built spare
-/// automaton recovers the state of the instance it replaces.
+/// change is mirrored into the record log — the change only, so an
+/// activation that delivered nothing does not touch the store — periodic
+/// checkpoints snapshot `base_state`, and on (re)start the replica recovers
+/// from disk and primes the broadcast layer
+/// ([`Compactable::prime_recovery`]) so anti-entropy only fetches the suffix
+/// missed while down. Recovery is **lazy** — nothing touches the disk until
+/// `on_start` runs — so a pre-built spare automaton recovers the state of
+/// the instance it replaces.
 pub struct Replica<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumented> {
     broadcast: B,
     state: S,
@@ -133,8 +146,13 @@ pub struct Replica<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable
     base_state: S,
     /// Absolute length of the folded prefix baked into `base_state`.
     base_applied: usize,
-    /// Resident delivered tail (the broadcast layer's last output).
+    /// Resident delivered tail: the broadcast layer's deltas folded into
+    /// this replica's own copy, from absolute index `base_applied` on.
     tail: Vec<AppMessage>,
+    /// Times the state was rebuilt from `base_state` (rewrites, recovery).
+    rebuilds: u64,
+    /// Deltas that could not be applied (below the fold or beyond the tail).
+    rejected_deltas: u64,
     durable_options: Option<DurableOptions>,
     durable: Option<DurableStore>,
 }
@@ -168,6 +186,8 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
             base_state: S::default(),
             base_applied: 0,
             tail: Vec::new(),
+            rebuilds: 0,
+            rejected_deltas: 0,
             durable_options: None,
             durable: None,
         }
@@ -203,6 +223,21 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
         self.base_applied
     }
 
+    /// Times the state was rebuilt by replaying the resident tail over the
+    /// base state: once per activation that rewrote the delivered suffix
+    /// (possible only while Ω is unstable) and once per durable recovery.
+    /// Extensions never rebuild.
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
+    }
+
+    /// Delivery deltas rejected because they could not be placed: `keep`
+    /// below the folded prefix or beyond the delivered copy. A correct
+    /// broadcast layer never emits one.
+    pub fn rejected_deltas(&self) -> u64 {
+        self.rejected_deltas
+    }
+
     /// The attached durable store, once `on_start` has opened it.
     pub fn durable_store(&self) -> Option<&DurableStore> {
         self.durable.as_ref()
@@ -212,7 +247,7 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
         &mut self,
         actions: ec_sim::Actions<B>,
         ctx: &mut Context<'_, Self>,
-    ) -> Vec<DeliveredSequence> {
+    ) -> Vec<DeliveryDelta> {
         for (to, msg) in actions.sends {
             ctx.send(to, msg);
         }
@@ -229,36 +264,25 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
             state.apply(m.payload.as_ref());
         }
         self.state = state;
+        self.rebuilds += 1;
         self.emit_output(ctx);
     }
 
-    /// Adopts a freshly delivered sequence as the resident tail.
-    ///
-    /// Deliveries almost always *extend* the previous tail — the broadcast
-    /// layer only rewrites the prefix while Ω is unstable — so the common
-    /// case applies just the new suffix to the live state. The previous
-    /// implementation rebuilt from a clone of the base state on every
-    /// delivery, replaying the whole tail each time: per-operation cost
-    /// grew with the delivered history and dominated the E10 profile.
-    fn adopt_tail(&mut self, new_tail: Vec<AppMessage>, ctx: &mut Context<'_, Self>) {
-        let is_extension = new_tail.len() >= self.tail.len()
-            && self.tail.iter().zip(&new_tail).all(|(a, b)| a.id == b.id);
-        if !is_extension {
-            // prefix rewrite: fall back to the full replay
-            self.tail = new_tail;
-            self.rebuild(ctx);
-            return;
-        }
-        if new_tail.len() == self.tail.len() && self.last_output.is_some() {
-            // identical sequence re-delivered — identifiers determine
-            // payloads, so the visible state cannot have changed
-            return;
-        }
-        for m in new_tail.iter().skip(self.tail.len()) {
-            self.state.apply(m.payload.as_ref());
-        }
-        self.tail = new_tail;
-        self.emit_output(ctx);
+    /// Folds one delivery delta into the resident tail (the state follows
+    /// in [`Replica::drive`]). Returns the absolute index from which the
+    /// tail changed, or `None` if the delta was rejected.
+    fn splice(&mut self, delta: DeliveryDelta) -> Option<usize> {
+        let rel = delta
+            .keep
+            .checked_sub(self.base_applied)
+            .filter(|rel| *rel <= self.tail.len());
+        let Some(rel) = rel else {
+            self.rejected_deltas += 1;
+            return None;
+        };
+        self.tail.truncate(rel);
+        self.tail.extend(delta.suffix);
+        Some(delta.keep)
     }
 
     /// Emits a [`ReplicaOutput`] if the visible state changed since the
@@ -287,33 +311,36 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
     /// only folds a globally stable prefix, so the tail entries below the
     /// new stable base are final and can be applied permanently.
     ///
-    /// Runs *before* any new tail is adopted: the stored tail always starts
-    /// at `base_applied`, and the broadcast layer never folds and emits a
-    /// delivered output in the same activation (folds happen on the promote
-    /// timer, outputs on message receipt), so draining the prefix from the
-    /// old tail is correct in every interleaving.
-    fn reconcile_fold(&mut self) {
+    /// Runs *before* the activation's deltas are applied: the stored tail
+    /// always starts at `base_applied`, and the broadcast layer never folds
+    /// and emits a delta in the same activation (folds happen on the promote
+    /// timer, deltas on message receipt), so draining the prefix from the
+    /// tail as it stood is correct in every interleaving. Returns whether
+    /// the base advanced.
+    fn reconcile_fold(&mut self) -> bool {
         let stable = usize::try_from(self.broadcast.stable_base()).unwrap_or(usize::MAX);
         if stable <= self.base_applied {
-            return;
+            return false;
         }
         let drain = (stable - self.base_applied).min(self.tail.len());
         for m in self.tail.drain(..drain) {
             self.base_state.apply(m.payload.as_ref());
         }
         self.base_applied += drain;
+        drain > 0
     }
 
-    /// Mirrors the current tail into the durable store and checkpoints when
-    /// due. A no-op without a store or when nothing changed.
-    fn persist(&mut self) {
+    /// Mirrors a change of the tail — everything from absolute index `keep`
+    /// on — into the durable store and checkpoints when due. A no-op
+    /// without a store.
+    fn persist(&mut self, keep: usize) {
         if self.durable.is_none() {
             return;
         }
         let base = self.base_applied as u64;
         let hash = self.broadcast.stable_hash();
         if let Some(store) = self.durable.as_mut() {
-            store.record_tail(base, hash, &self.tail);
+            store.record_change(base, hash, &self.tail, keep as u64);
         }
         if self
             .durable
@@ -382,14 +409,33 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
                 Context::new(ctx.me(), ctx.now(), ctx.n(), ctx.fd().clone(), &mut actions);
             f(&mut self.broadcast, &mut ictx);
         }
-        let mut deliveries = self.relay(actions, ctx);
-        self.reconcile_fold();
-        // Only the newest delivered sequence matters (each one supersedes
-        // the previous); taking it by value avoids cloning the whole tail.
-        if let Some(last) = deliveries.pop() {
-            self.adopt_tail(last, ctx);
+        let deltas = self.relay(actions, ctx);
+        // Where the delivered copy ended before this activation. A fold
+        // moves the base under an unchanged tail: a change that starts
+        // there.
+        let end = self.base_applied + self.tail.len();
+        let mut changed_from = self.reconcile_fold().then_some(end);
+        // Every delta of the activation is applied, in order; the state,
+        // the visible output and the durable store follow once.
+        for delta in deltas {
+            if let Some(keep) = self.splice(delta) {
+                changed_from = Some(changed_from.map_or(keep, |from| from.min(keep)));
+            }
         }
-        self.persist();
+        let Some(from) = changed_from else {
+            return;
+        };
+        if from < end {
+            // entries the state had already absorbed were replaced
+            self.rebuild(ctx);
+        } else {
+            let appended = end.saturating_sub(self.base_applied);
+            for m in self.tail.get(appended..).unwrap_or_default() {
+                self.state.apply(m.payload.as_ref());
+            }
+            self.emit_output(ctx);
+        }
+        self.persist(from);
     }
 }
 
@@ -604,6 +650,100 @@ mod tests {
         for p in world.process_ids() {
             assert_eq!(world.algorithm(p).applied(), 4, "{p}");
         }
+    }
+
+    /// A broadcast layer scripted by its "peers": it emits the delta, or
+    /// folds to the base, that a message tells it to.
+    #[derive(Debug, Default)]
+    struct Scripted {
+        stable: u64,
+    }
+
+    #[derive(Clone, Debug)]
+    enum Script {
+        Emit(DeliveryDelta),
+        FoldTo(u64),
+    }
+
+    impl Algorithm for Scripted {
+        type Msg = Script;
+        type Input = EtobBroadcast;
+        type Output = DeliveryDelta;
+        type Fd = ();
+
+        fn on_input(&mut self, _: EtobBroadcast, _: &mut Context<'_, Self>) {}
+
+        fn on_message(&mut self, _: ProcessId, msg: Script, ctx: &mut Context<'_, Self>) {
+            match msg {
+                Script::Emit(delta) => ctx.output(delta),
+                Script::FoldTo(base) => self.stable = base,
+            }
+        }
+    }
+
+    impl Compactable for Scripted {
+        fn stable_base(&self) -> u64 {
+            self.stable
+        }
+    }
+
+    impl Instrumented for Scripted {}
+
+    #[test]
+    fn deltas_extend_rewrite_or_are_rejected_by_where_keep_falls() {
+        let put = |seq: u64, key: &str, value: &str| {
+            AppMessage::new(MsgId::new(ProcessId::new(1), seq), KvStore::put(key, value))
+        };
+        let mut replica: Replica<KvStore, Scripted> = Replica::new(Scripted::default());
+        let step = |replica: &mut Replica<KvStore, Scripted>, script: Script| {
+            let mut actions = ec_sim::Actions::<Replica<KvStore, Scripted>>::new();
+            let mut ctx = Context::new(ProcessId::new(0), Time::new(1), 2, (), &mut actions);
+            replica.on_message(ProcessId::new(1), script, &mut ctx);
+            actions.outputs
+        };
+        let emit = |keep, suffix: Vec<AppMessage>| Script::Emit(DeliveryDelta { keep, suffix });
+
+        // extension of the empty sequence, then of a longer one
+        let out = step(
+            &mut replica,
+            emit(0, vec![put(1, "a", "1"), put(2, "b", "2")]),
+        );
+        assert_eq!(out.last().map(|o| o.applied), Some(2));
+        step(&mut replica, emit(2, vec![put(3, "a", "3")]));
+        assert_eq!(
+            (replica.applied(), replica.state().get("a")),
+            (3, Some("3"))
+        );
+        assert_eq!(replica.rebuilds(), 0, "extensions never rebuild");
+
+        // rewrite from inside the tail: entries 1.. are replaced
+        let out = step(&mut replica, emit(1, vec![put(4, "c", "9")]));
+        assert_eq!(out.last().map(|o| o.applied), Some(2));
+        assert_eq!(replica.rebuilds(), 1);
+        let state = replica.state();
+        assert_eq!(
+            (state.get("a"), state.get("b"), state.get("c")),
+            (Some("1"), None, Some("9"))
+        );
+
+        // a fold moves the base and shows nothing
+        assert!(step(&mut replica, Script::FoldTo(1)).is_empty());
+        assert_eq!((replica.base_applied(), replica.applied()), (1, 2));
+
+        // below the fold, and beyond the copy: rejected, nothing moves
+        let before = replica.state().snapshot();
+        assert!(step(&mut replica, emit(0, vec![put(5, "z", "0")])).is_empty());
+        assert!(step(&mut replica, emit(5, vec![put(5, "z", "0")])).is_empty());
+        assert_eq!(replica.rejected_deltas(), 2);
+        assert_eq!((replica.applied(), replica.state().snapshot()), (2, before));
+
+        // positions stay absolute across the fold
+        step(&mut replica, emit(2, vec![put(6, "d", "4")]));
+        assert_eq!(
+            (replica.applied(), replica.state().get("d")),
+            (3, Some("4"))
+        );
+        assert_eq!(replica.rebuilds(), 1);
     }
 
     #[test]

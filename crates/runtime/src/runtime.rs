@@ -462,8 +462,22 @@ mod tests {
     use super::*;
     use ec_core::etob_omega::{EtobConfig, EtobOmega};
     use ec_core::tob_consensus::{ConsensusTob, ConsensusTobConfig};
-    use ec_core::types::EtobBroadcast;
+    use ec_core::types::{materialize, DeliveryDelta, EtobBroadcast, MsgId};
     use ec_sim::ProcessSet;
+
+    /// The final delivered sequence of `p`: its delivery deltas folded in
+    /// order.
+    fn final_ids<A>(report: &RuntimeReport<A>, p: ProcessId) -> Vec<MsgId>
+    where
+        A: Algorithm<Output = DeliveryDelta>,
+    {
+        materialize(&report.output_history(1))
+            .last(p)
+            .expect("delivered")
+            .iter()
+            .map(|m| m.id)
+            .collect()
+    }
 
     fn config() -> RuntimeConfig {
         RuntimeConfig {
@@ -489,21 +503,10 @@ mod tests {
         runtime.run_for(Duration::from_millis(300));
         let report = runtime.shutdown();
         // every process delivered all five messages, in the same order
-        let reference: Vec<_> = report
-            .last_output_of(ProcessId::new(0))
-            .expect("p0 delivered")
-            .iter()
-            .map(|m| m.id)
-            .collect();
+        let reference = final_ids(&report, ProcessId::new(0));
         assert_eq!(reference.len(), 5);
         for p in (1..n).map(ProcessId::new) {
-            let seq: Vec<_> = report
-                .last_output_of(p)
-                .expect("delivered")
-                .iter()
-                .map(|m| m.id)
-                .collect();
-            assert_eq!(seq, reference, "{p} diverged");
+            assert_eq!(final_ids(&report, p), reference, "{p} diverged");
         }
         // the heartbeat Ω elected p0 everywhere
         for p in (0..n).map(ProcessId::new) {
@@ -518,12 +521,11 @@ mod tests {
         assert!(report.metrics.messages_sent > 0);
         assert!(report.metrics.messages_delivered > 0);
         assert_eq!(report.metrics.inputs, 5);
-        // the output history bridge reproduces the last outputs
-        let history = report.output_history(1);
-        assert_eq!(
-            history.last(ProcessId::new(0)).map(Vec::len),
-            Some(reference.len())
-        );
+        // the last delta each process emitted ends where its sequence does
+        let last = report
+            .last_output_of(ProcessId::new(0))
+            .expect("p0 delivered");
+        assert_eq!(last.keep + last.suffix.len(), reference.len());
     }
 
     #[test]
@@ -544,7 +546,8 @@ mod tests {
         // the survivors eventually elected p1 and still deliver new messages
         for p in [ProcessId::new(1), ProcessId::new(2)] {
             assert_eq!(report.last_leader_of(p), Some(ProcessId::new(1)), "{p}");
-            let delivered = report.last_output_of(p).expect("delivered something");
+            let history = materialize(&report.output_history(1));
+            let delivered = history.last(p).expect("delivered something");
             assert!(
                 delivered.iter().any(|m| &m.payload[..] == b"after"),
                 "{p} did not deliver the post-crash broadcast"
@@ -565,7 +568,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             if let Some(out) = runtime.latest_output_of(ProcessId::new(1)) {
-                if !out.is_empty() {
+                if !out.suffix.is_empty() {
                     break;
                 }
             }
@@ -601,7 +604,7 @@ mod tests {
             let done = (0..n).map(ProcessId::new).all(|p| {
                 runtime
                     .latest_output_of(p)
-                    .map(|seq| seq.len() == 3)
+                    .map(|delta| delta.keep + delta.suffix.len() == 3)
                     .unwrap_or(false)
             });
             if done {
@@ -615,20 +618,9 @@ mod tests {
         }
         let report = runtime.shutdown();
         // identical delivery order everywhere (strong consistency)
-        let reference: Vec<_> = report
-            .last_output_of(ProcessId::new(0))
-            .expect("delivered")
-            .iter()
-            .map(|m| m.id)
-            .collect();
+        let reference = final_ids(&report, ProcessId::new(0));
         for p in (1..n).map(ProcessId::new) {
-            let seq: Vec<_> = report
-                .last_output_of(p)
-                .expect("delivered")
-                .iter()
-                .map(|m| m.id)
-                .collect();
-            assert_eq!(seq, reference, "{p} diverged");
+            assert_eq!(final_ids(&report, p), reference, "{p} diverged");
         }
     }
 

@@ -14,10 +14,13 @@ pub struct OutputSnapshot<O> {
 }
 
 /// The output history of a run: for every process, the timed sequence of
-/// values it output. For an algorithm whose output is its full current
-/// delivered sequence (as the ETOB implementations in `ec-core` do), the
-/// history gives direct access to `d_i(t)` for every `i` and `t`, which is
-/// what the TOB/ETOB property definitions quantify over.
+/// values it output. For an algorithm whose outputs are the successive values
+/// of one variable, the history gives direct access to that variable at every
+/// time, which is what the TOB/ETOB property definitions quantify over
+/// (`d_i(t)` for every `i` and `t`). An algorithm that outputs *changes* to
+/// the variable instead (as the ETOB implementations in `ec-core` do, to keep
+/// each output O(change)) gets the same view back from
+/// [`OutputHistory::scan`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OutputHistory<O> {
     per_process: Vec<Vec<(Time, O)>>,
@@ -111,6 +114,33 @@ impl<O: Clone> OutputHistory<O> {
         }
     }
 
+    /// Folds every process's outputs, in order, into an accumulator that
+    /// starts at `init`, and records the accumulator after each output (at
+    /// that output's time). For outputs that are *changes* to a variable
+    /// this materialises the variable's history, so [`Self::value_at`],
+    /// [`Self::last`] and [`Self::first_time_where`] on the result read the
+    /// variable itself.
+    pub fn scan<S, F: Fn(&mut S, &O)>(&self, init: S, step: F) -> OutputHistory<S>
+    where
+        S: Clone,
+    {
+        OutputHistory {
+            per_process: self
+                .per_process
+                .iter()
+                .map(|outs| {
+                    let mut acc = init.clone();
+                    outs.iter()
+                        .map(|(t, v)| {
+                            step(&mut acc, v);
+                            (*t, acc.clone())
+                        })
+                        .collect()
+                })
+                .collect(),
+        }
+    }
+
     /// Filter-maps every output value; outputs mapped to `None` are dropped.
     pub fn filter_map<P, F: Fn(&O) -> Option<P>>(&self, f: F) -> OutputHistory<P>
     where
@@ -182,6 +212,52 @@ mod tests {
         let only_big = h.filter_map(|v| if *v >= 20 { Some(*v) } else { None });
         assert_eq!(only_big.outputs(ProcessId::new(0)).len(), 1);
         assert_eq!(only_big.outputs(ProcessId::new(1)).len(), 1);
+    }
+
+    #[test]
+    fn scan_materialises_a_history_of_changes() {
+        // outputs are changes `(keep, suffix)` to a sequence; p0 appends
+        // twice, rewrites from index 1 at t=7, then appends again
+        let p = ProcessId::new(0);
+        let mut changes: OutputHistory<(usize, Vec<u32>)> = OutputHistory::new(2);
+        changes.record(p, Time::new(1), (0, vec![10, 11]));
+        changes.record(p, Time::new(4), (2, vec![12]));
+        changes.record(p, Time::new(7), (1, vec![21, 22]));
+        changes.record(p, Time::new(9), (3, vec![23]));
+        changes.record(ProcessId::new(1), Time::new(2), (0, vec![10]));
+        let materialised = changes.scan(Vec::new(), |seq: &mut Vec<u32>, (keep, suffix)| {
+            seq.truncate(*keep);
+            seq.extend(suffix);
+        });
+        // what an algorithm emitting the whole sequence would have recorded
+        let mut full: OutputHistory<Vec<u32>> = OutputHistory::new(2);
+        full.record(p, Time::new(1), vec![10, 11]);
+        full.record(p, Time::new(4), vec![10, 11, 12]);
+        full.record(p, Time::new(7), vec![10, 21, 22]);
+        full.record(p, Time::new(9), vec![10, 21, 22, 23]);
+        full.record(ProcessId::new(1), Time::new(2), vec![10]);
+        assert_eq!(materialised, full);
+        assert_eq!(materialised.value_at(p, Time::new(0)), None);
+        assert_eq!(
+            materialised.value_at(p, Time::new(6)),
+            Some(&vec![10, 11, 12])
+        );
+        assert_eq!(
+            materialised.value_at(p, Time::new(8)),
+            Some(&vec![10, 21, 22])
+        );
+        assert_eq!(materialised.last(p), Some(&vec![10, 21, 22, 23]));
+        // 12 was delivered at t=4 and rewritten away at t=7: the scan keeps
+        // both facts, where the raw changes would only show the append
+        assert_eq!(
+            materialised.first_time_where(p, |seq| seq.contains(&12)),
+            Some(Time::new(4))
+        );
+        assert_eq!(
+            materialised.first_time_where(p, |seq| !seq.contains(&11) && !seq.is_empty()),
+            Some(Time::new(7))
+        );
+        assert_eq!(materialised.output_times(), changes.output_times());
     }
 
     #[test]

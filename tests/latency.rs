@@ -48,10 +48,12 @@ fn consensus_latency(n: usize) -> u64 {
 }
 
 fn first_delivery(
-    history: &ec_sim::OutputHistory<ec_core::types::DeliveredSequence>,
+    history: &ec_sim::OutputHistory<ec_core::types::DeliveryDelta>,
     id: ec_core::types::MsgId,
     n: usize,
 ) -> u64 {
+    // d_i(t): the delivery deltas folded back into sequences
+    let history = ec_core::types::materialize(history);
     let mut first: Option<Time> = None;
     for p in (0..n).map(ProcessId::new) {
         if let Some(t) = history.first_time_where(p, |seq| seq.iter().any(|m| m.id == id)) {

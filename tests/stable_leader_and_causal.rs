@@ -16,7 +16,7 @@ fn run(
     promote_period: u64,
     horizon: u64,
     seed: u64,
-) -> ec_sim::OutputHistory<ec_core::types::DeliveredSequence> {
+) -> ec_sim::OutputHistory<ec_core::types::DeliveryDelta> {
     let failures = FailurePattern::no_failures(n);
     let mut world = WorldBuilder::new(n)
         .network(NetworkModel::fixed_delay(delay))
