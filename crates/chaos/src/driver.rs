@@ -145,6 +145,9 @@ const READ_DEADLINE: u64 = 500;
 const READ_CHUNK: u64 = 25;
 /// Anti-entropy retransmission period handed to Algorithm 5 in chaos runs.
 const CHAOS_RESEND: u64 = 15;
+/// Facade ticks (wall-clock milliseconds) a real-time smoke run may take
+/// past its horizon to finish applying what it accepted.
+const SMOKE_GRACE: u64 = 5_000;
 
 /// Runs a scenario to completion on the deterministic simulator and returns
 /// the recorded outcome. Bit-reproducible: the same scenario always returns
@@ -380,6 +383,7 @@ fn run_crash_smoke<S: KvInterface, E: Engine>(
         }
     };
     let mut faults = faults.into_iter().peekable();
+    let mut accepted = 0usize;
     for op in &scenario.workload {
         while let Some((at, _)) = faults.peek() {
             if *at > op.at {
@@ -397,6 +401,7 @@ fn run_crash_smoke<S: KvInterface, E: Engine>(
                 continue; // refused, as on the simulator
             }
             cluster.submit(&mut sessions[op.session], S::put_command(key, value), op.at);
+            accepted += 1;
         }
         // reads are skipped: the smoke subset checks final convergence only
     }
@@ -405,6 +410,12 @@ fn run_crash_smoke<S: KvInterface, E: Engine>(
         apply(&mut cluster, &action);
     }
     cluster.run_until(scenario.horizon());
+    // The horizon is wall-clock time here, and a loaded host can eat all of
+    // the settle window: wait (bounded) on what the caller asserts — every
+    // accepted write applied at every correct replica — rather than trust
+    // the fixed sleep. A run that cannot get there still ends, and fails in
+    // the caller.
+    let _ = cluster.run_until_applied(accepted, scenario.horizon() + SMOKE_GRACE);
     cluster.finish()
 }
 

@@ -86,7 +86,7 @@ impl ConvergenceReport {
     fn agree_at(history: &OutputHistory<ReplicaOutput>, correct: &ProcessSet, t: Time) -> bool {
         let mut snapshots = correct
             .iter()
-            .map(|p| history.value_at(p, t).map(|o| o.snapshot.clone()));
+            .map(|p| history.value_at(p, t).map(|o| &o.snapshot));
         let Some(first) = snapshots.next() else {
             return true;
         };
@@ -117,7 +117,7 @@ mod tests {
     fn out(applied: usize, tag: u8) -> ReplicaOutput {
         ReplicaOutput {
             applied,
-            snapshot: vec![tag],
+            snapshot: vec![tag].into(),
         }
     }
 
@@ -159,6 +159,45 @@ mod tests {
         assert!(!report.is_converged());
         assert_eq!(report.divergence_count(), 1);
         assert_eq!(report.divergences[0].until, None);
+    }
+
+    #[test]
+    fn sharing_snapshot_allocations_does_not_change_the_report() {
+        // (replica, time, applied, snapshot tag): p1 lags, p2 diverges and
+        // comes back — the same timeline once with every output owning its
+        // bytes and once with equal snapshots pointing at one allocation
+        let timeline = [
+            (0, 5, 1, 1u8),
+            (2, 6, 1, 7),
+            (1, 9, 1, 1),
+            (2, 12, 1, 1),
+            (0, 20, 2, 2),
+            (1, 20, 2, 2),
+            (2, 21, 2, 2),
+        ];
+        let mut unshared = OutputHistory::new(3);
+        let mut shared = OutputHistory::new(3);
+        let mut pool: Vec<std::sync::Arc<[u8]>> = Vec::new();
+        for (p, t, applied, tag) in timeline {
+            let (p, t) = (ProcessId::new(p), Time::new(t));
+            unshared.record(p, t, out(applied, tag));
+            let snapshot = match pool.iter().find(|seen| ***seen == [tag]) {
+                Some(seen) => seen.clone(),
+                None => {
+                    pool.push(vec![tag].into());
+                    pool[pool.len() - 1].clone()
+                }
+            };
+            shared.record(p, t, ReplicaOutput { applied, snapshot });
+        }
+        assert_eq!(pool.len(), 3, "seven outputs, three allocations");
+        let report = ConvergenceReport::from_history(&shared, &correct(3));
+        assert_eq!(
+            report,
+            ConvergenceReport::from_history(&unshared, &correct(3))
+        );
+        assert_eq!(report.divergence_count(), 2);
+        assert_eq!(report.converged_at, Some(Time::new(21)));
     }
 
     #[test]

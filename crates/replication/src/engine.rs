@@ -846,8 +846,8 @@ where
     pub fn snapshot(&self, p: ProcessId) -> Vec<u8> {
         by_engine!(self,
             w => w.algorithm(p).state().snapshot(),
-            t => t.latest_output(p).map(|o| o.snapshot).unwrap_or_else(|| S::default().snapshot()),
-            d => d.latest_output(p).map(|o| o.snapshot).unwrap_or_else(|| S::default().snapshot()))
+            t => t.latest_output(p).map_or_else(|| S::default().snapshot(), |o| o.snapshot.to_vec()),
+            d => d.latest_output(p).map_or_else(|| S::default().snapshot(), |o| o.snapshot.to_vec()))
     }
 
     /// A typed copy of replica `p`'s state machine. Direct on the

@@ -98,7 +98,7 @@ impl WireCodec for ReplicaOutput {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(ReplicaOutput {
             applied: read_usize(r, "applied count")?,
-            snapshot: r.read_bytes()?.to_vec(),
+            snapshot: r.read_bytes()?.into(),
         })
     }
 }

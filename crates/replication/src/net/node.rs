@@ -11,8 +11,19 @@
 //!
 //! The event loop mirrors `ec-runtime`'s process loop step for step — it
 //! drives the same [`ec_sim::Algorithm`] implementations through
-//! [`ec_runtime::run_handler`] with a per-node heartbeat Ω — which is what
-//! makes the engines interchangeable behind the facade.
+//! [`ec_runtime::run_handler`] with a per-node heartbeat Ω, and paces its
+//! `on_timer` calls with the same deadline-driven [`ec_runtime::Pacer`]
+//! (a tick is due every `RuntimeConfig::tick` of wall-clock time however
+//! busy the inbox is; a late loop skips missed ticks, never replays them)
+//! — which is what makes the engines interchangeable behind the facade.
+//!
+//! Outputs are recorded driver-side by one reader per control connection
+//! into an [`OutputLog`] (arrival-ordered history plus an O(1) latest slot
+//! per replica). A replica output carries its whole state snapshot as
+//! shared bytes; the recorder points a new output at the allocation of a
+//! recent byte-identical snapshot, so the replicas' outputs for the same
+//! promote — the same bytes under a stable Ω — are held once, not once per
+//! replica.
 //!
 //! Teardown protocol: the driver sends a `Shutdown` frame on each control
 //! connection; a node drains its queue, flushes its last outputs, echoes
@@ -23,6 +34,7 @@
 //! same address; reader threads parked on connections of dead incarnations
 //! are left to exit with the process (they hold no locks).
 
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,7 +44,7 @@ use std::thread::JoinHandle;
 
 use ec_core::types::{Compactable, EventualTotalOrderBroadcast, Instrumented};
 use ec_detectors::{HeartbeatMsg, HeartbeatOmega};
-use ec_runtime::{run_handler, sleep_ms, RuntimeConfig, Stopwatch};
+use ec_runtime::{run_handler, sleep_ms, OutputLog, Pacer, RuntimeConfig, Stopwatch, Turn};
 use ec_sim::{Actions, Algorithm, Metrics, ProcessId};
 
 use crate::net::codec::{decode_body, encode_body, hello_body, Frame, WireCodec, DRIVER, SCRAPER};
@@ -103,9 +115,43 @@ struct ControlOut {
 
 type ControlSlot = Arc<Mutex<ControlOut>>;
 
+/// How many distinct recent snapshots [`OutputRecorder`] keeps as sharing
+/// candidates: the replicas' outputs for one promote reach the driver
+/// within a tick or two of each other, so a handful spans them.
+const RECENT_SNAPSHOTS: usize = 8;
+
+/// The driver-side record of replica outputs: the log, plus the distinct
+/// snapshots seen most recently, newest first.
+struct OutputRecorder {
+    log: OutputLog<ReplicaOutput>,
+    recent: VecDeque<Arc<[u8]>>,
+}
+
+impl OutputRecorder {
+    fn new(n: usize) -> Self {
+        OutputRecorder {
+            log: OutputLog::new(n),
+            recent: VecDeque::with_capacity(RECENT_SNAPSHOTS),
+        }
+    }
+
+    /// Records an output of `p`, re-pointing its snapshot at a recent
+    /// byte-identical one if there is one (the decoded copy is dropped).
+    fn record(&mut self, p: ProcessId, elapsed_ms: u64, mut output: ReplicaOutput) {
+        match self.recent.iter().find(|seen| ***seen == *output.snapshot) {
+            Some(seen) => output.snapshot = Arc::clone(seen),
+            None => {
+                self.recent.truncate(RECENT_SNAPSHOTS - 1);
+                self.recent.push_front(Arc::clone(&output.snapshot));
+            }
+        }
+        self.log.push(p, elapsed_ms, output);
+    }
+}
+
 /// State shared between the driver and every node/reader thread.
 struct NetShared {
-    outputs: Mutex<Vec<(ProcessId, u64, ReplicaOutput)>>,
+    outputs: Mutex<OutputRecorder>,
     metrics: Mutex<Metrics>,
     malformed: AtomicU64,
     stopwatch: Stopwatch,
@@ -199,7 +245,7 @@ where
     {
         assert!(n >= 2, "the system model requires at least two processes");
         let shared = Arc::new(NetShared {
-            outputs: Mutex::new(Vec::new()),
+            outputs: Mutex::new(OutputRecorder::new(n)),
             metrics: Mutex::new(Metrics::new(n)),
             malformed: AtomicU64::new(0),
             stopwatch: Stopwatch::start(),
@@ -382,16 +428,12 @@ where
 
     /// The most recent output of node `p`, observed live.
     pub(crate) fn latest_output_of(&self, p: ProcessId) -> Option<ReplicaOutput> {
-        locked(&self.shared.outputs)
-            .iter()
-            .rev()
-            .find(|(q, _, _)| *q == p)
-            .map(|(_, _, out)| out.clone())
+        locked(&self.shared.outputs).log.latest_of(p).cloned()
     }
 
     /// A snapshot of every `(replica, elapsed_ms, output)` so far.
     pub(crate) fn outputs_so_far(&self) -> Vec<(ProcessId, u64, ReplicaOutput)> {
-        locked(&self.shared.outputs).clone()
+        locked(&self.shared.outputs).log.all().to_vec()
     }
 
     /// A snapshot of the message counters so far.
@@ -472,7 +514,7 @@ where
         self.control_streams.clear();
         NetFinal {
             final_states: std::mem::take(&mut *locked(&self.final_states)),
-            outputs: std::mem::take(&mut *locked(&self.shared.outputs)),
+            outputs: locked(&self.shared.outputs).log.take_all(),
             metrics: locked(&self.shared.metrics).clone(),
         }
     }
@@ -617,7 +659,7 @@ fn drain_control<M: WireCodec>(
         match next_frame::<M>(&mut stream, &shared) {
             Some((Frame::Output(output), _)) => {
                 let elapsed = shared.stopwatch.elapsed_ms();
-                locked(&shared.outputs).push((p, elapsed, output));
+                locked(&shared.outputs).record(p, elapsed, output);
             }
             Some((Frame::Shutdown, _)) => {
                 goodbye.store(true, Ordering::SeqCst);
@@ -715,11 +757,22 @@ where
     let app_actions = run_handler(&mut replica, me, n, fd, tick, |a, ctx| a.on_start(ctx));
     dispatch_replica(me, app_actions, &mut links, &shared, &control);
 
+    let mut pacer = Pacer::start(config.tick);
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return replica;
         }
-        match receiver.recv_timeout(config.tick) {
+        let Turn::Recv(wait) = pacer.turn() else {
+            tick += 1;
+            locked(&shared.metrics).timer_fires += 1;
+            let hb_actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| a.on_timer(ctx));
+            send_heartbeats::<B::Msg>(me, hb_actions, &mut links);
+            let fd = derive(omega.leader(), n);
+            let app_actions = run_handler(&mut replica, me, n, fd, tick, |a, ctx| a.on_timer(ctx));
+            dispatch_replica(me, app_actions, &mut links, &shared, &control);
+            continue;
+        };
+        match receiver.recv_timeout(wait) {
             Ok(NetEvent::Crash) => return replica,
             Ok(NetEvent::Shutdown) => {
                 push_control(&control, encode_body::<B::Msg>(&Frame::Shutdown));
@@ -765,17 +818,71 @@ where
                 });
                 dispatch_replica(me, actions, &mut links, &shared, &control);
             }
-            Err(RecvTimeoutError::Timeout) => {
-                tick += 1;
-                locked(&shared.metrics).timer_fires += 1;
-                let hb_actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| a.on_timer(ctx));
-                send_heartbeats::<B::Msg>(me, hb_actions, &mut links);
-                let fd = derive(omega.leader(), n);
-                let app_actions =
-                    run_handler(&mut replica, me, n, fd, tick, |a, ctx| a.on_timer(ctx));
-                dispatch_replica(me, app_actions, &mut links, &shared, &control);
-            }
+            // the next turn fires the tick that just came due
+            Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return replica,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn output(applied: usize, bytes: &[u8]) -> ReplicaOutput {
+        ReplicaOutput {
+            applied,
+            snapshot: bytes.into(),
+        }
+    }
+
+    #[test]
+    fn identical_snapshots_from_different_replicas_share_one_allocation() {
+        let ids: Vec<ProcessId> = (0..3).map(ProcessId::new).collect();
+        let mut recorder = OutputRecorder::new(3);
+        // each replica's output is decoded from its own connection: three
+        // separate allocations of the same bytes, then a differing one
+        for p in &ids {
+            recorder.record(*p, 1, output(1, b"state-1"));
+        }
+        recorder.record(ids[0], 2, output(2, b"state-2"));
+        let latest = |recorder: &OutputRecorder, p: usize| {
+            recorder.log.latest_of(ids[p]).map(|o| o.snapshot.clone())
+        };
+        let (Some(a), Some(b), Some(c)) = (
+            latest(&recorder, 0),
+            latest(&recorder, 1),
+            latest(&recorder, 2),
+        ) else {
+            unreachable!("all three recorded")
+        };
+        assert!(Arc::ptr_eq(&b, &c), "same bytes, one allocation");
+        assert!(
+            !Arc::ptr_eq(&a, &b) && *a != *b,
+            "different bytes stay apart"
+        );
+        // the log's first entry is the allocation the followers share
+        let first = &recorder.log.all()[0].2;
+        assert!(Arc::ptr_eq(&first.snapshot, &b));
+        // sharing is by content only: `applied` never decides it
+        recorder.record(ids[1], 3, output(9, b"state-2"));
+        assert!(latest(&recorder, 1).is_some_and(|s| Arc::ptr_eq(&s, &a)));
+    }
+
+    #[test]
+    fn only_recent_snapshots_are_sharing_candidates() {
+        let p = ProcessId::new(0);
+        let mut recorder = OutputRecorder::new(2);
+        recorder.record(p, 0, output(0, b"old"));
+        for k in 0..RECENT_SNAPSHOTS {
+            recorder.record(p, 1, output(k + 1, &[k as u8]));
+        }
+        assert_eq!(recorder.recent.len(), RECENT_SNAPSHOTS);
+        // "old" fell out of the window: equal bytes, but a fresh allocation
+        recorder.record(ProcessId::new(1), 2, output(0, b"old"));
+        let all = recorder.log.all();
+        let (first, last) = (&all[0].2, &all[all.len() - 1].2);
+        assert_eq!(first, last);
+        assert!(!Arc::ptr_eq(&first.snapshot, &last.snapshot));
     }
 }

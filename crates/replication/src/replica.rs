@@ -2,6 +2,7 @@
 //! broadcast implementation.
 
 use std::fmt;
+use std::sync::Arc;
 
 use ec_core::types::{
     AppMessage, Compactable, DeliveryDelta, EtobBroadcast, EventualTotalOrderBroadcast,
@@ -90,8 +91,12 @@ impl From<String> for ReplicaCommand {
 pub struct ReplicaOutput {
     /// Number of commands currently applied.
     pub applied: usize,
-    /// Canonical snapshot of the state machine after applying them.
-    pub snapshot: Vec<u8>,
+    /// Canonical snapshot of the state machine after applying them:
+    /// shared immutable bytes, so the copies an output goes through (the
+    /// replica's own last-output memo, the engines' output logs and latest
+    /// slots, every [`ec_sim::OutputHistory`] built from them) are pointer
+    /// copies of one allocation.
+    pub snapshot: Arc<[u8]>,
 }
 
 /// A replica: a deterministic state machine `S` fed by the delivered sequence
@@ -289,22 +294,28 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
     /// last one, keeping `applied` in sync with the adopted tail.
     fn emit_output(&mut self, ctx: &mut Context<'_, Self>) {
         self.applied = self.base_applied + self.tail.len();
+        let snapshot = self.state.snapshot();
+        let unchanged = self
+            .last_output
+            .as_ref()
+            .is_some_and(|last| last.applied == self.applied && *last.snapshot == *snapshot);
+        if unchanged {
+            return;
+        }
+        // flight-record the newest applied command (one event per visible
+        // state change, not per replayed tail entry)
+        if let Some(m) = self.tail.last() {
+            let (origin, seq) = (m.id.origin.index() as u32, m.id.seq);
+            if let Some(recorder) = self.broadcast.recorder_mut() {
+                recorder.applied(origin, seq);
+            }
+        }
         let output = ReplicaOutput {
             applied: self.applied,
-            snapshot: self.state.snapshot(),
+            snapshot: snapshot.into(),
         };
-        if self.last_output.as_ref() != Some(&output) {
-            // flight-record the newest applied command (one event per
-            // visible state change, not per replayed tail entry)
-            if let Some(m) = self.tail.last() {
-                let (origin, seq) = (m.id.origin.index() as u32, m.id.seq);
-                if let Some(recorder) = self.broadcast.recorder_mut() {
-                    recorder.applied(origin, seq);
-                }
-            }
-            self.last_output = Some(output.clone());
-            ctx.output(output);
-        }
+        self.last_output = Some(output.clone());
+        ctx.output(output);
     }
 
     /// Absorbs a broadcast-layer fold into the base state: the broadcast
@@ -537,7 +548,7 @@ mod tests {
             );
         }
         world.run_until(2_000);
-        let snapshots: Vec<Vec<u8>> = world
+        let snapshots: Vec<Arc<[u8]>> = world
             .process_ids()
             .map(|p| {
                 world

@@ -184,7 +184,7 @@ proptest! {
         snapshot in arb_payload(),
     ) {
         roundtrip(&command);
-        let output = ReplicaOutput { applied, snapshot };
+        let output = ReplicaOutput { applied, snapshot: snapshot.into() };
         roundtrip(&output);
         roundtrip(&HeartbeatMsg::Heartbeat);
     }

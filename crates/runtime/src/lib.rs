@@ -19,7 +19,10 @@
 //! * timers: algorithms' `set_timer` requests are not tracked individually;
 //!   every process receives an `on_timer` call once per configured tick,
 //!   which is how the paper's "on local timeout" clauses are meant to be
-//!   driven anyway;
+//!   driven anyway. The tick is held against a wall-clock deadline
+//!   ([`Pacer`]), so it keeps its period under load: a busy inbox cannot
+//!   postpone it, and a late loop skips the ticks it missed instead of
+//!   replaying them;
 //! * failure detection: Ω is implemented by heartbeats and timeouts, so its
 //!   stabilization time depends on real scheduling latencies rather than on a
 //!   scripted oracle. Algorithms whose failure detector is richer than Ω can
@@ -39,7 +42,11 @@
 #![warn(missing_debug_implementations)]
 
 pub mod clock;
+mod outputs;
+pub mod pacer;
 mod runtime;
 
 pub use clock::{sleep_ms, Stopwatch};
+pub use outputs::OutputLog;
+pub use pacer::{Pacer, Turn};
 pub use runtime::{run_handler, Runtime, RuntimeConfig, RuntimeReport};

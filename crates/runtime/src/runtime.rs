@@ -12,10 +12,16 @@ use parking_lot::Mutex;
 use ec_detectors::{HeartbeatConfig, HeartbeatMsg, HeartbeatOmega};
 use ec_sim::{Actions, Algorithm, Context, Metrics, OutputHistory, ProcessId, Time};
 
+use crate::outputs::OutputLog;
+use crate::pacer::{Pacer, Turn};
+
 /// Configuration of a [`Runtime`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Wall-clock period between `on_timer` calls at each process.
+    /// Wall-clock period between `on_timer` calls at each process. The
+    /// node loops hold it against a deadline ([`crate::Pacer`]), so it is
+    /// the period under load too — not the length of inbox silence that
+    /// triggers a call.
     pub tick: Duration,
     /// Heartbeat-based Ω configuration (periods are in ticks).
     pub heartbeat: HeartbeatConfig,
@@ -121,7 +127,7 @@ impl<A: Algorithm> fmt::Debug for RuntimeReport<A> {
 }
 
 struct Shared<A: Algorithm> {
-    outputs: Mutex<Vec<(ProcessId, u64, A::Output)>>,
+    outputs: Mutex<OutputLog<A::Output>>,
     leaders: Mutex<Vec<(ProcessId, u64, ProcessId)>>,
     final_states: Mutex<Vec<Option<A>>>,
     metrics: Mutex<Metrics>,
@@ -170,7 +176,7 @@ where
     {
         assert!(n >= 2, "the system model requires at least two processes");
         let shared = Arc::new(Shared::<A> {
-            outputs: Mutex::new(Vec::new()),
+            outputs: Mutex::new(OutputLog::new(n)),
             leaders: Mutex::new(Vec::new()),
             final_states: Mutex::new((0..n).map(|_| None).collect()),
             metrics: Mutex::new(Metrics::new(n)),
@@ -227,26 +233,15 @@ where
         let _ = self.senders[p.index()].send(Envelope::Crash);
     }
 
-    /// Lets the system run for the given wall-clock duration.
-    pub fn run_for(&self, duration: Duration) {
-        std::thread::sleep(duration);
-    }
-
     /// The most recent output of process `p`, observed live (without
     /// stopping the run) — how service facades poll replica progress.
     pub fn latest_output_of(&self, p: ProcessId) -> Option<A::Output> {
-        self.shared
-            .outputs
-            .lock()
-            .iter()
-            .rev()
-            .find(|(q, _, _)| *q == p)
-            .map(|(_, _, o)| o.clone())
+        self.shared.outputs.lock().latest_of(p).cloned()
     }
 
     /// A snapshot of every `(process, elapsed_ms, output)` produced so far.
     pub fn outputs_so_far(&self) -> Vec<(ProcessId, u64, A::Output)> {
-        self.shared.outputs.lock().clone()
+        self.shared.outputs.lock().all().to_vec()
     }
 
     /// A snapshot of the application-message counters so far.
@@ -268,7 +263,7 @@ where
         }
         // One lock at a time: building the report struct-literal-style would
         // hold all four guards simultaneously for the whole statement.
-        let outputs = std::mem::take(&mut *self.shared.outputs.lock());
+        let outputs = self.shared.outputs.lock().take_all();
         let leaders = std::mem::take(&mut *self.shared.leaders.lock());
         let final_states = std::mem::take(&mut *self.shared.final_states.lock());
         let metrics = self.shared.metrics.lock().clone();
@@ -328,11 +323,24 @@ where
     let app_actions = run_handler(&mut algorithm, me, n, fd, tick, |a, ctx| a.on_start(ctx));
     dispatch_app(me, app_actions, &senders, &shared);
 
+    let mut pacer = Pacer::start(config.tick);
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return algorithm;
         }
-        match receiver.recv_timeout(config.tick) {
+        let Turn::Recv(wait) = pacer.turn() else {
+            tick += 1;
+            shared.metrics.lock().timer_fires += 1;
+            let hb_actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| a.on_timer(ctx));
+            record_leaders(me, &hb_actions.outputs, &shared, elapsed_ms(&shared));
+            dispatch_hb(me, hb_actions, &senders, &shared);
+            let fd = derive(omega.leader(), n);
+            let app_actions =
+                run_handler(&mut algorithm, me, n, fd, tick, |a, ctx| a.on_timer(ctx));
+            dispatch_app(me, app_actions, &senders, &shared);
+            continue;
+        };
+        match receiver.recv_timeout(wait) {
             Ok(Envelope::Crash) => return algorithm,
             Ok(Envelope::Heartbeat { from, msg }) => {
                 let actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| {
@@ -361,17 +369,8 @@ where
                 });
                 dispatch_app(me, actions, &senders, &shared);
             }
-            Err(RecvTimeoutError::Timeout) => {
-                tick += 1;
-                shared.metrics.lock().timer_fires += 1;
-                let hb_actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| a.on_timer(ctx));
-                record_leaders(me, &hb_actions.outputs, &shared, elapsed_ms(&shared));
-                dispatch_hb(me, hb_actions, &senders, &shared);
-                let fd = derive(omega.leader(), n);
-                let app_actions =
-                    run_handler(&mut algorithm, me, n, fd, tick, |a, ctx| a.on_timer(ctx));
-                dispatch_app(me, app_actions, &senders, &shared);
-            }
+            // the next turn fires the tick that just came due
+            Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return algorithm,
         }
     }
@@ -422,9 +421,11 @@ fn dispatch_app<A: Algorithm>(
             let _ = sender.send(Envelope::App { from: me, msg });
         }
     }
-    let mut outputs = shared.outputs.lock();
-    for out in actions.outputs {
-        outputs.push((me, elapsed, out));
+    if !actions.outputs.is_empty() {
+        let mut outputs = shared.outputs.lock();
+        for out in actions.outputs {
+            outputs.push(me, elapsed, out);
+        }
     }
     // timer requests are satisfied by the periodic tick
 }
@@ -489,6 +490,29 @@ mod tests {
         }
     }
 
+    /// Polls `done` every few milliseconds until it holds; panics with
+    /// `what` after `secs` seconds. The tests wait on what they assert
+    /// instead of sleeping a fixed time and hoping the scheduler kept up.
+    fn wait_until(secs: u64, what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(secs);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Length of the sequence `p` has delivered so far, from its deltas.
+    fn delivered_len<A>(runtime: &Runtime<A>, p: ProcessId) -> usize
+    where
+        A: Algorithm<Output = DeliveryDelta> + Send + 'static,
+        A::Msg: Send,
+        A::Input: Send,
+    {
+        runtime
+            .latest_output_of(p)
+            .map_or(0, |delta| delta.keep + delta.suffix.len())
+    }
+
     #[test]
     fn threaded_etob_delivers_everything_in_the_same_order() {
         let n = 3;
@@ -500,7 +524,9 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-        runtime.run_for(Duration::from_millis(300));
+        wait_until(5, "all three delivered 5", || {
+            (0..n).all(|i| delivered_len(&runtime, ProcessId::new(i)) == 5)
+        });
         let report = runtime.shutdown();
         // every process delivered all five messages, in the same order
         let reference = final_ids(&report, ProcessId::new(0));
@@ -536,12 +562,18 @@ mod tests {
             ProcessId::new(1),
             EtobBroadcast::new(ProcessId::new(1), 1, b"before".to_vec()),
         );
-        runtime.run_for(Duration::from_millis(150));
+        let survivors = [ProcessId::new(1), ProcessId::new(2)];
+        wait_until(5, "the survivors delivered the first broadcast", || {
+            survivors.iter().all(|p| delivered_len(&runtime, *p) == 1)
+        });
         runtime.crash(ProcessId::new(0));
-        runtime.run_for(Duration::from_millis(250));
         let origin = ProcessId::new(2);
         runtime.submit(origin, EtobBroadcast::new(origin, 99, b"after".to_vec()));
-        runtime.run_for(Duration::from_millis(300));
+        // only an update from the leader a process trusts is adopted, so
+        // this also waits for the heartbeat Ω to move off the crashed p0
+        wait_until(10, "the survivors delivered the post-crash one", || {
+            survivors.iter().all(|p| delivered_len(&runtime, *p) == 2)
+        });
         let report = runtime.shutdown();
         // the survivors eventually elected p1 and still deliver new messages
         for p in [ProcessId::new(1), ProcessId::new(2)] {
@@ -564,17 +596,9 @@ mod tests {
             ProcessId::new(0),
             EtobBroadcast::new(ProcessId::new(0), 1, b"live".to_vec()),
         );
-        // poll instead of a fixed sleep so the test is robust on slow machines
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            if let Some(out) = runtime.latest_output_of(ProcessId::new(1)) {
-                if !out.suffix.is_empty() {
-                    break;
-                }
-            }
-            assert!(Instant::now() < deadline, "p1 never delivered");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_until(5, "p1 delivered", || {
+            delivered_len(&runtime, ProcessId::new(1)) == 1
+        });
         assert!(!runtime.outputs_so_far().is_empty());
         assert!(runtime.metrics().messages_sent > 0);
         let _ = runtime.elapsed_ms();
@@ -598,30 +622,47 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-        // poll until every process delivered all three messages
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let done = (0..n).map(ProcessId::new).all(|p| {
-                runtime
-                    .latest_output_of(p)
-                    .map(|delta| delta.keep + delta.suffix.len() == 3)
-                    .unwrap_or(false)
-            });
-            if done {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "quorum-gated TOB did not deliver in time"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        wait_until(10, "the quorum-gated TOB delivered all three", || {
+            (0..n).all(|i| delivered_len(&runtime, ProcessId::new(i)) == 3)
+        });
         let report = runtime.shutdown();
         // identical delivery order everywhere (strong consistency)
         let reference = final_ids(&report, ProcessId::new(0));
         for p in (1..n).map(ProcessId::new) {
             assert_eq!(final_ids(&report, p), reference, "{p} diverged");
         }
+    }
+
+    #[test]
+    fn ticks_keep_their_period_under_sustained_input_load() {
+        // 1000 op/s for a second at the default 5 ms tick: every inbox sees
+        // an event far more often than once per tick, which is exactly when
+        // a loop that fires on receive *timeouts* stops firing (< 0.2 of
+        // the nominal rate before the pacer; the 0.6 floor leaves a busy CI
+        // box its slack)
+        let n = 3;
+        let config = RuntimeConfig::default();
+        let runtime = Runtime::spawn(n, config, |p| EtobOmega::new(p, EtobConfig::default()));
+        let started = Instant::now();
+        let mut sent = 0u64;
+        while started.elapsed() < Duration::from_secs(1) {
+            let due = started.elapsed().as_millis() as u64;
+            while sent < due {
+                let origin = ProcessId::new((sent % 3) as usize);
+                runtime.submit(origin, EtobBroadcast::new(origin, sent + 1, vec![0u8; 8]));
+                sent += 1;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(sent >= 800, "the generator itself fell behind: {sent}");
+        let fires_per_node = runtime.metrics().timer_fires as f64 / n as f64;
+        let nominal = runtime.elapsed_ms() as f64 / config.tick.as_millis() as f64;
+        runtime.shutdown();
+        assert!(
+            fires_per_node >= 0.6 * nominal,
+            "{fires_per_node} fires per node, {nominal} ticks elapsed"
+        );
+        assert!(fires_per_node <= nominal + 1.0, "ticks replayed in a burst");
     }
 
     #[test]

@@ -29,11 +29,12 @@ fn drive<E: Engine>(engine: &E, delta: bool, ops: usize, spacing: u64) -> Cluste
     for k in 0..ops {
         let at = 10 + spacing * k as u64;
         let session = &mut sessions[k % REPLICAS];
-        cluster.submit(
-            session,
-            KvStore::put(&format!("k{}", k % 7), &format!("v{k}")),
-            at,
-        );
+        // A key is written through one session only, so the session's causal
+        // chain orders every write to it: the final state is the same under
+        // every delivery order the engines may legally pick (on the thread
+        // engine the order of *concurrent* writes is up to the scheduler).
+        let key = format!("s{}-k{}", k % REPLICAS, (k / REPLICAS) % 2);
+        cluster.submit(session, KvStore::put(&key, &format!("v{k}")), at);
     }
     let horizon = 10 + spacing * ops as u64 + 30_000;
     assert!(
