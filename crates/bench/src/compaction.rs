@@ -221,8 +221,21 @@ pub const E13_GRID: [usize; 3] = [10_000, 30_000, 100_000];
 /// The fold cadence used for the "on" column of the artifact.
 pub const E13_CHUNK: u64 = 64;
 
+/// Ceiling on [`overhead_pct`] at every grid size, asserted per pair by
+/// [`run_grid_over`] — so the `e13_compaction` binary, and with it the
+/// `perf-smoke` CI job, fails above it. Both fold evidences ride on deltas
+/// that are sent anyway; what is left is the quiet-link beacons.
+pub const E13_OVERHEAD_BUDGET_PCT: f64 = 10.0;
+
+/// What compaction costs on the wire: modeled bytes sent with compaction on
+/// over bytes sent with it off, minus one, in percent.
+pub fn overhead_pct(off: &CompactionPoint, on: &CompactionPoint) -> f64 {
+    (on.bytes_sent as f64 / off.bytes_sent.max(1) as f64 - 1.0) * 100.0
+}
+
 /// Runs the full E13 grid once: one `(off, on)` measurement pair per
-/// operation count, with the equal-correctness assertion applied.
+/// operation count, with the equal-correctness and wire-overhead
+/// assertions applied.
 pub fn run_grid() -> Vec<(CompactionPoint, CompactionPoint)> {
     run_grid_over(&E13_GRID)
 }
@@ -237,6 +250,11 @@ pub fn run_grid_over(grid: &[usize]) -> Vec<(CompactionPoint, CompactionPoint)> 
                 (off.delivered_total, off.delivered_hash),
                 (on.delivered_total, on.delivered_hash),
                 "compaction must not change the delivered sequence"
+            );
+            assert!(
+                overhead_pct(&off, &on) <= E13_OVERHEAD_BUDGET_PCT,
+                "compaction costs {:+.1} % wire bytes at {ops} ops",
+                overhead_pct(&off, &on)
             );
             (off, on)
         })
@@ -264,9 +282,10 @@ pub fn print_table(pairs: &[(CompactionPoint, CompactionPoint)]) {
             );
         }
         println!(
-            "  -> {:.1}x smaller peak residency at {} ops",
+            "  -> {:.1}x smaller peak residency at {} ops, {:+.1} % wire bytes",
             off.resident_peak as f64 / on.resident_peak.max(1) as f64,
-            off.ops
+            off.ops,
+            overhead_pct(off, on)
         );
     }
 }
@@ -307,6 +326,11 @@ pub fn grid_json(pairs: &[(CompactionPoint, CompactionPoint)]) -> String {
             off.ops,
             off.resident_peak as f64 / on.resident_peak.max(1) as f64
         ));
+    }
+    out.push_str("},\n  \"overhead_pct\": {");
+    for (i, (off, on)) in pairs.iter().enumerate() {
+        let (sep, pct) = (if i == 0 { "" } else { ", " }, overhead_pct(off, on));
+        out.push_str(&format!("{sep}\"{}\": {pct:.1}", off.ops));
     }
     out.push_str("}\n}\n");
     out

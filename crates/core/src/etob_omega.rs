@@ -37,15 +37,19 @@
 //!
 //! * `update` becomes [`EtobMsg::Delta`]: the nodes added since the sender's
 //!   last broadcast, plus an exact digest ([`VersionVector`]) of the
-//!   sender's whole graph. Each sender also tracks a per-peer *acked*
-//!   frontier — everything a peer has provably confirmed knowing through the
-//!   digests it sent — and excludes acked nodes from the per-peer copies.
+//!   sender's whole graph and the length and rolling hash of its delivered
+//!   sequence. Each sender also tracks a per-peer *acked* frontier —
+//!   everything a peer has provably confirmed knowing through the digests
+//!   it sent — and excludes acked nodes from the per-peer copies.
 //! * A receiver whose merged graph does not cover the incoming digest has
 //!   detected a gap (a lost or not-yet-delivered earlier delta) and pulls
 //!   with [`EtobMsg::SyncRequest`], carrying its own digest; the repairer
-//!   answers with exactly the missing nodes. Anti-entropy retransmission
-//!   ([`EtobConfig::resend_period`]) pushes per-peer unacked nodes, so the
-//!   two mechanisms together restore eventual delivery over lossy links.
+//!   answers with exactly the missing nodes. A peer is pulled at most once
+//!   per promote period: further deltas showing the gap do not pull again,
+//!   a lost request or repair is pulled again a period later.
+//!   Anti-entropy retransmission ([`EtobConfig::resend_period`]) pushes
+//!   per-peer unacked nodes, so the two mechanisms together restore
+//!   eventual delivery over lossy links.
 //! * `promote` becomes [`EtobMsg::PromoteDelta`]: the suffix appended since
 //!   the leader's previous promote broadcast, keyed by the prefix length and
 //!   a rolling FNV-1a hash of the prefix identifiers. A receiver whose
@@ -62,14 +66,26 @@
 //!
 //! Even with delta wire traffic, *resident* state (graph, promotion
 //! sequence, delivered sequence) still grows with history. With
-//! [`EtobConfig::compact_after`] enabled, processes exchange
-//! [`EtobMsg::Ack`] evidence at promote cadence and fold every delivered
-//! prefix that the whole group has both delivered (hash-checked acks) and
-//! digest-acked (graph frontiers) — bounding resident state by the
+//! [`EtobConfig::compact_after`] enabled, every process folds, at promote
+//! cadence, each delivered prefix that the whole group has both delivered
+//! (a hash-checked delivered claim from every peer) and digest-acked (every
+//! peer's graph frontier covers it) — bounding resident state by the
 //! in-flight window (experiment E13) while the rolling prefix hashes keep
-//! histories comparable across different fold points. Folded entries cannot
-//! be re-served by anti-entropy; a process that loses its state after the
-//! group folds recovers through `ec-replication`'s durable facade instead.
+//! histories comparable across different fold points.
+//!
+//! No message exists only to carry that evidence: frontier and delivered
+//! claim are fields of every [`EtobMsg::Delta`], so a link that carries
+//! updates carries the evidence with them. Only a link that carried no
+//! delta for a whole promote period gets a *beacon* — a node-less delta —
+//! and none is sent while the sender holds a batch back
+//! ([`EtobConfig::batch`]), because its digest would advertise nodes the
+//! receiver cannot have yet. Evidence only ever comes from the peer it is
+//! about, and a delivered claim counts only once the receiver's own lineage
+//! reaches the claimed length with the same hash.
+//!
+//! Folded entries cannot be re-served by anti-entropy; a process that loses
+//! its state after the group folds recovers through `ec-replication`'s
+//! durable facade instead.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -181,7 +197,9 @@ impl CausalGraph {
     /// the nodes and their edges, keeps their identifiers in the digest, and
     /// records them as compacted.
     pub fn retire<I: IntoIterator<Item = MsgId>>(&mut self, ids: I) {
-        let retired: BTreeSet<MsgId> = ids.into_iter().collect();
+        let mut retired: Vec<MsgId> = ids.into_iter().collect();
+        retired.sort_unstable();
+        let mut dropped = 0usize;
         for id in &retired {
             self.compacted.insert(*id);
             // A delivered entry adopted through a promote delta may never
@@ -189,23 +207,20 @@ impl CausalGraph {
             // digest so peers' frontiers covering it stay covered by ours.
             self.digest.insert(*id);
             self.nodes.remove(id);
-        }
-        let mut dropped = 0usize;
-        self.preds.retain(|after, list| {
-            if retired.contains(after) {
+            if let Some(list) = self.preds.remove(id) {
                 dropped += list.len();
-                return false;
             }
-            let before_len = list.len();
-            let kept: crate::inline::InlineVec<MsgId, 4> = list
-                .iter()
-                .copied()
-                .filter(|before| !retired.contains(before))
-                .collect();
-            dropped += before_len - kept.len();
-            let keep = !kept.is_empty();
-            *list = kept;
-            keep
+        }
+        // Only the lists that name a retired predecessor are rebuilt; the
+        // fold is small next to the resident graph.
+        let is_retired = |id: &MsgId| retired.binary_search(id).is_ok();
+        self.preds.retain(|_, list| {
+            if list.iter().any(is_retired) {
+                let before_len = list.len();
+                *list = list.iter().copied().filter(|b| !is_retired(b)).collect();
+                dropped += before_len - list.len();
+            }
+            !list.is_empty()
         });
         self.edge_count -= dropped;
     }
@@ -296,19 +311,32 @@ impl CausalGraph {
 /// full-state messages (sent in [`EtobConfig::full_graph`] mode, and
 /// `Promote` additionally as the fallback full resend of the delta mode);
 /// the other variants carry the delta-state wire format (see the module
-/// docs).
+/// docs). Compaction has no variant of its own: its evidence rides on
+/// [`EtobMsg::Delta`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EtobMsg {
     /// `update(CG_i)`: the sender's *entire* causality graph (paper mode).
     Update(CausalGraph),
     /// Delta update: the nodes the receiver is believed to be missing, plus
-    /// an exact digest of the sender's whole graph for gap detection.
+    /// an exact digest of the sender's whole graph for gap detection and the
+    /// sender's delivered prefix. Frontier and prefix are the two compaction
+    /// evidences (see [`EtobConfig::compact_after`]); they ride on every
+    /// delta, so no message exists only to carry them — except the *beacon*,
+    /// a node-less delta sent at promote cadence to a peer that got no other
+    /// delta for a whole period.
     Delta {
-        /// Graph nodes new to the receiver (possibly empty — a pure digest
-        /// beacon).
+        /// Graph nodes new to the receiver (empty in a beacon and in the
+        /// sender's self-copy).
         nodes: Vec<AppMessage>,
         /// Digest of the sender's full graph *after* the nodes.
         frontier: VersionVector,
+        /// Absolute length of the sender's delivered sequence: "I have
+        /// delivered (and, under the durable facade, logged) this many
+        /// entries". Counts as evidence only once the receiver's own
+        /// lineage reaches that length with the same `hash`.
+        delivered: u64,
+        /// Rolling FNV-1a hash of the first `delivered` identifiers.
+        hash: u64,
     },
     /// Digest pull: the receiver detected that the sender knows messages it
     /// does not, and asks for everything not covered by `digest`.
@@ -337,18 +365,6 @@ pub enum EtobMsg {
     /// followed a different leader, missed a promote, or the leader
     /// restarted) and asks for a full [`EtobMsg::Promote`] resend.
     PromoteRequest,
-    /// Compaction evidence beacon: "my delivered sequence has a verified
-    /// prefix of `delivered` entries hashing to `hash`". Broadcast every
-    /// promote period when [`EtobConfig::compact_after`] is enabled; a
-    /// prefix becomes foldable only once *every* peer has acknowledged it
-    /// this way (and has acked the graph nodes through its digests), so no
-    /// live peer can ever need a folded node again.
-    Ack {
-        /// Absolute length of the sender's hash-verified delivered prefix.
-        delivered: u64,
-        /// Rolling FNV-1a hash of the first `delivered` identifiers.
-        hash: u64,
-    },
 }
 
 impl EtobMsg {
@@ -357,8 +373,13 @@ impl EtobMsg {
     pub fn wire_bytes(&self) -> u64 {
         let body = match self {
             EtobMsg::Update(graph) => graph.wire_bytes(),
-            EtobMsg::Delta { nodes, frontier } => {
-                8 + nodes.iter().map(AppMessage::wire_bytes).sum::<u64>() + frontier.wire_bytes()
+            EtobMsg::Delta {
+                nodes, frontier, ..
+            } => {
+                8 + nodes.iter().map(AppMessage::wire_bytes).sum::<u64>()
+                    + frontier.wire_bytes()
+                    + 8
+                    + 8
             }
             EtobMsg::SyncRequest { digest } => digest.wire_bytes(),
             EtobMsg::Promote(sequence) => {
@@ -368,7 +389,6 @@ impl EtobMsg {
                 8 + 8 + 8 + suffix.iter().map(AppMessage::wire_bytes).sum::<u64>()
             }
             EtobMsg::PromoteRequest => 0,
-            EtobMsg::Ack { .. } => 8 + 8,
         };
         1 + body
     }
@@ -431,8 +451,9 @@ pub struct EtobConfig {
     /// conformance reference. With `compact_after = k > 0` (delta mode
     /// only), every process periodically folds the longest multiple-of-`k`
     /// delivered prefix that is (a) hash-verified against the leader's
-    /// lineage, (b) [`EtobMsg::Ack`]-acknowledged as delivered by **every**
-    /// peer, and (c) covered by every peer's graph digest — dropping those
+    /// lineage, (b) claimed as delivered, with a matching hash, by **every**
+    /// peer, and (c) covered by every peer's graph digest (both carried by
+    /// the peer's [`EtobMsg::Delta`]s) — dropping those
     /// entries from the graph, the promotion sequence and the delivered
     /// vector, so resident state stays bounded by the in-flight window
     /// instead of growing with history (experiment E13).
@@ -610,10 +631,22 @@ pub struct EtobOmega {
     /// Compaction state: absolute number of delivered entries folded out of
     /// the resident sequences (see [`EtobConfig::compact_after`]).
     folded: usize,
-    /// Compaction evidence: per-peer maximum [`EtobMsg::Ack`]ed delivered
-    /// prefix length — only ever advanced by acks whose hash matched this
-    /// process's own delivered lineage.
+    /// Compaction evidence: per-peer maximum delivered prefix length the
+    /// peer claimed in a [`EtobMsg::Delta`] — only ever advanced by claims
+    /// whose hash matched this process's own delivered lineage.
     peer_delivered_ack: BTreeMap<ProcessId, u64>,
+    /// Compaction evidence not yet checkable: each peer's lowest
+    /// `(delivered, hash)` claim that lies beyond this process's own
+    /// delivered prefix, verified once the prefix reaches it.
+    peer_delivered_claim: BTreeMap<ProcessId, (u64, u64)>,
+    /// Peers sent a [`EtobMsg::Delta`] since the previous promote-cadence
+    /// fire; the others are the quiet links a beacon goes to.
+    delta_sent_to: BTreeSet<ProcessId>,
+    /// Pull discipline: per peer, the tick before which no further
+    /// [`EtobMsg::SyncRequest`] goes to it.
+    pull_outstanding: BTreeMap<ProcessId, u64>,
+    /// Number of beacons (node-less quiet-link deltas) sent.
+    beacons_sent: u64,
     /// Number of fold operations performed by this incarnation.
     compactions: u64,
     /// Total delivered entries folded by this incarnation.
@@ -683,6 +716,10 @@ impl EtobOmega {
             malformed: 0,
             folded: 0,
             peer_delivered_ack: BTreeMap::new(),
+            peer_delivered_claim: BTreeMap::new(),
+            delta_sent_to: BTreeSet::new(),
+            pull_outstanding: BTreeMap::new(),
+            beacons_sent: 0,
             compactions: 0,
             compacted_total: 0,
             compact_conflicts: 0,
@@ -696,6 +733,13 @@ impl EtobOmega {
     /// the batching experiment (E11) compares against delivered operations.
     pub fn updates_sent(&self) -> u64 {
         self.updates_sent
+    }
+
+    /// Number of beacons this process sent: node-less [`EtobMsg::Delta`]s
+    /// that carry the compaction evidence over a link that was quiet for a
+    /// whole promote period. Zero on links that carry updates anyway.
+    pub fn beacons_sent(&self) -> u64 {
+        self.beacons_sent
     }
 
     /// Number of digest pulls ([`EtobMsg::SyncRequest`]) this process sent:
@@ -883,6 +927,61 @@ impl EtobOmega {
         }
     }
 
+    /// Records `from`'s claim (carried by a [`EtobMsg::Delta`]) to have
+    /// delivered the first `delivered` entries, hashing to `hash`. A claim
+    /// counts only once it is hash-checked against this process's own
+    /// lineage: one inside the resident prefix is checked now (a mismatch
+    /// or a position below the fold point is ignored, never trusted), one
+    /// beyond it is kept and re-fed by [`EtobOmega::maybe_compact`] until
+    /// the prefix has reached it. Only the *lowest* pending claim per peer
+    /// is kept — the one this process reaches first — so a receiver that
+    /// trails a busy peer still verifies a claim each time it catches up
+    /// with one; the peer's next delta brings the next.
+    fn note_peer_delivered(&mut self, from: ProcessId, delivered: u64, hash: u64) {
+        if from == self.me || self.config.compact_after == 0 {
+            return;
+        }
+        let Some(rel) = usize::try_from(delivered)
+            .unwrap_or(usize::MAX)
+            .checked_sub(self.folded)
+        else {
+            return;
+        };
+        match self.delivered_hashes.get(rel) {
+            Some(own) if *own == hash => {
+                let slot = self.peer_delivered_ack.entry(from).or_insert(0);
+                *slot = (*slot).max(delivered);
+            }
+            Some(_) => {}
+            None => {
+                let claim = (delivered, hash);
+                let slot = self.peer_delivered_claim.entry(from).or_insert(claim);
+                *slot = (*slot).min(claim);
+            }
+        }
+    }
+
+    /// Sends `to` a delta carrying `nodes` plus both compaction evidences —
+    /// the graph digest and the delivered prefix ride on every delta — and
+    /// notes that the link was not quiet this promote period. No handler
+    /// that sends a delta also extends `delivered` (only promote reception
+    /// does), so the claimed prefix was output by an earlier step and a
+    /// durable replica has logged it by the time the claim leaves.
+    fn send_delta(&mut self, to: ProcessId, nodes: Vec<AppMessage>, ctx: &mut Context<'_, Self>) {
+        if self.config.compact_after > 0 {
+            self.delta_sent_to.insert(to);
+        }
+        ctx.send(
+            to,
+            EtobMsg::Delta {
+                nodes,
+                frontier: self.graph.digest().clone(),
+                delivered: self.delivered_total(),
+                hash: self.delivered_hash(),
+            },
+        );
+    }
+
     /// Broadcasts the current graph state: the literal `update(CG_i)` in
     /// full-graph mode, or per-peer suffix deltas (everything neither
     /// broadcast before nor acked by the peer) plus the digest in delta
@@ -897,7 +996,6 @@ impl EtobOmega {
             ctx.broadcast(EtobMsg::Update(self.graph.clone()));
             return;
         }
-        let frontier = self.graph.digest().clone();
         let fresh: Vec<AppMessage> = self
             .unsent
             .iter()
@@ -918,13 +1016,7 @@ impl EtobOmega {
                     None => fresh.clone(),
                 }
             };
-            ctx.send(
-                to,
-                EtobMsg::Delta {
-                    nodes,
-                    frontier: frontier.clone(),
-                },
-            );
+            self.send_delta(to, nodes, ctx);
         }
     }
 
@@ -1009,36 +1101,36 @@ impl EtobOmega {
         });
     }
 
-    /// Compaction evidence exchange, at promote cadence: every process sends
-    /// each peer a pure digest beacon (advancing the peers' acked-frontier
-    /// evidence even on quiet links) plus an [`EtobMsg::Ack`] advertising
-    /// its verified delivered prefix. Neither counts as an `update`
-    /// broadcast ([`EtobOmega::updates_sent`] measures payload pushes).
-    fn broadcast_compaction_evidence(&mut self, ctx: &mut Context<'_, Self>) {
-        let frontier = self.graph.digest().clone();
-        let delivered = self.delivered_total();
-        let hash = self.delivered_hash();
-        for i in 0..ctx.n() {
-            let to = ProcessId::new(i);
-            if to == self.me {
-                continue;
+    /// Quiet-link fallback of the compaction evidence exchange, at promote
+    /// cadence. Both evidences ride on every [`EtobMsg::Delta`], so a link
+    /// that carried one since the previous fire needs nothing more; a peer
+    /// that got none is sent a *beacon*, a node-less delta (not an `update`
+    /// broadcast: [`EtobOmega::updates_sent`] measures payload pushes). No
+    /// beacon goes out while a batch flush is pending: the flush carries the
+    /// evidence within `batch` ticks, and a beacon ahead of it would
+    /// advertise the held-back nodes in its digest — a gap that is only this
+    /// process's own batching, which every receiver would pull.
+    fn beacon_quiet_links(&mut self, ctx: &mut Context<'_, Self>) {
+        if self.next_flush.is_none() {
+            for i in 0..ctx.n() {
+                let to = ProcessId::new(i);
+                if to != self.me && !self.delta_sent_to.contains(&to) {
+                    self.beacons_sent += 1;
+                    self.send_delta(to, Vec::new(), ctx);
+                }
             }
-            ctx.send(
-                to,
-                EtobMsg::Delta {
-                    nodes: Vec::new(),
-                    frontier: frontier.clone(),
-                },
-            );
-            ctx.send(to, EtobMsg::Ack { delivered, hash });
         }
+        // A beacon does not make a link busy: a peer that gets nothing else
+        // is beaconed every period.
+        self.delta_sent_to.clear();
     }
 
     /// Stable-prefix compaction: folds the longest eligible multiple-of-
     /// [`EtobConfig::compact_after`] delivered prefix into the compacted
     /// frontier. Eligibility is the two-evidence rule — every peer has both
-    /// (a) [`EtobMsg::Ack`]ed the prefix as delivered with a matching hash,
-    /// so it holds (and, under the durable facade, has logged) the entries,
+    /// (a) claimed the prefix as delivered with a matching hash
+    /// ([`EtobOmega::note_peer_delivered`]), so it holds (and, under the
+    /// durable facade, has logged) the entries,
     /// and (b) covered every folded identifier with its graph digest, so
     /// the anti-entropy machinery will never be asked to re-serve a folded
     /// node. Both are needed: graph coverage alone says nothing about
@@ -1048,6 +1140,10 @@ impl EtobOmega {
         let chunk = usize::try_from(self.config.compact_after).unwrap_or(0);
         if chunk == 0 {
             return;
+        }
+        // Claims that were ahead of our prefix may be checkable by now.
+        for (peer, (delivered, hash)) in std::mem::take(&mut self.peer_delivered_claim) {
+            self.note_peer_delivered(peer, delivered, hash);
         }
         // (a) unanimous delivered-level acks, bounded by our own sequence.
         let mut acked = self.folded + self.delivered.len();
@@ -1087,20 +1183,32 @@ impl EtobOmega {
                 return;
             }
         }
-        // Fold: retire the nodes, drop the resident prefixes, rebase the
-        // promote hashes on the fold hash. (`delivered_hashes` are absolute,
-        // so draining the first `fold` entries leaves entry 0 as the new
-        // fold hash.)
-        self.graph.retire(ids.iter().copied());
+        // Fold: retire the nodes and drop the resident prefixes. Hashes are
+        // absolute, so draining the first `fold` entries leaves entry 0 as
+        // the new fold hash. Under a stable Ω the folded entries are also
+        // the prefix of `promote`, which is then drained the same way; only
+        // a sequence that promoted them in another order is filtered and
+        // its hashes rebased on the fold hash.
+        for id in &ids {
+            self.promoted_ids.remove(id);
+            self.unpromoted.remove(id);
+        }
+        let promoted_prefix = self
+            .promote
+            .get(..fold)
+            .is_some_and(|prefix| prefix.iter().map(|m| m.id).eq(ids.iter().copied()));
+        self.graph.retire(ids);
         self.delivered.drain(..fold);
         self.delivered_hashes.drain(..fold);
-        let folded_set: BTreeSet<MsgId> = ids.into_iter().collect();
-        self.promote.retain(|m| !folded_set.contains(&m.id));
-        self.promoted_ids.retain(|id| !folded_set.contains(id));
-        self.unpromoted.retain(|id| !folded_set.contains(id));
-        let fold_hash = self.delivered_hashes.first().copied().unwrap_or(FNV_OFFSET);
-        self.promote_hashes = prefix_hashes_from(fold_hash, &self.promote);
-        self.unsent.retain(|id| !folded_set.contains(id));
+        if promoted_prefix {
+            self.promote.drain(..fold);
+            self.promote_hashes.drain(..fold);
+        } else {
+            self.promote.retain(|m| !self.graph.is_compacted(m.id));
+            let fold_hash = self.delivered_hashes.first().copied().unwrap_or(FNV_OFFSET);
+            self.promote_hashes = prefix_hashes_from(fold_hash, &self.promote);
+        }
+        self.unsent.retain(|id| !self.graph.is_compacted(*id));
         self.folded = target;
         self.last_promote_broadcast = self.last_promote_broadcast.max(target);
         self.compactions += 1;
@@ -1137,7 +1245,6 @@ impl EtobOmega {
             ctx.broadcast(EtobMsg::Update(self.graph.clone()));
             return;
         }
-        let frontier = self.graph.digest().clone();
         for i in 0..ctx.n() {
             let to = ProcessId::new(i);
             if to == self.me {
@@ -1151,13 +1258,7 @@ impl EtobOmega {
             let empty = VersionVector::new();
             let acked = self.peer_acked.get(&to).unwrap_or(&empty);
             let nodes = self.graph.missing_from(acked);
-            ctx.send(
-                to,
-                EtobMsg::Delta {
-                    nodes,
-                    frontier: frontier.clone(),
-                },
-            );
+            self.send_delta(to, nodes, ctx);
         }
     }
 }
@@ -1231,11 +1332,17 @@ impl Algorithm for EtobOmega {
                     self.broadcast_promote(ctx);
                 }
             }
-            EtobMsg::Delta { nodes, frontier } => {
+            EtobMsg::Delta {
+                nodes,
+                frontier,
+                delivered,
+                hash,
+            } => {
                 // Delta reception = UnionCG over the carried nodes, plus gap
                 // detection: the frontier is an exact digest of the sender's
                 // graph, so "my graph does not cover it" means the sender
-                // knows a message I am missing — pull it.
+                // knows a message I am missing — pull it. Frontier and
+                // delivered prefix are also the two compaction evidences.
                 for node in nodes {
                     if decode_node(&node).is_err() {
                         self.note_malformed();
@@ -1244,11 +1351,23 @@ impl Algorithm for EtobOmega {
                     self.admit(node);
                 }
                 self.note_peer_knows(from, &frontier);
+                self.note_peer_delivered(from, delivered, hash);
                 let grew = self.update_promote();
                 if grew && self.config.eager_promote && *ctx.fd() == self.me {
                     self.broadcast_promote(ctx);
                 }
-                if from != self.me && !self.graph.digest().covers(&frontier) {
+                // Pull discipline: at most one pull per peer per promote
+                // period. Gaps seen while one is outstanding are the same
+                // gap, and pulling each would multiply the repair traffic by
+                // the peer's send rate; a lost request or repair is pulled
+                // again a period later.
+                let now = ctx.now().as_u64();
+                if from != self.me
+                    && !self.graph.digest().covers(&frontier)
+                    && self.pull_outstanding.get(&from).is_none_or(|t| now >= *t)
+                {
+                    self.pull_outstanding
+                        .insert(from, now + self.config.promote_period);
                     self.sync_pulls += 1;
                     if let Some(t) = self.telemetry.as_deref_mut() {
                         t.sync_pull();
@@ -1267,13 +1386,7 @@ impl Algorithm for EtobOmega {
                 self.note_peer_knows(from, &digest);
                 let missing = self.graph.missing_from(&digest);
                 if !missing.is_empty() {
-                    ctx.send(
-                        from,
-                        EtobMsg::Delta {
-                            nodes: missing,
-                            frontier: self.graph.digest().clone(),
-                        },
-                    );
+                    self.send_delta(from, missing, ctx);
                 }
             }
             EtobMsg::Promote(sequence) => {
@@ -1370,25 +1483,6 @@ impl Algorithm for EtobOmega {
                     }
                 }
             }
-            EtobMsg::Ack { delivered, hash } => {
-                // Compaction evidence: record the peer's verified delivered
-                // prefix, but only when the hash is comparable with our own
-                // lineage and matches — an ack for a divergent prefix, or
-                // one beyond what we can check, is ignored rather than
-                // trusted.
-                if from == self.me {
-                    return;
-                }
-                let verified = usize::try_from(delivered)
-                    .ok()
-                    .and_then(|abs| abs.checked_sub(self.folded))
-                    .and_then(|rel| self.delivered_hashes.get(rel))
-                    .is_some_and(|h| *h == hash);
-                if verified {
-                    let slot = self.peer_delivered_ack.entry(from).or_insert(0);
-                    *slot = (*slot).max(delivered);
-                }
-            }
         }
     }
 
@@ -1410,12 +1504,12 @@ impl Algorithm for EtobOmega {
             if *ctx.fd() == self.me {
                 self.broadcast_promote(ctx);
             }
-            // Compaction rides the same cadence: exchange evidence, then
-            // fold whatever prefix the evidence now covers. Delta mode only
-            // — the paper-literal full-graph mode is the uncompacted
-            // conformance reference.
+            // Compaction rides the same cadence: beacon the links no delta
+            // carried the evidence over, then fold whatever prefix the
+            // evidence now covers. Delta mode only — the paper-literal
+            // full-graph mode is the uncompacted conformance reference.
             if self.config.compact_after > 0 && self.config.delta_sync {
-                self.broadcast_compaction_evidence(ctx);
+                self.beacon_quiet_links(ctx);
                 self.maybe_compact(ctx.n());
             }
             self.next_promote = now + self.config.promote_period;
@@ -1901,7 +1995,10 @@ mod tests {
         }
         assert_eq!(flush.sends.len(), 3, "one broadcast to the 3 processes");
         for (to, m) in &flush.sends {
-            let EtobMsg::Delta { nodes, frontier } = m else {
+            let EtobMsg::Delta {
+                nodes, frontier, ..
+            } = m
+            else {
                 panic!("expected a delta, got {m:?}");
             };
             assert_eq!(frontier.len(), 2, "digest covers both buffered ops");
@@ -1965,6 +2062,8 @@ mod tests {
                 EtobMsg::Delta {
                     nodes: vec![m2.clone()],
                     frontier: frontier.clone(),
+                    delivered: 0,
+                    hash: FNV_OFFSET,
                 },
                 &mut ctx,
             );
@@ -2241,6 +2340,8 @@ mod tests {
         let beacon = EtobMsg::Delta {
             nodes: Vec::new(),
             frontier: graph.digest().clone(),
+            delivered: 0,
+            hash: FNV_OFFSET,
         };
         let full = EtobMsg::Update(graph.clone());
         assert!(beacon.wire_bytes() < full.wire_bytes());
@@ -2459,99 +2560,5 @@ mod tests {
         assert_eq!(alg.delivered_total(), 4);
         assert_eq!(alg.folded(), 2);
         assert_eq!(alg.delivered_hash(), hash_step(hashes[3], mk(4).id));
-    }
-
-    #[test]
-    fn acks_are_hash_checked_before_counting_as_compaction_evidence() {
-        let mk = |seq| AppMessage::new(MsgId::new(ProcessId::new(1), seq), b"x".to_vec());
-        let history: Vec<AppMessage> = (1..=4u64).map(mk).collect();
-        let hashes = prefix_hashes_from(FNV_OFFSET, &history);
-        let mut alg = EtobOmega::new(ProcessId::new(0), EtobConfig::default().with_compaction(2));
-        let mut actions = ec_sim::Actions::<EtobOmega>::new();
-        {
-            let mut ctx = Context::new(
-                ProcessId::new(0),
-                Time::new(2),
-                2,
-                ProcessId::new(1),
-                &mut actions,
-            );
-            alg.on_message(
-                ProcessId::new(1),
-                EtobMsg::Promote(history.clone()),
-                &mut ctx,
-            );
-            assert_eq!(alg.delivered_total(), 4);
-            // Divergent hash: ignored.
-            alg.on_message(
-                ProcessId::new(1),
-                EtobMsg::Ack {
-                    delivered: 4,
-                    hash: hashes[4] ^ 1,
-                },
-                &mut ctx,
-            );
-            assert!(alg.peer_delivered_ack.is_empty());
-            // Beyond what we can check: ignored.
-            alg.on_message(
-                ProcessId::new(1),
-                EtobMsg::Ack {
-                    delivered: 9,
-                    hash: 0,
-                },
-                &mut ctx,
-            );
-            assert!(alg.peer_delivered_ack.is_empty());
-            // Matching: recorded — and never regresses.
-            alg.on_message(
-                ProcessId::new(1),
-                EtobMsg::Ack {
-                    delivered: 4,
-                    hash: hashes[4],
-                },
-                &mut ctx,
-            );
-            assert_eq!(alg.peer_delivered_ack[&ProcessId::new(1)], 4);
-            alg.on_message(
-                ProcessId::new(1),
-                EtobMsg::Ack {
-                    delivered: 2,
-                    hash: hashes[2],
-                },
-                &mut ctx,
-            );
-            assert_eq!(alg.peer_delivered_ack[&ProcessId::new(1)], 4);
-
-            // Delivered-level acks alone do not fold: the peer's graph
-            // digest has not covered the nodes (two-evidence rule, (b)).
-            alg.maybe_compact(2);
-            assert_eq!(alg.folded(), 0);
-
-            // Graph-level evidence arrives with the peer's beacon frontier;
-            // now the whole acked prefix folds.
-            let mut frontier = VersionVector::new();
-            for m in &history {
-                frontier.insert(m.id);
-            }
-            alg.on_message(
-                ProcessId::new(1),
-                EtobMsg::Delta {
-                    nodes: Vec::new(),
-                    frontier,
-                },
-                &mut ctx,
-            );
-            alg.maybe_compact(2);
-        }
-        assert_eq!(alg.folded(), 4);
-        assert_eq!(alg.compactions(), 1);
-        assert_eq!(alg.compacted_total(), 4);
-        assert!(alg.delivered().is_empty(), "the whole sequence folded");
-        assert_eq!(alg.delivered_total(), 4);
-        assert_eq!(alg.delivered_hash(), hashes[4]);
-        for m in &history {
-            assert!(alg.causal_graph().is_compacted(m.id));
-            assert!(alg.causal_graph().digest().contains(m.id));
-        }
     }
 }

@@ -173,10 +173,17 @@ impl WireCodec for EtobMsg {
                 out.push(0);
                 graph.encode(out);
             }
-            EtobMsg::Delta { nodes, frontier } => {
+            EtobMsg::Delta {
+                nodes,
+                frontier,
+                delivered,
+                hash,
+            } => {
                 out.push(1);
                 encode_messages(out, nodes);
                 frontier.encode(out);
+                push_u64(out, *delivered);
+                push_u64(out, *hash);
             }
             EtobMsg::SyncRequest { digest } => {
                 out.push(2);
@@ -197,11 +204,6 @@ impl WireCodec for EtobMsg {
                 encode_messages(out, suffix);
             }
             EtobMsg::PromoteRequest => out.push(5),
-            EtobMsg::Ack { delivered, hash } => {
-                out.push(6);
-                push_u64(out, *delivered);
-                push_u64(out, *hash);
-            }
         }
     }
 
@@ -211,6 +213,8 @@ impl WireCodec for EtobMsg {
             1 => Ok(EtobMsg::Delta {
                 nodes: decode_messages(r)?,
                 frontier: VersionVector::decode(r)?,
+                delivered: r.read_u64()?,
+                hash: r.read_u64()?,
             }),
             2 => Ok(EtobMsg::SyncRequest {
                 digest: VersionVector::decode(r)?,
@@ -222,10 +226,6 @@ impl WireCodec for EtobMsg {
                 suffix: decode_messages(r)?,
             }),
             5 => Ok(EtobMsg::PromoteRequest),
-            6 => Ok(EtobMsg::Ack {
-                delivered: r.read_u64()?,
-                hash: r.read_u64()?,
-            }),
             tag => Err(DecodeError::BadTag {
                 context: "EtobMsg",
                 tag,

@@ -108,6 +108,8 @@ fn arb_etob_msg() -> impl Strategy<Value = EtobMsg> {
                 1 => EtobMsg::Delta {
                     nodes: messages,
                     frontier: digest,
+                    delivered: base as u64,
+                    hash,
                 },
                 2 => EtobMsg::SyncRequest { digest },
                 3 => EtobMsg::Promote(messages),
@@ -247,6 +249,24 @@ fn adversarial_corpus_yields_typed_errors() {
             tag: 77
         })
     );
+    // tag 6 was the compaction `Ack`; its evidence now rides on `Delta`
+    let mut retired = vec![6u8];
+    retired.extend_from_slice(&[0; 16]);
+    assert_eq!(
+        EtobMsg::decode(&mut Reader::new(&retired)),
+        Err(DecodeError::BadTag {
+            context: "EtobMsg",
+            tag: 6
+        })
+    );
+    // a delta in the pre-evidence layout (nodes + frontier, nothing after)
+    let mut old_delta = vec![1u8];
+    old_delta.extend_from_slice(&0u32.to_be_bytes());
+    old_delta.extend_from_slice(&0u32.to_be_bytes());
+    assert!(matches!(
+        EtobMsg::decode(&mut Reader::new(&old_delta)),
+        Err(DecodeError::Truncated { .. })
+    ));
     let mut reader = Reader::new(&[88]);
     assert_eq!(
         TobMsg::decode(&mut reader),
