@@ -14,12 +14,14 @@
 //! | `telemetry`      | ✓           | ✓            |                 | ✓            |
 //! | `chaos`          | ✓           | ✓            |                 | ✓            |
 //! | root `src/`      | ✓           | ✓            |                 | ✓            |
-//! | `runtime`        |             |              | ✓               | ✓            |
+//! | `runtime`        |             | ✓            | ✓               | ✓            |
 //! | `bench`          | exempt (measures wall-clock by design)              |
 //! | `analysis`       | exempt (the analyzer itself)                        |
 //!
-//! `ec-runtime` is the thread-backed engine: wall clock and OS scheduling are
-//! its whole point, so determinism rules would be noise there. Since the
+//! `ec-runtime` is the real-time runtime of both real-time engines: wall
+//! clock and OS scheduling are its whole point, so determinism rules would be
+//! noise there — but its node loop takes every peer message of a deployment,
+//! so nothing reachable from it may panic. Since the
 //! throughput engine landed, `ec-replication` also spawns OS threads (the
 //! worker-pool shard stepper and the socket-backed net engine), so it carries
 //! lock-discipline on top of the strict deterministic row. Vendored stubs
@@ -57,11 +59,10 @@ pub fn crate_policy(dir_name: &str) -> Option<RuleSet> {
             lock_discipline: true,
             ..deterministic
         }),
+        // the real-time node loop lives here: everything but determinism
         "runtime" => Some(RuleSet {
             determinism: false,
-            panic_safety: false,
-            lock_discipline: true,
-            wire_hygiene: true,
+            ..RuleSet::all()
         }),
         "bench" | "analysis" => None,
         // an unknown crate gets the strict policy by default: opting out must
@@ -193,8 +194,8 @@ mod tests {
         assert!(rep.determinism && rep.panic_safety && rep.wire_hygiene);
         assert!(rep.lock_discipline);
         let rt = crate_policy("runtime").expect("runtime has a policy");
-        assert!(rt.lock_discipline && rt.wire_hygiene);
-        assert!(!rt.determinism && !rt.panic_safety);
+        assert!(rt.lock_discipline && rt.wire_hygiene && rt.panic_safety);
+        assert!(!rt.determinism);
         assert!(crate_policy("bench").is_none());
         assert!(crate_policy("analysis").is_none());
         // unknown crates default to strict

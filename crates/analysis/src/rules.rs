@@ -190,10 +190,13 @@ fn determinism(file: &SourceFile, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 
 /// Returns `true` if a function by this name is a panic-safety seed: it
-/// consumes peer input directly (`on_message`) or sits on a decode/digest
-/// path.
+/// consumes peer input directly (`on_message`, the real-time node's
+/// `node_loop`, a socket reader's `serve_connection`) or sits on a
+/// decode/digest path.
 fn is_seed_name(name: &str) -> bool {
-    name == "on_message" || name.contains("decode") || name.contains("digest")
+    matches!(name, "on_message" | "node_loop" | "serve_connection")
+        || name.contains("decode")
+        || name.contains("digest")
 }
 
 /// Flags panicking constructs in every function reachable (by name, within

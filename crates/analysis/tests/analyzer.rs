@@ -49,6 +49,8 @@ fn fixture_corpus_pins_every_rule_family() {
         ("panic_safety.rs", 4, rule_ids::UNWRAP, false),
         ("panic_safety.rs", 10, rule_ids::PANIC, false),
         ("panic_safety.rs", 16, rule_ids::INDEX, true),
+        ("panic_safety_loop.rs", 4, rule_ids::INDEX, false),
+        ("panic_safety_loop.rs", 9, rule_ids::EXPECT, true),
         ("wire_hygiene.rs", 6, rule_ids::UNACCOUNTED_VARIANT, false),
         ("wire_no_size.rs", 4, rule_ids::NO_WIRE_SIZE, true),
     ];
@@ -59,8 +61,8 @@ fn fixture_corpus_pins_every_rule_family() {
 fn fixture_counts_and_allow_reasons() {
     let dir = fixtures_root().join("src");
     let report = analyze_tree(&dir, &dir, &RuleSet::all()).expect("fixtures readable");
-    assert_eq!(report.denied().count(), 8);
-    assert_eq!(report.allowed().count(), 6);
+    assert_eq!(report.denied().count(), 9);
+    assert_eq!(report.allowed().count(), 7);
     assert_eq!(report.meta().count(), 2);
     for f in report.allowed() {
         let reason = f.allowed.as_deref().expect("allowed finding has a reason");
@@ -118,7 +120,7 @@ fn cli_exit_codes_and_json_report() {
     assert_eq!(out.status.code(), Some(1), "fixtures must be denied");
     let json = std::fs::read_to_string(&json_path).expect("json report written");
     assert!(
-        json.contains("\"counts\": { \"total\": 16, \"denied\": 8, \"allowed\": 6, \"meta\": 2 }"),
+        json.contains("\"counts\": { \"total\": 18, \"denied\": 9, \"allowed\": 7, \"meta\": 2 }"),
         "unexpected counts in: {json}"
     );
 

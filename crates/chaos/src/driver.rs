@@ -18,8 +18,7 @@ use ec_core::etob_omega::EtobConfig;
 use ec_core::tob_consensus::ConsensusTobConfig;
 use ec_core::types::{AppMessage, MsgId};
 use ec_replication::{
-    Cluster, ClusterBuilder, ClusterReport, Consistency, Engine, KvStore, NetEngine, Session,
-    StateMachine, ThreadEngine,
+    Cluster, ClusterBuilder, ClusterReport, Consistency, Engine, KvStore, Session, StateMachine,
 };
 use ec_sim::{ProcessId, ProcessSet, Time};
 use ec_telemetry::Event;
@@ -149,6 +148,18 @@ const CHAOS_RESEND: u64 = 15;
 /// past its horizon to finish applying what it accepted.
 const SMOKE_GRACE: u64 = 5_000;
 
+/// The cluster a scenario asks for, on whatever engine runs it.
+fn builder_for<S: KvInterface>(scenario: &Scenario) -> ClusterBuilder<S> {
+    let builder = ClusterBuilder::new(scenario.n)
+        .consistency(scenario.consistency)
+        .etob(EtobConfig::default().with_resend(CHAOS_RESEND))
+        .tob(ConsensusTobConfig::default().with_catch_up());
+    match &scenario.durable {
+        Some(dir) => builder.durable(dir),
+        None => builder,
+    }
+}
+
 /// Runs a scenario to completion on the deterministic simulator and returns
 /// the recorded outcome. Bit-reproducible: the same scenario always returns
 /// the same outcome.
@@ -160,14 +171,7 @@ const SMOKE_GRACE: u64 = 5_000;
 pub fn run_scenario<S: KvInterface>(scenario: &Scenario) -> RunOutcome {
     scenario.assert_well_formed();
     let failures = scenario.failure_pattern();
-    let mut builder = ClusterBuilder::<S>::new(scenario.n)
-        .consistency(scenario.consistency)
-        .etob(EtobConfig::default().with_resend(CHAOS_RESEND))
-        .tob(ConsensusTobConfig::default().with_catch_up());
-    if let Some(dir) = &scenario.durable {
-        builder = builder.durable(dir);
-    }
-    let mut cluster: Cluster<S> = builder.deploy(&scenario.engine());
+    let mut cluster: Cluster<S> = builder_for(scenario).deploy(&scenario.engine());
     let mut sessions: Vec<Session> = (0..scenario.sessions).map(|_| cluster.session()).collect();
 
     let mut history: Vec<OpRecord> = Vec::new();
@@ -276,123 +280,65 @@ pub fn run_scenario<S: KvInterface>(scenario: &Scenario) -> RunOutcome {
     }
 }
 
-/// Runs the smoke subset of a scenario on the real-time [`ThreadEngine`]:
-/// the write workload is replayed against OS threads, with
-/// [`NemesisOp::Crash`] ops applied as dynamic crashes at their scripted
-/// facade times. Returns the final cluster report after joining every
-/// replica thread; the caller asserts convergence of the surviving
-/// replicas.
+/// Runs the crash smoke subset of a scenario on a real-time engine
+/// ([`ec_replication::ThreadEngine`] or [`ec_replication::NetEngine`]): the
+/// write workload is replayed against OS threads or real TCP nodes, with
+/// [`NemesisOp::Crash`] ops killing replicas at their scripted facade times
+/// and [`NemesisOp::CrashRecover`] ops additionally **restarting** them — a
+/// fresh incarnation behind the same inbox or address, empty (or recovered
+/// from disk, for a durable scenario) until the broadcast layer's
+/// anti-entropy re-fills it. Returns the final cluster report after every
+/// replica thread has been joined; the caller asserts convergence.
 ///
-/// Network-level faults, recoveries and Ω lies are simulator-only (the
-/// thread engine has no scripted network), so scenarios carrying them are
+/// Network-level faults and Ω lies are simulator-only (the real-time
+/// engines have no scripted network), so scenarios carrying them are
 /// rejected — the cross-engine claim the smoke subset protects is that the
-/// chaos *workload and checker plumbing* is not a simulator artifact.
-///
-/// # Panics
-///
-/// Panics if the scenario scripts anything other than permanent crashes, or
-/// is otherwise malformed.
-pub fn run_thread_smoke<S: KvInterface>(
-    scenario: &Scenario,
-    engine: &ThreadEngine,
-) -> ClusterReport {
-    let mut faults: Vec<(u64, FaultAction)> = Vec::new();
-    for op in &scenario.nemesis {
-        match op {
-            NemesisOp::Crash { process, at } => faults.push((*at, FaultAction::Crash(*process))),
-            other => panic!("thread smoke supports crash faults only, got: {other}"),
-        }
-    }
-    run_crash_smoke::<S, _>(scenario, engine, faults)
-}
-
-/// Runs the crash smoke subset of a scenario on the socket [`NetEngine`]:
-/// the write workload is replayed against real TCP nodes, with
-/// [`NemesisOp::Crash`] ops killing nodes at their scripted times and
-/// [`NemesisOp::CrashRecover`] ops additionally **restarting** them — a
-/// fresh incarnation behind the same address, empty until the broadcast
-/// layer's anti-entropy re-fills it. Returns the final cluster report after
-/// the shutdown handshake with every surviving node; the caller asserts
-/// convergence.
-///
-/// Network-level faults and Ω lies remain simulator-only, as with the
-/// thread smoke; what this variant adds over it is real process-style
-/// recovery, which neither the thread engine nor the facade-scripted
-/// simulator path exercises.
+/// chaos *workload and checker plumbing*, and process-style recovery, are
+/// not simulator artifacts.
 ///
 /// # Panics
 ///
 /// Panics if the scenario scripts anything other than crashes and
 /// crash–recoveries, or is otherwise malformed.
-pub fn run_net_smoke<S: KvInterface>(scenario: &Scenario, engine: &NetEngine) -> ClusterReport {
-    let mut faults: Vec<(u64, FaultAction)> = Vec::new();
+pub fn run_realtime_smoke<S: KvInterface, E: Engine>(
+    scenario: &Scenario,
+    engine: &E,
+) -> ClusterReport {
+    // the dynamic faults as `(at, is_restart, replica)`: sorted, a crash
+    // precedes a restart scripted for the same tick
+    let mut faults: Vec<(u64, bool, ProcessId)> = Vec::new();
     for op in &scenario.nemesis {
         match op {
-            NemesisOp::Crash { process, at } => faults.push((*at, FaultAction::Crash(*process))),
+            NemesisOp::Crash { process, at } => faults.push((*at, false, *process)),
             NemesisOp::CrashRecover {
                 process,
                 at,
                 back_at,
-            } => {
-                faults.push((*at, FaultAction::Crash(*process)));
-                faults.push((*back_at, FaultAction::Restart(*process)));
+            } => faults.extend([(*at, false, *process), (*back_at, true, *process)]),
+            other => {
+                panic!(
+                    "a real-time smoke supports crash and crash-recover faults only, got: {other}"
+                )
             }
-            other => panic!("net smoke supports crash and crash-recover faults only, got: {other}"),
         }
     }
-    run_crash_smoke::<S, _>(scenario, engine, faults)
-}
-
-/// A dynamic fault the crash smoke applies at a scripted facade time.
-enum FaultAction {
-    Crash(ProcessId),
-    Restart(ProcessId),
-}
-
-/// The engine-generic smoke body shared by [`run_thread_smoke`] and
-/// [`run_net_smoke`]: replays the write workload through pinned sessions,
-/// applying the prepared fault schedule at its scripted times.
-fn run_crash_smoke<S: KvInterface, E: Engine>(
-    scenario: &Scenario,
-    engine: &E,
-    mut faults: Vec<(u64, FaultAction)>,
-) -> ClusterReport {
     scenario.assert_well_formed();
-    faults.sort_by_key(|(at, action)| {
-        let (order, p) = match action {
-            FaultAction::Crash(p) => (0, p),
-            FaultAction::Restart(p) => (1, p),
-        };
-        (*at, order, p.index())
-    });
-    let mut builder = ClusterBuilder::<S>::new(scenario.n)
-        .consistency(scenario.consistency)
-        .etob(EtobConfig::default().with_resend(CHAOS_RESEND))
-        .tob(ConsensusTobConfig::default().with_catch_up());
-    if let Some(dir) = &scenario.durable {
-        builder = builder.durable(dir);
-    }
-    let mut cluster: Cluster<S> = builder.deploy(engine);
+    faults.sort();
+    let mut cluster: Cluster<S> = builder_for(scenario).deploy(engine);
     let mut sessions: Vec<Session> = (0..scenario.sessions).map(|_| cluster.session()).collect();
-    let apply = |cluster: &mut Cluster<S>, action: &FaultAction| match action {
-        FaultAction::Crash(p) => {
-            cluster.crash(*p);
-        }
-        FaultAction::Restart(p) => {
-            cluster.restart(*p);
-        }
+    let apply = |cluster: &mut Cluster<S>, restart: bool, p: ProcessId| {
+        let _applied = if restart {
+            cluster.restart(p)
+        } else {
+            cluster.crash(p)
+        };
     };
     let mut faults = faults.into_iter().peekable();
     let mut accepted = 0usize;
     for op in &scenario.workload {
-        while let Some((at, _)) = faults.peek() {
-            if *at > op.at {
-                break;
-            }
-            cluster.run_until(*at);
-            if let Some((_, action)) = faults.next() {
-                apply(&mut cluster, &action);
-            }
+        while let Some((at, restart, p)) = faults.next_if(|(at, ..)| *at <= op.at) {
+            cluster.run_until(at);
+            apply(&mut cluster, restart, p);
         }
         cluster.run_until(op.at);
         if let WorkloadOp::Put { key, value } = &op.op {
@@ -405,9 +351,9 @@ fn run_crash_smoke<S: KvInterface, E: Engine>(
         }
         // reads are skipped: the smoke subset checks final convergence only
     }
-    for (at, action) in faults {
+    for (at, restart, p) in faults {
         cluster.run_until(at);
-        apply(&mut cluster, &action);
+        apply(&mut cluster, restart, p);
     }
     cluster.run_until(scenario.horizon());
     // The horizon is wall-clock time here, and a loaded host can eat all of

@@ -59,9 +59,7 @@ pub mod shrink;
 
 pub use artifact::{flight_artifact, write_flight_artifact};
 pub use checker::{check_outcome, Verdict, Violation};
-pub use driver::{
-    run_net_smoke, run_scenario, run_thread_smoke, KvInterface, OpRecord, RunOutcome,
-};
+pub use driver::{run_realtime_smoke, run_scenario, KvInterface, OpRecord, RunOutcome};
 pub use fixtures::MergingKv;
 pub use gen::ScenarioGen;
 pub use lin::{linearizable_register, LinKind, LinOp};

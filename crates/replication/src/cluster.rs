@@ -1,5 +1,5 @@
-//! The engine-agnostic deployment facade: one service API over both
-//! execution engines.
+//! The engine-agnostic deployment facade: one service API over every
+//! execution engine.
 //!
 //! A replicated service in the style of the paper's motivating systems
 //! (Dynamo, PNUTS, Bigtable) is three orthogonal choices:
@@ -8,15 +8,15 @@
 //! 2. **How strongly** it is replicated — [`Consistency::Eventual`]
 //!    (Algorithm 5 over Ω, partition-available) or [`Consistency::Strong`]
 //!    (the Ω + Σ quorum sequencer, partition-blocked);
-//! 3. **Where** it runs — the deterministic simulator or real OS threads
-//!    (an [`Engine`]).
+//! 3. **Where** it runs — the deterministic simulator, or real OS threads
+//!    joined by channels or by sockets (an [`Engine`]).
 //!
 //! [`ClusterBuilder`] makes all three configuration rather than code: it
 //! deploys a state machine at a consistency level on an engine and returns a
 //! [`Cluster`] with uniform [`Session`] client handles, a uniform
 //! [`ClusterReport`], and uniform read/probe accessors. The cross-engine
 //! conformance suite (`tests/conformance.rs`) is the payoff: the same
-//! workload script, driven through this API on both engines at both
+//! workload script, driven through this API on all engines at both
 //! consistency levels, converges to byte-identical state-machine snapshots.
 //!
 //! ```
@@ -45,7 +45,7 @@ use ec_core::types::{AppMessage, MsgId};
 use ec_sim::{Metrics, ProcessId, ProcessSet, Time};
 
 use crate::convergence::ConvergenceReport;
-use crate::engine::{DeployPlan, Engine, EngineDeployment, EngineKind};
+use crate::engine::{DeployError, DeployPlan, Deployment, DeploymentSummary, Engine, EngineKind};
 use crate::replica::ReplicaCommand;
 use crate::session::Session;
 use crate::state_machine::StateMachine;
@@ -156,10 +156,26 @@ impl<S: StateMachine + Send + 'static> ClusterBuilder<S> {
     }
 
     /// Deploys the cluster on `engine`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`DeployError`] if the engine cannot deploy (a
+    /// loopback socket could not be set up); [`ClusterBuilder::try_deploy`]
+    /// returns it instead.
     pub fn deploy<E: Engine>(self, engine: &E) -> Cluster<S> {
-        let deployment = engine.deploy::<S>(&self.plan);
+        match self.try_deploy(engine) {
+            Ok(cluster) => cluster,
+            // analysis:allow(panic-safety::panic, reason = "the documented contract of the infallible signature: it fires before any replica exists, on an I/O error of the local host, never on peer input")
+            Err(err) => panic!("{err}"),
+        }
+    }
+
+    /// Deploys the cluster on `engine`, or says what the engine's substrate
+    /// refused.
+    pub fn try_deploy<E: Engine>(self, engine: &E) -> Result<Cluster<S>, DeployError> {
+        let deployment = engine.deploy::<S>(&self.plan)?;
         let n = deployment.n();
-        Cluster {
+        Ok(Cluster {
             deployment,
             consistency: self.plan.consistency,
             n,
@@ -168,7 +184,7 @@ impl<S: StateMachine + Send + 'static> ClusterBuilder<S> {
             next_entry: 0,
             submitted: 0,
             crashed: ProcessSet::new(),
-        }
+        })
     }
 }
 
@@ -183,7 +199,7 @@ pub struct Cluster<S>
 where
     S: StateMachine + Send + 'static,
 {
-    deployment: EngineDeployment<S>,
+    deployment: Box<dyn Deployment<S> + Send>,
     consistency: Consistency,
     n: usize,
     clock: u64,
@@ -353,7 +369,8 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
     /// [`Cluster::applied_at_all`] walks the output history once instead of
     /// once per replica.
     pub fn applied_at(&self, p: ProcessId, t: u64) -> usize {
-        self.deployment.applied_at(p, t)
+        let history = self.deployment.output_history();
+        history.value_at(p, Time::new(t)).map_or(0, |o| o.applied)
     }
 
     /// Commands each replica had applied at facade time `t`, from a single
@@ -382,7 +399,7 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
     }
 
     /// A typed copy of replica `p`'s state machine (see
-    /// [`EngineDeployment::state`] for engine-specific caveats).
+    /// [`Deployment::state`] for engine-specific caveats).
     pub fn state(&self, p: ProcessId) -> Option<S> {
         self.deployment.state(p)
     }
@@ -413,10 +430,11 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
     }
 
     /// Restarts a previously crashed replica as a fresh incarnation, if the
-    /// engine supports it (net engine only: the new node rejoins behind the
-    /// same address with empty state and is re-filled by anti-entropy).
-    /// On success `p` counts as correct again. Returns whether the restart
-    /// was applied.
+    /// engine supports it (thread and net engines: the new incarnation
+    /// rejoins behind the same inbox or address — recovered from disk if
+    /// the cluster is durable, empty otherwise — and is re-filled by
+    /// anti-entropy). On success `p` counts as correct again. Returns
+    /// whether the restart was applied.
     pub fn restart(&mut self, p: ProcessId) -> bool {
         let applied = self.deployment.restart(p);
         if applied {
@@ -481,62 +499,50 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
     /// counts and snapshots, convergence of the replica outputs, and
     /// message costs.
     pub fn report(&self) -> ClusterReport {
-        let metrics = self.metrics();
-        let history = self.deployment.output_history();
-        let correct = self.correct();
-        let convergence = ConvergenceReport::from_history(&history, &correct);
-        let shard = ShardReport {
-            shard: 0,
-            ops_routed: self.submitted,
-            applied: self.replica_ids().map(|p| self.applied(p)).collect(),
-            snapshots: self.replica_ids().map(|p| self.snapshot(p)).collect(),
-            converged_at: convergence.converged_at,
-            divergences: convergence.divergence_count(),
-            messages_sent: metrics.messages_sent,
-            bytes_sent: metrics.bytes_sent,
-            updates_sent: self.deployment.updates_sent(),
-            faults_dropped: metrics.faults_dropped,
-            faults_duplicated: metrics.faults_duplicated,
-            telemetry: self.deployment.telemetry(),
-        };
-        ClusterReport {
-            engine: self.engine(),
-            consistency: self.consistency,
-            shards: vec![shard],
-            totals: metrics,
-        }
+        let summary = self.deployment.summary(&self.crashed);
+        report_of(self.engine(), self.consistency, self.submitted, summary)
     }
 
-    /// Stops the cluster and returns the final report. On the thread engine
-    /// this joins every replica thread and reads the exact final automata
-    /// (including the `update`-broadcast counters a live report cannot
-    /// see); on the simulator it is equivalent to [`Cluster::report`].
+    /// Stops the cluster and returns the final report. On the real-time
+    /// engines this joins every replica thread and reads the exact final
+    /// automata (including the `update`-broadcast counters and latency
+    /// summary a live report cannot see); on the simulator it is equivalent
+    /// to [`Cluster::report`].
     pub fn finish(self) -> ClusterReport {
-        let engine = self.engine();
-        let consistency = self.consistency;
-        let submitted = self.submitted;
-        let fin = self.deployment.finish(&self.crashed);
-        let convergence = ConvergenceReport::from_history(&fin.history, &fin.correct);
-        let shard = ShardReport {
-            shard: 0,
-            ops_routed: submitted,
-            applied: fin.applied,
-            snapshots: fin.snapshots,
-            converged_at: convergence.converged_at,
-            divergences: convergence.divergence_count(),
-            messages_sent: fin.metrics.messages_sent,
-            bytes_sent: fin.metrics.bytes_sent,
-            updates_sent: fin.updates_sent,
-            faults_dropped: fin.metrics.faults_dropped,
-            faults_duplicated: fin.metrics.faults_duplicated,
-            telemetry: fin.telemetry,
-        };
-        ClusterReport {
-            engine,
-            consistency,
-            shards: vec![shard],
-            totals: fin.metrics,
-        }
+        let (engine, consistency, submitted) = (self.engine(), self.consistency, self.submitted);
+        let summary = self.deployment.finish(&self.crashed);
+        report_of(engine, consistency, submitted, summary)
+    }
+}
+
+/// The uniform report of one replica group from what its deployment says
+/// about itself, live or stopped.
+fn report_of(
+    engine: EngineKind,
+    consistency: Consistency,
+    submitted: u64,
+    summary: DeploymentSummary,
+) -> ClusterReport {
+    let convergence = ConvergenceReport::from_history(&summary.history, &summary.correct);
+    let shard = ShardReport {
+        shard: 0,
+        ops_routed: submitted,
+        applied: summary.applied,
+        snapshots: summary.snapshots,
+        converged_at: convergence.converged_at,
+        divergences: convergence.divergence_count(),
+        messages_sent: summary.metrics.messages_sent,
+        bytes_sent: summary.metrics.bytes_sent,
+        updates_sent: summary.updates_sent,
+        faults_dropped: summary.metrics.faults_dropped,
+        faults_duplicated: summary.metrics.faults_duplicated,
+        telemetry: summary.telemetry,
+    };
+    ClusterReport {
+        engine,
+        consistency,
+        shards: vec![shard],
+        totals: summary.metrics,
     }
 }
 

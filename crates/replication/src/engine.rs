@@ -4,19 +4,25 @@
 //! eventual consistency in any environment, and the algorithms are not
 //! simulator artifacts. This module turns that claim into an API: an
 //! [`Engine`] is a deployment target for a replica group, and the same
-//! [`crate::cluster::Cluster`] facade drives either of the two provided
+//! [`crate::cluster::Cluster`] facade drives any of the three provided
 //! engines —
 //!
 //! * [`SimEngine`] — the deterministic simulator of `ec-sim`
 //!   ([`WorldBuilder`]/[`World`]): virtual time, scripted Ω/Σ oracles,
 //!   scriptable partitions and crash patterns, bit-reproducible runs;
 //! * [`ThreadEngine`] — the real-time runtime of `ec-runtime`
-//!   ([`Runtime`]): one OS thread per replica, channel links, wall-clock
-//!   ticks, heartbeat-based Ω;
-//! * [`NetEngine`] — the socket deployment of [`crate::net`]: each replica
-//!   an independent node speaking the length-prefixed binary frame format
-//!   over loopback TCP, heartbeats on the same connections, the facade
-//!   attached over per-node control connections.
+//!   ([`Runtime`]) over its channel transport: one OS thread per replica,
+//!   wall-clock ticks, heartbeat-based Ω, messages moved in memory;
+//! * [`NetEngine`] — the same runtime over the TCP transport of
+//!   [`crate::net`]: each replica an independent node speaking the
+//!   length-prefixed binary frame format over loopback TCP, heartbeats on
+//!   the same connections, the facade attached over per-node control
+//!   connections.
+//!
+//! The two real-time engines are one type, [`RealTimeEngine`], and differ
+//! only in the [`Transport`] they name. Every engine hands the facade a
+//! [`Deployment`]: one trait, implemented once for a simulated [`World`]
+//! and once for a real-time [`RealTimeDeployment`].
 //!
 //! Engine choice is configuration, not code: the cross-engine conformance
 //! suite drives the *same* workload through the same facade on all engines
@@ -24,11 +30,14 @@
 //! snapshots, under both consistency levels.
 //!
 //! Time units are engine-relative: the simulator interprets facade times as
-//! virtual ticks, the thread and net engines map each facade tick to
-//! [`ThreadEngine::tick`] / [`NetEngine::tick`] of wall-clock (1 ms by
-//! default).
+//! virtual ticks, the real-time engines map each facade tick to
+//! [`RealTimeEngine::tick`] of wall-clock (1 ms by default).
 
+use std::collections::VecDeque;
 use std::fmt;
+use std::io;
+use std::marker::PhantomData;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,17 +48,16 @@ use ec_detectors::omega::OmegaOracle;
 use ec_detectors::scripted::{LieWindow, OverlayFd};
 use ec_detectors::sigma::SigmaOracle;
 use ec_detectors::PairFd;
-use ec_runtime::{sleep_ms, Runtime, RuntimeConfig, Stopwatch};
+use ec_runtime::{sleep_ms, ChannelTransport, Final, Runtime, RuntimeConfig, Stopwatch, Transport};
 use ec_sim::{
     FailureDetector, FailurePattern, Metrics, NetworkModel, OutputHistory, ProcessId, ProcessSet,
     RecoveryPolicy, Time, World, WorldBuilder,
 };
-use ec_telemetry::{Recorder, TelemetryReport, TimeSource, FLIGHT_CAPACITY};
+use ec_telemetry::{Event, Recorder, TelemetryReport, TimeSource, FLIGHT_CAPACITY};
 
 use crate::cluster::Consistency;
 use crate::durable::DurableOptions;
-use crate::net::codec::WireCodec;
-use crate::net::node::{NetCluster, NetFinal};
+use crate::net::TcpTransport;
 use crate::replica::{Replica, ReplicaCommand, ReplicaOutput};
 use crate::state_machine::StateMachine;
 
@@ -72,19 +80,54 @@ pub struct DeployPlan {
     pub durable: Option<DurableOptions>,
 }
 
+/// What the engines need of a broadcast layer beyond running it: the
+/// Algorithm-5-only counters the reports carry (0 for any other layer).
+pub trait BroadcastLayer:
+    EventualTotalOrderBroadcast<Msg: Send> + Compactable + Instrumented + fmt::Debug + Send + 'static
+{
+    /// The stable delivered sequence (its resident tail under compaction).
+    fn delivered(&self) -> &[AppMessage];
+
+    /// `update` broadcasts performed so far.
+    fn updates_sent(&self) -> u64 {
+        0
+    }
+
+    /// Digest pulls (delta-sync update-gap repairs) performed so far.
+    fn sync_pulls(&self) -> u64 {
+        0
+    }
+}
+
+impl BroadcastLayer for EtobOmega {
+    fn delivered(&self) -> &[AppMessage] {
+        EtobOmega::delivered(self)
+    }
+
+    fn updates_sent(&self) -> u64 {
+        EtobOmega::updates_sent(self)
+    }
+
+    fn sync_pulls(&self) -> u64 {
+        EtobOmega::sync_pulls(self)
+    }
+}
+
+impl BroadcastLayer for ConsensusTob {
+    fn delivered(&self) -> &[AppMessage] {
+        ConsensusTob::delivered(self)
+    }
+}
+
 /// Builds one replica for a deployment, durable when the plan says so. The
 /// broadcast layer gets its telemetry recorder attached *before* the replica
 /// wraps it, so durable recovery at `on_start` is already observed.
-fn make_replica<S, B>(
+fn make_replica<S: StateMachine, B: BroadcastLayer>(
     p: ProcessId,
     mut broadcast: B,
     durable: &Option<DurableOptions>,
     source: &TimeSource,
-) -> Replica<S, B>
-where
-    S: StateMachine,
-    B: EventualTotalOrderBroadcast + Compactable + Instrumented,
-{
+) -> Replica<S, B> {
     broadcast.attach_recorder(Recorder::new(
         p.index() as u32,
         source.clone(),
@@ -96,21 +139,41 @@ where
     }
 }
 
-/// The shared-epoch external clock of one real-time deployment: a single
-/// stopwatch started at deploy time, copied into every replica's recorder.
-fn wall_clock_source() -> TimeSource {
-    TimeSource::External(Arc::new(Stopwatch::start()))
-}
-
 /// A deployment target for a replica group: turns a [`DeployPlan`] into a
-/// running [`EngineDeployment`] the [`crate::cluster::Cluster`] facade can
-/// drive uniformly.
+/// running [`Deployment`] the [`crate::cluster::Cluster`] facade can drive
+/// uniformly.
 pub trait Engine {
     /// Deploys `plan.replicas` replicas of state machine `S` at
     /// `plan.consistency`.
-    fn deploy<S>(&self, plan: &DeployPlan) -> EngineDeployment<S>
+    fn deploy<S>(&self, plan: &DeployPlan) -> Result<Box<dyn Deployment<S> + Send>, DeployError>
     where
         S: StateMachine + Send + 'static;
+}
+
+/// Why an engine could not deploy: the substrate it runs on refused
+/// something it needs (a listener, a connection). The simulator never fails.
+#[derive(Debug)]
+pub struct DeployError {
+    /// The engine that failed.
+    pub engine: EngineKind,
+    /// The I/O error, whose message names the step that failed.
+    pub source: io::Error,
+}
+
+impl fmt::Display for DeployError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "the {} engine could not deploy: {}",
+            self.engine, self.source
+        )
+    }
+}
+
+impl std::error::Error for DeployError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.source)
+    }
 }
 
 /// Which engine a deployment runs on.
@@ -118,10 +181,10 @@ pub trait Engine {
 pub enum EngineKind {
     /// Deterministic simulation (`ec-sim`).
     Sim,
-    /// Thread-per-process real-time runtime (`ec-runtime`).
+    /// Thread-per-process real-time runtime (`ec-runtime`) over channels.
     Thread,
-    /// Socket deployment: node-per-process over loopback TCP
-    /// ([`crate::net`]).
+    /// Socket deployment: the same runtime, node-per-process over loopback
+    /// TCP ([`crate::net`]).
     Net,
 }
 
@@ -260,65 +323,58 @@ impl SimEngine {
         }
         fd
     }
+
+    /// Builds the world of one deployment: `layer` makes each replica's
+    /// broadcast layer, `fd` is the oracle its processes query.
+    fn world<S, B, D>(
+        &self,
+        plan: &DeployPlan,
+        failures: FailurePattern,
+        fd: D,
+        layer: impl Fn(ProcessId) -> B,
+    ) -> Box<dyn Deployment<S> + Send>
+    where
+        S: StateMachine + Send + 'static,
+        B: BroadcastLayer,
+        D: FailureDetector<Output = B::Fd> + Send + 'static,
+    {
+        let replica = |p| make_replica(p, layer(p), &plan.durable, &TimeSource::Logical);
+        Box::new(
+            WorldBuilder::new(plan.replicas)
+                .network(self.network.clone())
+                .failures(failures)
+                .seed(self.seed)
+                .recovery_policy(self.recovery)
+                .build_with(replica, fd),
+        )
+    }
 }
 
 impl Engine for SimEngine {
-    fn deploy<S>(&self, plan: &DeployPlan) -> EngineDeployment<S>
+    fn deploy<S>(&self, plan: &DeployPlan) -> Result<Box<dyn Deployment<S> + Send>, DeployError>
     where
         S: StateMachine + Send + 'static,
     {
-        let n = plan.replicas;
-        let failures = self.pattern(n);
+        let failures = self.pattern(plan.replicas);
         let omega = self.omega(&failures);
-        match plan.consistency {
-            Consistency::Eventual => {
-                let etob = plan.etob;
-                let durable = plan.durable.clone();
-                let world = WorldBuilder::new(n)
-                    .network(self.network.clone())
-                    .failures(failures)
-                    .seed(self.seed)
-                    .recovery_policy(self.recovery)
-                    .build_with(
-                        move |p| {
-                            make_replica(p, EtobOmega::new(p, etob), &durable, &TimeSource::Logical)
-                        },
-                        omega,
-                    );
-                EngineDeployment::SimEventual(Box::new(world))
-            }
+        let (etob, tob) = (plan.etob, plan.tob);
+        Ok(match plan.consistency {
+            Consistency::Eventual => self.world(plan, failures, omega, |p| EtobOmega::new(p, etob)),
             Consistency::Strong => {
                 let fd = PairFd::new(omega, SigmaOracle::majority(failures.clone()));
-                let tob = plan.tob;
-                let durable = plan.durable.clone();
-                let world = WorldBuilder::new(n)
-                    .network(self.network.clone())
-                    .failures(failures)
-                    .seed(self.seed)
-                    .recovery_policy(self.recovery)
-                    .build_with(
-                        move |p| {
-                            make_replica(
-                                p,
-                                ConsensusTob::new(p, tob),
-                                &durable,
-                                &TimeSource::Logical,
-                            )
-                        },
-                        fd,
-                    );
-                EngineDeployment::SimStrong(Box::new(world))
+                self.world(plan, failures, fd, |p| ConsensusTob::new(p, tob))
             }
-        }
+        })
     }
 }
 
 // ---------------------------------------------------------------------------
-// ThreadEngine
+// The real-time engines
 // ---------------------------------------------------------------------------
 
-/// The real-time engine: deploys replica groups on the thread-per-process
-/// [`Runtime`], with Ω supplied by per-process heartbeat modules.
+/// A real-time engine: deploys replica groups on the thread-per-process
+/// [`Runtime`] over the transport `T`, with Ω supplied by per-process
+/// heartbeat modules. [`ThreadEngine`] and [`NetEngine`] are this type.
 ///
 /// At [`Consistency::Strong`] the Σ component is the static full-membership
 /// quorum derived alongside the heartbeat leader: sound while no process
@@ -326,23 +382,49 @@ impl Engine for SimEngine {
 /// but a crash makes the quorum permanently unreachable — the deployment
 /// stops delivering, which is precisely the availability price of strong
 /// consistency the paper quantifies. Use [`Consistency::Eventual`] for
-/// crash-tolerant thread deployments.
-#[derive(Clone, Debug)]
-pub struct ThreadEngine {
+/// crash-tolerant real-time deployments.
+///
+/// Both engines crash and restart replicas dynamically
+/// ([`crate::cluster::Cluster::restart`]): the fresh incarnation rejoins
+/// behind the same inbox or address — recovered from disk if the plan is
+/// durable, empty otherwise — and the broadcast layer's anti-entropy
+/// re-fills what it missed.
+#[derive(Debug)]
+pub struct RealTimeEngine<T> {
     config: RuntimeConfig,
     tick: Duration,
+    transport: PhantomData<fn() -> T>,
 }
 
-impl Default for ThreadEngine {
+/// The thread engine: replicas as OS threads joined by in-memory channels
+/// ([`ChannelTransport`]) — no codec and no sockets in the loop.
+pub type ThreadEngine = RealTimeEngine<ChannelTransport>;
+
+/// The socket engine: replicas as independent nodes joined by loopback TCP
+/// connections ([`TcpTransport`]), every message crossing a real socket in
+/// the [`crate::net::codec`] frame format: length-prefixed binary frames,
+/// per-peer connections with reconnect, and a malformed-input counter
+/// ([`crate::cluster::Cluster::malformed_frames`]) fed by every connection
+/// reader.
+pub type NetEngine = RealTimeEngine<TcpTransport>;
+
+impl<T> Default for RealTimeEngine<T> {
     fn default() -> Self {
-        ThreadEngine {
+        RealTimeEngine {
             config: RuntimeConfig::default(),
             tick: Duration::from_millis(1),
+            transport: PhantomData,
         }
     }
 }
 
-impl ThreadEngine {
+impl<T> Clone for RealTimeEngine<T> {
+    fn clone(&self) -> Self {
+        RealTimeEngine { ..*self }
+    }
+}
+
+impl<T> RealTimeEngine<T> {
     /// An engine with the default [`RuntimeConfig`] and 1 ms per facade
     /// tick.
     pub fn new() -> Self {
@@ -363,276 +445,86 @@ impl ThreadEngine {
         self
     }
 
-    fn tick_ms(&self) -> u64 {
-        (self.tick.as_millis() as u64).max(1)
+    fn deploy_as<S>(
+        &self,
+        kind: EngineKind,
+        plan: &DeployPlan,
+    ) -> Result<Box<dyn Deployment<S> + Send>, DeployError>
+    where
+        S: StateMachine + Send + 'static,
+        T: Transport<Replica<S, EtobOmega>> + Transport<Replica<S, ConsensusTob>>,
+        T: fmt::Debug + Send + 'static,
+    {
+        let (etob, tob) = (plan.etob, plan.tob);
+        match plan.consistency {
+            Consistency::Eventual => self.launch(
+                kind,
+                plan,
+                move |p| EtobOmega::new(p, etob),
+                |leader, _n| leader,
+            ),
+            Consistency::Strong => self.launch(
+                kind,
+                plan,
+                move |p| ConsensusTob::new(p, tob),
+                |leader, n| (leader, ProcessSet::all(n)),
+            ),
+        }
+    }
+
+    /// Launches the runtime of one deployment: `layer` makes each
+    /// incarnation's broadcast layer, `derive` its failure-detector value
+    /// from the heartbeat leader.
+    fn launch<S, B>(
+        &self,
+        kind: EngineKind,
+        plan: &DeployPlan,
+        layer: impl Fn(ProcessId) -> B + Send + 'static,
+        derive: impl Fn(ProcessId, usize) -> B::Fd + Send + Sync + 'static,
+    ) -> Result<Box<dyn Deployment<S> + Send>, DeployError>
+    where
+        S: StateMachine + Send + 'static,
+        B: BroadcastLayer,
+        T: Transport<Replica<S, B>> + fmt::Debug + Send + 'static,
+    {
+        let durable = plan.durable.clone();
+        // one stopwatch, started now and copied into every replica's
+        // recorder: all flight-event timestamps share one epoch
+        let clock = TimeSource::External(Arc::new(Stopwatch::start()));
+        let mut interner = SnapshotInterner::default();
+        let runtime = Runtime::<Replica<S, B>, T>::launch(
+            plan.replicas,
+            self.config,
+            move |output| interner.intern(output),
+            move |p| make_replica(p, layer(p), &durable, &clock),
+            derive,
+        );
+        Ok(Box::new(RealTimeDeployment {
+            runtime: runtime.map_err(|source| DeployError {
+                engine: kind,
+                source,
+            })?,
+            kind,
+            tick_ms: (self.tick.as_millis() as u64).max(1),
+        }))
     }
 }
 
 impl Engine for ThreadEngine {
-    fn deploy<S>(&self, plan: &DeployPlan) -> EngineDeployment<S>
+    fn deploy<S>(&self, plan: &DeployPlan) -> Result<Box<dyn Deployment<S> + Send>, DeployError>
     where
         S: StateMachine + Send + 'static,
     {
-        match plan.consistency {
-            Consistency::Eventual => {
-                let etob = plan.etob;
-                let durable = plan.durable.clone();
-                let clock = wall_clock_source();
-                let runtime = Runtime::spawn(plan.replicas, self.config, move |p| {
-                    make_replica(p, EtobOmega::new(p, etob), &durable, &clock)
-                });
-                EngineDeployment::ThreadEventual(ThreadDeployment::new(
-                    runtime,
-                    self.tick_ms(),
-                    plan.replicas,
-                ))
-            }
-            Consistency::Strong => {
-                let tob = plan.tob;
-                let durable = plan.durable.clone();
-                let clock = wall_clock_source();
-                let runtime = Runtime::spawn_with_fd(
-                    plan.replicas,
-                    self.config,
-                    move |p| make_replica(p, ConsensusTob::new(p, tob), &durable, &clock),
-                    |leader, n| (leader, ProcessSet::all(n)),
-                );
-                EngineDeployment::ThreadStrong(ThreadDeployment::new(
-                    runtime,
-                    self.tick_ms(),
-                    plan.replicas,
-                ))
-            }
-        }
-    }
-}
-
-/// A replica group running on the thread runtime, with facade times paced
-/// against the wall clock.
-pub struct ThreadDeployment<S, B>
-where
-    S: StateMachine + Send + 'static,
-    B: EventualTotalOrderBroadcast + Compactable + Instrumented,
-{
-    runtime: Runtime<Replica<S, B>>,
-    tick_ms: u64,
-    n: usize,
-}
-
-impl<S, B> fmt::Debug for ThreadDeployment<S, B>
-where
-    S: StateMachine + Send + 'static,
-    B: EventualTotalOrderBroadcast + Compactable + Instrumented,
-{
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ThreadDeployment")
-            .field("n", &self.n)
-            .field("tick_ms", &self.tick_ms)
-            .finish()
-    }
-}
-
-impl<S, B> ThreadDeployment<S, B>
-where
-    S: StateMachine + Send + 'static,
-    B: EventualTotalOrderBroadcast + Compactable + Instrumented + Send + 'static,
-    B::Msg: Send,
-{
-    fn new(runtime: Runtime<Replica<S, B>>, tick_ms: u64, n: usize) -> Self {
-        ThreadDeployment {
-            runtime,
-            tick_ms,
-            n,
-        }
-    }
-
-    /// Sleeps until `t` facade ticks of wall-clock time have elapsed since
-    /// deployment (no-op if that moment has already passed).
-    fn pace_to(&self, t: u64) {
-        let target_ms = t.saturating_mul(self.tick_ms);
-        let now_ms = self.runtime.elapsed_ms();
-        if now_ms < target_ms {
-            // analysis:allow(determinism::wall-clock, reason = "ThreadEngine paces facade ticks against real time by design; the deterministic SimEngine never reaches this path")
-            std::thread::sleep(Duration::from_millis(target_ms - now_ms));
-        }
-    }
-
-    fn latest_output(&self, p: ProcessId) -> Option<ReplicaOutput> {
-        self.runtime.latest_output_of(p)
-    }
-
-    fn output_history(&self) -> OutputHistory<ReplicaOutput> {
-        let mut history = OutputHistory::new(self.n);
-        for (p, ms, out) in self.runtime.outputs_so_far() {
-            history.record(p, Time::new(ms / self.tick_ms), out);
-        }
-        history
-    }
-}
-
-// ---------------------------------------------------------------------------
-// NetEngine
-// ---------------------------------------------------------------------------
-
-/// The socket engine: deploys replica groups as independent nodes joined by
-/// loopback TCP connections, every message crossing a real socket in the
-/// [`crate::net::codec`] frame format.
-///
-/// Operationally a [`ThreadEngine`] sibling — wall-clock ticks, heartbeat
-/// Ω, same Σ caveat at [`Consistency::Strong`] (a crash makes the static
-/// full-membership quorum permanently unreachable) — but with the in-memory
-/// channels replaced by the real wire: length-prefixed binary frames,
-/// per-peer connections with reconnect, and a malformed-input counter
-/// ([`crate::cluster::Cluster::malformed_frames`]) fed by every connection
-/// reader. Unlike the other engines it also supports restarting a crashed
-/// replica ([`crate::cluster::Cluster::restart`]): the fresh incarnation
-/// rejoins behind the same address and is re-filled by the broadcast
-/// layer's anti-entropy.
-#[derive(Clone, Debug)]
-pub struct NetEngine {
-    config: RuntimeConfig,
-    tick: Duration,
-}
-
-impl Default for NetEngine {
-    fn default() -> Self {
-        NetEngine {
-            config: RuntimeConfig::default(),
-            tick: Duration::from_millis(1),
-        }
-    }
-}
-
-impl NetEngine {
-    /// An engine with the default [`RuntimeConfig`] and 1 ms per facade
-    /// tick.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the runtime configuration (timer tick, heartbeat periods).
-    pub fn runtime_config(mut self, config: RuntimeConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets how much wall-clock time one facade tick corresponds to.
-    pub fn tick(mut self, tick: Duration) -> Self {
-        self.tick = tick;
-        self
-    }
-
-    fn tick_ms(&self) -> u64 {
-        (self.tick.as_millis() as u64).max(1)
+        self.deploy_as(EngineKind::Thread, plan)
     }
 }
 
 impl Engine for NetEngine {
-    fn deploy<S>(&self, plan: &DeployPlan) -> EngineDeployment<S>
+    fn deploy<S>(&self, plan: &DeployPlan) -> Result<Box<dyn Deployment<S> + Send>, DeployError>
     where
         S: StateMachine + Send + 'static,
     {
-        match plan.consistency {
-            Consistency::Eventual => {
-                let etob = plan.etob;
-                let durable = plan.durable.clone();
-                let clock = wall_clock_source();
-                let cluster = NetCluster::launch(
-                    plan.replicas,
-                    self.config,
-                    move |p| make_replica(p, EtobOmega::new(p, etob), &durable, &clock),
-                    |leader, _n| leader,
-                );
-                EngineDeployment::NetEventual(NetDeployment::attach(
-                    cluster,
-                    self.tick_ms(),
-                    plan.replicas,
-                ))
-            }
-            Consistency::Strong => {
-                let tob = plan.tob;
-                let durable = plan.durable.clone();
-                let clock = wall_clock_source();
-                let cluster = NetCluster::launch(
-                    plan.replicas,
-                    self.config,
-                    move |p| make_replica(p, ConsensusTob::new(p, tob), &durable, &clock),
-                    |leader, n| (leader, ProcessSet::all(n)),
-                );
-                EngineDeployment::NetStrong(NetDeployment::attach(
-                    cluster,
-                    self.tick_ms(),
-                    plan.replicas,
-                ))
-            }
-        }
-    }
-}
-
-/// A replica group running as socket nodes, with facade times paced against
-/// the wall clock.
-pub struct NetDeployment<S, B>
-where
-    S: StateMachine + Send + 'static,
-    B: EventualTotalOrderBroadcast + Compactable + Instrumented + Send + 'static,
-    B::Msg: WireCodec + Send,
-{
-    cluster: NetCluster<S, B>,
-    tick_ms: u64,
-    n: usize,
-}
-
-impl<S, B> fmt::Debug for NetDeployment<S, B>
-where
-    S: StateMachine + Send + 'static,
-    B: EventualTotalOrderBroadcast + Compactable + Instrumented + Send + 'static,
-    B::Msg: WireCodec + Send,
-{
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NetDeployment")
-            .field("n", &self.n)
-            .field("tick_ms", &self.tick_ms)
-            .finish()
-    }
-}
-
-impl<S, B> NetDeployment<S, B>
-where
-    S: StateMachine + Send + 'static,
-    B: EventualTotalOrderBroadcast + Compactable + Instrumented + Send + 'static,
-    B::Msg: WireCodec + Send,
-{
-    fn attach(cluster: NetCluster<S, B>, tick_ms: u64, n: usize) -> Self {
-        NetDeployment {
-            cluster,
-            tick_ms,
-            n,
-        }
-    }
-
-    /// Sleeps until `t` facade ticks of wall-clock time have elapsed since
-    /// deployment (no-op if that moment has already passed).
-    fn pace_to(&self, t: u64) {
-        let target_ms = t.saturating_mul(self.tick_ms);
-        loop {
-            let now_ms = self.cluster.elapsed_ms();
-            if now_ms >= target_ms {
-                return;
-            }
-            sleep_ms((target_ms - now_ms).min(20));
-        }
-    }
-
-    fn latest_output(&self, p: ProcessId) -> Option<ReplicaOutput> {
-        self.cluster.latest_output_of(p)
-    }
-
-    fn output_history(&self) -> OutputHistory<ReplicaOutput> {
-        let mut history = OutputHistory::new(self.n);
-        for (p, ms, out) in self.cluster.outputs_so_far() {
-            history.record(p, Time::new(ms / self.tick_ms), out);
-        }
-        history
+        self.deploy_as(EngineKind::Net, plan)
     }
 }
 
@@ -640,46 +532,150 @@ where
 // The uniform deployment handle
 // ---------------------------------------------------------------------------
 
-/// The failure detector of simulated strong deployments: Ω behind a
-/// scripted lie overlay, paired with the quorum oracle Σ.
-pub type SimStrongFd = PairFd<OverlayFd<OmegaOracle>, SigmaOracle>;
-
 /// A running replica group behind the uniform driving interface the
-/// [`crate::cluster::Cluster`] facade uses. One variant per (engine,
-/// consistency) combination; the variant is selected by
-/// [`Engine::deploy`] and never changes afterwards.
-#[derive(Debug)]
-pub enum EngineDeployment<S>
-where
-    S: StateMachine + Send + 'static,
-{
-    /// Simulated Algorithm 5 group (Ω oracle behind a lie overlay).
-    SimEventual(Box<World<Replica<S, EtobOmega>, OverlayFd<OmegaOracle>>>),
-    /// Simulated quorum-sequencer group (Ω + Σ oracles; Ω behind a lie
-    /// overlay).
-    SimStrong(Box<World<Replica<S, ConsensusTob>, SimStrongFd>>),
-    /// Threaded Algorithm 5 group (heartbeat Ω).
-    ThreadEventual(ThreadDeployment<S, EtobOmega>),
-    /// Threaded quorum-sequencer group (heartbeat Ω + static quorum Σ).
-    ThreadStrong(ThreadDeployment<S, ConsensusTob>),
-    /// Socket-node Algorithm 5 group (heartbeat Ω over TCP).
-    NetEventual(NetDeployment<S, EtobOmega>),
-    /// Socket-node quorum-sequencer group (heartbeat Ω + static quorum Σ
-    /// over TCP).
-    NetStrong(NetDeployment<S, ConsensusTob>),
+/// [`crate::cluster::Cluster`] facade uses. The defaults are the answers of
+/// a deployment that lacks the capability: dynamic crashes, and what only
+/// the simulator (live replica internals) or only a wire (addresses,
+/// malformed frames, scrapes) can provide.
+pub trait Deployment<S: StateMachine>: fmt::Debug {
+    /// Which engine this deployment runs on.
+    fn kind(&self) -> EngineKind;
+
+    /// Number of replicas.
+    fn n(&self) -> usize;
+
+    /// Submits a command to replica `entry` at facade time `at`. The
+    /// simulator schedules it; a real-time engine sleeps until the wall
+    /// clock reaches `at` and then submits, so callers should submit in
+    /// non-decreasing time order.
+    fn submit(&mut self, entry: ProcessId, command: ReplicaCommand, at: u64);
+
+    /// Advances the deployment to facade time `t` (virtual time on the
+    /// simulator, paced wall-clock time on the real-time engines).
+    fn run_until(&mut self, t: u64);
+
+    /// Commands applied by replica `p` so far.
+    fn applied(&self, p: ProcessId) -> usize;
+
+    /// The canonical snapshot of replica `p`'s state machine.
+    fn snapshot(&self, p: ProcessId) -> Vec<u8>;
+
+    /// A typed copy of replica `p`'s state machine. Direct on the
+    /// simulator; reconstructed from the latest emitted snapshot on the
+    /// real-time engines (`None` if `S` does not support
+    /// [`StateMachine::from_snapshot`]).
+    fn state(&self, p: ProcessId) -> Option<S>;
+
+    /// The stable delivered sequence of replica `p`'s broadcast layer.
+    /// Simulator only: real-time replicas are observable only through their
+    /// outputs until [`Deployment::finish`].
+    fn delivered(&self, _p: ProcessId) -> Option<Vec<AppMessage>> {
+        None
+    }
+
+    /// Crashes replica `p` if the engine supports dynamic crashes. `true`
+    /// on the real-time engines; `false` on the simulator, where crashes
+    /// are scripted up front via [`SimEngine::failures`].
+    fn crash(&mut self, _p: ProcessId) -> bool {
+        false
+    }
+
+    /// Restarts a crashed replica as a fresh incarnation — empty, or
+    /// recovered from disk if the deployment is durable — which the
+    /// broadcast layer's anti-entropy then re-fills. Real-time engines
+    /// only; `false` on the simulator, if `p` is not down, or if its links
+    /// could not be re-opened.
+    fn restart(&mut self, _p: ProcessId) -> bool {
+        false
+    }
+
+    /// Frames rejected as malformed so far by the connection readers of a
+    /// wire (0 where there is none to corrupt).
+    fn malformed_frames(&self) -> u64 {
+        0
+    }
+
+    /// The TCP listen address of replica `p`'s node (net engine only; the
+    /// adversarial codec tests use it to inject raw bytes).
+    fn node_addr(&self, _p: ProcessId) -> Option<SocketAddr> {
+        None
+    }
+
+    /// Message counters so far (application messages only on the real-time
+    /// engines; the simulator has no separate heartbeat traffic to
+    /// exclude).
+    fn metrics(&self) -> Metrics;
+
+    /// The timed output history so far, in facade ticks.
+    fn output_history(&self) -> OutputHistory<ReplicaOutput>;
+
+    /// The processes correct for the whole run: from the failure pattern on
+    /// the simulator, everything minus `facade_crashed` elsewhere.
+    fn correct(&self, facade_crashed: &ProcessSet) -> ProcessSet;
+
+    /// Total `update` broadcasts of the Algorithm 5 layers so far (0 for
+    /// strong deployments, and 0 live on the real-time engines, where
+    /// replica internals are only harvested at finish).
+    fn updates_sent(&self) -> u64 {
+        0
+    }
+
+    /// Total digest pulls (delta-sync update-gap repairs, see
+    /// `EtobOmega::sync_pulls`) of the Algorithm 5 layers so far — each one
+    /// is a wire-level gap that was detected and healed. Same availability
+    /// as [`Deployment::updates_sent`].
+    fn sync_pulls(&self) -> u64 {
+        0
+    }
+
+    /// The merged latency summary so far. Live on the simulator; empty on
+    /// the real-time engines until [`Deployment::finish`] — scrape a live
+    /// net node with [`Deployment::scrape`] instead.
+    fn telemetry(&self) -> TelemetryReport {
+        TelemetryReport::default()
+    }
+
+    /// The per-replica flight-recorder traces so far (simulator only; empty
+    /// vectors elsewhere).
+    fn flight_events(&self) -> Vec<Vec<Event>> {
+        vec![Vec::new(); self.n()]
+    }
+
+    /// Scrapes the live metrics exposition of replica `p`'s node over its
+    /// socket (net engine only; `None` elsewhere, and on a node that is
+    /// down).
+    fn scrape(&self, _p: ProcessId) -> Option<String> {
+        None
+    }
+
+    /// What the deployment can say about itself right now, from the live
+    /// accessors above.
+    fn summary(&self, facade_crashed: &ProcessSet) -> DeploymentSummary {
+        let ids = || (0..self.n()).map(ProcessId::new);
+        DeploymentSummary {
+            applied: ids().map(|p| self.applied(p)).collect(),
+            snapshots: ids().map(|p| self.snapshot(p)).collect(),
+            history: self.output_history(),
+            metrics: self.metrics(),
+            correct: self.correct(facade_crashed),
+            updates_sent: self.updates_sent(),
+            telemetry: self.telemetry(),
+        }
+    }
+
+    /// Stops the deployment and harvests its final state. A real-time
+    /// engine joins every replica thread and reads the exact final
+    /// automata; the simulator reads the live state.
+    fn finish(self: Box<Self>, facade_crashed: &ProcessSet) -> DeploymentSummary;
 }
 
-/// Everything a deployment can say about itself once it has been stopped:
-/// per-replica applied counts, canonical snapshots, typed final states, the
-/// full output history, message counters, the correct-process set, and the
-/// number of `update` broadcasts (Algorithm 5 only; 0 otherwise).
-pub struct EngineFinal<S> {
+/// Everything a deployment can say about itself, live or once stopped.
+#[derive(Debug)]
+pub struct DeploymentSummary {
     /// Commands applied, per replica.
     pub applied: Vec<usize>,
     /// Canonical state-machine snapshot, per replica.
     pub snapshots: Vec<Vec<u8>>,
-    /// Typed final state machine, per replica (always available at finish).
-    pub states: Vec<Option<S>>,
     /// Timed output history of the whole run, in facade ticks.
     pub history: OutputHistory<ReplicaOutput>,
     /// Message counters of the run.
@@ -692,480 +688,414 @@ pub struct EngineFinal<S> {
     /// Merged latency summary of all replicas (submit→deliver,
     /// promote→stable, stability lag).
     pub telemetry: TelemetryReport,
-    /// Per-replica flight-recorder traces: the retained lifecycle events of
-    /// each replica, oldest first (plus, on the simulator, the world-level
-    /// crash/recover events of that replica).
-    pub flight: Vec<Vec<ec_telemetry::Event>>,
 }
 
-impl<S: fmt::Debug> fmt::Debug for EngineFinal<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EngineFinal")
-            .field("applied", &self.applied)
-            .field("correct", &self.correct)
-            .field("updates_sent", &self.updates_sent)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Applies polymorphic code to whichever variant is live: `$world` arms see
-/// a `&(mut) World<Replica<S, _>, _>`, `$thread` arms a `ThreadDeployment`,
-/// `$net` arms a `NetDeployment`.
-macro_rules! by_engine {
-    ($self:expr, $world:ident => $sim:expr, $thread:ident => $th:expr, $net:ident => $nt:expr) => {
-        match $self {
-            EngineDeployment::SimEventual($world) => $sim,
-            EngineDeployment::SimStrong($world) => $sim,
-            EngineDeployment::ThreadEventual($thread) => $th,
-            EngineDeployment::ThreadStrong($thread) => $th,
-            EngineDeployment::NetEventual($net) => $nt,
-            EngineDeployment::NetStrong($net) => $nt,
-        }
-    };
-}
-
-fn sim_correct<A, D>(world: &World<A, D>) -> ProcessSet
+impl<S, B, D> Deployment<S> for World<Replica<S, B>, D>
 where
-    A: ec_sim::Algorithm,
-    D: FailureDetector<Output = A::Fd>,
+    S: StateMachine,
+    B: BroadcastLayer,
+    D: FailureDetector<Output = B::Fd>,
 {
-    world.failures().correct()
-}
+    fn kind(&self) -> EngineKind {
+        EngineKind::Sim
+    }
 
-/// Merges the recorders of `n` replicas (some possibly crashed or
-/// uninstrumented) into one report plus per-replica flight traces.
-fn harvest_telemetry<'a>(
-    recorders: impl Iterator<Item = Option<&'a Recorder>>,
-) -> (TelemetryReport, Vec<Vec<ec_telemetry::Event>>) {
-    let mut telemetry = TelemetryReport::default();
-    let flight = recorders
-        .map(|recorder| match recorder {
-            Some(r) => {
+    fn n(&self) -> usize {
+        World::n(self)
+    }
+
+    fn submit(&mut self, entry: ProcessId, command: ReplicaCommand, at: u64) {
+        self.schedule_input(entry, command, at);
+    }
+
+    fn run_until(&mut self, t: u64) {
+        World::run_until(self, t);
+    }
+
+    fn applied(&self, p: ProcessId) -> usize {
+        self.algorithm(p).applied()
+    }
+
+    fn snapshot(&self, p: ProcessId) -> Vec<u8> {
+        self.algorithm(p).state().snapshot()
+    }
+
+    fn state(&self, p: ProcessId) -> Option<S> {
+        Some(self.algorithm(p).state().clone())
+    }
+
+    fn delivered(&self, p: ProcessId) -> Option<Vec<AppMessage>> {
+        Some(self.algorithm(p).broadcast_layer().delivered().to_vec())
+    }
+
+    fn metrics(&self) -> Metrics {
+        World::metrics(self).clone()
+    }
+
+    fn output_history(&self) -> OutputHistory<ReplicaOutput> {
+        self.trace().output_history()
+    }
+
+    fn correct(&self, _facade_crashed: &ProcessSet) -> ProcessSet {
+        self.failures().correct()
+    }
+
+    fn updates_sent(&self) -> u64 {
+        let layers = self
+            .process_ids()
+            .map(|p| self.algorithm(p).broadcast_layer());
+        layers.map(BroadcastLayer::updates_sent).sum()
+    }
+
+    fn sync_pulls(&self) -> u64 {
+        let layers = self
+            .process_ids()
+            .map(|p| self.algorithm(p).broadcast_layer());
+        layers.map(BroadcastLayer::sync_pulls).sum()
+    }
+
+    fn telemetry(&self) -> TelemetryReport {
+        let mut telemetry = TelemetryReport::default();
+        for p in self.process_ids() {
+            if let Some(r) = self.algorithm(p).broadcast_layer().recorder() {
                 telemetry.merge(&r.report());
-                r.events()
             }
-            None => Vec::new(),
-        })
-        .collect();
-    (telemetry, flight)
+        }
+        telemetry
+    }
+
+    /// Per-replica recorder events plus the world's crash/recover events
+    /// routed to the affected replica.
+    fn flight_events(&self) -> Vec<Vec<Event>> {
+        let recorder = |p| self.algorithm(p).broadcast_layer().recorder();
+        let mut flight: Vec<Vec<Event>> = self
+            .process_ids()
+            .map(|p| recorder(p).map(Recorder::events).unwrap_or_default())
+            .collect();
+        for event in self.fault_events() {
+            if let Some(slot) = flight.get_mut(event.origin as usize) {
+                slot.push(event);
+            }
+        }
+        flight
+    }
+
+    fn finish(self: Box<Self>, facade_crashed: &ProcessSet) -> DeploymentSummary {
+        self.summary(facade_crashed)
+    }
 }
 
-/// Live sim-side telemetry: merged recorder reports of every replica.
-fn sim_telemetry<S, B, D>(world: &World<Replica<S, B>, D>) -> TelemetryReport
-where
-    S: StateMachine,
-    B: EventualTotalOrderBroadcast + Compactable + Instrumented,
-    D: FailureDetector<Output = B::Fd>,
-{
-    let mut telemetry = TelemetryReport::default();
-    for p in world.process_ids() {
-        if let Some(r) = world.algorithm(p).broadcast_layer().recorder() {
-            telemetry.merge(&r.report());
+/// How many distinct recent snapshots a [`SnapshotInterner`] keeps as
+/// sharing candidates: the replicas' outputs for one promote reach the
+/// driver within a tick or two of each other, so a handful spans them.
+const RECENT_SNAPSHOTS: usize = 8;
+
+/// What every output of a real-time deployment passes on its way into the
+/// driver-side record. A replica output carries its whole state snapshot as
+/// shared bytes; this points a new output at the allocation of a recent
+/// byte-identical snapshot (dropping its own copy), so the replicas'
+/// outputs for the same promote — the same bytes under a stable Ω — are
+/// held once, not once per replica.
+#[derive(Debug, Default)]
+struct SnapshotInterner {
+    /// The distinct snapshots seen most recently, newest first.
+    recent: VecDeque<Arc<[u8]>>,
+}
+
+impl SnapshotInterner {
+    fn intern(&mut self, output: &mut ReplicaOutput) {
+        match self.recent.iter().find(|seen| ***seen == *output.snapshot) {
+            Some(seen) => output.snapshot = Arc::clone(seen),
+            None => {
+                self.recent.truncate(RECENT_SNAPSHOTS - 1);
+                self.recent.push_front(Arc::clone(&output.snapshot));
+            }
         }
     }
-    telemetry
 }
 
-/// Live sim-side flight traces: per-replica recorder events plus the
-/// world's crash/recover events routed to the affected replica.
-fn sim_flight<S, B, D>(world: &World<Replica<S, B>, D>) -> Vec<Vec<ec_telemetry::Event>>
-where
-    S: StateMachine,
-    B: EventualTotalOrderBroadcast + Compactable + Instrumented,
-    D: FailureDetector<Output = B::Fd>,
-{
-    let mut flight: Vec<Vec<ec_telemetry::Event>> = world
-        .process_ids()
-        .map(|p| {
-            world
-                .algorithm(p)
-                .broadcast_layer()
-                .recorder()
-                .map(Recorder::events)
-                .unwrap_or_default()
-        })
-        .collect();
-    for event in world.fault_events() {
-        if let Some(slot) = flight.get_mut(event.origin as usize) {
-            slot.push(event);
+/// `(replica, elapsed_ms, output)` records as an [`OutputHistory`] in
+/// facade ticks of `tick_ms` milliseconds.
+fn history_in_ticks(
+    n: usize,
+    tick_ms: u64,
+    outputs: Vec<(ProcessId, u64, ReplicaOutput)>,
+) -> OutputHistory<ReplicaOutput> {
+    let mut history = OutputHistory::new(n);
+    for (p, ms, out) in outputs {
+        history.record(p, Time::new(ms / tick_ms), out);
+    }
+    history
+}
+
+/// A replica group running on the real-time [`Runtime`] over transport `T`,
+/// with facade times paced against the wall clock. Replicas are observed
+/// live through their latest outputs only.
+#[derive(Debug)]
+pub struct RealTimeDeployment<S: StateMachine, B: BroadcastLayer, T> {
+    runtime: Runtime<Replica<S, B>, T>,
+    kind: EngineKind,
+    tick_ms: u64,
+}
+
+impl<S: StateMachine, B: BroadcastLayer, T> RealTimeDeployment<S, B, T> {
+    /// Sleeps until `t` facade ticks of wall-clock time have elapsed since
+    /// deployment (no-op if that moment has already passed).
+    fn pace_to(&self, t: u64) {
+        let target_ms = t.saturating_mul(self.tick_ms);
+        loop {
+            let now_ms = self.runtime.elapsed_ms();
+            if now_ms >= target_ms {
+                return;
+            }
+            sleep_ms((target_ms - now_ms).min(20));
         }
     }
-    flight
 }
 
-impl<S> EngineDeployment<S>
+impl<S, B, T> Deployment<S> for RealTimeDeployment<S, B, T>
 where
     S: StateMachine + Send + 'static,
+    B: BroadcastLayer,
+    T: Transport<Replica<S, B>> + fmt::Debug,
 {
-    /// Which engine this deployment runs on.
-    pub fn kind(&self) -> EngineKind {
-        by_engine!(self, _w => EngineKind::Sim, _t => EngineKind::Thread, _n => EngineKind::Net)
+    fn kind(&self) -> EngineKind {
+        self.kind
     }
 
-    /// Number of replicas.
-    pub fn n(&self) -> usize {
-        by_engine!(self, w => w.n(), t => t.n, d => d.n)
+    fn n(&self) -> usize {
+        self.runtime.n()
     }
 
-    /// Submits a command to replica `entry` at facade time `at`. The
-    /// simulator schedules it; the thread engine sleeps until the wall
-    /// clock reaches `at` and then submits, so callers should submit in
-    /// non-decreasing time order.
-    pub fn submit(&mut self, entry: ProcessId, command: ReplicaCommand, at: u64) {
-        by_engine!(self,
-            w => w.schedule_input(entry, command, at),
-            t => { t.pace_to(at); t.runtime.submit(entry, command); },
-            d => { d.pace_to(at); d.cluster.submit(entry, command); })
+    fn submit(&mut self, entry: ProcessId, command: ReplicaCommand, at: u64) {
+        self.pace_to(at);
+        self.runtime.submit(entry, command);
     }
 
-    /// Advances the deployment to facade time `t` (virtual time on the
-    /// simulator, paced wall-clock time on the thread engine).
-    pub fn run_until(&mut self, t: u64) {
-        by_engine!(self, w => w.run_until(t), t_ => t_.pace_to(t), d => d.pace_to(t))
+    fn run_until(&mut self, t: u64) {
+        self.pace_to(t);
     }
 
-    /// Commands applied by replica `p` so far.
-    pub fn applied(&self, p: ProcessId) -> usize {
-        by_engine!(self,
-            w => w.algorithm(p).applied(),
-            t => t.latest_output(p).map(|o| o.applied).unwrap_or(0),
-            d => d.latest_output(p).map(|o| o.applied).unwrap_or(0))
+    fn applied(&self, p: ProcessId) -> usize {
+        self.runtime.latest_output_of(p).map_or(0, |o| o.applied)
     }
 
-    /// Commands replica `p` had applied at facade time `t` (from the output
-    /// history — how the partition experiments probe availability).
-    pub fn applied_at(&self, p: ProcessId, t: u64) -> usize {
-        let history = self.output_history();
-        history
-            .value_at(p, Time::new(t))
-            .map(|o| o.applied)
-            .unwrap_or(0)
+    fn snapshot(&self, p: ProcessId) -> Vec<u8> {
+        let latest = self.runtime.latest_output_of(p);
+        latest.map_or_else(|| S::default().snapshot(), |o| o.snapshot.to_vec())
     }
 
-    /// The canonical snapshot of replica `p`'s state machine.
-    pub fn snapshot(&self, p: ProcessId) -> Vec<u8> {
-        by_engine!(self,
-            w => w.algorithm(p).state().snapshot(),
-            t => t.latest_output(p).map_or_else(|| S::default().snapshot(), |o| o.snapshot.to_vec()),
-            d => d.latest_output(p).map_or_else(|| S::default().snapshot(), |o| o.snapshot.to_vec()))
-    }
-
-    /// A typed copy of replica `p`'s state machine. Direct on the
-    /// simulator; reconstructed from the latest emitted snapshot on the
-    /// thread engine (`None` if `S` does not support
-    /// [`StateMachine::from_snapshot`]).
-    pub fn state(&self, p: ProcessId) -> Option<S> {
-        by_engine!(self,
-        w => Some(w.algorithm(p).state().clone()),
-        t => match t.latest_output(p) {
+    fn state(&self, p: ProcessId) -> Option<S> {
+        match self.runtime.latest_output_of(p) {
             Some(out) => S::from_snapshot(&out.snapshot),
             None => Some(S::default()),
-        },
-        d => match d.latest_output(p) {
-            Some(out) => S::from_snapshot(&out.snapshot),
-            None => Some(S::default()),
-        })
-    }
-
-    /// The stable delivered sequence of replica `p`'s broadcast layer.
-    /// Available live on the simulator only (`None` on the thread and net
-    /// engines, whose replicas are observable only through their outputs
-    /// until [`EngineDeployment::finish`]).
-    pub fn delivered(&self, p: ProcessId) -> Option<Vec<AppMessage>> {
-        match self {
-            EngineDeployment::SimEventual(w) => {
-                Some(w.algorithm(p).broadcast_layer().delivered().to_vec())
-            }
-            EngineDeployment::SimStrong(w) => {
-                Some(w.algorithm(p).broadcast_layer().delivered().to_vec())
-            }
-            EngineDeployment::ThreadEventual(_)
-            | EngineDeployment::ThreadStrong(_)
-            | EngineDeployment::NetEventual(_)
-            | EngineDeployment::NetStrong(_) => None,
         }
     }
 
-    /// Crashes replica `p` if the engine supports dynamic crashes. Returns
-    /// `true` on the thread and net engines; `false` on the simulator,
-    /// where crashes are scripted up front via [`SimEngine::failures`].
-    pub fn crash(&mut self, p: ProcessId) -> bool {
-        by_engine!(self,
-            _w => { let _ = p; false },
-            t => { t.runtime.crash(p); true },
-            d => { d.cluster.crash(p); true })
+    fn crash(&mut self, p: ProcessId) -> bool {
+        self.runtime.crash(p);
+        true
     }
 
-    /// Restarts a crashed replica as a fresh incarnation, if the engine
-    /// supports it. Only the net engine does: the new node rejoins behind
-    /// the crashed one's address with empty state and is re-filled by the
-    /// broadcast layer's anti-entropy. Returns `false` everywhere else,
-    /// and on the net engine if `p` is not down.
-    pub fn restart(&mut self, p: ProcessId) -> bool {
-        match self {
-            EngineDeployment::NetEventual(d) => d.cluster.restart(p),
-            EngineDeployment::NetStrong(d) => d.cluster.restart(p),
-            _ => false,
+    fn restart(&mut self, p: ProcessId) -> bool {
+        self.runtime.restart(p)
+    }
+
+    fn malformed_frames(&self) -> u64 {
+        self.runtime.malformed()
+    }
+
+    fn node_addr(&self, p: ProcessId) -> Option<SocketAddr> {
+        self.runtime.transport().addr(p)
+    }
+
+    fn metrics(&self) -> Metrics {
+        self.runtime.metrics()
+    }
+
+    fn output_history(&self) -> OutputHistory<ReplicaOutput> {
+        history_in_ticks(self.n(), self.tick_ms, self.runtime.outputs_so_far())
+    }
+
+    fn correct(&self, facade_crashed: &ProcessSet) -> ProcessSet {
+        ProcessSet::all(self.n()).difference(facade_crashed)
+    }
+
+    fn scrape(&self, p: ProcessId) -> Option<String> {
+        if self.runtime.is_down(p) {
+            return None;
+        }
+        self.runtime.transport().scrape(p)
+    }
+
+    fn finish(self: Box<Self>, facade_crashed: &ProcessSet) -> DeploymentSummary {
+        let (n, tick_ms) = (self.n(), self.tick_ms);
+        let Final {
+            final_states,
+            outputs,
+            metrics,
+            ..
+        } = self.runtime.shutdown();
+        let mut telemetry = TelemetryReport::default();
+        let layers = final_states.iter().flatten().map(Replica::broadcast_layer);
+        for recorder in layers.clone().filter_map(Instrumented::recorder) {
+            telemetry.merge(&recorder.report());
+        }
+        DeploymentSummary {
+            applied: final_states
+                .iter()
+                .map(|r| r.as_ref().map_or(0, Replica::applied))
+                .collect(),
+            snapshots: final_states
+                .iter()
+                .map(|r| match r {
+                    Some(replica) => replica.state().snapshot(),
+                    None => S::default().snapshot(),
+                })
+                .collect(),
+            history: history_in_ticks(n, tick_ms, outputs),
+            metrics,
+            correct: ProcessSet::all(n).difference(facade_crashed),
+            updates_sent: layers.map(BroadcastLayer::updates_sent).sum(),
+            telemetry,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::ClusterBuilder;
+    use crate::state_machine::KvStore;
+    use ec_runtime::{ChannelLinks, Hub, OutputLog};
+
+    fn output(applied: usize, bytes: &[u8]) -> ReplicaOutput {
+        ReplicaOutput {
+            applied,
+            snapshot: bytes.into(),
         }
     }
 
-    /// Frames rejected as malformed so far by the net engine's connection
-    /// readers (0 on the other engines, which have no wire to corrupt).
-    pub fn malformed_frames(&self) -> u64 {
-        match self {
-            EngineDeployment::NetEventual(d) => d.cluster.malformed_frames(),
-            EngineDeployment::NetStrong(d) => d.cluster.malformed_frames(),
-            _ => 0,
-        }
+    /// The driver-side record as the runtime keeps it: intern, then log.
+    struct OutputRecord {
+        interner: SnapshotInterner,
+        log: OutputLog<ReplicaOutput>,
     }
 
-    /// The TCP listen address of replica `p`'s node, on the net engine
-    /// (`None` elsewhere — only the net engine has sockets to dial). The
-    /// adversarial codec tests use this to inject raw bytes.
-    pub fn node_addr(&self, p: ProcessId) -> Option<std::net::SocketAddr> {
-        match self {
-            EngineDeployment::NetEventual(d) => d.cluster.addr(p),
-            EngineDeployment::NetStrong(d) => d.cluster.addr(p),
-            _ => None,
-        }
-    }
-
-    /// Message counters so far (application messages only on the thread and
-    /// net engines; the simulator has no separate heartbeat traffic to
-    /// exclude).
-    pub fn metrics(&self) -> Metrics {
-        by_engine!(self, w => w.metrics().clone(), t => t.runtime.metrics(), d => d.cluster.metrics())
-    }
-
-    /// The timed output history so far, in facade ticks.
-    pub fn output_history(&self) -> OutputHistory<ReplicaOutput> {
-        by_engine!(self, w => w.trace().output_history(), t => t.output_history(), d => d.output_history())
-    }
-
-    /// The processes correct for the whole run: from the failure pattern on
-    /// the simulator, everything minus `facade_crashed` on the thread and
-    /// net engines.
-    pub fn correct(&self, facade_crashed: &ProcessSet) -> ProcessSet {
-        by_engine!(self,
-            w => sim_correct(w),
-            t => ProcessSet::all(t.n).difference(facade_crashed),
-            d => ProcessSet::all(d.n).difference(facade_crashed))
-    }
-
-    /// Total `update` broadcasts of the Algorithm 5 layers so far (0 for
-    /// strong deployments, and 0 live on the thread engine where replica
-    /// internals are only harvested at finish).
-    pub fn updates_sent(&self) -> u64 {
-        match self {
-            EngineDeployment::SimEventual(w) => w
-                .process_ids()
-                .map(|p| w.algorithm(p).broadcast_layer().updates_sent())
-                .sum(),
-            _ => 0,
-        }
-    }
-
-    /// Total digest pulls (delta-sync update-gap repairs, see
-    /// `EtobOmega::sync_pulls`) of the Algorithm 5 layers so far — each one
-    /// is a wire-level gap that was detected and healed. 0 for strong
-    /// deployments and live thread deployments.
-    pub fn sync_pulls(&self) -> u64 {
-        match self {
-            EngineDeployment::SimEventual(w) => w
-                .process_ids()
-                .map(|p| w.algorithm(p).broadcast_layer().sync_pulls())
-                .sum(),
-            _ => 0,
-        }
-    }
-
-    /// The merged latency summary so far. Live on the simulator (merged
-    /// recorder reports of every replica); empty on the thread and net
-    /// engines, whose replica internals are only harvested at
-    /// [`EngineDeployment::finish`] — scrape a live net node with
-    /// [`EngineDeployment::scrape`] instead.
-    pub fn telemetry(&self) -> TelemetryReport {
-        match self {
-            EngineDeployment::SimEventual(w) => sim_telemetry(w),
-            EngineDeployment::SimStrong(w) => sim_telemetry(w),
-            _ => TelemetryReport::default(),
-        }
-    }
-
-    /// The per-replica flight-recorder traces so far (simulator only; empty
-    /// vectors on the real-time engines, which harvest at finish).
-    pub fn flight_events(&self) -> Vec<Vec<ec_telemetry::Event>> {
-        match self {
-            EngineDeployment::SimEventual(w) => sim_flight(w),
-            EngineDeployment::SimStrong(w) => sim_flight(w),
-            _ => vec![Vec::new(); self.n()],
-        }
-    }
-
-    /// Scrapes the live metrics exposition of replica `p`'s node over its
-    /// socket (net engine only; `None` elsewhere, and on a node that is
-    /// down).
-    pub fn scrape(&self, p: ProcessId) -> Option<String> {
-        match self {
-            EngineDeployment::NetEventual(d) => d.cluster.scrape(p),
-            EngineDeployment::NetStrong(d) => d.cluster.scrape(p),
-            _ => None,
-        }
-    }
-
-    /// Stops the deployment and harvests its final state. On the thread
-    /// engine this joins every replica thread and reads the exact final
-    /// automata; on the simulator it reads the live state.
-    pub fn finish(self, facade_crashed: &ProcessSet) -> EngineFinal<S> {
-        fn from_sim<S, B, D>(
-            world: World<Replica<S, B>, D>,
-            updates: impl Fn(&B) -> u64,
-        ) -> EngineFinal<S>
-        where
-            S: StateMachine,
-            B: EventualTotalOrderBroadcast + Compactable + Instrumented,
-            D: FailureDetector<Output = B::Fd>,
-        {
-            let telemetry = sim_telemetry(&world);
-            let flight = sim_flight(&world);
-            EngineFinal {
-                applied: world
-                    .process_ids()
-                    .map(|p| world.algorithm(p).applied())
-                    .collect(),
-                snapshots: world
-                    .process_ids()
-                    .map(|p| world.algorithm(p).state().snapshot())
-                    .collect(),
-                states: world
-                    .process_ids()
-                    .map(|p| Some(world.algorithm(p).state().clone()))
-                    .collect(),
-                history: world.trace().output_history(),
-                metrics: world.metrics().clone(),
-                correct: sim_correct(&world),
-                updates_sent: world
-                    .process_ids()
-                    .map(|p| updates(world.algorithm(p).broadcast_layer()))
-                    .collect::<Vec<u64>>()
-                    .iter()
-                    .sum(),
-                telemetry,
-                flight,
+    impl OutputRecord {
+        fn new(n: usize) -> Self {
+            OutputRecord {
+                interner: SnapshotInterner::default(),
+                log: OutputLog::new(n),
             }
         }
 
-        fn from_thread<S, B>(
-            deployment: ThreadDeployment<S, B>,
-            facade_crashed: &ProcessSet,
-            updates: impl Fn(&B) -> u64,
-        ) -> EngineFinal<S>
+        fn record(&mut self, p: ProcessId, elapsed_ms: u64, mut output: ReplicaOutput) {
+            self.interner.intern(&mut output);
+            self.log.push(p, elapsed_ms, output);
+        }
+    }
+
+    #[test]
+    fn identical_snapshots_from_different_replicas_share_one_allocation() {
+        let ids: Vec<ProcessId> = (0..3).map(ProcessId::new).collect();
+        let mut recorder = OutputRecord::new(3);
+        // each replica's output is decoded from its own connection: three
+        // separate allocations of the same bytes, then a differing one
+        for p in &ids {
+            recorder.record(*p, 1, output(1, b"state-1"));
+        }
+        recorder.record(ids[0], 2, output(2, b"state-2"));
+        let latest = |recorder: &OutputRecord, p: usize| {
+            recorder.log.latest_of(ids[p]).map(|o| o.snapshot.clone())
+        };
+        let (Some(a), Some(b), Some(c)) = (
+            latest(&recorder, 0),
+            latest(&recorder, 1),
+            latest(&recorder, 2),
+        ) else {
+            unreachable!("all three recorded")
+        };
+        assert!(Arc::ptr_eq(&b, &c), "same bytes, one allocation");
+        assert!(
+            !Arc::ptr_eq(&a, &b) && *a != *b,
+            "different bytes stay apart"
+        );
+        // the log's first entry is the allocation the followers share
+        let first = &recorder.log.all()[0].2;
+        assert!(Arc::ptr_eq(&first.snapshot, &b));
+        // sharing is by content only: `applied` never decides it
+        recorder.record(ids[1], 3, output(9, b"state-2"));
+        assert!(latest(&recorder, 1).is_some_and(|s| Arc::ptr_eq(&s, &a)));
+    }
+
+    #[test]
+    fn only_recent_snapshots_are_sharing_candidates() {
+        let p = ProcessId::new(0);
+        let mut recorder = OutputRecord::new(2);
+        recorder.record(p, 0, output(0, b"old"));
+        for k in 0..RECENT_SNAPSHOTS {
+            recorder.record(p, 1, output(k + 1, &[k as u8]));
+        }
+        assert_eq!(recorder.interner.recent.len(), RECENT_SNAPSHOTS);
+        // "old" fell out of the window: equal bytes, but a fresh allocation
+        recorder.record(ProcessId::new(1), 2, output(0, b"old"));
+        let all = recorder.log.all();
+        let (first, last) = (&all[0].2, &all[all.len() - 1].2);
+        assert_eq!(first, last);
+        assert!(!Arc::ptr_eq(&first.snapshot, &last.snapshot));
+    }
+
+    /// A transport whose substrate refuses everything.
+    #[derive(Debug)]
+    struct NoSockets;
+
+    impl<S: StateMachine + Send + 'static, B: BroadcastLayer> Transport<Replica<S, B>> for NoSockets {
+        type Links = ChannelLinks<Replica<S, B>>;
+
+        fn bind(_hub: &Arc<Hub<Replica<S, B>>>) -> io::Result<Self> {
+            Err(io::Error::other(
+                "could not bind a loopback listener: no sockets here",
+            ))
+        }
+
+        fn open(
+            &mut self,
+            _p: ProcessId,
+            _hub: &Arc<Hub<Replica<S, B>>>,
+        ) -> io::Result<Self::Links> {
+            unreachable!("never bound")
+        }
+    }
+
+    impl Engine for RealTimeEngine<NoSockets> {
+        fn deploy<S>(&self, plan: &DeployPlan) -> Result<Box<dyn Deployment<S> + Send>, DeployError>
         where
             S: StateMachine + Send + 'static,
-            B: EventualTotalOrderBroadcast + Compactable + Instrumented + Send + 'static,
-            B::Msg: Send,
         {
-            let ThreadDeployment {
-                runtime,
-                tick_ms,
-                n,
-            } = deployment;
-            let report = runtime.shutdown();
-            let history = report.output_history(tick_ms);
-            let finals = &report.final_states;
-            let replica = |i: usize| finals.get(i).and_then(Option::as_ref);
-            let (telemetry, flight) = harvest_telemetry(
-                (0..n).map(|i| replica(i).and_then(|r| r.broadcast_layer().recorder())),
-            );
-            EngineFinal {
-                applied: (0..n)
-                    .map(|i| replica(i).map_or(0, Replica::applied))
-                    .collect(),
-                snapshots: (0..n)
-                    .map(|i| {
-                        replica(i)
-                            .map(|r| r.state().snapshot())
-                            .unwrap_or_else(|| S::default().snapshot())
-                    })
-                    .collect(),
-                states: (0..n)
-                    .map(|i| replica(i).map(|r| r.state().clone()))
-                    .collect(),
-                history,
-                metrics: report.metrics.clone(),
-                correct: ProcessSet::all(n).difference(facade_crashed),
-                updates_sent: (0..n)
-                    .filter_map(|i| replica(i).map(|r| updates(r.broadcast_layer())))
-                    .sum(),
-                telemetry,
-                flight,
-            }
+            self.deploy_as(EngineKind::Net, plan)
         }
+    }
 
-        fn from_net<S, B>(
-            deployment: NetDeployment<S, B>,
-            facade_crashed: &ProcessSet,
-            updates: impl Fn(&B) -> u64,
-        ) -> EngineFinal<S>
-        where
-            S: StateMachine + Send + 'static,
-            B: EventualTotalOrderBroadcast + Compactable + Instrumented + Send + 'static,
-            B::Msg: WireCodec + Send,
-        {
-            let NetDeployment {
-                cluster,
-                tick_ms,
-                n,
-            } = deployment;
-            let NetFinal {
-                final_states,
-                outputs,
-                metrics,
-            } = cluster.shutdown();
-            let mut history = OutputHistory::new(n);
-            for (p, ms, out) in outputs {
-                history.record(p, Time::new(ms / tick_ms), out);
-            }
-            let replica = |i: usize| final_states.get(i).and_then(Option::as_ref);
-            let (telemetry, flight) = harvest_telemetry(
-                (0..n).map(|i| replica(i).and_then(|r| r.broadcast_layer().recorder())),
+    #[test]
+    fn a_substrate_that_refuses_is_a_typed_deploy_error_not_an_abort() {
+        for consistency in [Consistency::Eventual, Consistency::Strong] {
+            let builder = ClusterBuilder::<KvStore>::new(3).consistency(consistency);
+            let err = builder
+                .try_deploy(&RealTimeEngine::<NoSockets>::new())
+                .expect_err("nothing to deploy on");
+            assert_eq!(err.engine, EngineKind::Net);
+            assert_eq!(
+                err.to_string(),
+                "the net engine could not deploy: could not bind a loopback listener: no sockets here"
             );
-            EngineFinal {
-                applied: (0..n)
-                    .map(|i| replica(i).map_or(0, Replica::applied))
-                    .collect(),
-                snapshots: (0..n)
-                    .map(|i| {
-                        replica(i)
-                            .map(|r| r.state().snapshot())
-                            .unwrap_or_else(|| S::default().snapshot())
-                    })
-                    .collect(),
-                states: (0..n)
-                    .map(|i| replica(i).map(|r| r.state().clone()))
-                    .collect(),
-                history,
-                metrics,
-                correct: ProcessSet::all(n).difference(facade_crashed),
-                updates_sent: (0..n)
-                    .filter_map(|i| replica(i).map(|r| updates(r.broadcast_layer())))
-                    .sum(),
-                telemetry,
-                flight,
-            }
+            assert!(std::error::Error::source(&err).is_some());
         }
+    }
 
-        match self {
-            EngineDeployment::SimEventual(w) => from_sim(*w, EtobOmega::updates_sent),
-            EngineDeployment::SimStrong(w) => from_sim(*w, |_| 0),
-            EngineDeployment::ThreadEventual(t) => {
-                from_thread(t, facade_crashed, EtobOmega::updates_sent)
-            }
-            EngineDeployment::ThreadStrong(t) => from_thread(t, facade_crashed, |_| 0),
-            EngineDeployment::NetEventual(d) => {
-                from_net(d, facade_crashed, EtobOmega::updates_sent)
-            }
-            EngineDeployment::NetStrong(d) => from_net(d, facade_crashed, |_| 0),
-        }
+    #[test]
+    #[should_panic(expected = "the net engine could not deploy")]
+    fn deploy_panics_with_the_deploy_error() {
+        let _ = ClusterBuilder::<KvStore>::new(2).deploy(&RealTimeEngine::<NoSockets>::new());
     }
 }

@@ -12,15 +12,18 @@
 //!   handles and a uniform [`ClusterReport`]. What is replicated, how
 //!   strongly, and where it runs are configuration, not code.
 //! * [`engine`] — the [`Engine`] trait and its three implementations:
-//!   [`SimEngine`] (deterministic simulation over `ec-sim`),
-//!   [`ThreadEngine`] (one OS thread per replica over `ec-runtime`) and
-//!   [`NetEngine`] (one socket node per replica over [`net`]). The
+//!   [`SimEngine`] (deterministic simulation over `ec-sim`), and the two
+//!   real-time engines, one [`RealTimeEngine`] over `ec-runtime` each:
+//!   [`ThreadEngine`] (replica threads joined by channels) and
+//!   [`NetEngine`] (replica nodes joined by the TCP transport of [`net`]).
+//!   Each hands the facade a [`Deployment`]. The
 //!   cross-engine conformance suite drives the same workload through all of
 //!   them and checks byte-identical convergence — the paper's
 //!   "not a simulator artifact" claim as an executable test.
 //! * [`net`] — the socket substrate behind [`NetEngine`]: a hand-rolled
-//!   length-prefixed binary frame format ([`net::codec`]) and replica nodes
-//!   exchanging it over loopback TCP, heartbeats included.
+//!   length-prefixed binary frame format ([`net::codec`]) and the
+//!   [`net::TcpTransport`] that carries it between replica nodes over
+//!   loopback TCP, heartbeats included.
 //! * [`session`] — client sessions that automatically thread causal
 //!   dependencies (`C(m)`) through successive commands, replacing hand-built
 //!   dependency lists.
@@ -64,7 +67,8 @@ pub use cluster::{Cluster, ClusterBuilder, ClusterReport, Consistency, ShardRepo
 pub use convergence::{ConvergenceReport, Divergence};
 pub use durable::{DurableError, DurableOptions, DurableStore, Recovered};
 pub use engine::{
-    DeployPlan, Engine, EngineDeployment, EngineKind, NetEngine, SimEngine, ThreadEngine,
+    BroadcastLayer, DeployError, DeployPlan, Deployment, Engine, EngineKind, NetEngine,
+    RealTimeDeployment, RealTimeEngine, SimEngine, ThreadEngine,
 };
 pub use replica::{Replica, ReplicaCommand, ReplicaOutput};
 pub use session::Session;

@@ -1,12 +1,12 @@
 //! The socket-backed deployment: real replicas over loopback TCP.
 //!
 //! Where [`crate::SimEngine`] schedules handlers inside a deterministic
-//! simulator and [`crate::ThreadEngine`] runs them on threads joined by
-//! in-memory channels, this module runs each replica as an independent
-//! node that speaks a hand-rolled length-prefixed binary codec over real
-//! TCP sockets (loopback, ephemeral ports). The same [`ec_sim::Algorithm`]
-//! implementations run unmodified: the node event loop drives them through
-//! [`ec_runtime::run_handler`], heartbeats travel over the same
+//! simulator and [`crate::ThreadEngine`] runs the real-time runtime of
+//! `ec-runtime` over in-memory channels, [`crate::NetEngine`] runs the same
+//! runtime — same node loop, same heartbeat Ω, same crash and restart —
+//! over [`TcpTransport`]: each replica an independent node that speaks a
+//! hand-rolled length-prefixed binary codec over real TCP sockets
+//! (loopback, ephemeral ports). Heartbeats travel over the same
 //! connections as protocol traffic, and the driver (the facade) talks to
 //! each node over a dedicated control connection.
 //!
@@ -14,15 +14,16 @@
 //!
 //! * [`codec`] — the frame format: u32 length prefix + tagged body, typed
 //!   [`codec::DecodeError`] on anything malformed;
-//! * `transport` (crate-private) — blocking frame I/O over `TcpStream`s,
-//!   peer links with reconnect, and the reader threads that turn inbound
-//!   frames into node events (counting, never propagating, malformed
-//!   input);
-//! * `node` (crate-private) — the node event loop and the cluster of
-//!   nodes the engine deploys, including crash/restart and the shutdown
-//!   goodbye protocol.
+//! * `transport` (crate-private) — blocking frame I/O over `TcpStream`s and
+//!   peer links with reconnect;
+//! * `node` (crate-private) — [`TcpTransport`] itself: listeners,
+//!   acceptors, the reader threads that turn inbound frames into node
+//!   events (counting, never propagating, malformed input), the control
+//!   connections and the shutdown goodbye protocol.
 
 pub mod codec;
 
 pub(crate) mod node;
 pub(crate) mod transport;
+
+pub use node::{TcpLinks, TcpTransport};

@@ -1,52 +1,58 @@
-//! # `ec-runtime` — a thread-per-process real-time runtime
+//! # `ec-runtime` — the real-time runtime, over any transport
 //!
 //! The simulator in `ec-sim` executes algorithms deterministically against a
 //! modeled network. This crate runs the *same* [`ec_sim::Algorithm`]
-//! implementations as real concurrent processes: one OS thread per process,
-//! `crossbeam-channel` links between them, wall-clock periodic ticks in place
-//! of the simulator's scheduled timeouts, and a message-based
-//! [`ec_detectors::HeartbeatOmega`] instance per process supplying the Ω
-//! values the algorithms query.
+//! implementations as real concurrent processes, and it is the one place
+//! that does: both real-time engines of `ec-replication` — threads joined by
+//! channels, nodes joined by loopback TCP — are this runtime over a
+//! different [`Transport`].
 //!
-//! It exists to demonstrate that the algorithms are not simulator artifacts:
-//! the quickstart and `runtime_demo` example run Algorithm 5 end to end over
-//! real threads, and the integration tests verify the same ETOB properties on
-//! the histories collected from a threaded run, including across a leader
-//! crash.
+//! * [`Runtime`] is the driver side: it launches one OS thread per process,
+//!   submits inputs, crashes and restarts processes (a restart is a fresh
+//!   incarnation behind the same inbox), keeps the counters and the output
+//!   record, and on shutdown harvests every automaton into a [`Final`].
+//! * The node loop (one function, in `node.rs`) is the process side:
+//!   a message-based [`ec_detectors::HeartbeatOmega`] per process supplies
+//!   the Ω value — or, through the `derive` hook, any detector value that is
+//!   a function of the current leader, e.g. the `(leader, quorum)` pairs of
+//!   the Ω + Σ baseline — and a deadline-driven [`Pacer`] fires `on_timer`
+//!   every [`RuntimeConfig::tick`] of wall-clock time however busy the inbox
+//!   is.
+//! * A [`Transport`] supplies only what differs between substrates: how an
+//!   incarnation's [`Links`] are opened, how a driver [`Event`] reaches a
+//!   node, where outputs go, and teardown. [`ChannelTransport`] lives here;
+//!   the TCP one lives in `ec_replication::net`; a test substitutes a fake.
 //!
 //! Differences from the simulator (documented, deliberate):
 //!
 //! * timers: algorithms' `set_timer` requests are not tracked individually;
 //!   every process receives an `on_timer` call once per configured tick,
 //!   which is how the paper's "on local timeout" clauses are meant to be
-//!   driven anyway. The tick is held against a wall-clock deadline
-//!   ([`Pacer`]), so it keeps its period under load: a busy inbox cannot
-//!   postpone it, and a late loop skips the ticks it missed instead of
+//!   driven anyway. A late loop skips the ticks it missed instead of
 //!   replaying them;
 //! * failure detection: Ω is implemented by heartbeats and timeouts, so its
 //!   stabilization time depends on real scheduling latencies rather than on a
-//!   scripted oracle. Algorithms whose failure detector is richer than Ω can
-//!   still run via [`Runtime::spawn_with_fd`], which derives each step's
-//!   detector value from the current heartbeat leader — e.g. pairing it with
-//!   a static full-membership quorum to realize the Ω + Σ the strongly
-//!   consistent baseline queries (valid while no process crashes; after a
-//!   crash such a Σ stops being live, which is exactly the paper's point
-//!   about the price of strong consistency).
-//!
-//! This crate is usually not driven directly: the `ec-replication` crate's
-//! `ThreadEngine` wraps [`Runtime`] behind the same `Cluster`/`Session`
-//! facade that drives the simulator, so a replicated service can switch
-//! between deterministic simulation and real threads as configuration.
+//!   scripted oracle. A static full-membership quorum paired with it is a
+//!   valid Σ only while no process crashes; after a crash it stops being
+//!   live, which is exactly the paper's point about the price of strong
+//!   consistency.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod channel;
 pub mod clock;
+mod node;
 mod outputs;
 pub mod pacer;
 mod runtime;
 
+pub use channel::{ChannelLinks, ChannelTransport};
 pub use clock::{sleep_ms, Stopwatch};
+pub use node::{Event, Links};
 pub use outputs::OutputLog;
 pub use pacer::{Pacer, Turn};
-pub use runtime::{run_handler, Runtime, RuntimeConfig, RuntimeReport};
+/// The non-poisoning lock the runtime shares its own state under, for
+/// transports whose threads share state too.
+pub use parking_lot::Mutex;
+pub use runtime::{Final, Hub, Runtime, RuntimeConfig, Transport, GOODBYE_WAIT_MS};

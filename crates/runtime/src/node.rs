@@ -1,0 +1,198 @@
+//! The real-time node: one event loop, whatever carries its messages.
+//!
+//! A node owns one [`Algorithm`] automaton and one heartbeat Ω module. It
+//! takes [`Event`]s from its inbox, derives the failure-detector value of
+//! each step from the heartbeat module's current leader, and hands what the
+//! step produced to its [`Links`] — the only thing that differs between a
+//! node joined to its peers by channels and one joined by sockets.
+
+use std::fmt;
+
+use crossbeam_channel::{Receiver, RecvTimeoutError};
+
+use ec_detectors::{HeartbeatMsg, HeartbeatOmega};
+use ec_sim::{Actions, Algorithm, Context, ProcessId, Time};
+
+use crate::pacer::{Pacer, Turn};
+use crate::runtime::{FdDerive, Hub, RuntimeConfig};
+
+/// What a node's inbox carries.
+pub enum Event<A: Algorithm> {
+    /// An algorithm message from a peer, with the bytes it took on the wire.
+    App {
+        /// The sending process.
+        from: ProcessId,
+        /// The message.
+        msg: A::Msg,
+        /// Bytes the message occupied on the wire (modeled or measured).
+        wire_len: u64,
+    },
+    /// A failure-detector heartbeat from a peer.
+    Heartbeat {
+        /// The sending process.
+        from: ProcessId,
+        /// The heartbeat.
+        msg: HeartbeatMsg,
+    },
+    /// An input from the driver.
+    Input(A::Input),
+    /// Runs a closure against the live automaton, between two steps (a
+    /// metrics scrape, a test probe). A dead node drops it unrun.
+    Inspect(Box<dyn FnOnce(&A) + Send>),
+    /// Stop taking steps at once and say nothing: the peers must find out
+    /// from the missing heartbeats.
+    Crash,
+    /// Stop after everything queued before this, and say goodbye.
+    Shutdown,
+}
+
+impl<A: Algorithm> fmt::Debug for Event<A> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Event::App { .. } => "App",
+            Event::Heartbeat { .. } => "Heartbeat",
+            Event::Input(_) => "Input",
+            Event::Inspect(_) => "Inspect",
+            Event::Crash => "Crash",
+            Event::Shutdown => "Shutdown",
+        })
+    }
+}
+
+/// The node-side seam: where one incarnation's steps put what they produce.
+pub trait Links<A: Algorithm> {
+    /// Sends an algorithm message to `to`; returns the bytes put on the
+    /// wire (0 if the peer is unreachable — the model's lossy link).
+    fn send(&mut self, to: ProcessId, msg: A::Msg) -> u64;
+    /// Sends a heartbeat to `to` (not counted as application traffic).
+    fn heartbeat(&mut self, to: ProcessId, msg: HeartbeatMsg);
+    /// Hands an output to the driver.
+    fn output(&mut self, output: A::Output);
+    /// Tells the driver this incarnation has shut down in order. Ends in
+    /// [`Hub::goodbye`] once every output handed over before it has been
+    /// recorded.
+    fn goodbye(&mut self);
+}
+
+/// One incarnation's state between events.
+struct Node<'a, A: Algorithm, L> {
+    me: ProcessId,
+    n: usize,
+    tick: u64,
+    omega: HeartbeatOmega,
+    algorithm: A,
+    links: L,
+    hub: &'a Hub<A>,
+    derive: &'a FdDerive<A::Fd>,
+}
+
+impl<A: Algorithm, L: Links<A>> Node<'_, A, L> {
+    /// One step of the heartbeat module: leader changes are recorded,
+    /// heartbeats go out over the links.
+    fn beat(
+        &mut self,
+        handler: impl FnOnce(&mut HeartbeatOmega, &mut Context<'_, HeartbeatOmega>),
+    ) {
+        let mut actions = Actions::<HeartbeatOmega>::new();
+        let mut ctx = Context::new(self.me, Time::new(self.tick), self.n, (), &mut actions);
+        handler(&mut self.omega, &mut ctx);
+        self.hub.record_leaders(self.me, &actions.outputs);
+        for (to, msg) in actions.sends {
+            self.links.heartbeat(to, msg);
+        }
+    }
+
+    /// One step of the algorithm under the current leader's detector value:
+    /// messages go out over the links and are counted, outputs go to the
+    /// driver. Timer requests are satisfied by the periodic tick.
+    fn step(&mut self, handler: impl FnOnce(&mut A, &mut Context<'_, A>)) {
+        let fd = (self.derive)(self.omega.leader(), self.n);
+        let mut actions = Actions::<A>::new();
+        let mut ctx = Context::new(self.me, Time::new(self.tick), self.n, fd, &mut actions);
+        handler(&mut self.algorithm, &mut ctx);
+        let sent = actions.sends.len();
+        let mut wire_bytes = 0u64;
+        for (to, msg) in actions.sends {
+            wire_bytes += self.links.send(to, msg);
+        }
+        {
+            let mut metrics = self.hub.metrics.lock();
+            for _ in 0..sent {
+                metrics.record_send(self.me);
+            }
+            metrics.bytes_sent += wire_bytes;
+            metrics.outputs += actions.outputs.len() as u64;
+        }
+        for output in actions.outputs {
+            self.links.output(output);
+        }
+    }
+}
+
+/// Runs one incarnation of node `me` until it crashes, shuts down or the
+/// run is stopped, and returns its automaton for harvest. `on_timer` is
+/// paced by a [`Pacer`]: a tick is due every `config.tick` of wall-clock
+/// time however busy the inbox is.
+pub(crate) fn node_loop<A: Algorithm, L: Links<A>>(
+    me: ProcessId,
+    algorithm: A,
+    inbox: Receiver<Event<A>>,
+    links: L,
+    hub: &Hub<A>,
+    config: RuntimeConfig,
+    derive: &FdDerive<A::Fd>,
+) -> A {
+    let mut node = Node {
+        me,
+        n: hub.n(),
+        tick: 0,
+        omega: HeartbeatOmega::new(me, hub.n(), config.heartbeat),
+        algorithm,
+        links,
+        hub,
+        derive,
+    };
+    node.beat(|omega, ctx| omega.on_start(ctx));
+    node.step(|a, ctx| a.on_start(ctx));
+
+    let mut pacer = Pacer::start(config.tick);
+    while !hub.stopped() {
+        let Turn::Recv(wait) = pacer.turn() else {
+            node.tick += 1;
+            hub.metrics.lock().timer_fires += 1;
+            node.beat(|omega, ctx| omega.on_timer(ctx));
+            node.step(|a, ctx| a.on_timer(ctx));
+            continue;
+        };
+        match inbox.recv_timeout(wait) {
+            Ok(Event::Crash) | Err(RecvTimeoutError::Disconnected) => break,
+            Ok(Event::Shutdown) => {
+                node.links.goodbye();
+                break;
+            }
+            Ok(Event::Heartbeat { from, msg }) => {
+                node.beat(|omega, ctx| omega.on_message(from, msg, ctx));
+            }
+            Ok(Event::App {
+                from,
+                msg,
+                wire_len,
+            }) => {
+                {
+                    let mut metrics = hub.metrics.lock();
+                    metrics.messages_delivered += 1;
+                    metrics.bytes_delivered += wire_len;
+                }
+                node.step(|a, ctx| a.on_message(from, msg, ctx));
+            }
+            Ok(Event::Input(input)) => {
+                hub.metrics.lock().inputs += 1;
+                node.step(|a, ctx| a.on_input(input, ctx));
+            }
+            Ok(Event::Inspect(look)) => look(&node.algorithm),
+            // the next turn fires the tick that just came due
+            Err(RecvTimeoutError::Timeout) => {}
+        }
+    }
+    node.algorithm
+}

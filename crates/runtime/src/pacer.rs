@@ -1,4 +1,4 @@
-//! Deadline-driven tick pacing for the real-time node loops.
+//! Deadline-driven tick pacing for the real-time node loop.
 //!
 //! Everything Algorithm 5 does on a clock — the leader's periodic
 //! `promote`, the batch flush, anti-entropy resend, and above all the
@@ -21,8 +21,7 @@
 //!   inbox either: between any two fires the loop takes an event if one is
 //!   queued.
 //!
-//! Both real-time engines (the thread runtime's `process_loop` and the net
-//! engine's `node_loop`) run their loops on this one type.
+//! The one node loop of both real-time engines runs on this type.
 
 use std::time::{Duration, Instant};
 

@@ -1,25 +1,29 @@
-//! The thread-per-process runtime.
+//! The driver side of a real-time run: launch the nodes over a
+//! [`Transport`], feed them, crash and restart them, stop them and harvest.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use ec_detectors::{HeartbeatConfig, HeartbeatMsg, HeartbeatOmega};
-use ec_sim::{Actions, Algorithm, Context, Metrics, OutputHistory, ProcessId, Time};
+use ec_detectors::HeartbeatConfig;
+use ec_sim::{Algorithm, Metrics, ProcessId};
 
+use crate::clock::{sleep_ms, Stopwatch};
+use crate::node::{node_loop, Event, Links};
 use crate::outputs::OutputLog;
-use crate::pacer::{Pacer, Turn};
 
 /// Configuration of a [`Runtime`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Wall-clock period between `on_timer` calls at each process. The
-    /// node loops hold it against a deadline ([`crate::Pacer`]), so it is
+    /// node loop holds it against a deadline ([`crate::Pacer`]), so it is
     /// the period under load too — not the length of inbox silence that
     /// triggers a call.
     pub tick: Duration,
@@ -39,446 +43,410 @@ impl Default for RuntimeConfig {
     }
 }
 
-type Channel<A> = (Sender<Envelope<A>>, Receiver<Envelope<A>>);
+/// How long a shutdown waits for live nodes to drain their inboxes and say
+/// goodbye before the stop flag ends them wherever they are.
+pub const GOODBYE_WAIT_MS: u64 = 2_000;
 
 /// How a process derives the failure-detector value its algorithm queries
 /// from the local heartbeat module's current leader estimate: a pure function
 /// of `(leader, n)`. The identity map realizes Ω; pairing the leader with a
 /// static quorum realizes the Ω + Σ the strongly consistent baseline needs.
-type FdDerive<F> = Arc<dyn Fn(ProcessId, usize) -> F + Send + Sync>;
+pub(crate) type FdDerive<F> = Arc<dyn Fn(ProcessId, usize) -> F + Send + Sync>;
 
-enum Envelope<A: Algorithm> {
-    App { from: ProcessId, msg: A::Msg },
-    Heartbeat { from: ProcessId, msg: HeartbeatMsg },
-    Input(A::Input),
-    Crash,
+/// The driver-side record of outputs, and what shares their payloads.
+struct Sink<O> {
+    log: OutputLog<O>,
+    intern: Box<dyn FnMut(&mut O) + Send>,
 }
 
-/// What a run collected: every output of every process, with the wall-clock
-/// milliseconds (since runtime start) at which it was produced, the leader
-/// estimates of the heartbeat Ω modules, the application-message counters,
-/// and the final automaton state of every process.
-pub struct RuntimeReport<A: Algorithm> {
-    /// Number of processes the runtime ran.
-    pub n: usize,
-    /// Application outputs as `(process, elapsed_ms, output)`.
-    pub outputs: Vec<(ProcessId, u64, A::Output)>,
-    /// Leader estimates as `(process, elapsed_ms, leader)`.
-    pub leaders: Vec<(ProcessId, u64, ProcessId)>,
-    /// The final automaton of each process, harvested when its thread
-    /// stopped. A crashed process contributes the state it had at the crash.
-    pub final_states: Vec<Option<A>>,
-    /// Application-message counters (heartbeat traffic of the Ω modules is
-    /// not counted; `timer_fires` counts the periodic ticks).
-    pub metrics: Metrics,
-}
-
-impl<A: Algorithm> RuntimeReport<A> {
-    /// The last output of a process, if any.
-    pub fn last_output_of(&self, p: ProcessId) -> Option<&A::Output> {
-        self.outputs
-            .iter()
-            .rev()
-            .find(|(q, _, _)| *q == p)
-            .map(|(_, _, o)| o)
-    }
-
-    /// The last leader estimate of a process, if any.
-    pub fn last_leader_of(&self, p: ProcessId) -> Option<ProcessId> {
-        self.leaders
-            .iter()
-            .rev()
-            .find(|(q, _, _)| *q == p)
-            .map(|(_, _, l)| *l)
-    }
-
-    /// The final automaton state of process `p`.
-    pub fn final_state_of(&self, p: ProcessId) -> Option<&A> {
-        self.final_states.get(p.index()).and_then(Option::as_ref)
-    }
-
-    /// The outputs as an [`OutputHistory`], with wall-clock milliseconds
-    /// mapped to [`Time`] values at `ms_per_tick` milliseconds per tick —
-    /// the bridge that lets the simulator's history-based checkers and
-    /// convergence reports run over a threaded execution.
-    pub fn output_history(&self, ms_per_tick: u64) -> OutputHistory<A::Output> {
-        let scale = ms_per_tick.max(1);
-        let mut history = OutputHistory::new(self.n);
-        for (p, ms, out) in &self.outputs {
-            history.record(*p, Time::new(ms / scale), out.clone());
-        }
-        history
-    }
-}
-
-impl<A: Algorithm> fmt::Debug for RuntimeReport<A> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RuntimeReport")
-            .field("n", &self.n)
-            .field("outputs", &self.outputs.len())
-            .field("leaders", &self.leaders.len())
-            .field(
-                "final_states",
-                &self.final_states.iter().filter(|s| s.is_some()).count(),
-            )
-            .field("metrics", &self.metrics)
-            .finish()
-    }
-}
-
-struct Shared<A: Algorithm> {
-    outputs: Mutex<OutputLog<A::Output>>,
+/// What the driver, the node threads and a transport's own threads share
+/// during one run: each node's inbox, the output record, the counters, the
+/// run's clock and its stop flag.
+pub struct Hub<A: Algorithm> {
+    /// The current incarnation's event sender per node; a restart swaps in
+    /// a fresh one, which redirects every live link without reconnecting.
+    inboxes: Vec<Mutex<Option<Sender<Event<A>>>>>,
+    /// Raised when a node's current incarnation has said goodbye.
+    goodbyes: Vec<AtomicBool>,
+    sink: Mutex<Sink<A::Output>>,
     leaders: Mutex<Vec<(ProcessId, u64, ProcessId)>>,
-    final_states: Mutex<Vec<Option<A>>>,
-    metrics: Mutex<Metrics>,
-    started: Instant,
+    pub(crate) metrics: Mutex<Metrics>,
+    malformed: AtomicU64,
+    stopwatch: Stopwatch,
     stop: AtomicBool,
 }
 
-/// A running set of processes executing an [`Algorithm`] as one OS thread
-/// each, with the failure-detector value of every step derived from a
-/// per-process heartbeat Ω module.
-///
-/// [`Runtime::spawn`] covers algorithms whose failure detector *is* Ω
-/// (`Fd = ProcessId`); [`Runtime::spawn_with_fd`] additionally supports any
-/// detector value derivable from the current leader estimate, e.g. the
-/// `(leader, quorum)` pairs of the Ω + Σ baseline.
-pub struct Runtime<A: Algorithm> {
-    n: usize,
-    senders: Vec<Sender<Envelope<A>>>,
-    shared: Arc<Shared<A>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl<A: Algorithm> fmt::Debug for Runtime<A> {
+impl<A: Algorithm> fmt::Debug for Hub<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Runtime")
-            .field("n", &self.n)
-            .field("alive_threads", &self.handles.len())
-            .finish()
+        f.debug_struct("Hub")
+            .field("n", &self.n())
+            .finish_non_exhaustive()
     }
 }
 
-impl<A> Runtime<A>
-where
-    A: Algorithm + Send + 'static,
-    A::Msg: Send,
-    A::Input: Send,
-    A::Output: Send,
-{
-    /// Spawns `n` processes running the algorithm produced by `factory`,
-    /// with each step's failure-detector value computed by `derive` from the
-    /// local heartbeat module's current leader estimate and `n`.
-    pub fn spawn_with_fd<F, D>(n: usize, config: RuntimeConfig, mut factory: F, derive: D) -> Self
-    where
-        F: FnMut(ProcessId) -> A,
-        D: Fn(ProcessId, usize) -> A::Fd + Send + Sync + 'static,
-    {
-        assert!(n >= 2, "the system model requires at least two processes");
-        let shared = Arc::new(Shared::<A> {
-            outputs: Mutex::new(OutputLog::new(n)),
-            leaders: Mutex::new(Vec::new()),
-            final_states: Mutex::new((0..n).map(|_| None).collect()),
-            metrics: Mutex::new(Metrics::new(n)),
-            started: Instant::now(),
-            stop: AtomicBool::new(false),
-        });
-        let derive: FdDerive<A::Fd> = Arc::new(derive);
-        let channels: Vec<Channel<A>> = (0..n).map(|_| unbounded()).collect();
-        let senders: Vec<Sender<Envelope<A>>> = channels.iter().map(|(s, _)| s.clone()).collect();
-        let mut handles = Vec::with_capacity(n);
-        for (i, (_, receiver)) in channels.into_iter().enumerate() {
-            let me = ProcessId::new(i);
-            let algorithm = factory(me);
-            let peer_senders = senders.clone();
-            let shared_ref = Arc::clone(&shared);
-            let derive_ref = Arc::clone(&derive);
-            handles.push(std::thread::spawn(move || {
-                let final_state = process_loop(
-                    me,
-                    n,
-                    algorithm,
-                    receiver,
-                    peer_senders,
-                    Arc::clone(&shared_ref),
-                    config,
-                    derive_ref,
-                );
-                shared_ref.final_states.lock()[me.index()] = Some(final_state);
-            }));
-        }
-        Runtime {
-            n,
-            senders,
-            shared,
-            handles,
+impl<A: Algorithm> Hub<A> {
+    /// Number of nodes in the run.
+    pub fn n(&self) -> usize {
+        self.inboxes.len()
+    }
+
+    /// Puts `event` in the inbox of node `p`'s current incarnation. Returns
+    /// `false` if there is none to take it (a crashed node swallows its
+    /// traffic, like the model's crashed process).
+    pub fn send(&self, p: ProcessId, event: Event<A>) -> bool {
+        // cloned out of the slot, so nothing is sent under its lock
+        let sender = self.inboxes.get(p.index()).and_then(|s| s.lock().clone());
+        sender.is_some_and(|sender| sender.send(event).is_ok())
+    }
+
+    /// Records an output of node `p`, stamped with the run's clock.
+    pub fn record_output(&self, p: ProcessId, mut output: A::Output) {
+        let elapsed = self.stopwatch.elapsed_ms();
+        let mut sink = self.sink.lock();
+        (sink.intern)(&mut output);
+        sink.log.push(p, elapsed, output);
+    }
+
+    /// Counts one piece of inbound data rejected as malformed.
+    pub fn count_malformed(&self) {
+        self.malformed.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Notes that node `p` has shut down in order and that every output it
+    /// produced before has been recorded.
+    pub fn goodbye(&self, p: ProcessId) {
+        if let Some(flag) = self.goodbyes.get(p.index()) {
+            flag.store(true, Ordering::SeqCst);
         }
     }
 
+    fn said_goodbye(&self, p: ProcessId) -> bool {
+        let flag = self.goodbyes.get(p.index());
+        flag.is_none_or(|flag| flag.load(Ordering::SeqCst))
+    }
+
+    /// Whether the run has been told to stop: every thread working for it
+    /// exits at its next turn.
+    pub fn stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn record_leaders(&self, p: ProcessId, leaders: &[ProcessId]) {
+        if !leaders.is_empty() {
+            let elapsed = self.stopwatch.elapsed_ms();
+            let mut all = self.leaders.lock();
+            all.extend(leaders.iter().map(|leader| (p, elapsed, *leader)));
+        }
+    }
+
+    /// Gives node `p` a fresh inbox and returns its receiving end.
+    fn open_inbox(&self, p: ProcessId) -> Receiver<Event<A>> {
+        let (sender, receiver) = unbounded();
+        if let (Some(slot), Some(goodbye)) =
+            (self.inboxes.get(p.index()), self.goodbyes.get(p.index()))
+        {
+            *slot.lock() = Some(sender);
+            goodbye.store(false, Ordering::SeqCst);
+        }
+        receiver
+    }
+}
+
+/// What genuinely differs between the substrates a real-time run can use:
+/// how an incarnation's links are opened, how a driver event reaches a
+/// node, and what has to be torn down. Everything else — the node loop, the
+/// bookkeeping, crash and restart — is [`Runtime`]'s and the same for all.
+pub trait Transport<A: Algorithm>: Sized {
+    /// The node-side half: one incarnation's way out to peers and driver.
+    type Links: Links<A> + Send + 'static;
+
+    /// Sets up what must exist before any node runs.
+    fn bind(hub: &Arc<Hub<A>>) -> io::Result<Self>;
+
+    /// Opens the links of a fresh incarnation of node `p`, whose inbox the
+    /// hub has just renewed.
+    fn open(&mut self, p: ProcessId, hub: &Arc<Hub<A>>) -> io::Result<Self::Links>;
+
+    /// Gets a driver event to node `p`. The default puts it straight into
+    /// the inbox.
+    fn deliver(&mut self, p: ProcessId, event: Event<A>, hub: &Hub<A>) {
+        hub.send(p, event);
+    }
+
+    /// Tears the transport down once the stop flag is up and every node
+    /// thread has been joined.
+    fn close(self) {}
+
+    /// The socket address node `p` listens on, if nodes have addresses.
+    fn addr(&self, _p: ProcessId) -> Option<SocketAddr> {
+        None
+    }
+
+    /// Asks node `p`, over the transport's own wire, for a text rendering
+    /// of its live metrics. `None` if the transport has no such wire.
+    fn scrape(&self, _p: ProcessId) -> Option<String> {
+        None
+    }
+}
+
+/// Everything a stopped run hands back.
+#[derive(Debug)]
+pub struct Final<A: Algorithm> {
+    /// The automaton of each node's last incarnation, as it was when its
+    /// thread stopped (a crashed node contributes its state at the crash).
+    pub final_states: Vec<Option<A>>,
+    /// Outputs as `(process, elapsed_ms, output)`, in arrival order.
+    pub outputs: Vec<(ProcessId, u64, A::Output)>,
+    /// Leader estimates of the heartbeat Ω modules as
+    /// `(process, elapsed_ms, leader)`, one entry per change.
+    pub leaders: Vec<(ProcessId, u64, ProcessId)>,
+    /// Application-message counters (heartbeat traffic is not counted;
+    /// `timer_fires` counts the periodic ticks).
+    pub metrics: Metrics,
+}
+
+/// A running set of processes executing an [`Algorithm`] as one OS thread
+/// each over the transport `T`, with the failure-detector value of every
+/// step derived from a per-process heartbeat Ω module.
+pub struct Runtime<A: Algorithm, T> {
+    hub: Arc<Hub<A>>,
+    transport: T,
+    config: RuntimeConfig,
+    factory: Box<dyn FnMut(ProcessId) -> A + Send>,
+    derive: FdDerive<A::Fd>,
+    /// The thread of each node's live incarnation, which returns the
+    /// automaton when it stops; `None` while the node is down.
+    handles: Vec<Option<JoinHandle<A>>>,
+    /// The automaton of each node's last stopped incarnation.
+    final_states: Vec<Option<A>>,
+}
+
+impl<A: Algorithm, T> fmt::Debug for Runtime<A, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let live = self.handles.iter().flatten().count();
+        f.debug_struct("Runtime")
+            .field("n", &self.handles.len())
+            .field("live", &live)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<A: Algorithm, T> Runtime<A, T> {
     /// Number of processes.
     pub fn n(&self) -> usize {
-        self.n
+        self.handles.len()
     }
 
-    /// Submits an application input to process `p`.
-    pub fn submit(&self, p: ProcessId, input: A::Input) {
-        // sending to a crashed process is a no-op, like in the model
-        let _ = self.senders[p.index()].send(Envelope::Input(input));
-    }
-
-    /// Crashes process `p`: its thread stops taking steps and stops sending
-    /// heartbeats, so the other processes' Ω modules eventually elect a new
-    /// leader.
-    pub fn crash(&self, p: ProcessId) {
-        let _ = self.senders[p.index()].send(Envelope::Crash);
+    /// Whether node `p` is down (crashed and not restarted).
+    pub fn is_down(&self, p: ProcessId) -> bool {
+        matches!(self.handles.get(p.index()), Some(None))
     }
 
     /// The most recent output of process `p`, observed live (without
     /// stopping the run) — how service facades poll replica progress.
     pub fn latest_output_of(&self, p: ProcessId) -> Option<A::Output> {
-        self.shared.outputs.lock().latest_of(p).cloned()
+        self.hub.sink.lock().log.latest_of(p).cloned()
     }
 
     /// A snapshot of every `(process, elapsed_ms, output)` produced so far.
     pub fn outputs_so_far(&self) -> Vec<(ProcessId, u64, A::Output)> {
-        self.shared.outputs.lock().all().to_vec()
+        self.hub.sink.lock().log.all().to_vec()
+    }
+
+    /// Inbound data the transport rejected as malformed so far (always 0
+    /// where there is no wire to corrupt).
+    pub fn malformed(&self) -> u64 {
+        self.hub.malformed.load(Ordering::SeqCst)
     }
 
     /// A snapshot of the application-message counters so far.
     pub fn metrics(&self) -> Metrics {
-        self.shared.metrics.lock().clone()
+        self.hub.metrics.lock().clone()
     }
 
-    /// Milliseconds elapsed since the runtime was spawned.
+    /// Milliseconds elapsed since the runtime was launched.
     pub fn elapsed_ms(&self) -> u64 {
-        self.shared.started.elapsed().as_millis() as u64
-    }
-
-    /// Stops all processes and returns everything they output, together with
-    /// the final automaton state of every process.
-    pub fn shutdown(self) -> RuntimeReport<A> {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        for handle in self.handles {
-            let _ = handle.join();
-        }
-        // One lock at a time: building the report struct-literal-style would
-        // hold all four guards simultaneously for the whole statement.
-        let outputs = self.shared.outputs.lock().take_all();
-        let leaders = std::mem::take(&mut *self.shared.leaders.lock());
-        let final_states = std::mem::take(&mut *self.shared.final_states.lock());
-        let metrics = self.shared.metrics.lock().clone();
-        RuntimeReport {
-            n: self.n,
-            outputs,
-            leaders,
-            final_states,
-            metrics,
-        }
+        self.hub.stopwatch.elapsed_ms()
     }
 }
 
-impl<A> Runtime<A>
+impl<A, T> Runtime<A, T>
 where
-    A: Algorithm<Fd = ProcessId> + Send + 'static,
+    A: Algorithm + Send + 'static,
     A::Msg: Send,
     A::Input: Send,
     A::Output: Send,
+    T: Transport<A>,
 {
-    /// Spawns `n` processes running the algorithm produced by `factory`,
-    /// with Ω provided directly by the per-process heartbeat modules.
-    pub fn spawn<F>(n: usize, config: RuntimeConfig, factory: F) -> Self
+    /// Launches `n` processes running the algorithm produced by `factory`
+    /// (called again for every restarted incarnation), with each step's
+    /// failure-detector value computed by `derive` from the local heartbeat
+    /// module's current leader estimate and `n`. Every output passes
+    /// through `intern` on its way into the driver-side record.
+    ///
+    /// If the transport cannot be set up, what was started is stopped again
+    /// and the error returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2` (the system model requires two processes).
+    pub fn launch<F, D>(
+        n: usize,
+        config: RuntimeConfig,
+        intern: impl FnMut(&mut A::Output) + Send + 'static,
+        factory: F,
+        derive: D,
+    ) -> io::Result<Self>
     where
-        F: FnMut(ProcessId) -> A,
+        F: FnMut(ProcessId) -> A + Send + 'static,
+        D: Fn(ProcessId, usize) -> A::Fd + Send + Sync + 'static,
     {
-        Self::spawn_with_fd(n, config, factory, |leader, _n| leader)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn process_loop<A>(
-    me: ProcessId,
-    n: usize,
-    mut algorithm: A,
-    receiver: Receiver<Envelope<A>>,
-    senders: Vec<Sender<Envelope<A>>>,
-    shared: Arc<Shared<A>>,
-    config: RuntimeConfig,
-    derive: FdDerive<A::Fd>,
-) -> A
-where
-    A: Algorithm,
-{
-    let mut omega = HeartbeatOmega::new(me, n, config.heartbeat);
-    let mut tick: u64 = 0;
-
-    // helper closures cannot borrow `shared` mutably twice, so keep them as
-    // plain functions over locals
-    let elapsed_ms = |shared: &Shared<A>| shared.started.elapsed().as_millis() as u64;
-
-    // on_start of the heartbeat module and of the application
-    let hb_actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| a.on_start(ctx));
-    record_leaders(me, &hb_actions.outputs, &shared, elapsed_ms(&shared));
-    dispatch_hb(me, hb_actions, &senders, &shared);
-    let fd = derive(omega.leader(), n);
-    let app_actions = run_handler(&mut algorithm, me, n, fd, tick, |a, ctx| a.on_start(ctx));
-    dispatch_app(me, app_actions, &senders, &shared);
-
-    let mut pacer = Pacer::start(config.tick);
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return algorithm;
-        }
-        let Turn::Recv(wait) = pacer.turn() else {
-            tick += 1;
-            shared.metrics.lock().timer_fires += 1;
-            let hb_actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| a.on_timer(ctx));
-            record_leaders(me, &hb_actions.outputs, &shared, elapsed_ms(&shared));
-            dispatch_hb(me, hb_actions, &senders, &shared);
-            let fd = derive(omega.leader(), n);
-            let app_actions =
-                run_handler(&mut algorithm, me, n, fd, tick, |a, ctx| a.on_timer(ctx));
-            dispatch_app(me, app_actions, &senders, &shared);
-            continue;
+        assert!(n >= 2, "the system model requires at least two processes");
+        let hub = Arc::new(Hub {
+            inboxes: (0..n).map(|_| Mutex::new(None)).collect(),
+            goodbyes: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            sink: Mutex::new(Sink {
+                log: OutputLog::new(n),
+                intern: Box::new(intern),
+            }),
+            leaders: Mutex::new(Vec::new()),
+            metrics: Mutex::new(Metrics::new(n)),
+            malformed: AtomicU64::new(0),
+            stopwatch: Stopwatch::start(),
+            stop: AtomicBool::new(false),
+        });
+        let mut runtime = Runtime {
+            transport: T::bind(&hub)?,
+            hub,
+            config,
+            factory: Box::new(factory),
+            derive: Arc::new(derive),
+            handles: (0..n).map(|_| None).collect(),
+            final_states: (0..n).map(|_| None).collect(),
         };
-        match receiver.recv_timeout(wait) {
-            Ok(Envelope::Crash) => return algorithm,
-            Ok(Envelope::Heartbeat { from, msg }) => {
-                let actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| {
-                    a.on_message(from, msg, ctx)
-                });
-                record_leaders(me, &actions.outputs, &shared, elapsed_ms(&shared));
-                dispatch_hb(me, actions, &senders, &shared);
+        for p in (0..n).map(ProcessId::new) {
+            if let Err(err) = runtime.start(p) {
+                runtime.shutdown();
+                return Err(err);
             }
-            Ok(Envelope::App { from, msg }) => {
-                {
-                    let mut metrics = shared.metrics.lock();
-                    metrics.messages_delivered += 1;
-                    metrics.bytes_delivered += A::wire_size(&msg);
-                }
-                let fd = derive(omega.leader(), n);
-                let actions = run_handler(&mut algorithm, me, n, fd, tick, |a, ctx| {
-                    a.on_message(from, msg, ctx)
-                });
-                dispatch_app(me, actions, &senders, &shared);
-            }
-            Ok(Envelope::Input(input)) => {
-                shared.metrics.lock().inputs += 1;
-                let fd = derive(omega.leader(), n);
-                let actions = run_handler(&mut algorithm, me, n, fd, tick, |a, ctx| {
-                    a.on_input(input, ctx)
-                });
-                dispatch_app(me, actions, &senders, &shared);
-            }
-            // the next turn fires the tick that just came due
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return algorithm,
         }
+        Ok(runtime)
     }
-}
 
-/// Runs one handler invocation of `algorithm` outside the simulator: builds
-/// a [`Context`] at logical tick `tick` with failure-detector value `fd`,
-/// applies `handler`, and returns the collected [`Actions`] for the caller
-/// to dispatch over whatever links it owns. This is the step primitive both
-/// the in-process thread runtime and the socket-backed net engine drive
-/// their event loops with.
-pub fn run_handler<A: Algorithm + ?Sized, F>(
-    algorithm: &mut A,
-    me: ProcessId,
-    n: usize,
-    fd: A::Fd,
-    tick: u64,
-    handler: F,
-) -> Actions<A>
-where
-    F: FnOnce(&mut A, &mut Context<'_, A>),
-{
-    let mut actions = Actions::<A>::new();
-    {
-        let mut ctx = Context::new(me, Time::new(tick), n, fd, &mut actions);
-        handler(algorithm, &mut ctx);
+    /// Starts one incarnation of node `p`: fresh inbox, fresh links, fresh
+    /// automaton, and a thread running the node loop.
+    fn start(&mut self, p: ProcessId) -> io::Result<()> {
+        let inbox = self.hub.open_inbox(p);
+        let links = self.transport.open(p, &self.hub)?;
+        let algorithm = (self.factory)(p);
+        let (hub, derive, config) = (Arc::clone(&self.hub), Arc::clone(&self.derive), self.config);
+        let handle = std::thread::spawn(move || {
+            node_loop(p, algorithm, inbox, links, &hub, config, &derive)
+        });
+        if let Some(slot) = self.handles.get_mut(p.index()) {
+            *slot = Some(handle);
+        }
+        Ok(())
     }
-    actions
-}
 
-fn dispatch_app<A: Algorithm>(
-    me: ProcessId,
-    actions: Actions<A>,
-    senders: &[Sender<Envelope<A>>],
-    shared: &Arc<Shared<A>>,
-) {
-    let elapsed = shared.started.elapsed().as_millis() as u64;
-    {
-        let mut metrics = shared.metrics.lock();
-        for (_, msg) in &actions.sends {
-            metrics.record_send(me);
-            metrics.bytes_sent += A::wire_size(msg);
-        }
-        metrics.outputs += actions.outputs.len() as u64;
+    /// The transport, for what only it can answer (addresses, scrapes).
+    pub fn transport(&self) -> &T {
+        &self.transport
     }
-    for (to, msg) in actions.sends {
-        if let Some(sender) = senders.get(to.index()) {
-            let _ = sender.send(Envelope::App { from: me, msg });
-        }
-    }
-    if !actions.outputs.is_empty() {
-        let mut outputs = shared.outputs.lock();
-        for out in actions.outputs {
-            outputs.push(me, elapsed, out);
-        }
-    }
-    // timer requests are satisfied by the periodic tick
-}
 
-fn dispatch_hb<A: Algorithm>(
-    me: ProcessId,
-    actions: Actions<HeartbeatOmega>,
-    senders: &[Sender<Envelope<A>>],
-    _shared: &Arc<Shared<A>>,
-) {
-    for (to, msg) in actions.sends {
-        if let Some(sender) = senders.get(to.index()) {
-            let _ = sender.send(Envelope::Heartbeat { from: me, msg });
+    /// Submits an application input to process `p`; a crashed process
+    /// swallows it, like in the model.
+    pub fn submit(&mut self, p: ProcessId, input: A::Input) {
+        self.transport.deliver(p, Event::Input(input), &self.hub);
+    }
+
+    /// Runs `look` against the live automaton of process `p`, between two
+    /// of its steps. A crashed process drops it unrun.
+    pub fn inspect(&mut self, p: ProcessId, look: impl FnOnce(&A) + Send + 'static) {
+        let event = Event::Inspect(Box::new(look));
+        self.transport.deliver(p, event, &self.hub);
+    }
+
+    /// Crashes process `p`: its thread stops taking steps and stops sending
+    /// heartbeats, so the other processes' Ω modules eventually elect a new
+    /// leader. Returns once the thread has stopped and its state is kept
+    /// for harvest.
+    pub fn crash(&mut self, p: ProcessId) {
+        if !self.is_down(p) {
+            self.transport.deliver(p, Event::Crash, &self.hub);
+            self.join(p);
         }
     }
-}
 
-fn record_leaders<A: Algorithm>(
-    me: ProcessId,
-    leaders: &[ProcessId],
-    shared: &Arc<Shared<A>>,
-    elapsed: u64,
-) {
-    if leaders.is_empty() {
-        return;
+    /// Joins the thread of `p`'s live incarnation, if there is one, and
+    /// keeps the automaton it returns (a panicked one leaves nothing).
+    fn join(&mut self, p: ProcessId) {
+        let handle = self.handles.get_mut(p.index()).and_then(Option::take);
+        if let (Some(Ok(last)), Some(slot)) = (
+            handle.map(JoinHandle::join),
+            self.final_states.get_mut(p.index()),
+        ) {
+            *slot = Some(last);
+        }
     }
-    let mut all = shared.leaders.lock();
-    for leader in leaders {
-        all.push((me, elapsed, *leader));
+
+    /// Restarts a crashed process as a fresh incarnation: whatever the
+    /// factory builds (empty, or recovered from disk), re-filled from the
+    /// peers by the algorithm's own anti-entropy. Returns `false` if `p` is
+    /// not down, or if its links could not be opened (it then stays down).
+    pub fn restart(&mut self, p: ProcessId) -> bool {
+        self.is_down(p) && self.start(p).is_ok()
+    }
+
+    /// Stops all processes and returns everything they output, together
+    /// with the final automaton state of every process. Live nodes are
+    /// asked to shut down in order and given [`GOODBYE_WAIT_MS`] to say
+    /// goodbye, so that what they output last is in the record; the stop
+    /// flag is the backstop for one that never hears the request.
+    pub fn shutdown(mut self) -> Final<A> {
+        let ids = (0..self.n()).map(ProcessId::new);
+        let live: Vec<ProcessId> = ids.filter(|p| !self.is_down(*p)).collect();
+        for p in &live {
+            self.transport.deliver(*p, Event::Shutdown, &self.hub);
+        }
+        let give_up = self.hub.stopwatch.elapsed_ms() + GOODBYE_WAIT_MS;
+        while !live.iter().all(|p| self.hub.said_goodbye(*p))
+            && self.hub.stopwatch.elapsed_ms() < give_up
+        {
+            sleep_ms(2);
+        }
+        self.hub.stop.store(true, Ordering::SeqCst);
+        for p in (0..self.n()).map(ProcessId::new) {
+            self.join(p);
+        }
+        self.transport.close();
+        // one lock at a time
+        let outputs = self.hub.sink.lock().log.take_all();
+        let leaders = std::mem::take(&mut *self.hub.leaders.lock());
+        let metrics = self.hub.metrics.lock().clone();
+        Final {
+            final_states: self.final_states,
+            outputs,
+            leaders,
+            metrics,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::{ChannelLinks, ChannelTransport};
     use ec_core::etob_omega::{EtobConfig, EtobOmega};
     use ec_core::tob_consensus::{ConsensusTob, ConsensusTobConfig};
     use ec_core::types::{materialize, DeliveryDelta, EtobBroadcast, MsgId};
-    use ec_sim::ProcessSet;
+    use ec_detectors::HeartbeatMsg;
+    use ec_sim::{OutputHistory, ProcessSet, Time};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+    use std::time::Instant;
 
-    /// The final delivered sequence of `p`: its delivery deltas folded in
-    /// order.
-    fn final_ids<A>(report: &RuntimeReport<A>, p: ProcessId) -> Vec<MsgId>
-    where
-        A: Algorithm<Output = DeliveryDelta>,
-    {
-        materialize(&report.output_history(1))
-            .last(p)
-            .expect("delivered")
-            .iter()
-            .map(|m| m.id)
-            .collect()
-    }
+    type Channels<A> = Runtime<A, ChannelTransport>;
 
     fn config() -> RuntimeConfig {
         RuntimeConfig {
@@ -488,6 +456,51 @@ mod tests {
                 suspect_after: 10,
             },
         }
+    }
+
+    /// `n` processes of Algorithm 5 over channels, Ω straight from the
+    /// heartbeat modules.
+    fn launch_etob(n: usize, etob: EtobConfig) -> Channels<EtobOmega> {
+        Runtime::launch(
+            n,
+            config(),
+            |_| {},
+            move |p| EtobOmega::new(p, etob),
+            |leader, _n| leader,
+        )
+        .expect("channels cannot fail to open")
+    }
+
+    fn broadcast(runtime: &mut Channels<EtobOmega>, origin: usize, seq: u64, payload: &[u8]) {
+        let origin = ProcessId::new(origin);
+        runtime.submit(origin, EtobBroadcast::new(origin, seq, payload.to_vec()));
+    }
+
+    /// The outputs as an [`OutputHistory`], one tick per millisecond — the
+    /// bridge that lets the simulator's history-based checkers run over a
+    /// real-time execution.
+    fn history<A: Algorithm>(fin: &Final<A>) -> OutputHistory<A::Output> {
+        let mut history = OutputHistory::new(fin.final_states.len());
+        for (p, ms, out) in &fin.outputs {
+            history.record(*p, Time::new(*ms), out.clone());
+        }
+        history
+    }
+
+    /// The final delivered sequence of `p`: its delivery deltas folded in
+    /// order.
+    fn final_ids<A: Algorithm<Output = DeliveryDelta>>(fin: &Final<A>, p: ProcessId) -> Vec<MsgId> {
+        materialize(&history(fin))
+            .last(p)
+            .expect("delivered")
+            .iter()
+            .map(|m| m.id)
+            .collect()
+    }
+
+    fn last_leader_of<A: Algorithm>(fin: &Final<A>, p: ProcessId) -> Option<ProcessId> {
+        let mut of_p = fin.leaders.iter().rev().filter(|(q, _, _)| *q == p);
+        of_p.next().map(|(_, _, leader)| *leader)
     }
 
     /// Polls `done` every few milliseconds until it holds; panics with
@@ -502,11 +515,12 @@ mod tests {
     }
 
     /// Length of the sequence `p` has delivered so far, from its deltas.
-    fn delivered_len<A>(runtime: &Runtime<A>, p: ProcessId) -> usize
+    fn delivered_len<A, T>(runtime: &Runtime<A, T>, p: ProcessId) -> usize
     where
         A: Algorithm<Output = DeliveryDelta> + Send + 'static,
         A::Msg: Send,
         A::Input: Send,
+        T: Transport<A>,
     {
         runtime
             .latest_output_of(p)
@@ -516,104 +530,155 @@ mod tests {
     #[test]
     fn threaded_etob_delivers_everything_in_the_same_order() {
         let n = 3;
-        let runtime = Runtime::spawn(n, config(), |p| EtobOmega::new(p, EtobConfig::default()));
+        let mut runtime = launch_etob(n, EtobConfig::default());
         for k in 0..5u64 {
-            runtime.submit(
-                ProcessId::new((k % 3) as usize),
-                EtobBroadcast::new(ProcessId::new((k % 3) as usize), k + 1, vec![k as u8]),
-            );
+            broadcast(&mut runtime, (k % 3) as usize, k + 1, &[k as u8]);
             std::thread::sleep(Duration::from_millis(5));
         }
         wait_until(5, "all three delivered 5", || {
             (0..n).all(|i| delivered_len(&runtime, ProcessId::new(i)) == 5)
         });
-        let report = runtime.shutdown();
+        let fin = runtime.shutdown();
         // every process delivered all five messages, in the same order
-        let reference = final_ids(&report, ProcessId::new(0));
+        let reference = final_ids(&fin, ProcessId::new(0));
         assert_eq!(reference.len(), 5);
         for p in (1..n).map(ProcessId::new) {
-            assert_eq!(final_ids(&report, p), reference, "{p} diverged");
+            assert_eq!(final_ids(&fin, p), reference, "{p} diverged");
         }
         // the heartbeat Ω elected p0 everywhere
         for p in (0..n).map(ProcessId::new) {
-            assert_eq!(report.last_leader_of(p), Some(ProcessId::new(0)));
+            assert_eq!(last_leader_of(&fin, p), Some(ProcessId::new(0)));
         }
         // the final automaton state is harvested and matches the outputs
-        for p in (0..n).map(ProcessId::new) {
-            let final_state = report.final_state_of(p).expect("state harvested");
-            assert_eq!(final_state.delivered().len(), 5, "{p}");
+        for i in 0..n {
+            let final_state = fin.final_states[i].as_ref().expect("state harvested");
+            assert_eq!(final_state.delivered().len(), 5, "p{i}");
         }
         // app messages were counted
-        assert!(report.metrics.messages_sent > 0);
-        assert!(report.metrics.messages_delivered > 0);
-        assert_eq!(report.metrics.inputs, 5);
+        assert!(fin.metrics.messages_sent > 0);
+        assert!(fin.metrics.messages_delivered > 0);
+        assert_eq!(fin.metrics.inputs, 5);
         // the last delta each process emitted ends where its sequence does
-        let last = report
-            .last_output_of(ProcessId::new(0))
-            .expect("p0 delivered");
+        let mut of_p0 = fin.outputs.iter().rev().filter(|(p, _, _)| p.index() == 0);
+        let (_, _, last) = of_p0.next().expect("p0 delivered");
         assert_eq!(last.keep + last.suffix.len(), reference.len());
     }
 
     #[test]
-    fn leader_crash_is_survived_by_the_threaded_runtime() {
+    fn leader_crash_is_survived_by_the_runtime() {
         let n = 3;
-        let runtime = Runtime::spawn(n, config(), |p| EtobOmega::new(p, EtobConfig::default()));
-        runtime.submit(
-            ProcessId::new(1),
-            EtobBroadcast::new(ProcessId::new(1), 1, b"before".to_vec()),
-        );
+        let mut runtime = launch_etob(n, EtobConfig::default());
+        broadcast(&mut runtime, 1, 1, b"before");
         let survivors = [ProcessId::new(1), ProcessId::new(2)];
         wait_until(5, "the survivors delivered the first broadcast", || {
             survivors.iter().all(|p| delivered_len(&runtime, *p) == 1)
         });
         runtime.crash(ProcessId::new(0));
-        let origin = ProcessId::new(2);
-        runtime.submit(origin, EtobBroadcast::new(origin, 99, b"after".to_vec()));
+        broadcast(&mut runtime, 2, 99, b"after");
         // only an update from the leader a process trusts is adopted, so
         // this also waits for the heartbeat Ω to move off the crashed p0
         wait_until(10, "the survivors delivered the post-crash one", || {
             survivors.iter().all(|p| delivered_len(&runtime, *p) == 2)
         });
-        let report = runtime.shutdown();
+        let fin = runtime.shutdown();
         // the survivors eventually elected p1 and still deliver new messages
-        for p in [ProcessId::new(1), ProcessId::new(2)] {
-            assert_eq!(report.last_leader_of(p), Some(ProcessId::new(1)), "{p}");
-            let history = materialize(&report.output_history(1));
+        for p in survivors {
+            assert_eq!(last_leader_of(&fin, p), Some(ProcessId::new(1)), "{p}");
+            let history = materialize(&history(&fin));
             let delivered = history.last(p).expect("delivered something");
             assert!(
                 delivered.iter().any(|m| &m.payload[..] == b"after"),
                 "{p} did not deliver the post-crash broadcast"
             );
         }
-        assert!(format!("{report:?}").contains("RuntimeReport"));
+        assert!(format!("{fin:?}").contains("Final"));
+    }
+
+    #[test]
+    fn a_restarted_process_is_refilled_by_anti_entropy() {
+        let n = 3;
+        let mut runtime = launch_etob(n, EtobConfig::default().with_resend(10));
+        let victim = ProcessId::new(2);
+        broadcast(&mut runtime, 1, 1, b"seen by all");
+        wait_until(5, "all three delivered the first broadcast", || {
+            (0..n).all(|i| delivered_len(&runtime, ProcessId::new(i)) == 1)
+        });
+        assert!(!runtime.restart(victim), "only a crashed process restarts");
+        runtime.crash(victim);
+        assert!(runtime.is_down(victim));
+        broadcast(&mut runtime, 0, 1, b"missed");
+        wait_until(5, "the survivors delivered the second broadcast", || {
+            (0..2).all(|i| delivered_len(&runtime, ProcessId::new(i)) == 2)
+        });
+        // a fresh incarnation behind the same inbox: it starts empty, so
+        // whatever it ends up with it got from its peers
+        assert!(runtime.restart(victim));
+        assert!(!runtime.is_down(victim));
+        wait_until(10, "the restarted process caught up", || {
+            delivered_len(&runtime, victim) == 2
+        });
+        let fin = runtime.shutdown();
+        assert_eq!(final_ids(&fin, victim), final_ids(&fin, ProcessId::new(0)));
+        // the harvested automaton is the second incarnation's
+        let reborn = fin.final_states[2].as_ref().expect("state harvested");
+        assert_eq!(reborn.delivered().len(), 2);
     }
 
     #[test]
     fn live_accessors_observe_a_run_in_flight() {
-        let n = 2;
-        let runtime = Runtime::spawn(n, config(), |p| EtobOmega::new(p, EtobConfig::default()));
-        runtime.submit(
-            ProcessId::new(0),
-            EtobBroadcast::new(ProcessId::new(0), 1, b"live".to_vec()),
-        );
+        let mut runtime = launch_etob(2, EtobConfig::default());
+        broadcast(&mut runtime, 0, 1, b"live");
         wait_until(5, "p1 delivered", || {
             delivered_len(&runtime, ProcessId::new(1)) == 1
         });
         assert!(!runtime.outputs_so_far().is_empty());
         assert!(runtime.metrics().messages_sent > 0);
+        assert_eq!(runtime.n(), 2);
+        // a transport with no wire answers for none
+        let (transport, p0) = (runtime.transport(), ProcessId::new(0));
+        assert!(Transport::<EtobOmega>::addr(transport, p0).is_none());
+        assert_eq!(runtime.malformed(), 0);
+        assert!(Transport::<EtobOmega>::scrape(transport, p0).is_none());
+        assert!(format!("{runtime:?}").contains("live: 2"));
         let _ = runtime.elapsed_ms();
         runtime.shutdown();
     }
 
     #[test]
-    fn spawn_with_fd_supplies_leader_and_quorum_to_the_strong_baseline() {
+    fn inspect_sees_the_live_automaton_and_a_crashed_node_drops_it() {
+        let p1 = ProcessId::new(1);
+        let mut runtime = launch_etob(2, EtobConfig::default());
+        broadcast(&mut runtime, 0, 1, b"seen");
+        wait_until(5, "p1 delivered", || delivered_len(&runtime, p1) == 1);
+        let (reply, seen) = mpsc::channel();
+        runtime.inspect(p1, move |a: &EtobOmega| {
+            let _ = reply.send(a.delivered().len());
+        });
+        assert_eq!(seen.recv_timeout(Duration::from_secs(5)), Ok(1));
+        runtime.crash(p1);
+        let (reply, seen) = mpsc::channel();
+        runtime.inspect(p1, move |a: &EtobOmega| {
+            let _ = reply.send(a.delivered().len());
+        });
+        // dropped unrun, and its captures with it
+        assert_eq!(
+            seen.recv_timeout(Duration::from_secs(5)),
+            Err(mpsc::RecvTimeoutError::Disconnected)
+        );
+        runtime.shutdown();
+    }
+
+    #[test]
+    fn derive_supplies_leader_and_quorum_to_the_strong_baseline() {
         let n = 3;
-        let runtime = Runtime::spawn_with_fd(
+        let mut runtime: Channels<ConsensusTob> = Runtime::launch(
             n,
             config(),
+            |_| {},
             |p| ConsensusTob::new(p, ConsensusTobConfig::default()),
             |leader, n| (leader, ProcessSet::all(n)),
-        );
+        )
+        .expect("channels cannot fail to open");
         for k in 0..3u64 {
             let origin = ProcessId::new((k % 3) as usize);
             runtime.submit(
@@ -625,49 +690,78 @@ mod tests {
         wait_until(10, "the quorum-gated TOB delivered all three", || {
             (0..n).all(|i| delivered_len(&runtime, ProcessId::new(i)) == 3)
         });
-        let report = runtime.shutdown();
+        let fin = runtime.shutdown();
         // identical delivery order everywhere (strong consistency)
-        let reference = final_ids(&report, ProcessId::new(0));
+        let reference = final_ids(&fin, ProcessId::new(0));
         for p in (1..n).map(ProcessId::new) {
-            assert_eq!(final_ids(&report, p), reference, "{p} diverged");
+            assert_eq!(final_ids(&fin, p), reference, "{p} diverged");
+        }
+    }
+
+    /// Links of [`Unroutable`] incarnations alive right now: a node thread
+    /// owns its links, so 0 means no node thread is running.
+    static LINKS_ALIVE: AtomicUsize = AtomicUsize::new(0);
+
+    /// A transport that cannot open the links of `p1`.
+    struct Unroutable;
+
+    struct CountedLinks(ChannelLinks<EtobOmega>);
+
+    impl Drop for CountedLinks {
+        fn drop(&mut self) {
+            LINKS_ALIVE.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    impl Links<EtobOmega> for CountedLinks {
+        fn send(&mut self, to: ProcessId, msg: <EtobOmega as Algorithm>::Msg) -> u64 {
+            self.0.send(to, msg)
+        }
+        fn heartbeat(&mut self, to: ProcessId, msg: HeartbeatMsg) {
+            self.0.heartbeat(to, msg);
+        }
+        fn output(&mut self, output: DeliveryDelta) {
+            self.0.output(output);
+        }
+        fn goodbye(&mut self) {
+            self.0.goodbye();
+        }
+    }
+
+    impl Transport<EtobOmega> for Unroutable {
+        type Links = CountedLinks;
+
+        fn bind(_hub: &Arc<Hub<EtobOmega>>) -> io::Result<Self> {
+            Ok(Unroutable)
+        }
+
+        fn open(&mut self, p: ProcessId, hub: &Arc<Hub<EtobOmega>>) -> io::Result<CountedLinks> {
+            if p.index() == 1 {
+                return Err(io::Error::other("no route to p1"));
+            }
+            LINKS_ALIVE.fetch_add(1, Ordering::SeqCst);
+            ChannelTransport.open(p, hub).map(CountedLinks)
         }
     }
 
     #[test]
-    fn ticks_keep_their_period_under_sustained_input_load() {
-        // 1000 op/s for a second at the default 5 ms tick: every inbox sees
-        // an event far more often than once per tick, which is exactly when
-        // a loop that fires on receive *timeouts* stops firing (< 0.2 of
-        // the nominal rate before the pacer; the 0.6 floor leaves a busy CI
-        // box its slack)
-        let n = 3;
-        let config = RuntimeConfig::default();
-        let runtime = Runtime::spawn(n, config, |p| EtobOmega::new(p, EtobConfig::default()));
-        let started = Instant::now();
-        let mut sent = 0u64;
-        while started.elapsed() < Duration::from_secs(1) {
-            let due = started.elapsed().as_millis() as u64;
-            while sent < due {
-                let origin = ProcessId::new((sent % 3) as usize);
-                runtime.submit(origin, EtobBroadcast::new(origin, sent + 1, vec![0u8; 8]));
-                sent += 1;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(sent >= 800, "the generator itself fell behind: {sent}");
-        let fires_per_node = runtime.metrics().timer_fires as f64 / n as f64;
-        let nominal = runtime.elapsed_ms() as f64 / config.tick.as_millis() as f64;
-        runtime.shutdown();
-        assert!(
-            fires_per_node >= 0.6 * nominal,
-            "{fires_per_node} fires per node, {nominal} ticks elapsed"
+    fn a_transport_that_fails_to_open_fails_the_launch_and_leaves_no_thread() {
+        let launched = Runtime::<EtobOmega, Unroutable>::launch(
+            3,
+            config(),
+            |_| {},
+            |p| EtobOmega::new(p, EtobConfig::default()),
+            |leader, _n| leader,
         );
-        assert!(fires_per_node <= nominal + 1.0, "ticks replayed in a burst");
+        let err = launched.expect_err("p1 has no links");
+        assert_eq!(err.to_string(), "no route to p1");
+        // p0 was running by then; the failed launch stopped and joined it
+        assert_eq!(LINKS_ALIVE.load(Ordering::SeqCst), 0);
     }
 
     #[test]
     #[should_panic(expected = "at least two")]
     fn runtime_requires_two_processes() {
-        let _ = Runtime::spawn(1, config(), |p| EtobOmega::new(p, EtobConfig::default()));
+        let _ = launch_etob(1, EtobConfig::default());
     }
 }

@@ -18,8 +18,8 @@
 //! * [`replication`] — the service layer: the `Cluster`/`Session` facade
 //!   deploying replicated state machines at a chosen consistency level on a
 //!   chosen execution engine, plus sharding for horizontal scale.
-//! * [`runtime`] — a thread-per-process real-time runtime running the same
-//!   algorithms over OS channels (the `ThreadEngine` of the facade).
+//! * [`runtime`] — the real-time runtime: the same algorithms as OS threads,
+//!   one node loop over channels (`ThreadEngine`) or TCP (`NetEngine`).
 //! * [`chaos`] — the adversarial-testing subsystem: a fault-injection
 //!   nemesis (partitions, lossy/duplicating links, crash–recovery, Ω lies),
 //!   a seeded randomized scenario explorer with a greedy shrinker, and
@@ -36,7 +36,7 @@
 //! replicated (any deterministic state machine), *how strongly*
 //! (`Consistency::Eventual` = Algorithm 5 over Ω; `Consistency::Strong` =
 //! the Ω + Σ quorum sequencer), and *where* it runs (`SimEngine` for
-//! deterministic simulation, `ThreadEngine` for real OS threads):
+//! deterministic simulation, `ThreadEngine`/`NetEngine` for real OS threads):
 //!
 //! ```
 //! use eventual_consistency::replication::{

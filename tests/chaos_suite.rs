@@ -11,10 +11,10 @@
 
 use eventual_consistency::chaos::shrink::shrink;
 use eventual_consistency::chaos::{
-    check_outcome, run_net_smoke, run_scenario, run_thread_smoke, write_flight_artifact, ClientOp,
-    MergingKv, NemesisOp, Scenario, ScenarioGen, WorkloadOp,
+    check_outcome, run_realtime_smoke, run_scenario, write_flight_artifact, ClientOp, MergingKv,
+    NemesisOp, Scenario, ScenarioGen, WorkloadOp,
 };
-use eventual_consistency::replication::{Consistency, KvStore, NetEngine, ThreadEngine};
+use eventual_consistency::replication::{Consistency, Engine, KvStore, NetEngine, ThreadEngine};
 use eventual_consistency::sim::{LinkScope, ProcessId, RecoveryPolicy};
 
 /// One fixed seed = the whole suite. Bump deliberately, never accidentally.
@@ -208,7 +208,7 @@ fn thread_engine_smoke_subset_converges() {
             },
         })
         .collect();
-    let report = run_thread_smoke::<KvStore>(&s, &ThreadEngine::new());
+    let report = run_realtime_smoke::<KvStore, _>(&s, &ThreadEngine::new());
     let shard = &report.shards[0];
     // the two surviving replicas (the crashed one is excluded from the
     // convergence comparison) agree byte for byte
@@ -220,13 +220,12 @@ fn thread_engine_smoke_subset_converges() {
     assert!(shard.applied[0] >= 4, "all four writes must be applied");
 }
 
-#[test]
-fn net_engine_smoke_kills_and_restarts_real_nodes() {
-    // the socket engine gets the harder variant: a real TCP node is killed
-    // mid-workload and a *fresh incarnation* is started behind the same
-    // address. It comes back empty, so the run only converges if the
-    // broadcast layer's anti-entropy actually re-fills it over the wire.
-    let mut s = Scenario::quiet("net-smoke", 3, Consistency::Eventual);
+/// The harder smoke, run on both real-time engines: a replica is killed
+/// mid-workload and a *fresh incarnation* is started in its place. It comes
+/// back empty, so the run only converges if the broadcast layer's
+/// anti-entropy actually re-fills it.
+fn kill_and_restart_smoke<E: Engine>(name: &str, engine: &E) {
+    let mut s = Scenario::quiet(name, 3, Consistency::Eventual);
     s.fault_horizon = 200;
     s.settle = 800; // wall-clock paced: 1 ms per tick
     s.nemesis.push(NemesisOp::CrashRecover {
@@ -244,19 +243,32 @@ fn net_engine_smoke_kills_and_restarts_real_nodes() {
             },
         })
         .collect();
-    let report = run_net_smoke::<KvStore>(&s, &NetEngine::default());
+    let report = run_realtime_smoke::<KvStore, _>(&s, engine);
     let shard = &report.shards[0];
     // all three replicas — including the restarted incarnation — agree
-    assert!(shard.is_converged(), "net smoke did not converge: {report}");
+    assert!(shard.is_converged(), "{name} did not converge: {report}");
     assert!(
         shard.snapshots_agree(),
-        "restarted node did not catch up: {report}"
+        "restarted replica did not catch up: {report}"
     );
     assert!(shard.applied[0] >= 5, "all five writes must be applied");
     assert!(
         shard.applied[2] >= 5,
-        "the restarted node must replay the full history: {report}"
+        "the restarted replica must replay the full history: {report}"
     );
+}
+
+#[test]
+fn thread_engine_smoke_kills_and_restarts_a_replica() {
+    // a fresh incarnation behind the same inbox, no codec or socket involved
+    kill_and_restart_smoke("thread-restart-smoke", &ThreadEngine::new());
+}
+
+#[test]
+fn net_engine_smoke_kills_and_restarts_real_nodes() {
+    // a real TCP node, restarted behind the same address and re-filled
+    // over the wire
+    kill_and_restart_smoke("net-smoke", &NetEngine::default());
 }
 
 #[test]
