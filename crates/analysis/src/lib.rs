@@ -8,10 +8,10 @@
 //! * **panic-safety** — code reachable from `on_message`/decode/digest paths
 //!   must return typed errors instead of panicking on peer input;
 //! * **lock-discipline** — thread-spawning crates (the runtime engine, the
-//!   replication worker pool) must not nest locks, or block on a channel
-//!   send or a thread join while a guard is live;
+//!   socket net engine) must not nest locks, or block on a channel send or
+//!   a thread join while a guard is live;
 //! * **wire-hygiene** — every `*Msg` variant must be matched by name in its
-//!   handler and accounted in `wire_bytes`/`wire_size`.
+//!   handler.
 //!
 //! Deliberate exceptions are documented inline with
 //! `// analysis:allow(<rule>, reason = "…")`; the directive must carry a

@@ -21,11 +21,10 @@
 //! `ec-runtime` is the real-time runtime of both real-time engines: wall
 //! clock and OS scheduling are its whole point, so determinism rules would be
 //! noise there — but its node loop takes every peer message of a deployment,
-//! so nothing reachable from it may panic. Since the
-//! throughput engine landed, `ec-replication` also spawns OS threads (the
-//! worker-pool shard stepper and the socket-backed net engine), so it carries
-//! lock-discipline on top of the strict deterministic row. Vendored stubs
-//! under `vendor/` are not walked.
+//! so nothing reachable from it may panic. `ec-replication` also spawns OS
+//! threads (the socket-backed net engine's accept, reader and writer
+//! threads), so it carries lock-discipline on top of the strict
+//! deterministic row. Vendored stubs under `vendor/` are not walked.
 
 use crate::model::FileModel;
 use crate::report::{Finding, Report};
@@ -52,9 +51,8 @@ pub fn crate_policy(dir_name: &str) -> Option<RuleSet> {
         "core" | "sim" | "detectors" | "cht" | "storage" | "telemetry" | "chaos" => {
             Some(deterministic)
         }
-        // `replication` spawns OS threads (worker-pool shard stepping, the
-        // socket net engine), so it gets lock-discipline on top of the
-        // strict deterministic row.
+        // `replication` spawns OS threads (the socket net engine), so it
+        // gets lock-discipline on top of the strict deterministic row.
         "replication" => Some(RuleSet {
             lock_discipline: true,
             ..deterministic
@@ -189,7 +187,7 @@ mod tests {
             assert!(!p.lock_discipline);
         }
         // replication is strict *plus* lock-discipline: it spawns the
-        // worker-pool stepper and the socket net engine threads
+        // socket net engine threads
         let rep = crate_policy("replication").expect("replication has a policy");
         assert!(rep.determinism && rep.panic_safety && rep.wire_hygiene);
         assert!(rep.lock_discipline);

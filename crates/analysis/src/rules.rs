@@ -34,10 +34,6 @@ pub mod rule_ids {
     pub const JOIN_UNDER_LOCK: &str = "lock-discipline::join-under-lock";
     /// A `*Msg` variant never matched by name in a same-file `on_message`.
     pub const UNHANDLED_VARIANT: &str = "wire-hygiene::unhandled-variant";
-    /// A `*Msg` variant never matched by name in `wire_bytes`/`wire_size`.
-    pub const UNACCOUNTED_VARIANT: &str = "wire-hygiene::unaccounted-variant";
-    /// A `*Msg` enum whose file defines no `wire_bytes`/`wire_size` at all.
-    pub const NO_WIRE_SIZE: &str = "wire-hygiene::no-wire-size";
     /// An `analysis:allow` directive that does not parse or lacks a reason.
     pub const MALFORMED_ALLOW: &str = "meta::malformed-allow";
     /// An `analysis:allow` directive that matched no finding.
@@ -53,7 +49,7 @@ pub struct RuleSet {
     pub panic_safety: bool,
     /// Flag nested locks, channel sends and thread joins under a live guard.
     pub lock_discipline: bool,
-    /// Require `*Msg` variants to be handled and wire-accounted by name.
+    /// Require `*Msg` variants to be handled by name.
     pub wire_hygiene: bool,
 }
 
@@ -309,7 +305,7 @@ fn scan_fn_for_panics(file: &SourceFile, def: &FnDef, out: &mut Vec<Finding>) {
 
 /// Flags, per function, a second `.lock()` taken while a guard is live (or in
 /// the same statement), plus a `.send(` or a `.join(` under the same
-/// conditions. Joins matter for the worker-pool engines: blocking on a thread
+/// conditions. Joins matter for the thread-spawning engines: blocking on a thread
 /// handle while holding a shared-state guard deadlocks as soon as the joined
 /// thread needs that same lock to make progress.
 ///
@@ -457,52 +453,21 @@ fn is_drop_stmt(toks: &[Tok], start: usize, semi: usize) -> bool {
 // ---------------------------------------------------------------------------
 
 /// For every `*Msg` enum declared in the file: each variant must appear as
-/// `Enum::Variant` inside a same-file `on_message` body, and inside a
-/// same-file `wire_bytes`/`wire_size` body (if none exists, the enum itself
-/// is flagged once).
+/// `Enum::Variant` inside a same-file `on_message` body.
 fn wire_hygiene(file: &SourceFile, out: &mut Vec<Finding>) {
     for e in &file.model.enums {
-        let handlers: Vec<&FnDef> = file.model.fns_named("on_message").collect();
-        let wire_fns: Vec<&FnDef> = file
-            .model
-            .functions
-            .iter()
-            .filter(|f| f.name == "wire_bytes" || f.name == "wire_size")
-            .collect();
-        if wire_fns.is_empty() {
-            out.push(finding(
-                rule_ids::NO_WIRE_SIZE,
-                file,
-                e.line,
-                format!(
-                    "enum `{}` has no same-file wire_bytes/wire_size accounting its variants",
-                    e.name
-                ),
-            ));
-        }
         for (variant, vline) in &e.variants {
-            let matched_in = |fns: &[&FnDef]| {
-                fns.iter()
-                    .any(|f| has_path_seq(&file.model.tokens, f.body, &e.name, variant))
-            };
-            if !matched_in(&handlers) {
+            let handled = file
+                .model
+                .fns_named("on_message")
+                .any(|f| has_path_seq(&file.model.tokens, f.body, &e.name, variant));
+            if !handled {
                 out.push(finding(
                     rule_ids::UNHANDLED_VARIANT,
                     file,
                     *vline,
                     format!(
                         "variant `{}::{}` is never matched by name in a same-file on_message",
-                        e.name, variant
-                    ),
-                ));
-            }
-            if !wire_fns.is_empty() && !matched_in(&wire_fns) {
-                out.push(finding(
-                    rule_ids::UNACCOUNTED_VARIANT,
-                    file,
-                    *vline,
-                    format!(
-                        "variant `{}::{}` is never matched by name in wire_bytes/wire_size",
                         e.name, variant
                     ),
                 ));
@@ -810,11 +775,10 @@ mod tests {
     }
 
     #[test]
-    fn wire_hygiene_requires_handler_and_wire_accounting() {
+    fn wire_hygiene_requires_a_handler() {
         let f = file(
             "pub enum FooMsg { Ping, Data(u8) }\n\
              fn on_message(m: FooMsg) { match m { FooMsg::Ping => {} FooMsg::Data(_) => {} } }\n\
-             fn wire_bytes(m: &FooMsg) -> usize { match m { FooMsg::Ping => 1, FooMsg::Data(_) => 2 } }\n\
              pub enum BareMsg { Lost }\n",
         );
         let found = run(
@@ -824,12 +788,8 @@ mod tests {
                 ..RuleSet::none()
             },
         );
-        // FooMsg is fully clean; BareMsg::Lost appears in neither the
-        // handler nor the (existing) wire fn.
-        assert_eq!(
-            rules_of(&found),
-            vec![rule_ids::UNHANDLED_VARIANT, rule_ids::UNACCOUNTED_VARIANT]
-        );
+        // FooMsg is fully clean; BareMsg::Lost appears in no handler.
+        assert_eq!(rules_of(&found), vec![rule_ids::UNHANDLED_VARIANT]);
     }
 
     #[test]

@@ -51,8 +51,8 @@ fn fixture_corpus_pins_every_rule_family() {
         ("panic_safety.rs", 16, rule_ids::INDEX, true),
         ("panic_safety_loop.rs", 4, rule_ids::INDEX, false),
         ("panic_safety_loop.rs", 9, rule_ids::EXPECT, true),
-        ("wire_hygiene.rs", 6, rule_ids::UNACCOUNTED_VARIANT, false),
-        ("wire_no_size.rs", 4, rule_ids::NO_WIRE_SIZE, true),
+        ("wire_hygiene.rs", 6, rule_ids::UNHANDLED_VARIANT, false),
+        ("wire_hygiene.rs", 8, rule_ids::UNHANDLED_VARIANT, true),
     ];
     assert_eq!(got, expected);
 }

@@ -1,5 +1,5 @@
 //! The benchmark harness: one Criterion group per experiment of
-//! `EXPERIMENTS.md` (E1–E11 plus the ablations A1–A2).
+//! `EXPERIMENTS.md` (E1–E13 plus the ablations A1–A2).
 //!
 //! Besides the timing samples collected by Criterion, every experiment prints
 //! the table rows / series described in EXPERIMENTS.md (hop counts,

@@ -51,7 +51,7 @@ pub struct CompactionPoint {
     /// Rolling FNV-1a hash over the full delivered sequence at process 0 —
     /// identical across modes, which is the equal-correctness anchor.
     pub delivered_hash: u64,
-    /// Modeled wire bytes handed to the network over the whole run.
+    /// Encoded wire bytes handed to the network over the whole run.
     pub bytes_sent: u64,
     /// Wall-clock microseconds of the run (host-dependent; not part of the
     /// deterministic JSON artifact).
@@ -68,7 +68,7 @@ fn resident(automaton: &EtobOmega) -> usize {
 type InFlight = (u64, ProcessId, EtobMsg);
 
 /// The lock-step network: one FIFO inbox per destination (uniform delay
-/// keeps each queue sorted by arrival tick) plus the modeled wire-byte
+/// keeps each queue sorted by arrival tick) plus the encoded wire-byte
 /// tally.
 struct Net {
     inbox: Vec<VecDeque<InFlight>>,
@@ -97,7 +97,7 @@ fn drive(
         f(alg, &mut ctx);
     }
     for (to, msg) in actions.sends {
-        net.bytes_sent += msg.wire_bytes();
+        net.bytes_sent += EtobOmega::wire_size(&msg);
         net.inbox[to.index()].push_back((now + DELAY, p, msg));
     }
     for delay in actions.timers {
@@ -227,7 +227,7 @@ pub const E13_CHUNK: u64 = 64;
 /// that are sent anyway; what is left is the quiet-link beacons.
 pub const E13_OVERHEAD_BUDGET_PCT: f64 = 10.0;
 
-/// What compaction costs on the wire: modeled bytes sent with compaction on
+/// What compaction costs on the wire: encoded bytes sent with compaction on
 /// over bytes sent with it off, minus one, in percent.
 pub fn overhead_pct(off: &CompactionPoint, on: &CompactionPoint) -> f64 {
     (on.bytes_sent as f64 / off.bytes_sent.max(1) as f64 - 1.0) * 100.0

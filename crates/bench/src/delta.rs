@@ -26,7 +26,7 @@ pub struct DeltaPoint {
     pub history: usize,
     /// `true` for the delta wire format, `false` for full-graph.
     pub delta: bool,
-    /// Modeled wire bytes handed to the network over the whole run.
+    /// Encoded wire bytes handed to the network over the whole run.
     pub bytes_sent: u64,
     /// Messages handed to the network over the whole run.
     pub messages_sent: u64,

@@ -8,14 +8,10 @@
 //! [`compaction`] module is the driver of experiment E13 (resident graph
 //! size with stable-prefix compaction on vs off), shared between the
 //! Criterion bench and the `e13_compaction` binary that writes
-//! `BENCH_compaction.json`; the [`throughput`] module is the driver of
-//! experiment E14 (aggregate op/s over a shards × parallelism grid), shared
-//! between the Criterion bench and the `e14_throughput` binary that writes
-//! `BENCH_throughput.json`.
+//! `BENCH_compaction.json`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod compaction;
 pub mod delta;
-pub mod throughput;

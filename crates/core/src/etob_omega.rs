@@ -122,8 +122,6 @@ pub struct CausalGraph {
     /// order and entries are dropped when their last edge retires, so two
     /// graphs built from the same messages compare equal field-by-field.
     preds: BTreeMap<MsgId, crate::inline::InlineVec<MsgId, 4>>,
-    /// Number of edges across all predecessor lists (wire accounting).
-    edge_count: usize,
     /// Exact digest of every identifier ever added — resident *and*
     /// compacted — maintained incrementally and never shrunk.
     digest: VersionVector,
@@ -144,7 +142,6 @@ impl CausalGraph {
         CausalGraph {
             nodes: BTreeMap::new(),
             preds: BTreeMap::new(),
-            edge_count: 0,
             digest: frontier.clone(),
             compacted: frontier,
         }
@@ -155,7 +152,6 @@ impl CausalGraph {
         let list = self.preds.entry(after).or_default();
         if !list.contains(&before) {
             list.push(before);
-            self.edge_count += 1;
         }
     }
 
@@ -199,7 +195,6 @@ impl CausalGraph {
     pub fn retire<I: IntoIterator<Item = MsgId>>(&mut self, ids: I) {
         let mut retired: Vec<MsgId> = ids.into_iter().collect();
         retired.sort_unstable();
-        let mut dropped = 0usize;
         for id in &retired {
             self.compacted.insert(*id);
             // A delivered entry adopted through a promote delta may never
@@ -207,22 +202,17 @@ impl CausalGraph {
             // digest so peers' frontiers covering it stay covered by ours.
             self.digest.insert(*id);
             self.nodes.remove(id);
-            if let Some(list) = self.preds.remove(id) {
-                dropped += list.len();
-            }
+            self.preds.remove(id);
         }
         // Only the lists that name a retired predecessor are rebuilt; the
         // fold is small next to the resident graph.
         let is_retired = |id: &MsgId| retired.binary_search(id).is_ok();
         self.preds.retain(|_, list| {
             if list.iter().any(is_retired) {
-                let before_len = list.len();
                 *list = list.iter().copied().filter(|b| !is_retired(b)).collect();
-                dropped += before_len - list.len();
             }
             !list.is_empty()
         });
-        self.edge_count -= dropped;
     }
 
     /// The identifiers retired by compaction.
@@ -253,14 +243,6 @@ impl CausalGraph {
     /// The node with identifier `id`, if known.
     pub fn get(&self, id: MsgId) -> Option<&AppMessage> {
         self.nodes.get(&id)
-    }
-
-    /// The modeled wire size of the full graph in bytes (nodes plus 32 bytes
-    /// per explicit edge) — what a paper-literal `update(CG_i)` costs.
-    pub fn wire_bytes(&self) -> u64 {
-        8 + self.nodes.values().map(AppMessage::wire_bytes).sum::<u64>()
-            + 8
-            + 32 * self.edge_count as u64
     }
 
     /// Number of *resident* messages (compacted history excluded) — the
@@ -365,33 +347,6 @@ pub enum EtobMsg {
     /// followed a different leader, missed a promote, or the leader
     /// restarted) and asks for a full [`EtobMsg::Promote`] resend.
     PromoteRequest,
-}
-
-impl EtobMsg {
-    /// The modeled wire size of the message in bytes (1 tag byte plus the
-    /// variant contents; see [`AppMessage::wire_bytes`] for the model).
-    pub fn wire_bytes(&self) -> u64 {
-        let body = match self {
-            EtobMsg::Update(graph) => graph.wire_bytes(),
-            EtobMsg::Delta {
-                nodes, frontier, ..
-            } => {
-                8 + nodes.iter().map(AppMessage::wire_bytes).sum::<u64>()
-                    + frontier.wire_bytes()
-                    + 8
-                    + 8
-            }
-            EtobMsg::SyncRequest { digest } => digest.wire_bytes(),
-            EtobMsg::Promote(sequence) => {
-                8 + sequence.iter().map(AppMessage::wire_bytes).sum::<u64>()
-            }
-            EtobMsg::PromoteDelta { suffix, .. } => {
-                8 + 8 + 8 + suffix.iter().map(AppMessage::wire_bytes).sum::<u64>()
-            }
-            EtobMsg::PromoteRequest => 0,
-        };
-        1 + body
-    }
 }
 
 /// Configuration of [`EtobOmega`].
@@ -1519,7 +1474,7 @@ impl Algorithm for EtobOmega {
     }
 
     fn wire_size(msg: &EtobMsg) -> u64 {
-        msg.wire_bytes()
+        ec_storage::codec::encoded_len(msg)
     }
 }
 
@@ -2329,28 +2284,6 @@ mod tests {
             hashes[5],
             "compacted history survived"
         );
-    }
-
-    #[test]
-    fn wire_sizes_scale_with_content_not_history() {
-        let m = AppMessage::new(MsgId::new(ProcessId::new(0), 1), vec![0u8; 100]);
-        assert_eq!(m.wire_bytes(), 16 + 8 + 100 + 8);
-        let mut graph = CausalGraph::new();
-        graph.update(m.clone());
-        let beacon = EtobMsg::Delta {
-            nodes: Vec::new(),
-            frontier: graph.digest().clone(),
-            delivered: 0,
-            hash: FNV_OFFSET,
-        };
-        let full = EtobMsg::Update(graph.clone());
-        assert!(beacon.wire_bytes() < full.wire_bytes());
-        assert_eq!(EtobMsg::PromoteRequest.wire_bytes(), 1);
-        assert_eq!(
-            EtobMsg::Promote(vec![m.clone()]).wire_bytes(),
-            1 + 8 + m.wire_bytes()
-        );
-        assert_eq!(EtobOmega::wire_size(&full), full.wire_bytes());
     }
 
     #[test]

@@ -86,24 +86,6 @@ pub enum TobMsg {
     },
 }
 
-impl TobMsg {
-    /// The modeled wire size of the message in bytes (1 tag byte plus the
-    /// variant contents; see [`AppMessage::wire_bytes`] for the model).
-    pub fn wire_bytes(&self) -> u64 {
-        let body = match self {
-            TobMsg::Forward(message) => message.wire_bytes(),
-            TobMsg::Accept { message, .. } => 8 + message.wire_bytes(),
-            TobMsg::Ack { .. } => 8 + 16,
-            TobMsg::Heads { .. } => 16,
-            TobMsg::SyncRequest { .. } => 8,
-            TobMsg::SyncReply { suffix, .. } => {
-                16 + 8 + suffix.iter().map(AppMessage::wire_bytes).sum::<u64>()
-            }
-        };
-        1 + body
-    }
-}
-
 /// Configuration of [`ConsensusTob`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConsensusTobConfig {
@@ -514,7 +496,7 @@ impl Algorithm for ConsensusTob {
     }
 
     fn wire_size(msg: &TobMsg) -> u64 {
-        msg.wire_bytes()
+        ec_storage::codec::encoded_len(msg)
     }
 }
 

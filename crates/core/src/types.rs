@@ -99,16 +99,6 @@ impl AppMessage {
             deps: deps.into_iter().collect(),
         }
     }
-
-    /// The modeled wire size of the message in bytes: the identifier, a
-    /// length-prefixed payload, and the length-prefixed dependency list.
-    /// The sim and thread engines pass messages in memory and use this
-    /// accounting model for the byte metrics and experiment E12; the
-    /// socket engine serializes for real (`ec_replication::net::codec`)
-    /// and measures bytes from the actual frames instead.
-    pub fn wire_bytes(&self) -> u64 {
-        16 + 8 + self.payload.len() as u64 + 8 + 16 * self.deps.len() as u64
-    }
 }
 
 impl fmt::Debug for AppMessage {

@@ -264,18 +264,6 @@ impl VersionVector {
         }
         self.entries.entry(origin).or_default().merge(ranges);
     }
-
-    /// The modeled wire size of the digest in bytes: a length prefix plus,
-    /// per origin, the origin id, a run count, and 16 bytes per run. In the
-    /// common contiguous case this is ~24 bytes per origin, independent of
-    /// history length — the reason digest beacons are cheap.
-    pub fn wire_bytes(&self) -> u64 {
-        8 + self
-            .entries
-            .values()
-            .map(|r| 8 + 8 + 16 * r.runs().len() as u64)
-            .sum::<u64>()
-    }
 }
 
 impl fmt::Display for VersionVector {
@@ -468,12 +456,11 @@ mod tests {
         for seq in 1..=1_000u64 {
             v.insert(id(0, seq));
         }
-        let long = v.wire_bytes();
         let mut w = VersionVector::new();
         w.insert(id(0, 1));
         assert_eq!(
-            long,
-            w.wire_bytes(),
+            ec_storage::codec::encoded_len(&v),
+            ec_storage::codec::encoded_len(&w),
             "one run per origin, whatever its length"
         );
         assert!(format!("{v}").contains("1..1000"));

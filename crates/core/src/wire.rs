@@ -12,8 +12,8 @@
 //! [`WireCodec::encode`] are accepted.
 
 use ec_sim::ProcessId;
-use ec_storage::codec::{push_bytes, push_u32, push_u64, read_usize};
-use ec_storage::{DecodeError, Reader, WireCodec};
+use ec_storage::codec::{push_bytes, push_u32, push_u64, push_u8, read_usize};
+use ec_storage::{DecodeError, Reader, Sink, WireCodec};
 
 use crate::etob_omega::{CausalGraph, EtobMsg};
 use crate::tob_consensus::TobMsg;
@@ -26,7 +26,7 @@ pub const MSG_ID_BYTES: usize = 12;
 pub const APP_MESSAGE_BYTES: usize = MSG_ID_BYTES + 4 + 4;
 
 impl WireCodec for MsgId {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         push_u32(out, self.origin.index() as u32);
         push_u64(out, self.seq);
     }
@@ -39,7 +39,7 @@ impl WireCodec for MsgId {
 }
 
 impl WireCodec for AppMessage {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         self.id.encode(out);
         push_bytes(out, self.payload.as_ref());
         push_u32(out, self.deps.len() as u32);
@@ -65,7 +65,7 @@ impl WireCodec for AppMessage {
 }
 
 /// Encodes a count-prefixed message list.
-pub fn encode_messages(out: &mut Vec<u8>, messages: &[AppMessage]) {
+pub fn encode_messages<S: Sink>(out: &mut S, messages: &[AppMessage]) {
     push_u32(out, messages.len() as u32);
     for m in messages {
         m.encode(out);
@@ -83,7 +83,7 @@ pub fn decode_messages(r: &mut Reader<'_>) -> Result<Vec<AppMessage>, DecodeErro
 }
 
 impl WireCodec for SeqRanges {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         push_u32(out, self.runs().len() as u32);
         for &(lo, hi) in self.runs() {
             push_u64(out, lo);
@@ -106,7 +106,7 @@ impl WireCodec for SeqRanges {
 }
 
 impl WireCodec for VersionVector {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         push_u32(out, self.entries().count() as u32);
         for (origin, ranges) in self.entries() {
             push_u32(out, origin.index() as u32);
@@ -144,7 +144,7 @@ impl WireCodec for CausalGraph {
     // `{(dep, id)}` over the nodes' declared dependencies and the digest is
     // a pure function of the node identifiers, so the receiver rebuilds
     // both — cheaper than shipping them, and impossible to desynchronize.
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         push_u32(out, self.len() as u32);
         for m in self.messages() {
             m.encode(out);
@@ -167,10 +167,10 @@ impl WireCodec for CausalGraph {
 }
 
 impl WireCodec for EtobMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         match self {
             EtobMsg::Update(graph) => {
-                out.push(0);
+                push_u8(out, 0);
                 graph.encode(out);
             }
             EtobMsg::Delta {
@@ -179,18 +179,18 @@ impl WireCodec for EtobMsg {
                 delivered,
                 hash,
             } => {
-                out.push(1);
+                push_u8(out, 1);
                 encode_messages(out, nodes);
                 frontier.encode(out);
                 push_u64(out, *delivered);
                 push_u64(out, *hash);
             }
             EtobMsg::SyncRequest { digest } => {
-                out.push(2);
+                push_u8(out, 2);
                 digest.encode(out);
             }
             EtobMsg::Promote(sequence) => {
-                out.push(3);
+                push_u8(out, 3);
                 encode_messages(out, sequence);
             }
             EtobMsg::PromoteDelta {
@@ -198,12 +198,12 @@ impl WireCodec for EtobMsg {
                 prefix_hash,
                 suffix,
             } => {
-                out.push(4);
+                push_u8(out, 4);
                 push_u64(out, *base as u64);
                 push_u64(out, *prefix_hash);
                 encode_messages(out, suffix);
             }
-            EtobMsg::PromoteRequest => out.push(5),
+            EtobMsg::PromoteRequest => push_u8(out, 5),
         }
     }
 
@@ -235,19 +235,19 @@ impl WireCodec for EtobMsg {
 }
 
 impl WireCodec for TobMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         match self {
             TobMsg::Forward(message) => {
-                out.push(0);
+                push_u8(out, 0);
                 message.encode(out);
             }
             TobMsg::Accept { slot, message } => {
-                out.push(1);
+                push_u8(out, 1);
                 push_u64(out, *slot);
                 message.encode(out);
             }
             TobMsg::Ack { slot, id } => {
-                out.push(2);
+                push_u8(out, 2);
                 push_u64(out, *slot);
                 id.encode(out);
             }
@@ -255,12 +255,12 @@ impl WireCodec for TobMsg {
                 next_slot,
                 delivered,
             } => {
-                out.push(3);
+                push_u8(out, 3);
                 push_u64(out, *next_slot);
                 push_u64(out, *delivered);
             }
             TobMsg::SyncRequest { have } => {
-                out.push(4);
+                push_u8(out, 4);
                 push_u64(out, *have);
             }
             TobMsg::SyncReply {
@@ -268,7 +268,7 @@ impl WireCodec for TobMsg {
                 next_deliver_slot,
                 suffix,
             } => {
-                out.push(5);
+                push_u8(out, 5);
                 push_u64(out, *have);
                 push_u64(out, *next_deliver_slot);
                 encode_messages(out, suffix);

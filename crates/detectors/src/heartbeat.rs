@@ -18,16 +18,15 @@ use ec_sim::{Algorithm, Context, ProcessId};
 
 /// Messages exchanged by [`HeartbeatOmega`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-// analysis:allow(wire-hygiene::no-wire-size, reason = "heartbeats carry no payload and are deliberately outside the delta wire-size model; experiment A1 counts them as messages, not bytes")
 pub enum HeartbeatMsg {
     /// "I am alive" — broadcast every period.
     Heartbeat,
 }
 
 impl ec_storage::WireCodec for HeartbeatMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: ec_storage::Sink>(&self, out: &mut S) {
         match self {
-            HeartbeatMsg::Heartbeat => out.push(0),
+            HeartbeatMsg::Heartbeat => ec_storage::codec::push_u8(out, 0),
         }
     }
 

@@ -565,7 +565,7 @@ pub struct ShardReport {
     pub divergences: usize,
     /// Messages sent inside the group.
     pub messages_sent: u64,
-    /// Modeled wire bytes sent inside the group (see
+    /// Encoded wire bytes sent inside the group (see
     /// `ec_sim::Metrics::bytes_sent`) — the quantity the delta wire format
     /// (experiment E12) shrinks.
     pub bytes_sent: u64,

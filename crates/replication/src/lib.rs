@@ -73,7 +73,7 @@ pub use engine::{
 pub use replica::{Replica, ReplicaCommand, ReplicaOutput};
 pub use session::Session;
 pub use shard::{
-    shard_of, HashRouter, Parallelism, Router, ShardConfig, ShardedCluster, ShardedClusterBuilder,
-    ShardedKv, ShardedKvBuilder,
+    shard_of, HashRouter, Router, ShardConfig, ShardedCluster, ShardedClusterBuilder, ShardedKv,
+    ShardedKvBuilder,
 };
 pub use state_machine::{Counter, KvStore, Register, StateMachine};

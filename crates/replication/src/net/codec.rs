@@ -31,7 +31,7 @@ use ec_core::wire::MSG_ID_BYTES;
 use ec_detectors::HeartbeatMsg;
 use ec_sim::ProcessId;
 
-use ec_storage::codec::{push_bytes, push_u32, push_u64, read_usize};
+use ec_storage::codec::{push_bytes, push_u32, push_u64, push_u8, read_usize, Sink};
 pub use ec_storage::codec::{DecodeError, Reader, WireCodec};
 
 use crate::replica::{ReplicaCommand, ReplicaOutput};
@@ -53,16 +53,16 @@ pub const DRIVER: u32 = u32::MAX;
 pub const SCRAPER: u32 = u32::MAX - 1;
 
 impl WireCodec for ReplicaCommand {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         push_bytes(out, self.command.as_ref());
         push_u32(out, self.deps.len() as u32);
         for dep in &self.deps {
             dep.encode(out);
         }
         match self.id {
-            None => out.push(0),
+            None => push_u8(out, 0),
             Some(id) => {
-                out.push(1);
+                push_u8(out, 1);
                 id.encode(out);
             }
         }
@@ -90,7 +90,7 @@ impl WireCodec for ReplicaCommand {
 }
 
 impl WireCodec for ReplicaOutput {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         push_u64(out, self.applied as u64);
         push_bytes(out, &self.snapshot);
     }
@@ -154,35 +154,35 @@ pub enum Frame<M> {
 }
 
 impl<M: WireCodec> WireCodec for Frame<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         match self {
             Frame::Hello { from } => {
-                out.push(0);
+                push_u8(out, 0);
                 push_u32(out, *from);
             }
             Frame::App { from, msg } => {
-                out.push(1);
+                push_u8(out, 1);
                 push_u32(out, from.index() as u32);
                 msg.encode(out);
             }
             Frame::Heartbeat { from, msg } => {
-                out.push(2);
+                push_u8(out, 2);
                 push_u32(out, from.index() as u32);
                 msg.encode(out);
             }
             Frame::Input(command) => {
-                out.push(3);
+                push_u8(out, 3);
                 command.encode(out);
             }
             Frame::Output(output) => {
-                out.push(4);
+                push_u8(out, 4);
                 output.encode(out);
             }
-            Frame::Crash => out.push(5),
-            Frame::Shutdown => out.push(6),
-            Frame::StatsRequest => out.push(7),
+            Frame::Crash => push_u8(out, 5),
+            Frame::Shutdown => push_u8(out, 6),
+            Frame::StatsRequest => push_u8(out, 7),
             Frame::StatsText(text) => {
-                out.push(8);
+                push_u8(out, 8);
                 push_bytes(out, text);
             }
         }

@@ -26,7 +26,6 @@
 //! message (experiment E11).
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use ec_core::etob_omega::EtobConfig;
 use ec_core::workload::{KvOp, KvWorkload};
@@ -82,37 +81,6 @@ impl Router for HashRouter {
     }
 }
 
-/// Execution mode of a [`ShardedCluster`]: how many OS threads step the
-/// shard worlds.
-///
-/// Shards are fully independent replica groups — they share no state, no
-/// network and no randomness (shard `s` runs on `seed + s`) — so stepping
-/// them on worker threads cannot change what any shard computes, only *when*
-/// it is computed. Reports, snapshots and merged telemetry are aggregated on
-/// the caller's thread in shard-index order, so every observable artifact is
-/// byte-identical to [`Parallelism::Sequential`] (pinned by the conformance
-/// test in `tests/sharding.rs`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Parallelism {
-    /// Step every shard on the calling thread (the reference mode).
-    #[default]
-    Sequential,
-    /// Step shards on up to this many scoped worker threads, shards
-    /// assigned round-robin. A count of 0 or 1 behaves like
-    /// [`Parallelism::Sequential`].
-    Workers(usize),
-}
-
-impl Parallelism {
-    /// Number of worker threads to actually spawn for `shards` shards.
-    fn workers_for(self, shards: usize) -> usize {
-        match self {
-            Parallelism::Sequential => 1,
-            Parallelism::Workers(w) => w.clamp(1, shards.max(1)),
-        }
-    }
-}
-
 /// Configuration of a [`ShardedCluster`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardConfig {
@@ -153,7 +121,6 @@ pub struct ShardedClusterBuilder<S, R = HashRouter> {
     consistency: Consistency,
     router: R,
     shard_networks: Vec<Option<NetworkModel>>,
-    parallelism: Parallelism,
     _state: std::marker::PhantomData<fn() -> S>,
 }
 
@@ -181,7 +148,6 @@ impl<S: StateMachine + Send + 'static> ShardedClusterBuilder<S> {
             consistency: Consistency::Eventual,
             router: HashRouter,
             shard_networks,
-            parallelism: Parallelism::Sequential,
             _state: std::marker::PhantomData,
         }
     }
@@ -195,19 +161,8 @@ impl<S: StateMachine + Send + 'static, R: Router> ShardedClusterBuilder<S, R> {
             consistency: self.consistency,
             router,
             shard_networks: self.shard_networks,
-            parallelism: self.parallelism,
             _state: std::marker::PhantomData,
         }
-    }
-
-    /// Sets the execution mode: how many worker threads step the shard
-    /// worlds in [`ShardedCluster::run_until`] /
-    /// [`ShardedCluster::run_until_applied`] / [`ShardedCluster::finish`].
-    /// Sequential by default. Parallel stepping never changes results —
-    /// see [`Parallelism`].
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
     }
 
     /// Sets the consistency level of every shard (eventual by default).
@@ -270,7 +225,6 @@ impl<S: StateMachine + Send + 'static, R: Router> ShardedClusterBuilder<S, R> {
             config,
             consistency,
             router,
-            parallelism,
             ..
         } = self;
         let clusters = (0..config.shards)
@@ -286,7 +240,6 @@ impl<S: StateMachine + Send + 'static, R: Router> ShardedClusterBuilder<S, R> {
             config,
             router,
             clusters,
-            parallelism,
         }
     }
 }
@@ -321,8 +274,6 @@ where
     /// Round-robin entry replica per shard (simulating clients contacting
     /// different front-end replicas).
     next_entry: Vec<usize>,
-    /// Execution mode for `run_until` / `run_until_applied` / `finish`.
-    parallelism: Parallelism,
 }
 
 /// The sharded eventually consistent key–value service: the
@@ -398,38 +349,12 @@ where
         shard
     }
 
-    /// Runs `step` over every shard, on the calling thread in sequential
-    /// mode or on scoped worker threads (shards assigned round-robin)
-    /// otherwise. Shards share nothing, so the schedule cannot change what
-    /// any shard computes; a worker panic propagates to the caller.
-    fn step_shards(&mut self, step: impl Fn(&mut Cluster<S>) + Sync) {
-        let workers = self.parallelism.workers_for(self.clusters.len());
-        if workers <= 1 {
-            for cluster in &mut self.clusters {
-                step(cluster);
-            }
-            return;
-        }
-        let mut buckets: Vec<Vec<&mut Cluster<S>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (s, cluster) in self.clusters.iter_mut().enumerate() {
-            buckets[s % workers].push(cluster);
-        }
-        let step = &step;
-        std::thread::scope(|scope| {
-            for bucket in buckets {
-                scope.spawn(move || {
-                    for cluster in bucket {
-                        step(cluster);
-                    }
-                });
-            }
-        });
-    }
-
     /// Advances every shard to time `t` (shards are independent, so this is
-    /// a per-shard run — concurrent under [`Parallelism::Workers`]).
+    /// a per-shard run).
     pub fn run_until(&mut self, t: u64) {
-        self.step_shards(|cluster| cluster.run_until(t));
+        for cluster in &mut self.clusters {
+            cluster.run_until(t);
+        }
     }
 
     /// Advances every shard in small time steps until each correct replica
@@ -448,33 +373,11 @@ where
             self.clusters.len(),
             "one applied-target per shard"
         );
-        let workers = self.parallelism.workers_for(self.clusters.len());
-        if workers <= 1 {
-            let mut all = true;
-            for (s, cluster) in self.clusters.iter_mut().enumerate() {
-                all &= cluster.run_until_applied(targets[s], max_t);
-            }
-            return all;
+        let mut all = true;
+        for (cluster, &target) in self.clusters.iter_mut().zip(targets) {
+            all &= cluster.run_until_applied(target, max_t);
         }
-        let reached = AtomicBool::new(true);
-        let mut buckets: Vec<Vec<(usize, &mut Cluster<S>)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (s, cluster) in self.clusters.iter_mut().enumerate() {
-            buckets[s % workers].push((s, cluster));
-        }
-        let reached_ref = &reached;
-        std::thread::scope(|scope| {
-            for bucket in buckets {
-                scope.spawn(move || {
-                    for (s, cluster) in bucket {
-                        if !cluster.run_until_applied(targets[s], max_t) {
-                            reached_ref.store(false, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        reached.load(Ordering::Relaxed)
+        all
     }
 
     /// Per-replica applied-command counts of one shard.
@@ -499,47 +402,9 @@ where
     }
 
     /// Stops every shard and aggregates the final per-shard reports (joins
-    /// replica threads on thread engines). Under [`Parallelism::Workers`]
-    /// the shards finish on worker threads, but reports are reassembled
-    /// into shard-index order before aggregation, so the result is
-    /// byte-identical to sequential mode.
+    /// replica threads on thread engines).
     pub fn finish(self) -> ClusterReport {
-        let workers = self.parallelism.workers_for(self.clusters.len());
-        if workers <= 1 {
-            return Self::aggregate(self.clusters.into_iter().map(Cluster::finish));
-        }
-        let shard_count = self.clusters.len();
-        let mut buckets: Vec<Vec<(usize, Cluster<S>)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (s, cluster) in self.clusters.into_iter().enumerate() {
-            buckets[s % workers].push((s, cluster));
-        }
-        let mut slots: Vec<Option<ClusterReport>> = (0..shard_count).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|bucket| {
-                    scope.spawn(move || {
-                        bucket
-                            .into_iter()
-                            .map(|(s, cluster)| (s, cluster.finish()))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(reports) => {
-                        for (s, report) in reports {
-                            slots[s] = Some(report);
-                        }
-                    }
-                    // a worker panicked: surface the original panic payload
-                    // on the caller's thread instead of inventing a new one
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        Self::aggregate(slots.into_iter().flatten())
+        Self::aggregate(self.clusters.into_iter().map(Cluster::finish))
     }
 
     fn aggregate(reports: impl Iterator<Item = ClusterReport>) -> ClusterReport {
@@ -591,42 +456,10 @@ impl<R: Router> ShardedCluster<KvStore, R> {
         self.submit_keyed(&op.key, command, op.at, Some(op.client))
     }
 
-    /// Routes a slice of operations in one pass: every operation is routed
-    /// first, then each shard's batch is enqueued in submission order
-    /// through one borrow of that shard's cluster. Equivalent to calling
-    /// [`ShardedCluster::submit`] per operation (shards only ever observe
-    /// their own sub-sequence, which is preserved), but the driver touches
-    /// each shard once per batch instead of once per operation — the
-    /// submission path stops being the bottleneck once the shards
-    /// themselves step on worker threads. Returns the owning shard of each
-    /// operation, in input order.
+    /// Routes a slice of operations ([`ShardedCluster::submit`] per
+    /// operation); returns the owning shard of each, in input order.
     pub fn submit_batch(&mut self, ops: &[KvOp]) -> Vec<usize> {
-        let shards = self.config.shards;
-        let n = self.config.replicas_per_shard;
-        let mut routed = Vec::with_capacity(ops.len());
-        let mut by_shard: Vec<Vec<&KvOp>> = vec![Vec::new(); shards];
-        for op in ops {
-            let s = self.router.route(&op.key, shards);
-            routed.push(s);
-            assert!(s < shards, "router returned shard {s} of {shards}");
-            by_shard[s].push(op);
-        }
-        for (s, batch) in by_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let cluster = &mut self.clusters[s];
-            for op in batch {
-                let command = match &op.value {
-                    Some(value) => KvStore::put(&op.key, value),
-                    None => KvStore::del(&op.key),
-                };
-                let entry = op.client % n;
-                self.next_entry[s] = (entry + 1) % n;
-                cluster.submit_at(ProcessId::new(entry), command, op.at);
-            }
-        }
-        routed
+        ops.iter().map(|op| self.submit(op)).collect()
     }
 
     /// Routes an entire client mix (one [`ShardedCluster::submit_batch`]
@@ -892,38 +725,6 @@ mod tests {
             .expect("sim replicas expose the delivered sequence");
         let entries: Vec<usize> = delivered.iter().map(|m| m.id.origin.index()).collect();
         assert_eq!(entries, vec![0, 2, 0, 1, 0, 1]);
-    }
-
-    /// Worker-pool stepping is pure scheduling: the same seeded workload
-    /// through sequential and parallel modes produces byte-identical
-    /// reports (the full conformance sweep lives in `tests/sharding.rs`).
-    #[test]
-    fn parallel_stepping_matches_sequential_results() {
-        let run = |parallelism: Parallelism| {
-            let workload = KvWorkload::zipf(ZipfMix {
-                keys: 16,
-                ops: 40,
-                clients: 4,
-                ..Default::default()
-            });
-            let mut cluster = ShardedKv::builder(ShardConfig {
-                shards: 4,
-                replicas_per_shard: 3,
-                ..Default::default()
-            })
-            .parallelism(parallelism)
-            .build();
-            cluster.submit_workload(&workload);
-            let targets: Vec<usize> = (0..cluster.num_shards())
-                .map(|s| cluster.ops_routed(s) as usize)
-                .collect();
-            assert!(cluster.run_until_applied(&targets, 30_000));
-            cluster.finish()
-        };
-        let sequential = run(Parallelism::Sequential);
-        let parallel = run(Parallelism::Workers(3));
-        assert_eq!(sequential.to_json(), parallel.to_json());
-        assert!(parallel.all_converged());
     }
 
     #[test]

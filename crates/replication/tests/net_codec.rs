@@ -1,20 +1,23 @@
 //! Wire-codec conformance: round-trips for every message type that crosses
 //! a `NetEngine` socket, and adversarial decoding.
 //!
-//! Two layers of guarantees are checked here. **Round-trip**: for arbitrary
-//! instances of every wire enum (`EtobMsg`, `TobMsg`, heartbeats, commands,
-//! outputs, frames), `decode(encode(x)) == x`. **Totality**: malformed
-//! input of any shape — truncations, random bytes, bad tags, impossible
-//! list counts, trailing garbage — yields a typed `DecodeError`, never a
-//! panic; and on a live cluster, injected garbage increments the
-//! malformed-frame counter while the protocol keeps converging.
+//! Three layers of guarantees are checked here. **Round-trip**: for
+//! arbitrary instances of every wire enum (`EtobMsg`, `TobMsg`, heartbeats,
+//! commands, outputs, frames), `decode(encode(x)) == x`. **One truth**: what
+//! the sim and thread engines charge per message (`Algorithm::wire_size`) is
+//! the encoded length, nine bytes short of the socket engine's frame.
+//! **Totality**: malformed input of any shape — truncations, random bytes,
+//! bad tags, impossible list counts, trailing garbage — yields a typed
+//! `DecodeError`, never a panic; and on a live cluster, injected garbage
+//! increments the malformed-frame counter while the protocol keeps
+//! converging.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use ec_core::etob_omega::{CausalGraph, EtobMsg};
-use ec_core::tob_consensus::TobMsg;
+use ec_core::etob_omega::{CausalGraph, EtobMsg, EtobOmega};
+use ec_core::tob_consensus::{ConsensusTob, TobMsg};
 use ec_core::types::{AppMessage, MsgId};
 use ec_core::version::VersionVector;
 use ec_detectors::HeartbeatMsg;
@@ -24,7 +27,7 @@ use ec_replication::net::codec::{
 use ec_replication::{
     Cluster, ClusterBuilder, KvStore, NetEngine, ReplicaCommand, ReplicaOutput, StateMachine,
 };
-use ec_sim::ProcessId;
+use ec_sim::{Algorithm, ProcessId};
 use proptest::prelude::*;
 
 fn roundtrip<T: WireCodec + PartialEq + std::fmt::Debug>(value: &T) {
@@ -208,6 +211,31 @@ proptest! {
         prop_assert_eq!(decode_body::<TobMsg>(&wire[4..]), Ok(frame));
     }
 
+    /// The byte accounting of every engine is one number: `wire_size` is the
+    /// length `encode` produces, and a socket frame adds exactly 9 bytes
+    /// (4-byte length prefix + `Frame::App` tag + 4-byte `from`).
+    #[test]
+    fn wire_size_is_the_encoded_length(
+        etob in arb_etob_msg(),
+        tob in arb_tob_msg(),
+        from in 0usize..8,
+    ) {
+        let from = ProcessId::new(from);
+        let (mut etob_bytes, mut tob_bytes) = (Vec::new(), Vec::new());
+        etob.encode(&mut etob_bytes);
+        tob.encode(&mut tob_bytes);
+        prop_assert_eq!(EtobOmega::wire_size(&etob), etob_bytes.len() as u64);
+        prop_assert_eq!(ConsensusTob::wire_size(&tob), tob_bytes.len() as u64);
+        prop_assert_eq!(
+            frame_bytes(&Frame::App { from, msg: etob }).len(),
+            etob_bytes.len() + 9
+        );
+        prop_assert_eq!(
+            frame_bytes(&Frame::App { from, msg: tob }).len(),
+            tob_bytes.len() + 9
+        );
+    }
+
     #[test]
     fn random_bytes_never_panic_the_decoder(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
         // any outcome is fine; reaching the end of the case without a panic
@@ -229,6 +257,39 @@ proptest! {
         // are acceptable; panicking or over-reading is not
         let _ = decode_body::<EtobMsg>(&wire[4..]);
     }
+}
+
+/// Wire sizes scale with content, not history: a `Delta` is priced by its
+/// nodes and its digest *runs* — a contiguous history of any length is one
+/// run — so a beacon stays far below a loaded delta, and `PromoteRequest`
+/// is its tag byte.
+#[test]
+fn wire_sizes_scale_with_content_not_history() {
+    let node = AppMessage::new(MsgId::new(ProcessId::new(0), 1), vec![0u8; 100]);
+    let delta = |nodes: Vec<AppMessage>, history: u64| {
+        let mut frontier = VersionVector::new();
+        for seq in 1..=history {
+            frontier.insert(MsgId::new(ProcessId::new(0), seq));
+        }
+        EtobOmega::wire_size(&EtobMsg::Delta {
+            nodes,
+            frontier,
+            delivered: history,
+            hash: 0,
+        })
+    };
+    assert_eq!(delta(Vec::new(), 1), delta(Vec::new(), 1_000));
+    assert_eq!(
+        delta(vec![node.clone()], 1),
+        delta(vec![node.clone()], 1_000)
+    );
+    // id (12) + length-prefixed payload (4 + 100) + empty dependency list (4)
+    assert_eq!(delta(vec![node.clone()], 1) - delta(Vec::new(), 1), 120);
+    assert_eq!(EtobOmega::wire_size(&EtobMsg::PromoteRequest), 1);
+    assert_eq!(
+        EtobOmega::wire_size(&EtobMsg::Promote(vec![node])),
+        1 + 4 + 120
+    );
 }
 
 #[test]

@@ -10,7 +10,8 @@ use crate::node::{Event, Links};
 use crate::runtime::{Hub, Transport};
 
 /// Joins the nodes of a run by the hub's inbox channels alone: a message is
-/// moved, not encoded, and charged its modeled [`Algorithm::wire_size`];
+/// moved, not encoded, and charged its [`Algorithm::wire_size`] (for the
+/// broadcast automata, the length the codec would have produced);
 /// outputs go straight into the driver's record. No codec and no socket is
 /// in the loop, which is what separates a loop bug from a wire bug.
 #[derive(Clone, Copy, Debug, Default)]

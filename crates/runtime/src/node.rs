@@ -24,7 +24,8 @@ pub enum Event<A: Algorithm> {
         from: ProcessId,
         /// The message.
         msg: A::Msg,
-        /// Bytes the message occupied on the wire (modeled or measured).
+        /// Bytes the message occupied on the wire (its encoded length, or
+        /// the frame read off a socket).
         wire_len: u64,
     },
     /// A failure-detector heartbeat from a peer.

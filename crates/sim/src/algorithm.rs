@@ -60,15 +60,14 @@ pub trait Algorithm {
         let _ = (input, ctx);
     }
 
-    /// The modeled wire size of a message in bytes, used by the runners for
-    /// the `bytes_sent` / `bytes_delivered` counters of
-    /// [`crate::Metrics`]. The simulator and the thread runtime pass
-    /// messages in memory and charge this accounting model; the socket
-    /// engine (`ec_replication::net`) serializes for real through its wire
-    /// codec and measures bytes from the actual frames instead, with the
-    /// conformance suite keeping the two in agreement. The default of `0`
-    /// means "unmeasured" and leaves the byte counters at zero for
-    /// algorithms that do not override it.
+    /// The wire size of a message in bytes, used by the runners for the
+    /// `bytes_sent` / `bytes_delivered` counters of [`crate::Metrics`]. The
+    /// simulator and the thread runtime pass messages in memory and charge
+    /// this; the broadcast automata return the length of their wire-codec
+    /// encoding, so it is the byte count the socket engine
+    /// (`ec_replication::net`) puts in a frame, less the 9-byte frame
+    /// header. The default of `0` means "unmeasured" and leaves the byte
+    /// counters at zero for algorithms that do not override it.
     fn wire_size(msg: &Self::Msg) -> u64 {
         let _ = msg;
         0

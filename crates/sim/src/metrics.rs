@@ -33,11 +33,11 @@ pub struct Metrics {
     pub crashes: u64,
     /// Crash–recovery rejoins that occurred during the run.
     pub recoveries: u64,
-    /// Modeled wire bytes handed to the network (one count per send
-    /// attempt; see `Algorithm::wire_size` — 0 for algorithms that do not
-    /// model message sizes).
+    /// Wire bytes handed to the network (one count per send attempt; see
+    /// `Algorithm::wire_size` — 0 for algorithms that do not report message
+    /// sizes).
     pub bytes_sent: u64,
-    /// Modeled wire bytes delivered to live destinations (duplicated copies
+    /// Wire bytes delivered to live destinations (duplicated copies
     /// each count; lost and crash-dropped copies do not).
     pub bytes_delivered: u64,
     /// Messages sent, per sending process.

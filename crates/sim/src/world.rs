@@ -189,7 +189,7 @@ enum EventKind<A: Algorithm> {
         to: ProcessId,
         msg: A::Msg,
         id: u64,
-        /// Modeled wire size of the message, captured at send time.
+        /// `Algorithm::wire_size` of the message, captured at send time.
         bytes: u64,
     },
     Timer {
@@ -637,7 +637,7 @@ mod tests {
         }
         assert_eq!(w.metrics().messages_sent, 3);
         assert_eq!(w.metrics().messages_delivered, 3);
-        // wire-byte accounting uses the algorithm's modeled message size
+        // wire-byte accounting uses the algorithm's `wire_size`
         assert_eq!(w.metrics().bytes_sent, 12);
         assert_eq!(w.metrics().bytes_delivered, 12);
     }

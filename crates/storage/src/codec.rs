@@ -183,20 +183,51 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Where [`WireCodec::encode`] writes: a byte buffer, or the counter behind
+/// [`encoded_len`] that keeps only the length. Each type's one `encode`
+/// therefore yields both its bytes and their count; there is no second
+/// description of a layout that could drift from the first.
+pub trait Sink {
+    /// Appends raw bytes.
+    fn write_raw(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn write_raw(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A [`Sink`] that counts the bytes written and stores none of them.
+struct ByteCount(u64);
+
+impl Sink for ByteCount {
+    #[inline]
+    fn write_raw(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
+    }
+}
+
+/// Appends one byte (an enum tag).
+pub fn push_u8<S: Sink>(out: &mut S, v: u8) {
+    out.write_raw(&[v]);
+}
+
 /// Appends a big-endian u32.
-pub fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
+pub fn push_u32<S: Sink>(out: &mut S, v: u32) {
+    out.write_raw(&v.to_be_bytes());
 }
 
 /// Appends a big-endian u64.
-pub fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
+pub fn push_u64<S: Sink>(out: &mut S, v: u64) {
+    out.write_raw(&v.to_be_bytes());
 }
 
 /// Appends a u32 length prefix followed by the raw bytes.
-pub fn push_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+pub fn push_bytes<S: Sink>(out: &mut S, bytes: &[u8]) {
     push_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
+    out.write_raw(bytes);
 }
 
 /// Reads a u64 and narrows it to `usize`, rejecting values that overflow.
@@ -212,10 +243,20 @@ pub fn read_usize(r: &mut Reader<'_>, context: &'static str) -> Result<usize, De
 /// [`DecodeError`].
 pub trait WireCodec: Sized {
     /// Appends the canonical encoding of `self` to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
+    fn encode<S: Sink>(&self, out: &mut S);
 
     /// Decodes one value, consuming exactly its encoding from the reader.
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+}
+
+/// Length in bytes of `value`'s canonical encoding: its `encode` run over a
+/// counting [`Sink`], so nothing is allocated and no payload byte is copied.
+/// This is what the sim and thread engines charge per message
+/// (`Algorithm::wire_size`) — the same bytes the socket engine frames.
+pub fn encoded_len<T: WireCodec>(value: &T) -> u64 {
+    let mut count = ByteCount(0);
+    value.encode(&mut count);
+    count.0
 }
 
 #[cfg(test)]

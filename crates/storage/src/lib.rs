@@ -29,7 +29,7 @@ pub mod crc;
 pub mod log;
 pub mod snapshot;
 
-pub use codec::{DecodeError, Reader, WireCodec};
+pub use codec::{DecodeError, Reader, Sink, WireCodec};
 pub use crc::crc32;
 pub use log::{LogError, LogRecovery, RecordLog, MAX_RECORD_BODY};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotStore, MAX_SNAPSHOT_BODY};

@@ -6,7 +6,7 @@
 
 use std::process::Command;
 
-const EXAMPLES: [&str; 9] = [
+const EXAMPLES: [&str; 8] = [
     "quickstart",
     "leader_extraction",
     "partitioned_kv",
@@ -15,7 +15,6 @@ const EXAMPLES: [&str; 9] = [
     "chaos_demo",
     "net_kv",
     "telemetry_demo",
-    "throughput_demo",
 ];
 
 /// Runs all examples sequentially in one test so concurrent `cargo run`

@@ -8,7 +8,7 @@
 
 use eventual_consistency::core::etob_omega::EtobConfig;
 use eventual_consistency::core::workload::{KvWorkload, ZipfMix};
-use eventual_consistency::replication::shard::{shard_of, Parallelism, ShardConfig, ShardedKv};
+use eventual_consistency::replication::shard::{shard_of, ShardConfig, ShardedKv};
 use eventual_consistency::sim::{NetworkModel, PartitionSpec, ProcessSet, Time};
 
 const SHARDS: usize = 4;
@@ -98,24 +98,26 @@ fn partitioning_one_shard_leaves_the_other_shards_throughput_unaffected() {
     assert!(partitioned.applied(1).iter().all(|&a| a == routed));
 }
 
-/// The throughput engine's determinism contract: stepping shard worlds on
-/// worker threads is pure scheduling. The same seeded workload through the
-/// sequential and parallel execution modes produces byte-identical
-/// per-shard replica snapshots, byte-identical per-shard delivered
-/// sequences, and an identical merged-telemetry/report JSON export.
+/// `submit_batch` is `submit` per operation: the same seeded zipf mix
+/// through either intake produces identical routing, byte-identical
+/// per-shard delivered sequences and replica snapshots, and an identical
+/// merged-telemetry/report JSON export.
 #[test]
-fn parallel_stepping_is_byte_identical_to_sequential() {
-    let run = |parallelism: Parallelism| {
+fn submit_batch_is_identical_to_per_op_submit() {
+    let run = |batched: bool| {
         let mut cluster = ShardedKv::builder(ShardConfig {
             shards: SHARDS,
             replicas_per_shard: REPLICAS,
             etob: EtobConfig::batched(6),
             ..Default::default()
         })
-        .parallelism(parallelism)
         .build();
         let workload = workload();
-        cluster.submit_batch(workload.ops());
+        let routed: Vec<usize> = if batched {
+            cluster.submit_batch(workload.ops())
+        } else {
+            workload.ops().iter().map(|op| cluster.submit(op)).collect()
+        };
         cluster.run_until(workload.last_submission_time() + 2_000);
         let delivered: Vec<Vec<_>> = (0..SHARDS)
             .map(|s| {
@@ -126,24 +128,25 @@ fn parallel_stepping_is_byte_identical_to_sequential() {
             })
             .collect();
         let report = cluster.finish();
-        (delivered, report)
+        (routed, delivered, report)
     };
-    let (seq_delivered, seq_report) = run(Parallelism::Sequential);
-    let (par_delivered, par_report) = run(Parallelism::Workers(3));
-    assert!(seq_report.all_converged());
+    let (op_routed, op_delivered, op_report) = run(false);
+    let (batch_routed, batch_delivered, batch_report) = run(true);
+    assert!(op_report.all_converged());
+    assert_eq!(op_routed, batch_routed);
     for s in 0..SHARDS {
         assert_eq!(
-            seq_delivered[s], par_delivered[s],
-            "shard {s} delivered sequence must not depend on the execution mode"
+            op_delivered[s], batch_delivered[s],
+            "shard {s} delivered sequence must not depend on the intake"
         );
         assert_eq!(
-            seq_report.shards[s].snapshots, par_report.shards[s].snapshots,
-            "shard {s} replica snapshots must be byte-identical across modes"
+            op_report.shards[s].snapshots, batch_report.shards[s].snapshots,
+            "shard {s} replica snapshots must be byte-identical across intakes"
         );
     }
     // the whole aggregated export — counters, convergence data and the
     // merged telemetry histograms — is identical, byte for byte
-    assert_eq!(seq_report.to_json(), par_report.to_json());
+    assert_eq!(op_report.to_json(), batch_report.to_json());
 }
 
 #[test]
