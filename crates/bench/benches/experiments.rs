@@ -62,7 +62,7 @@ fn etob_latency(n: usize, delay: u64) -> u64 {
         .build_with(|p| EtobOmega::new(p, EtobConfig::eager()), omega);
     workload.submit_to(&mut world);
     world.run_until(1_500);
-    first_delivery(&world.trace().output_history(), workload.ids()[0], n, 100)
+    first_delivery(world.output_history(), workload.ids()[0], n, 100)
 }
 
 fn consensus_latency(n: usize, delay: u64) -> u64 {
@@ -79,7 +79,7 @@ fn consensus_latency(n: usize, delay: u64) -> u64 {
         .build_with(|p| ConsensusTob::new(p, ConsensusTobConfig::default()), fd);
     workload.submit_to(&mut world);
     world.run_until(1_500);
-    first_delivery(&world.trace().output_history(), workload.ids()[0], n, 100)
+    first_delivery(world.output_history(), workload.ids()[0], n, 100)
 }
 
 fn e1_delivery_latency(c: &mut Criterion) {
@@ -159,7 +159,6 @@ fn partition_progress(strong: bool) -> (usize, usize) {
         }
         world.run_until(2_500);
         let during = world
-            .trace()
             .output_history()
             .value_at(ProcessId::new(1), probe)
             .map(|o| o.applied)
@@ -180,7 +179,6 @@ fn partition_progress(strong: bool) -> (usize, usize) {
         }
         world.run_until(2_500);
         let during = world
-            .trace()
             .output_history()
             .value_at(ProcessId::new(1), probe)
             .map(|o| o.applied)
@@ -231,7 +229,7 @@ fn stable_leader_run(n: usize, seed: u64) -> bool {
     workload.submit_to(&mut world);
     world.run_until(3_000);
     EtobChecker::from_delivered(
-        &world.trace().output_history(),
+        world.output_history(),
         workload.records(),
         failures.correct(),
         Time::ZERO,
@@ -272,7 +270,7 @@ fn causal_violations(n: usize, divergence_until: u64) -> (usize, usize) {
     workload.submit_to(&mut world);
     world.run_until(divergence_until + 3_000);
     let checker = EtobChecker::from_delivered(
-        &world.trace().output_history(),
+        world.output_history(),
         workload.records(),
         failures.correct(),
         Time::new(divergence_until + 50),
@@ -391,7 +389,7 @@ fn ec_run(n: usize, crashes: usize, instances: u64) -> (bool, u64) {
             omega,
         );
     world.run_until(instances * 20 + 1_000);
-    let checker = EcChecker::new(world.trace().output_history(), proposals, correct);
+    let checker = EcChecker::new(world.output_history().clone(), proposals, correct);
     (
         checker.check_all(instances, 1).is_ok(),
         checker.agreement_index(),
@@ -516,7 +514,7 @@ fn measured_convergence(tau_omega: u64, delay: u64, period: u64) -> (u64, u64) {
     workload.submit_to(&mut world);
     world.run_until(tau_omega + 3_000);
     let checker = EtobChecker::from_delivered(
-        &world.trace().output_history(),
+        world.output_history(),
         workload.records(),
         failures.correct(),
         Time::ZERO,
@@ -588,7 +586,7 @@ fn eic_revocations(divergence_until: u64, instances: u64) -> (usize, bool) {
         );
     world.run_until(instances * 20 + 2_000);
     let checker = EicChecker::new(
-        world.trace().output_history(),
+        world.output_history().clone(),
         proposals,
         failures.correct(),
     );
@@ -711,8 +709,8 @@ fn heartbeat_stats(n: usize) -> (u64, u64) {
     world.run_until(3_000);
     let mut history = FdHistory::new(n);
     for p in (0..n).map(ProcessId::new) {
-        for (t, leader) in world.trace().outputs_of(p) {
-            history.record(p, t, *leader);
+        for (t, leader) in world.output_history().outputs(p) {
+            history.record(p, *t, *leader);
         }
     }
     let switch = failures
@@ -720,10 +718,9 @@ fn heartbeat_stats(n: usize) -> (u64, u64) {
         .iter()
         .filter_map(|p| {
             world
-                .trace()
-                .outputs_of(p)
-                .find(|(_, v)| **v == ProcessId::new(1))
-                .map(|(t, _)| t.as_u64())
+                .output_history()
+                .first_time_where(p, |leader| *leader == ProcessId::new(1))
+                .map(Time::as_u64)
         })
         .max()
         .unwrap_or(u64::MAX);
@@ -779,7 +776,7 @@ fn promote_period_tradeoff(period: u64) -> (u64, u64) {
     workload.submit_to(&mut world);
     world.run_until(3_000);
     let checker = EtobChecker::from_delivered(
-        &world.trace().output_history(),
+        world.output_history(),
         workload.records(),
         failures.correct(),
         Time::ZERO,

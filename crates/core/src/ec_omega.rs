@@ -195,7 +195,7 @@ mod tests {
                 omega,
             );
         world.run_until(horizon);
-        (world.trace().output_history(), proposals, correct)
+        (world.output_history().clone(), proposals, correct)
     }
 
     #[test]

@@ -1579,7 +1579,7 @@ mod tests {
             .build_with(|p| EtobOmega::new(p, config), omega);
         workload.submit_to(&mut world);
         world.run_until(horizon);
-        world.trace().output_history()
+        world.output_history().clone()
     }
 
     #[test]
@@ -1746,11 +1746,11 @@ mod tests {
             .build_with(|p| EtobOmega::new(p, EtobConfig::default()), omega);
         workload.submit_to(&mut world);
         world.run_until(2_000);
-        let history = world.trace().output_history();
+        let history = world.output_history();
 
         // during the partition (t = 550 < heal) p1 has already delivered
         // messages broadcast on its side
-        let during = materialize(&history)
+        let during = materialize(history)
             .value_at(ProcessId::new(1), Time::new(550))
             .map(|s| s.len())
             .unwrap_or(0);
@@ -1761,7 +1761,7 @@ mod tests {
 
         // after the heal, everyone converges and full ETOB holds
         let checker = EtobChecker::from_delivered(
-            &history,
+            history,
             workload.records(),
             failures.correct(),
             Time::ZERO,
@@ -1824,7 +1824,7 @@ mod tests {
                 .process_ids()
                 .map(|p| world.algorithm(p).updates_sent())
                 .sum();
-            (world.trace().output_history(), updates)
+            (world.output_history().clone(), updates)
         };
         let (unbatched, updates_unbatched) = run(EtobConfig::default());
         let (batched, updates_batched) = run(EtobConfig::batched(10));

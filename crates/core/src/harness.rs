@@ -196,8 +196,9 @@ mod tests {
         world.run_until(2_000);
         for p in world.process_ids() {
             let decided: Vec<u64> = world
-                .trace()
-                .outputs_of(p)
+                .output_history()
+                .outputs(p)
+                .iter()
                 .map(|(_, d)| d.instance)
                 .collect();
             assert_eq!(decided, vec![1, 2], "process {p} decisions: {decided:?}");

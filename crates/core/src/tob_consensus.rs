@@ -546,7 +546,7 @@ mod tests {
             .build_with(|p| ConsensusTob::new(p, ConsensusTobConfig::default()), fd);
         workload.submit_to(&mut world);
         world.run_until(horizon);
-        world.trace().output_history()
+        world.output_history().clone()
     }
 
     /// Drives a leader automaton step directly (the wrapper-algorithm test
@@ -837,7 +837,7 @@ mod tests {
                 .build_with(|p| ConsensusTob::new(p, config), fd);
             workload.submit_to(&mut world);
             world.run_until(4_000);
-            materialize(&world.trace().output_history())
+            materialize(world.output_history())
         };
 
         let without = run_with(ConsensusTobConfig::default());

@@ -248,7 +248,7 @@ mod tests {
             .build_with(build_stack, omega);
         workload.submit_to(&mut world);
         world.run_until(horizon);
-        world.trace().output_history()
+        world.output_history().clone()
     }
 
     #[test]

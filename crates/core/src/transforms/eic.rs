@@ -367,7 +367,7 @@ mod tests {
             .seed(31)
             .build_with(|p| build(p, instances), omega);
         world.run_until(15_000);
-        let decisions = world.trace().output_history();
+        let decisions = world.output_history().clone();
         let checker = EcChecker::new(decisions, proposals_for(n, instances), failures.correct());
         assert!(
             checker.check_all(instances, 1).is_ok(),
@@ -407,7 +407,7 @@ mod tests {
                 omega,
             );
         world.run_until(30_000);
-        let responses = world.trace().output_history();
+        let responses = world.output_history().clone();
         let checker = EicChecker::new(responses, proposals_for(n, instances), failures.correct());
         assert!(
             checker.check_termination(instances).is_empty(),

@@ -259,7 +259,7 @@ mod tests {
                 omega,
             );
         world.run_until(horizon);
-        (world.trace().output_history(), correct)
+        (world.output_history().clone(), correct)
     }
 
     #[test]

@@ -65,7 +65,7 @@ fn run_on(
         .build_with(|p| EtobOmega::new(p, config), omega);
     workload.submit_to(&mut world);
     world.run_until(horizon);
-    world.trace().output_history()
+    world.output_history().clone()
 }
 
 /// The final delivered sequence of `p`: its delivery deltas folded in order.

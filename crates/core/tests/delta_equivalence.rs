@@ -25,7 +25,7 @@ use ec_detectors::omega::{OmegaOracle, PreStabilization};
 use ec_detectors::{sigma::SigmaOracle, PairFd};
 use ec_sim::{
     Algorithm, FailureDetector, FailurePattern, LinkFaults, LinkScope, NetworkModel, ProcessId,
-    Time, TraceEvent, World, WorldBuilder,
+    Time, World, WorldBuilder,
 };
 use proptest::prelude::*;
 
@@ -54,11 +54,12 @@ where
 {
     let mut folded: Vec<DeliveredSequence> = vec![Vec::new(); world.n()];
     let mut rewrites = 0;
-    let mut seen = 0;
+    let mut seen = vec![0; world.n()];
     while world.now().as_u64() < horizon && world.step() {
-        for event in &world.trace().events()[seen..] {
-            if let TraceEvent::Output { process, value, .. } = event {
-                let sequence = &mut folded[process.index()];
+        for process in world.process_ids() {
+            let outputs = world.output_history().outputs(process);
+            let sequence = &mut folded[process.index()];
+            for (_, value) in &outputs[seen[process.index()]..] {
                 assert!(
                     value.keep <= sequence.len(),
                     "{process} kept {} of {} entries",
@@ -68,8 +69,8 @@ where
                 rewrites += usize::from(value.keep < sequence.len());
                 value.apply_to(sequence);
             }
+            seen[process.index()] = outputs.len();
         }
-        seen = world.trace().events().len();
         for p in world.process_ids() {
             let sequence = &folded[p.index()];
             let view = view(world.algorithm(p));

@@ -63,7 +63,7 @@ impl Default for HeartbeatConfig {
 /// Heartbeat-based eventual leader election (an implementation of Ω).
 ///
 /// The algorithm outputs its current leader estimate every time it changes,
-/// so the run trace records the emulated Ω history; `ec_detectors::checks`
+/// so the run's output history is the emulated Ω history; `ec_detectors::checks`
 /// can then verify it against the Ω specification.
 #[derive(Clone, Debug)]
 pub struct HeartbeatOmega {
@@ -171,14 +171,16 @@ impl Algorithm for HeartbeatOmega {
 mod tests {
     use super::*;
     use crate::checks::check_omega_history;
-    use ec_sim::{FailurePattern, FdHistory, NetworkModel, NullFd, Time, Trace, WorldBuilder};
+    use ec_sim::{
+        FailurePattern, FdHistory, NetworkModel, NullFd, OutputHistory, Time, WorldBuilder,
+    };
 
     fn run(
         n: usize,
         failures: FailurePattern,
         delay: NetworkModel,
         horizon: u64,
-    ) -> Trace<ProcessId> {
+    ) -> OutputHistory<ProcessId> {
         let mut world = WorldBuilder::new(n)
             .network(delay)
             .failures(failures)
@@ -188,16 +190,16 @@ mod tests {
                 NullFd,
             );
         world.run_until(horizon);
-        world.into_trace()
+        world.output_history().clone()
     }
 
     /// Converts the leader-estimate output history of a heartbeat run into an
     /// Ω-style failure detector history for the property checker.
-    fn to_fd_history(trace: &Trace<ProcessId>, n: usize) -> FdHistory<ProcessId> {
+    fn to_fd_history(outputs: &OutputHistory<ProcessId>, n: usize) -> FdHistory<ProcessId> {
         let mut h = FdHistory::new(n);
         for p in (0..n).map(ProcessId::new) {
-            for (t, leader) in trace.outputs_of(p) {
-                h.record(p, t, *leader);
+            for (t, leader) in outputs.outputs(p) {
+                h.record(p, *t, *leader);
             }
         }
         h
@@ -206,14 +208,14 @@ mod tests {
     #[test]
     fn failure_free_run_elects_process_zero_immediately() {
         let n = 4;
-        let trace = run(
+        let outputs = run(
             n,
             FailurePattern::no_failures(n),
             NetworkModel::fixed_delay(2),
             2_000,
         );
         for p in (0..n).map(ProcessId::new) {
-            assert_eq!(trace.last_output_of(p), Some(&ProcessId::new(0)));
+            assert_eq!(outputs.last(p), Some(&ProcessId::new(0)));
         }
     }
 
@@ -221,18 +223,16 @@ mod tests {
     fn leader_crash_triggers_re_election_of_next_correct_process() {
         let n = 4;
         let failures = FailurePattern::no_failures(n).with_crash(ProcessId::new(0), Time::new(300));
-        let trace = run(n, failures.clone(), NetworkModel::fixed_delay(2), 5_000);
-        let history = to_fd_history(&trace, n);
+        let outputs = run(n, failures.clone(), NetworkModel::fixed_delay(2), 5_000);
+        let history = to_fd_history(&outputs, n);
         let (_, leader) =
             check_omega_history(&history, &failures).expect("heartbeat run must satisfy Omega");
         assert_eq!(leader, ProcessId::new(1));
         // Re-election (the switch of the output to p1) happens only after the
         // crash of p0 at t = 300.
         for p in failures.correct().iter() {
-            let switched_at = trace
-                .outputs_of(p)
-                .find(|(_, v)| **v == ProcessId::new(1))
-                .map(|(t, _)| t)
+            let switched_at = outputs
+                .first_time_where(p, |leader| *leader == ProcessId::new(1))
                 .expect("every correct process eventually trusts p1");
             assert!(
                 switched_at > Time::new(300),
@@ -248,8 +248,8 @@ mod tests {
             .with_crash(ProcessId::new(0), Time::new(200))
             .with_crash(ProcessId::new(1), Time::new(600))
             .with_crash(ProcessId::new(2), Time::new(1_000));
-        let trace = run(n, failures.clone(), NetworkModel::fixed_delay(3), 10_000);
-        let history = to_fd_history(&trace, n);
+        let outputs = run(n, failures.clone(), NetworkModel::fixed_delay(3), 10_000);
+        let history = to_fd_history(&outputs, n);
         let (_, leader) =
             check_omega_history(&history, &failures).expect("heartbeat run must satisfy Omega");
         assert_eq!(leader, ProcessId::new(3));
@@ -279,8 +279,7 @@ mod tests {
                 NullFd,
             );
         world.run_until(20_000);
-        let trace = world.into_trace();
-        let history = to_fd_history(&trace, n);
+        let history = to_fd_history(world.output_history(), n);
         let result = check_omega_history(&history, &failures);
         assert!(result.is_ok(), "leader did not stabilize: {result:?}");
     }

@@ -135,18 +135,9 @@ impl<S: StateMachine + Send + 'static> ClusterBuilder<S> {
     /// Makes every replica durable under `dir` (replica `i` persists in
     /// `dir/i/`): delivered state is logged and checkpointed, and a
     /// restarted replica recovers from disk, using anti-entropy only for
-    /// the suffix it missed. Uses the default cadence; see
-    /// [`ClusterBuilder::durable_with`] for full control.
-    pub fn durable(self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.durable_with(crate::durable::DurableOptions::new(dir))
-    }
-
-    /// Makes every replica durable with explicit [`DurableOptions`]
-    /// (checkpoint cadence, snapshot retention).
-    ///
-    /// [`DurableOptions`]: crate::durable::DurableOptions
-    pub fn durable_with(mut self, options: crate::durable::DurableOptions) -> Self {
-        self.plan.durable = Some(options);
+    /// the suffix it missed.
+    pub fn durable(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
+        self.plan.durable = Some(crate::durable::DurableOptions::new(dir));
         self
     }
 
@@ -297,11 +288,9 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
         id
     }
 
-    /// Submits a slice of commands through `session` at facade time `at` in
-    /// one pass, chaining each command on its predecessor (the first on the
-    /// session's current frontier). One call replaces `commands.len()`
-    /// facade round-trips, so a driver feeding a hot cluster spends its
-    /// time in the protocol, not in per-command bookkeeping. Returns the
+    /// Submits a slice of commands through `session` at facade time `at`,
+    /// chaining each command on its predecessor (the first on the session's
+    /// current frontier): [`Cluster::submit`] once per command. Returns the
     /// identifiers in submission order.
     pub fn submit_batch(
         &mut self,
@@ -365,16 +354,16 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
     }
 
     /// Commands replica `p` had applied at facade time `t` (for probing
-    /// availability during a partition window). Probing every replica?
-    /// [`Cluster::applied_at_all`] walks the output history once instead of
-    /// once per replica.
+    /// availability during a partition window). Each call copies the output
+    /// history; [`Cluster::applied_at_all`] probes every replica from one
+    /// copy.
     pub fn applied_at(&self, p: ProcessId, t: u64) -> usize {
         let history = self.deployment.output_history();
         history.value_at(p, Time::new(t)).map_or(0, |o| o.applied)
     }
 
     /// Commands each replica had applied at facade time `t`, from a single
-    /// pass over the output history.
+    /// copy of the output history.
     pub fn applied_at_all(&self, t: u64) -> Vec<usize> {
         let history = self.deployment.output_history();
         self.replica_ids()

@@ -69,18 +69,19 @@ pub struct DurableOptions {
     pub dir: PathBuf,
     /// Checkpoint after this many newly logged entries (clamped to ≥ 1).
     pub checkpoint_every: usize,
-    /// Snapshots retained per replica (clamped to ≥ 1 by the store).
-    pub keep_snapshots: usize,
 }
+
+/// Snapshots retained per replica: the newest, and two to fall back on if it
+/// does not read back.
+const KEEP_SNAPSHOTS: usize = 3;
 
 impl DurableOptions {
     /// Options rooted at `dir` with the default cadence (checkpoint every 8
-    /// entries, keep 3 snapshots).
+    /// entries).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurableOptions {
             dir: dir.into(),
             checkpoint_every: 8,
-            keep_snapshots: 3,
         }
     }
 
@@ -90,18 +91,11 @@ impl DurableOptions {
         self
     }
 
-    /// Sets the snapshot retention count.
-    pub fn keep_snapshots(mut self, keep: usize) -> Self {
-        self.keep_snapshots = keep;
-        self
-    }
-
     /// The same options scoped to one replica's subdirectory.
     pub fn for_replica(&self, index: usize) -> DurableOptions {
         DurableOptions {
             dir: self.dir.join(index.to_string()),
             checkpoint_every: self.checkpoint_every,
-            keep_snapshots: self.keep_snapshots,
         }
     }
 }
@@ -293,8 +287,7 @@ impl DurableStore {
         options: &DurableOptions,
     ) -> Result<(DurableStore, Option<Recovered>), DurableError> {
         fs::create_dir_all(&options.dir).map_err(DurableError::Io)?;
-        let snapshots =
-            SnapshotStore::open(options.dir.join(SNAPSHOT_DIR), options.keep_snapshots)?;
+        let snapshots = SnapshotStore::open(options.dir.join(SNAPSHOT_DIR), KEEP_SNAPSHOTS)?;
         let (_, log_recovery) = RecordLog::open(options.dir.join(LOG_FILE))?;
 
         // Replay the log into (base, hash, entries, own_seq). A record body

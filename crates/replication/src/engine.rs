@@ -30,8 +30,8 @@
 //! snapshots, under both consistency levels.
 //!
 //! Time units are engine-relative: the simulator interprets facade times as
-//! virtual ticks, the real-time engines map each facade tick to
-//! [`RealTimeEngine::tick`] of wall-clock (1 ms by default).
+//! virtual ticks, on the real-time engines a facade tick is one millisecond
+//! of wall clock since deployment.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -39,7 +39,6 @@ use std::io;
 use std::marker::PhantomData;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use ec_core::etob_omega::{EtobConfig, EtobOmega};
 use ec_core::tob_consensus::{ConsensusTob, ConsensusTobConfig};
@@ -208,15 +207,14 @@ impl fmt::Display for EngineKind {
 ///
 /// Everything scenario-shaped lives here: the network model (including
 /// scripted partitions and link-fault windows), the crash pattern (including
-/// crash–recovery windows and the rejoin [`RecoveryPolicy`]), the seed,
-/// when Ω stabilizes, and scripted Ω lie windows. Runs are bit-reproducible
-/// for a fixed configuration.
+/// crash–recovery windows and the rejoin [`RecoveryPolicy`]), the seed, and
+/// scripted Ω lie windows. Runs are bit-reproducible for a fixed
+/// configuration.
 #[derive(Clone, Debug)]
 pub struct SimEngine {
     network: NetworkModel,
     failures: Option<FailurePattern>,
     seed: u64,
-    omega_stabilizes_at: Option<u64>,
     omega_lies: Vec<LieWindow<ProcessId>>,
     recovery: RecoveryPolicy,
 }
@@ -227,7 +225,6 @@ impl Default for SimEngine {
             network: NetworkModel::fixed_delay(2),
             failures: None,
             seed: 7,
-            omega_stabilizes_at: None,
             omega_lies: Vec::new(),
             recovery: RecoveryPolicy::default(),
         }
@@ -257,13 +254,6 @@ impl SimEngine {
     /// Sets the seed of the deterministic random source for link delays.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Makes the Ω oracle stabilize only at time `t` (before that, every
-    /// process trusts itself). Default: stable from the start.
-    pub fn omega_stabilizes_at(mut self, t: u64) -> Self {
-        self.omega_stabilizes_at = Some(t);
         self
     }
 
@@ -313,11 +303,7 @@ impl SimEngine {
     }
 
     fn omega(&self, failures: &FailurePattern) -> OverlayFd<OmegaOracle> {
-        let oracle = match self.omega_stabilizes_at {
-            Some(t) => OmegaOracle::stabilizing_at(failures.clone(), Time::new(t)),
-            None => OmegaOracle::stable_from_start(failures.clone()),
-        };
-        let mut fd = OverlayFd::new(oracle);
+        let mut fd = OverlayFd::new(OmegaOracle::stable_from_start(failures.clone()));
         for lie in &self.omega_lies {
             fd = fd.with_lie(lie.from, lie.until, lie.observers.clone(), lie.value);
         }
@@ -390,11 +376,7 @@ impl Engine for SimEngine {
 /// durable, empty otherwise — and the broadcast layer's anti-entropy
 /// re-fills what it missed.
 #[derive(Debug)]
-pub struct RealTimeEngine<T> {
-    config: RuntimeConfig,
-    tick: Duration,
-    transport: PhantomData<fn() -> T>,
-}
+pub struct RealTimeEngine<T>(PhantomData<fn() -> T>);
 
 /// The thread engine: replicas as OS threads joined by in-memory channels
 /// ([`ChannelTransport`]) — no codec and no sockets in the loop.
@@ -410,43 +392,23 @@ pub type NetEngine = RealTimeEngine<TcpTransport>;
 
 impl<T> Default for RealTimeEngine<T> {
     fn default() -> Self {
-        RealTimeEngine {
-            config: RuntimeConfig::default(),
-            tick: Duration::from_millis(1),
-            transport: PhantomData,
-        }
+        RealTimeEngine(PhantomData)
     }
 }
 
 impl<T> Clone for RealTimeEngine<T> {
     fn clone(&self) -> Self {
-        RealTimeEngine { ..*self }
+        Self::default()
     }
 }
 
 impl<T> RealTimeEngine<T> {
-    /// An engine with the default [`RuntimeConfig`] and 1 ms per facade
-    /// tick.
+    /// An engine running the default [`RuntimeConfig`].
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Sets the runtime configuration (timer tick, heartbeat periods).
-    pub fn runtime_config(mut self, config: RuntimeConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets how much wall-clock time one facade tick corresponds to.
-    /// Facade calls like `run_until(t)` sleep until `t * tick` of wall time
-    /// has elapsed since deployment.
-    pub fn tick(mut self, tick: Duration) -> Self {
-        self.tick = tick;
-        self
-    }
-
     fn deploy_as<S>(
-        &self,
         kind: EngineKind,
         plan: &DeployPlan,
     ) -> Result<Box<dyn Deployment<S> + Send>, DeployError>
@@ -457,13 +419,13 @@ impl<T> RealTimeEngine<T> {
     {
         let (etob, tob) = (plan.etob, plan.tob);
         match plan.consistency {
-            Consistency::Eventual => self.launch(
+            Consistency::Eventual => Self::launch(
                 kind,
                 plan,
                 move |p| EtobOmega::new(p, etob),
                 |leader, _n| leader,
             ),
-            Consistency::Strong => self.launch(
+            Consistency::Strong => Self::launch(
                 kind,
                 plan,
                 move |p| ConsensusTob::new(p, tob),
@@ -476,7 +438,6 @@ impl<T> RealTimeEngine<T> {
     /// incarnation's broadcast layer, `derive` its failure-detector value
     /// from the heartbeat leader.
     fn launch<S, B>(
-        &self,
         kind: EngineKind,
         plan: &DeployPlan,
         layer: impl Fn(ProcessId) -> B + Send + 'static,
@@ -494,7 +455,7 @@ impl<T> RealTimeEngine<T> {
         let mut interner = SnapshotInterner::default();
         let runtime = Runtime::<Replica<S, B>, T>::launch(
             plan.replicas,
-            self.config,
+            RuntimeConfig::default(),
             move |output| interner.intern(output),
             move |p| make_replica(p, layer(p), &durable, &clock),
             derive,
@@ -505,7 +466,6 @@ impl<T> RealTimeEngine<T> {
                 source,
             })?,
             kind,
-            tick_ms: (self.tick.as_millis() as u64).max(1),
         }))
     }
 }
@@ -515,7 +475,7 @@ impl Engine for ThreadEngine {
     where
         S: StateMachine + Send + 'static,
     {
-        self.deploy_as(EngineKind::Thread, plan)
+        Self::deploy_as(EngineKind::Thread, plan)
     }
 }
 
@@ -524,7 +484,7 @@ impl Engine for NetEngine {
     where
         S: StateMachine + Send + 'static,
     {
-        self.deploy_as(EngineKind::Net, plan)
+        Self::deploy_as(EngineKind::Net, plan)
     }
 }
 
@@ -606,7 +566,7 @@ pub trait Deployment<S: StateMachine>: fmt::Debug {
     /// exclude).
     fn metrics(&self) -> Metrics;
 
-    /// The timed output history so far, in facade ticks.
+    /// A copy of the timed output history so far, in facade ticks.
     fn output_history(&self) -> OutputHistory<ReplicaOutput>;
 
     /// The processes correct for the whole run: from the failure pattern on
@@ -733,7 +693,7 @@ where
     }
 
     fn output_history(&self) -> OutputHistory<ReplicaOutput> {
-        self.trace().output_history()
+        World::output_history(self).clone()
     }
 
     fn correct(&self, _facade_crashed: &ProcessSet) -> ProcessSet {
@@ -814,41 +774,26 @@ impl SnapshotInterner {
     }
 }
 
-/// `(replica, elapsed_ms, output)` records as an [`OutputHistory`] in
-/// facade ticks of `tick_ms` milliseconds.
-fn history_in_ticks(
-    n: usize,
-    tick_ms: u64,
-    outputs: Vec<(ProcessId, u64, ReplicaOutput)>,
-) -> OutputHistory<ReplicaOutput> {
-    let mut history = OutputHistory::new(n);
-    for (p, ms, out) in outputs {
-        history.record(p, Time::new(ms / tick_ms), out);
-    }
-    history
-}
-
 /// A replica group running on the real-time [`Runtime`] over transport `T`,
-/// with facade times paced against the wall clock. Replicas are observed
-/// live through their latest outputs only.
+/// with facade times paced against the wall clock: a facade tick is a
+/// millisecond of the runtime's clock, the unit its output history is
+/// stamped in. Replicas are observed live through their latest outputs only.
 #[derive(Debug)]
 pub struct RealTimeDeployment<S: StateMachine, B: BroadcastLayer, T> {
     runtime: Runtime<Replica<S, B>, T>,
     kind: EngineKind,
-    tick_ms: u64,
 }
 
 impl<S: StateMachine, B: BroadcastLayer, T> RealTimeDeployment<S, B, T> {
-    /// Sleeps until `t` facade ticks of wall-clock time have elapsed since
+    /// Sleeps until `t` milliseconds of wall-clock time have elapsed since
     /// deployment (no-op if that moment has already passed).
     fn pace_to(&self, t: u64) {
-        let target_ms = t.saturating_mul(self.tick_ms);
         loop {
             let now_ms = self.runtime.elapsed_ms();
-            if now_ms >= target_ms {
+            if now_ms >= t {
                 return;
             }
-            sleep_ms((target_ms - now_ms).min(20));
+            sleep_ms((t - now_ms).min(20));
         }
     }
 }
@@ -914,7 +859,7 @@ where
     }
 
     fn output_history(&self) -> OutputHistory<ReplicaOutput> {
-        history_in_ticks(self.n(), self.tick_ms, self.runtime.outputs_so_far())
+        self.runtime.outputs_so_far()
     }
 
     fn correct(&self, facade_crashed: &ProcessSet) -> ProcessSet {
@@ -929,7 +874,7 @@ where
     }
 
     fn finish(self: Box<Self>, facade_crashed: &ProcessSet) -> DeploymentSummary {
-        let (n, tick_ms) = (self.n(), self.tick_ms);
+        let n = self.n();
         let Final {
             final_states,
             outputs,
@@ -953,7 +898,7 @@ where
                     None => S::default().snapshot(),
                 })
                 .collect(),
-            history: history_in_ticks(n, tick_ms, outputs),
+            history: outputs,
             metrics,
             correct: ProcessSet::all(n).difference(facade_crashed),
             updates_sent: layers.map(BroadcastLayer::updates_sent).sum(),
@@ -967,7 +912,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterBuilder;
     use crate::state_machine::KvStore;
-    use ec_runtime::{ChannelLinks, Hub, OutputLog};
+    use ec_runtime::{ChannelLinks, Hub};
 
     fn output(applied: usize, bytes: &[u8]) -> ReplicaOutput {
         ReplicaOutput {
@@ -976,23 +921,23 @@ mod tests {
         }
     }
 
-    /// The driver-side record as the runtime keeps it: intern, then log.
+    /// The driver-side record as the runtime keeps it: intern, then record.
     struct OutputRecord {
         interner: SnapshotInterner,
-        log: OutputLog<ReplicaOutput>,
+        history: OutputHistory<ReplicaOutput>,
     }
 
     impl OutputRecord {
         fn new(n: usize) -> Self {
             OutputRecord {
                 interner: SnapshotInterner::default(),
-                log: OutputLog::new(n),
+                history: OutputHistory::new(n),
             }
         }
 
         fn record(&mut self, p: ProcessId, elapsed_ms: u64, mut output: ReplicaOutput) {
             self.interner.intern(&mut output);
-            self.log.push(p, elapsed_ms, output);
+            self.history.record(p, Time::new(elapsed_ms), output);
         }
     }
 
@@ -1007,7 +952,7 @@ mod tests {
         }
         recorder.record(ids[0], 2, output(2, b"state-2"));
         let latest = |recorder: &OutputRecord, p: usize| {
-            recorder.log.latest_of(ids[p]).map(|o| o.snapshot.clone())
+            recorder.history.last(ids[p]).map(|o| o.snapshot.clone())
         };
         let (Some(a), Some(b), Some(c)) = (
             latest(&recorder, 0),
@@ -1021,8 +966,8 @@ mod tests {
             !Arc::ptr_eq(&a, &b) && *a != *b,
             "different bytes stay apart"
         );
-        // the log's first entry is the allocation the followers share
-        let first = &recorder.log.all()[0].2;
+        // the history's first entry is the allocation the followers share
+        let first = &recorder.history.outputs(ids[0])[0].1;
         assert!(Arc::ptr_eq(&first.snapshot, &b));
         // sharing is by content only: `applied` never decides it
         recorder.record(ids[1], 3, output(9, b"state-2"));
@@ -1040,8 +985,8 @@ mod tests {
         assert_eq!(recorder.interner.recent.len(), RECENT_SNAPSHOTS);
         // "old" fell out of the window: equal bytes, but a fresh allocation
         recorder.record(ProcessId::new(1), 2, output(0, b"old"));
-        let all = recorder.log.all();
-        let (first, last) = (&all[0].2, &all[all.len() - 1].2);
+        let first = &recorder.history.outputs(p)[0].1;
+        let last = recorder.history.last(ProcessId::new(1)).expect("recorded");
         assert_eq!(first, last);
         assert!(!Arc::ptr_eq(&first.snapshot, &last.snapshot));
     }
@@ -1073,7 +1018,7 @@ mod tests {
         where
             S: StateMachine + Send + 'static,
         {
-            self.deploy_as(EngineKind::Net, plan)
+            Self::deploy_as(EngineKind::Net, plan)
         }
     }
 

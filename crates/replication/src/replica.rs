@@ -93,9 +93,9 @@ pub struct ReplicaOutput {
     pub applied: usize,
     /// Canonical snapshot of the state machine after applying them:
     /// shared immutable bytes, so the copies an output goes through (the
-    /// replica's own last-output memo, the engines' output logs and latest
-    /// slots, every [`ec_sim::OutputHistory`] built from them) are pointer
-    /// copies of one allocation.
+    /// replica's own last-output memo, the engine's [`ec_sim::OutputHistory`]
+    /// and every copy handed out of it) are pointer copies of one
+    /// allocation.
     pub snapshot: Arc<[u8]>,
 }
 
@@ -552,8 +552,8 @@ mod tests {
             .process_ids()
             .map(|p| {
                 world
-                    .trace()
-                    .last_output_of(p)
+                    .output_history()
+                    .last(p)
                     .expect("output")
                     .snapshot
                     .clone()
@@ -597,7 +597,7 @@ mod tests {
             );
         }
         world.run_until(2_500);
-        let history = world.trace().output_history();
+        let history = world.output_history();
         // during the partition, the leader-side replica p1 made progress
         let during = history
             .value_at(ProcessId::new(1), Time::new(850))
@@ -645,7 +645,7 @@ mod tests {
             );
         }
         world.run_until(2_500);
-        let history = world.trace().output_history();
+        let history = world.output_history();
         // during the partition, nothing new is applied anywhere
         for p in world.process_ids() {
             let during = history

@@ -43,14 +43,12 @@
 mod channel;
 pub mod clock;
 mod node;
-mod outputs;
 pub mod pacer;
 mod runtime;
 
 pub use channel::{ChannelLinks, ChannelTransport};
 pub use clock::{sleep_ms, Stopwatch};
 pub use node::{Event, Links};
-pub use outputs::OutputLog;
 pub use pacer::{Pacer, Turn};
 /// The non-poisoning lock the runtime shares its own state under, for
 /// transports whose threads share state too.

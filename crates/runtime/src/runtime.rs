@@ -13,11 +13,10 @@ use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use ec_detectors::HeartbeatConfig;
-use ec_sim::{Algorithm, Metrics, ProcessId};
+use ec_sim::{Algorithm, Metrics, OutputHistory, ProcessId, Time};
 
 use crate::clock::{sleep_ms, Stopwatch};
 use crate::node::{node_loop, Event, Links};
-use crate::outputs::OutputLog;
 
 /// Configuration of a [`Runtime`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,9 +52,10 @@ pub const GOODBYE_WAIT_MS: u64 = 2_000;
 /// static quorum realizes the Ω + Σ the strongly consistent baseline needs.
 pub(crate) type FdDerive<F> = Arc<dyn Fn(ProcessId, usize) -> F + Send + Sync>;
 
-/// The driver-side record of outputs, and what shares their payloads.
+/// The driver-side record of outputs — the run's output history, stamped
+/// in milliseconds of the run's clock — and what shares their payloads.
 struct Sink<O> {
-    log: OutputLog<O>,
+    history: OutputHistory<O>,
     intern: Box<dyn FnMut(&mut O) + Send>,
 }
 
@@ -99,12 +99,18 @@ impl<A: Algorithm> Hub<A> {
         sender.is_some_and(|sender| sender.send(event).is_ok())
     }
 
-    /// Records an output of node `p`, stamped with the run's clock.
+    /// Records an output of node `p`, stamped with the run's clock. A `p`
+    /// that is no node of the run (a transport read it off a wire) is
+    /// ignored.
     pub fn record_output(&self, p: ProcessId, mut output: A::Output) {
-        let elapsed = self.stopwatch.elapsed_ms();
         let mut sink = self.sink.lock();
-        (sink.intern)(&mut output);
-        sink.log.push(p, elapsed, output);
+        // read under the lock: stamps are monotone in the order recorded,
+        // whichever threads record for `p`
+        let elapsed = Time::new(self.stopwatch.elapsed_ms());
+        if p.index() < sink.history.n() {
+            (sink.intern)(&mut output);
+            sink.history.record(p, elapsed, output);
+        }
     }
 
     /// Counts one piece of inbound data rejected as malformed.
@@ -195,8 +201,8 @@ pub struct Final<A: Algorithm> {
     /// The automaton of each node's last incarnation, as it was when its
     /// thread stopped (a crashed node contributes its state at the crash).
     pub final_states: Vec<Option<A>>,
-    /// Outputs as `(process, elapsed_ms, output)`, in arrival order.
-    pub outputs: Vec<(ProcessId, u64, A::Output)>,
+    /// The output history of the run, timed in milliseconds since launch.
+    pub outputs: OutputHistory<A::Output>,
     /// Leader estimates of the heartbeat Ω modules as
     /// `(process, elapsed_ms, leader)`, one entry per change.
     pub leaders: Vec<(ProcessId, u64, ProcessId)>,
@@ -244,13 +250,18 @@ impl<A: Algorithm, T> Runtime<A, T> {
 
     /// The most recent output of process `p`, observed live (without
     /// stopping the run) — how service facades poll replica progress.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
     pub fn latest_output_of(&self, p: ProcessId) -> Option<A::Output> {
-        self.hub.sink.lock().log.latest_of(p).cloned()
+        self.hub.sink.lock().history.last(p).cloned()
     }
 
-    /// A snapshot of every `(process, elapsed_ms, output)` produced so far.
-    pub fn outputs_so_far(&self) -> Vec<(ProcessId, u64, A::Output)> {
-        self.hub.sink.lock().log.all().to_vec()
+    /// A copy of the output history so far, timed in milliseconds since
+    /// launch.
+    pub fn outputs_so_far(&self) -> OutputHistory<A::Output> {
+        self.hub.sink.lock().history.clone()
     }
 
     /// Inbound data the transport rejected as malformed so far (always 0
@@ -306,7 +317,7 @@ where
             inboxes: (0..n).map(|_| Mutex::new(None)).collect(),
             goodbyes: (0..n).map(|_| AtomicBool::new(false)).collect(),
             sink: Mutex::new(Sink {
-                log: OutputLog::new(n),
+                history: OutputHistory::new(n),
                 intern: Box::new(intern),
             }),
             leaders: Mutex::new(Vec::new()),
@@ -420,8 +431,9 @@ where
             self.join(p);
         }
         self.transport.close();
-        // one lock at a time
-        let outputs = self.hub.sink.lock().log.take_all();
+        // one lock at a time; a recorder that straggles in after this finds
+        // no process in range
+        let outputs = std::mem::replace(&mut self.hub.sink.lock().history, OutputHistory::new(0));
         let leaders = std::mem::take(&mut *self.hub.leaders.lock());
         let metrics = self.hub.metrics.lock().clone();
         Final {
@@ -441,7 +453,7 @@ mod tests {
     use ec_core::tob_consensus::{ConsensusTob, ConsensusTobConfig};
     use ec_core::types::{materialize, DeliveryDelta, EtobBroadcast, MsgId};
     use ec_detectors::HeartbeatMsg;
-    use ec_sim::{OutputHistory, ProcessSet, Time};
+    use ec_sim::ProcessSet;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
     use std::time::Instant;
@@ -476,21 +488,10 @@ mod tests {
         runtime.submit(origin, EtobBroadcast::new(origin, seq, payload.to_vec()));
     }
 
-    /// The outputs as an [`OutputHistory`], one tick per millisecond — the
-    /// bridge that lets the simulator's history-based checkers run over a
-    /// real-time execution.
-    fn history<A: Algorithm>(fin: &Final<A>) -> OutputHistory<A::Output> {
-        let mut history = OutputHistory::new(fin.final_states.len());
-        for (p, ms, out) in &fin.outputs {
-            history.record(*p, Time::new(*ms), out.clone());
-        }
-        history
-    }
-
     /// The final delivered sequence of `p`: its delivery deltas folded in
     /// order.
     fn final_ids<A: Algorithm<Output = DeliveryDelta>>(fin: &Final<A>, p: ProcessId) -> Vec<MsgId> {
-        materialize(&history(fin))
+        materialize(&fin.outputs)
             .last(p)
             .expect("delivered")
             .iter()
@@ -559,8 +560,7 @@ mod tests {
         assert!(fin.metrics.messages_delivered > 0);
         assert_eq!(fin.metrics.inputs, 5);
         // the last delta each process emitted ends where its sequence does
-        let mut of_p0 = fin.outputs.iter().rev().filter(|(p, _, _)| p.index() == 0);
-        let (_, _, last) = of_p0.next().expect("p0 delivered");
+        let last = fin.outputs.last(ProcessId::new(0)).expect("p0 delivered");
         assert_eq!(last.keep + last.suffix.len(), reference.len());
     }
 
@@ -584,7 +584,7 @@ mod tests {
         // the survivors eventually elected p1 and still deliver new messages
         for p in survivors {
             assert_eq!(last_leader_of(&fin, p), Some(ProcessId::new(1)), "{p}");
-            let history = materialize(&history(&fin));
+            let history = materialize(&fin.outputs);
             let delivered = history.last(p).expect("delivered something");
             assert!(
                 delivered.iter().any(|m| &m.payload[..] == b"after"),
@@ -631,7 +631,7 @@ mod tests {
         wait_until(5, "p1 delivered", || {
             delivered_len(&runtime, ProcessId::new(1)) == 1
         });
-        assert!(!runtime.outputs_so_far().is_empty());
+        assert!(runtime.outputs_so_far().last(ProcessId::new(1)).is_some());
         assert!(runtime.metrics().messages_sent > 0);
         assert_eq!(runtime.n(), 2);
         // a transport with no wire answers for none
@@ -642,6 +642,33 @@ mod tests {
         assert!(format!("{runtime:?}").contains("live: 2"));
         let _ = runtime.elapsed_ms();
         runtime.shutdown();
+    }
+
+    #[test]
+    fn the_hub_keeps_one_history_and_ignores_a_process_it_does_not_have() {
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        let delta = |keep| DeliveryDelta {
+            keep,
+            suffix: Vec::new(),
+        };
+        // nothing is broadcast, so the nodes record nothing themselves
+        let runtime = launch_etob(2, EtobConfig::default());
+        assert_eq!(runtime.latest_output_of(p0), None);
+        runtime.hub.record_output(p0, delta(1));
+        runtime.hub.record_output(p1, delta(2));
+        runtime.hub.record_output(p0, delta(3));
+        // a process id off a wire that names no node: dropped, no panic
+        runtime.hub.record_output(ProcessId::new(7), delta(4));
+        assert_eq!(runtime.latest_output_of(p0), Some(delta(3)));
+        assert_eq!(runtime.latest_output_of(p1), Some(delta(2)));
+        let so_far = runtime.outputs_so_far();
+        assert_eq!(so_far.all().count(), 3);
+        // stamped by the run's clock, in the order recorded
+        let [(first, _), (second, _)] = so_far.outputs(p0) else {
+            panic!("p0 recorded twice")
+        };
+        assert!(first <= second);
+        assert_eq!(runtime.shutdown().outputs, so_far);
     }
 
     #[test]

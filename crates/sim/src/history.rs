@@ -39,13 +39,20 @@ impl<O: Clone> OutputHistory<O> {
         self.per_process.len()
     }
 
-    /// Records that `p` output `value` at time `t`.
+    /// Records that `p` output `value` at time `t`. A process's outputs
+    /// must be recorded in non-decreasing time order ([`Self::value_at`]
+    /// searches on it).
     ///
     /// # Panics
     ///
     /// Panics if `p` is out of range.
     pub fn record(&mut self, p: ProcessId, t: Time, value: O) {
-        self.per_process[p.index()].push((t, value));
+        let outputs = &mut self.per_process[p.index()];
+        debug_assert!(
+            outputs.last().is_none_or(|(last, _)| *last <= t),
+            "the outputs of a process must be recorded in non-decreasing time order"
+        );
+        outputs.push((t, value));
     }
 
     /// All timed outputs of process `p`, in order.
@@ -56,11 +63,9 @@ impl<O: Clone> OutputHistory<O> {
     /// The last value output by `p` at or before time `t` — i.e. the value of
     /// `p`'s output variable at time `t` (outputs are sticky until replaced).
     pub fn value_at(&self, p: ProcessId, t: Time) -> Option<&O> {
-        self.per_process[p.index()]
-            .iter()
-            .take_while(|(when, _)| *when <= t)
-            .last()
-            .map(|(_, v)| v)
+        let outputs = &self.per_process[p.index()];
+        let until = outputs.partition_point(|(when, _)| *when <= t);
+        until.checked_sub(1).map(|newest| &outputs[newest].1)
     }
 
     /// The final value output by `p`, if any.
@@ -174,12 +179,20 @@ mod tests {
 
     #[test]
     fn value_at_is_sticky() {
-        let h = history();
+        let mut h = history();
         assert_eq!(h.value_at(ProcessId::new(0), Time::new(0)), None);
         assert_eq!(h.value_at(ProcessId::new(0), Time::new(1)), Some(&10));
         assert_eq!(h.value_at(ProcessId::new(0), Time::new(4)), Some(&10));
         assert_eq!(h.value_at(ProcessId::new(0), Time::new(5)), Some(&20));
         assert_eq!(h.value_at(ProcessId::new(0), Time::new(99)), Some(&20));
+        // of several outputs at one time, the last recorded is the value
+        h.record(ProcessId::new(0), Time::new(5), 21);
+        h.record(ProcessId::new(0), Time::new(5), 22);
+        assert_eq!(h.value_at(ProcessId::new(0), Time::new(4)), Some(&10));
+        assert_eq!(h.value_at(ProcessId::new(0), Time::new(5)), Some(&22));
+        // a process that never output has no value at any time
+        let silent: OutputHistory<u32> = OutputHistory::new(1);
+        assert_eq!(silent.value_at(ProcessId::new(0), Time::new(99)), None);
     }
 
     #[test]

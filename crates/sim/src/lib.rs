@@ -16,10 +16,10 @@
 //!
 //! Algorithms are written against the [`Algorithm`] trait and executed by a
 //! [`World`], which schedules message deliveries, local timeouts and
-//! application inputs deterministically from a seed. Every run records a
-//! [`Trace`] of events from which the specification checkers in `ec-core`
-//! derive the input and output histories `H_I`, `H_O` used by the paper's
-//! definitions.
+//! application inputs deterministically from a seed. Every run records its
+//! output history `H_O` — an [`OutputHistory`], what each process output and
+//! when — which is what the specification checkers in `ec-core` evaluate the
+//! paper's definitions on.
 //!
 //! The simulator supports scripted *partitions* (periods during which links
 //! between groups of processes delay all traffic until the partition heals),
@@ -65,7 +65,7 @@
 //! world.run_until(100);
 //! // every process received a ping from every process (including itself)
 //! for p in world.process_ids() {
-//!     assert_eq!(world.trace().last_output_of(p), Some(&n));
+//!     assert_eq!(world.output_history().last(p), Some(&n));
 //! }
 //! ```
 
@@ -82,7 +82,6 @@ mod metrics;
 mod network;
 mod process;
 mod time;
-mod trace;
 mod world;
 
 pub use algorithm::{Actions, Algorithm, Context};
@@ -95,5 +94,4 @@ pub use network::{
 };
 pub use process::{ProcessId, ProcessSet};
 pub use time::Time;
-pub use trace::{Trace, TraceEvent};
 pub use world::{RecoveryPolicy, World, WorldBuilder};

@@ -9,8 +9,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::{
-    Actions, Algorithm, Context, FailureDetector, FailurePattern, Metrics, NetworkModel, ProcessId,
-    Time, Trace, TraceEvent,
+    Actions, Algorithm, Context, FailureDetector, FailurePattern, Metrics, NetworkModel,
+    OutputHistory, ProcessId, Time,
 };
 
 /// What a process rejoining after a crash–recovery window resumes with.
@@ -57,7 +57,6 @@ pub struct WorldBuilder {
     network: NetworkModel,
     failures: FailurePattern,
     seed: u64,
-    quiescence_idle_window: u64,
     recovery: RecoveryPolicy,
 }
 
@@ -75,7 +74,6 @@ impl WorldBuilder {
             network: NetworkModel::default(),
             failures: FailurePattern::no_failures(n),
             seed: 0,
-            quiescence_idle_window: 50,
             recovery: RecoveryPolicy::default(),
         }
     }
@@ -104,13 +102,6 @@ impl WorldBuilder {
     /// Sets the seed of the deterministic random source used for link delays.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets how long (in ticks) the world must be free of message, output and
-    /// input activity before [`World::run_until_quiescent`] stops.
-    pub fn quiescence_idle_window(mut self, ticks: u64) -> Self {
-        self.quiescence_idle_window = ticks.max(1);
         self
     }
 
@@ -166,13 +157,9 @@ impl WorldBuilder {
             now: Time::ZERO,
             queue: BinaryHeap::new(),
             seq: 0,
-            next_msg_id: 0,
-            pending_non_timer: 0,
-            trace: Trace::new(self.n),
+            outputs: OutputHistory::new(self.n),
             metrics: Metrics::new(self.n),
             crash_recorded: vec![0; self.n],
-            last_activity: Time::ZERO,
-            idle_window: self.quiescence_idle_window,
             faults: ec_telemetry::EventRing::default(),
         };
         for (p, at) in recoveries {
@@ -188,7 +175,6 @@ enum EventKind<A: Algorithm> {
         from: ProcessId,
         to: ProcessId,
         msg: A::Msg,
-        id: u64,
         /// `Algorithm::wire_size` of the message, captured at send time.
         bytes: u64,
     },
@@ -250,14 +236,11 @@ pub struct World<A: Algorithm, D: FailureDetector<Output = A::Fd>> {
     now: Time,
     queue: BinaryHeap<Reverse<Event<A>>>,
     seq: u64,
-    next_msg_id: u64,
-    pending_non_timer: usize,
-    trace: Trace<A::Output>,
+    /// The output history `H_O` of the run so far.
+    outputs: OutputHistory<A::Output>,
     metrics: Metrics,
-    /// Number of down windows per process already recorded in the trace.
+    /// Number of down windows per process already counted and recorded.
     crash_recorded: Vec<usize>,
-    last_activity: Time,
-    idle_window: u64,
     /// World-level fault events (crashes, recoveries) for the flight
     /// recorder, timestamped by logical tick. Separate from the per-replica
     /// recorders because the crashed process itself cannot record its own
@@ -271,7 +254,7 @@ impl<A: Algorithm, D: FailureDetector<Output = A::Fd>> fmt::Debug for World<A, D
             .field("n", &self.n)
             .field("now", &self.now)
             .field("pending_events", &self.queue.len())
-            .field("trace_len", &self.trace.len())
+            .field("outputs", &self.metrics.outputs)
             .finish_non_exhaustive()
     }
 }
@@ -292,9 +275,10 @@ impl<A: Algorithm, D: FailureDetector<Output = A::Fd>> World<A, D> {
         self.now
     }
 
-    /// The recorded trace of the run so far.
-    pub fn trace(&self) -> &Trace<A::Output> {
-        &self.trace
+    /// The output history `H_O` of the run so far: what each process
+    /// output, and when — the record the specification checkers read.
+    pub fn output_history(&self) -> &OutputHistory<A::Output> {
+        &self.outputs
     }
 
     /// Aggregate counters of the run so far.
@@ -330,11 +314,6 @@ impl<A: Algorithm, D: FailureDetector<Output = A::Fd>> World<A, D> {
         &mut self.fd
     }
 
-    /// Consumes the world and returns its trace.
-    pub fn into_trace(self) -> Trace<A::Output> {
-        self.trace
-    }
-
     /// Schedules an application input for process `p` at absolute time `at`.
     ///
     /// Inputs scheduled in the past are delivered at the current time.
@@ -361,27 +340,6 @@ impl<A: Algorithm, D: FailureDetector<Output = A::Fd>> World<A, D> {
         self.now = self.now.max(limit);
     }
 
-    /// Executes events until either `max_time` is reached or the system is
-    /// quiescent: no messages or inputs are pending and no message, output or
-    /// input activity has occurred for the configured idle window (only
-    /// periodic timers keep firing). Returns the time at which execution
-    /// stopped.
-    pub fn run_until_quiescent(&mut self, max_time: u64) -> Time {
-        let limit = Time::new(max_time);
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.time > limit {
-                break;
-            }
-            let only_timers_left = self.pending_non_timer == 0;
-            let idle_for = ev.time.saturating_since(self.last_activity);
-            if only_timers_left && idle_for > self.idle_window {
-                break;
-            }
-            self.step();
-        }
-        self.now
-    }
-
     /// Executes the single next pending event, if any. Returns `false` when
     /// the event queue is empty.
     pub fn step(&mut self) -> bool {
@@ -396,64 +354,35 @@ impl<A: Algorithm, D: FailureDetector<Output = A::Fd>> World<A, D> {
                 from,
                 to,
                 msg,
-                id,
                 bytes,
             } => {
-                self.pending_non_timer = self.pending_non_timer.saturating_sub(1);
                 if !self.failures.is_alive(to, self.now) {
-                    self.trace.push(TraceEvent::MessageDropped {
-                        to,
-                        at: self.now,
-                        id,
-                    });
                     self.metrics.messages_dropped += 1;
                 } else {
-                    self.trace.push(TraceEvent::MessageDelivered {
-                        from,
-                        to,
-                        at: self.now,
-                        id,
-                    });
                     self.metrics.messages_delivered += 1;
                     self.metrics.bytes_delivered += bytes;
-                    self.last_activity = self.now;
                     self.execute(to, |alg, ctx| alg.on_message(from, msg, ctx));
                 }
             }
             EventKind::Timer { process } => {
                 if self.failures.is_alive(process, self.now) {
-                    self.trace.push(TraceEvent::TimerFired {
-                        process,
-                        at: self.now,
-                    });
                     self.metrics.timer_fires += 1;
                     self.execute(process, |alg, ctx| alg.on_timer(ctx));
                 }
             }
             EventKind::Input { process, input } => {
-                self.pending_non_timer = self.pending_non_timer.saturating_sub(1);
                 if self.failures.is_alive(process, self.now) {
-                    self.trace.push(TraceEvent::Input {
-                        process,
-                        at: self.now,
-                    });
                     self.metrics.inputs += 1;
-                    self.last_activity = self.now;
                     self.execute(process, |alg, ctx| alg.on_input(input, ctx));
                 }
             }
             EventKind::Recover { process } => {
-                self.pending_non_timer = self.pending_non_timer.saturating_sub(1);
                 if self.failures.is_alive(process, self.now) {
                     if self.recovery == RecoveryPolicy::ClearState {
                         if let Some(fresh) = self.spares[process.index()].pop() {
                             self.procs[process.index()] = fresh;
                         }
                     }
-                    self.trace.push(TraceEvent::Recovered {
-                        process,
-                        at: self.now,
-                    });
                     self.faults.record(ec_telemetry::Event {
                         at: self.now.as_u64(),
                         kind: ec_telemetry::EventKind::Recovered,
@@ -461,7 +390,6 @@ impl<A: Algorithm, D: FailureDetector<Output = A::Fd>> World<A, D> {
                         seq: 0,
                     });
                     self.metrics.recoveries += 1;
-                    self.last_activity = self.now;
                     // rejoining runs the start handler again, re-arming the
                     // process's timer chains (its pending timers fired while
                     // it was down and were skipped)
@@ -498,26 +426,11 @@ impl<A: Algorithm, D: FailureDetector<Output = A::Fd>> World<A, D> {
 
     fn apply_actions(&mut self, p: ProcessId, actions: Actions<A>) {
         for (to, msg) in actions.sends {
-            let id = self.next_msg_id;
-            self.next_msg_id += 1;
-            self.trace.push(TraceEvent::MessageSent {
-                from: p,
-                to,
-                at: self.now,
-                id,
-            });
             let bytes = A::wire_size(&msg);
             self.metrics.record_send(p);
             self.metrics.bytes_sent += bytes;
-            self.last_activity = self.now;
             let deliveries = self.network.transmit(p, to, self.now, &mut self.rng);
             if deliveries.is_empty() {
-                self.trace.push(TraceEvent::MessageLost {
-                    from: p,
-                    to,
-                    at: self.now,
-                    id,
-                });
                 self.metrics.faults_dropped += 1;
                 continue;
             }
@@ -536,20 +449,14 @@ impl<A: Algorithm, D: FailureDetector<Output = A::Fd>> World<A, D> {
                         from: p,
                         to,
                         msg,
-                        id,
                         bytes,
                     },
                 );
             }
         }
         for out in actions.outputs {
-            self.trace.push(TraceEvent::Output {
-                process: p,
-                at: self.now,
-                value: out,
-            });
+            self.outputs.record(p, self.now, out);
             self.metrics.outputs += 1;
-            self.last_activity = self.now;
         }
         for delay in actions.timers {
             self.push_event(self.now + delay, EventKind::Timer { process: p });
@@ -557,9 +464,6 @@ impl<A: Algorithm, D: FailureDetector<Output = A::Fd>> World<A, D> {
     }
 
     fn push_event(&mut self, time: Time, kind: EventKind<A>) {
-        if !matches!(kind, EventKind::Timer { .. }) {
-            self.pending_non_timer += 1;
-        }
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Reverse(Event { time, seq, kind }));
@@ -575,10 +479,6 @@ impl<A: Algorithm, D: FailureDetector<Output = A::Fd>> World<A, D> {
                 }
                 self.crash_recorded[i] += 1;
                 self.metrics.crashes += 1;
-                self.trace.push(TraceEvent::Crashed {
-                    process: p,
-                    at: w.from,
-                });
                 self.faults.record(ec_telemetry::Event {
                     at: w.from.as_u64(),
                     kind: ec_telemetry::EventKind::Crashed,
@@ -594,6 +494,17 @@ impl<A: Algorithm, D: FailureDetector<Output = A::Fd>> World<A, D> {
 mod tests {
     use super::*;
     use crate::{NetworkModel, NullFd, PartitionSpec, ProcessSet};
+    use ec_telemetry::EventKind::{Crashed, Recovered};
+
+    /// The fault-ring event of process `origin` crashing or recovering.
+    fn fault(kind: ec_telemetry::EventKind, origin: u32, at: u64) -> ec_telemetry::Event {
+        ec_telemetry::Event {
+            at,
+            kind,
+            origin,
+            seq: 0,
+        }
+    }
 
     /// Relay: process 0 broadcasts its input; everyone outputs what they get.
     #[derive(Default)]
@@ -633,7 +544,7 @@ mod tests {
         w.submit(ProcessId::new(0), 7);
         w.run_until(100);
         for p in w.process_ids() {
-            assert_eq!(w.trace().last_output_of(p), Some(&vec![7]));
+            assert_eq!(w.output_history().last(p), Some(&vec![7]));
         }
         assert_eq!(w.metrics().messages_sent, 3);
         assert_eq!(w.metrics().messages_delivered, 3);
@@ -660,9 +571,11 @@ mod tests {
         let mut w = relay_world(2);
         w.schedule_input(ProcessId::new(0), 1, 10);
         w.run_until(100);
-        // sent at t=10, fixed delay 2 → delivered at t=12
-        assert_eq!(w.trace().send_time(0), Some(Time::new(10)));
-        assert_eq!(w.trace().delivery_time(0), Some(Time::new(12)));
+        // sent at t=10, fixed delay 2 → delivered, and output, at t=12
+        assert_eq!(
+            w.output_history().outputs(ProcessId::new(1)),
+            [(Time::new(12), vec![1])]
+        );
     }
 
     #[test]
@@ -674,13 +587,12 @@ mod tests {
             .build_with(|_p| Relay::default(), NullFd);
         w.schedule_input(ProcessId::new(0), 9, 10);
         w.run_until(100);
-        assert_eq!(w.trace().last_output_of(ProcessId::new(1)), Some(&vec![9]));
-        assert_eq!(w.trace().last_output_of(ProcessId::new(2)), None);
+        assert_eq!(w.output_history().last(ProcessId::new(1)), Some(&vec![9]));
+        assert_eq!(w.output_history().last(ProcessId::new(2)), None);
         assert_eq!(w.metrics().messages_dropped, 1);
-        // the crash itself is recorded
-        assert!(w.trace().events().iter().any(
-            |e| matches!(e, TraceEvent::Crashed { process, .. } if *process == ProcessId::new(2))
-        ));
+        // the crash itself is counted and recorded
+        assert_eq!(w.metrics().crashes, 1);
+        assert_eq!(w.fault_events(), [fault(Crashed, 2, 5)]);
     }
 
     #[test]
@@ -705,7 +617,7 @@ mod tests {
             w.submit(ProcessId::new(0), 1);
             w.submit(ProcessId::new(1), 2);
             w.run_until(200);
-            w.trace().clone()
+            (w.output_history().clone(), w.metrics().clone())
         };
         assert_eq!(run(7), run(7));
         // different seeds give different interleavings (with high probability
@@ -727,41 +639,11 @@ mod tests {
         w.schedule_input(ProcessId::new(0), 3, 5);
         w.run_until(200);
         // p1 eventually gets the message (reliable links), but only after heal
-        let delivery = w.trace().delivery_time(1).or(w.trace().delivery_time(0));
-        assert!(delivery.expect("message delivered") >= Time::new(50));
-        assert_eq!(w.trace().last_output_of(ProcessId::new(1)), Some(&vec![3]));
-    }
-
-    /// An algorithm with a periodic timer that stops producing activity.
-    struct Ticker {
-        ticks: u32,
-    }
-    impl Algorithm for Ticker {
-        type Msg = ();
-        type Input = ();
-        type Output = u32;
-        type Fd = ();
-        fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
-            ctx.set_timer(5);
-        }
-        fn on_timer(&mut self, ctx: &mut Context<'_, Self>) {
-            self.ticks += 1;
-            if self.ticks <= 3 {
-                ctx.output(self.ticks);
-            }
-            ctx.set_timer(5);
-        }
-    }
-
-    #[test]
-    fn quiescence_stops_when_only_idle_timers_remain() {
-        let mut w = WorldBuilder::new(2)
-            .quiescence_idle_window(30)
-            .build_with(|_p| Ticker { ticks: 0 }, NullFd);
-        let stopped = w.run_until_quiescent(10_000);
-        assert!(stopped.as_u64() < 10_000, "should stop well before the cap");
-        // the last output happened at tick 3 * 5 = 15
-        assert_eq!(w.trace().last_output_of(ProcessId::new(0)), Some(&3));
+        let [(delivery, seen)] = w.output_history().outputs(ProcessId::new(1)) else {
+            panic!("message delivered, once")
+        };
+        assert!(*delivery >= Time::new(50));
+        assert_eq!(*seen, vec![3]);
     }
 
     #[test]
@@ -788,13 +670,9 @@ mod tests {
         // surely, and deterministically for this seed) lost
         assert_eq!(w.metrics().messages_sent, 3);
         assert_eq!(w.metrics().faults_dropped, 2);
-        assert!(w
-            .trace()
-            .events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::MessageLost { .. })));
-        assert_eq!(w.trace().last_output_of(ProcessId::new(1)), None);
-        assert_eq!(w.trace().last_output_of(ProcessId::new(0)), Some(&vec![7]));
+        assert_eq!(w.metrics().messages_delivered, 1);
+        assert_eq!(w.output_history().last(ProcessId::new(1)), None);
+        assert_eq!(w.output_history().last(ProcessId::new(0)), Some(&vec![7]));
     }
 
     #[test]
@@ -814,7 +692,7 @@ mod tests {
         // value twice — at-least-once delivery is now observable
         assert_eq!(w.metrics().faults_duplicated, 1);
         assert_eq!(
-            w.trace().last_output_of(ProcessId::new(1)),
+            w.output_history().last(ProcessId::new(1)),
             Some(&vec![5, 5])
         );
     }
@@ -838,10 +716,11 @@ mod tests {
         assert_eq!(w.metrics().crashes, 1);
         assert_eq!(w.metrics().recoveries, 1);
         assert_eq!(w.metrics().messages_dropped, 1);
-        assert_eq!(w.trace().last_output_of(ProcessId::new(1)), Some(&vec![2]));
-        assert!(w.trace().events().iter().any(
-            |e| matches!(e, TraceEvent::Recovered { process, at } if *process == ProcessId::new(1) && *at == Time::new(50))
-        ));
+        assert_eq!(w.output_history().last(ProcessId::new(1)), Some(&vec![2]));
+        assert_eq!(
+            w.fault_events(),
+            [fault(Crashed, 1, 5), fault(Recovered, 1, 50)]
+        );
     }
 
     /// An algorithm that outputs its lifetime step count — distinguishes
@@ -876,7 +755,7 @@ mod tests {
             w.schedule_input(ProcessId::new(0), (), 10);
             w.schedule_input(ProcessId::new(0), (), 50);
             w.run_until(100);
-            *w.trace().last_output_of(ProcessId::new(0)).expect("output")
+            *w.output_history().last(ProcessId::new(0)).expect("output")
         };
         assert_eq!(run(RecoveryPolicy::RetainState), 2, "state survives");
         assert_eq!(run(RecoveryPolicy::ClearState), 1, "state is wiped");

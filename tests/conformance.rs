@@ -46,6 +46,17 @@ fn drive<E: Engine>(engine: &E, consistency: Consistency) -> Vec<Vec<u8>> {
             .map(|p| cluster.applied(p))
             .collect::<Vec<_>>(),
     );
+    // every engine keeps one output record, read the same way: its newest
+    // entry is where the replica is now, and under a leader that stayed
+    // stable the applied count it gives for a past time never falls
+    let history = cluster.output_history();
+    for p in cluster.replica_ids() {
+        let newest = history.last(p).map(|output| output.applied);
+        assert_eq!(newest, Some(cluster.applied(p)), "{p}");
+        let probes = (0..=cluster.clock()).step_by(10);
+        let applied: Vec<usize> = probes.map(|t| cluster.applied_at(p, t)).collect();
+        assert!(applied.is_sorted(), "{p} went backwards: {applied:?}");
+    }
     let report = cluster.finish();
     assert_eq!(report.consistency, consistency);
     assert!(

@@ -39,7 +39,7 @@ fn etob_from_ec_satisfies_etob_and_measures_overhead() {
     workload.submit_to(&mut transformed);
     transformed.run_until(6_000);
     let checker = EtobChecker::from_delivered(
-        &transformed.trace().output_history(),
+        transformed.output_history(),
         workload.records(),
         failures.correct(),
         Time::ZERO,
@@ -99,7 +99,7 @@ fn ec_from_etob_satisfies_ec() {
         })
         .collect();
     let checker = EcChecker::new(
-        world.trace().output_history(),
+        world.output_history().clone(),
         proposals,
         failures.correct(),
     );
@@ -146,7 +146,7 @@ fn ec_to_eic_to_ec_circle_satisfies_ec() {
         })
         .collect();
     let checker = EcChecker::new(
-        world.trace().output_history(),
+        world.output_history().clone(),
         proposals,
         failures.correct(),
     );

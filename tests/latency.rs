@@ -26,7 +26,7 @@ fn etob_latency(n: usize) -> u64 {
         .build_with(|p| EtobOmega::new(p, EtobConfig::eager()), omega);
     workload.submit_to(&mut world);
     world.run_until(2_000);
-    first_delivery(&world.trace().output_history(), workload.ids()[0], n)
+    first_delivery(world.output_history(), workload.ids()[0], n)
 }
 
 /// Same measurement for the strongly consistent baseline.
@@ -44,7 +44,7 @@ fn consensus_latency(n: usize) -> u64 {
         .build_with(|p| ConsensusTob::new(p, ConsensusTobConfig::default()), fd);
     workload.submit_to(&mut world);
     world.run_until(2_000);
-    first_delivery(&world.trace().output_history(), workload.ids()[0], n)
+    first_delivery(world.output_history(), workload.ids()[0], n)
 }
 
 fn first_delivery(

@@ -37,7 +37,7 @@ fn run(
         );
     workload.submit_to(&mut world);
     world.run_until(horizon);
-    world.trace().output_history()
+    world.output_history().clone()
 }
 
 /// E3 / property P2: with Ω stable from time 0, the run satisfies the full
