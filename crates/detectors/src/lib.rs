@@ -14,10 +14,6 @@
 //!   intersect, and eventually quorums contain only correct processes. Σ is
 //!   exactly what separates strong from eventual consistency (Sections 1
 //!   and 7), and gates the strongly consistent baseline in `ec-core`.
-//! * [`suspects::PerfectOracle`] / [`suspects::EventuallyPerfectOracle`] —
-//!   the perfect (P) and eventually perfect (◇P) detectors, used for
-//!   context and for the related-work comparison with eventual
-//!   linearizability boosting.
 //! * [`heartbeat::HeartbeatOmega`] — a message-based implementation of Ω for
 //!   partially synchronous periods, written as an [`ec_sim::Algorithm`]; used
 //!   by the ablation experiment A1 and by the real-time runtime.
@@ -41,7 +37,6 @@ pub mod heartbeat;
 pub mod omega;
 pub mod scripted;
 pub mod sigma;
-pub mod suspects;
 
 pub use checks::{check_omega_history, check_sigma_history, OmegaViolation, SigmaViolation};
 pub use combined::PairFd;
@@ -49,4 +44,3 @@ pub use heartbeat::{HeartbeatConfig, HeartbeatMsg, HeartbeatOmega};
 pub use omega::{OmegaOracle, PreStabilization};
 pub use scripted::{LieWindow, OverlayFd, ScriptedFd};
 pub use sigma::SigmaOracle;
-pub use suspects::{EventuallyPerfectOracle, PerfectOracle};

@@ -348,7 +348,8 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
         }
     }
 
-    /// Commands applied by replica `p` so far.
+    /// Commands applied by replica `p` so far (see [`Deployment::applied`]:
+    /// cheap enough to poll).
     pub fn applied(&self, p: ProcessId) -> usize {
         self.deployment.applied(p)
     }
@@ -387,8 +388,8 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
         self.deployment.snapshot(p)
     }
 
-    /// A typed copy of replica `p`'s state machine (see
-    /// [`Deployment::state`] for engine-specific caveats).
+    /// A typed copy of replica `p`'s state machine, read from the replica
+    /// (see [`Deployment::state`] for when there is none to read).
     pub fn state(&self, p: ProcessId) -> Option<S> {
         self.deployment.state(p)
     }
@@ -400,8 +401,7 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
         self.state(session.entry())
     }
 
-    /// The stable delivered sequence of replica `p`'s broadcast layer
-    /// (simulator only; `None` live on the thread engine).
+    /// The stable delivered sequence of replica `p`'s broadcast layer.
     pub fn delivered(&self, p: ProcessId) -> Option<Vec<AppMessage>> {
         self.deployment.delivered(p)
     }
@@ -457,23 +457,18 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
 
     /// Total digest pulls of the Algorithm 5 layers so far — wire-level
     /// update gaps (lost, reordered or rejoin-missed deltas) that the
-    /// delta-sync machinery detected and repaired. Simulator-side eventual
-    /// deployments only (0 otherwise).
+    /// delta-sync machinery detected and repaired (0 for strong clusters).
     pub fn sync_pulls(&self) -> u64 {
         self.deployment.sync_pulls()
     }
 
-    /// The merged latency summary of the cluster so far. Live on the
-    /// simulator; empty live on the thread and net engines, whose replica
-    /// internals surface at [`Cluster::finish`] (scrape a live net node
-    /// with [`Cluster::scrape`] instead).
+    /// The merged latency summary of the cluster so far.
     pub fn telemetry(&self) -> ec_telemetry::TelemetryReport {
         self.deployment.telemetry()
     }
 
-    /// The per-replica flight-recorder traces so far (simulator only; the
-    /// chaos harness dumps these next to a failing counterexample). Empty
-    /// vectors on the real-time engines.
+    /// The per-replica flight-recorder traces so far (the chaos harness
+    /// dumps these next to a failing counterexample).
     pub fn flight_events(&self) -> Vec<Vec<ec_telemetry::Event>> {
         self.deployment.flight_events()
     }
@@ -492,11 +487,9 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
         report_of(self.engine(), self.consistency, self.submitted, summary)
     }
 
-    /// Stops the cluster and returns the final report. On the real-time
-    /// engines this joins every replica thread and reads the exact final
-    /// automata (including the `update`-broadcast counters and latency
-    /// summary a live report cannot see); on the simulator it is equivalent
-    /// to [`Cluster::report`].
+    /// Stops the cluster and returns the final report: what
+    /// [`Cluster::report`] says once every replica of a real-time engine has
+    /// drained its inbox and stopped.
     pub fn finish(self) -> ClusterReport {
         let (engine, consistency, submitted) = (self.engine(), self.consistency, self.submitted);
         let summary = self.deployment.finish(&self.crashed);
@@ -569,8 +562,7 @@ pub struct ShardReport {
     /// group.
     pub faults_duplicated: u64,
     /// Merged latency summary of the group's replicas: submit→deliver,
-    /// promote→stable and stability-lag histograms. Empty for live
-    /// real-time reports, whose replica internals surface only at finish.
+    /// promote→stable and stability-lag histograms.
     pub telemetry: ec_telemetry::TelemetryReport,
 }
 

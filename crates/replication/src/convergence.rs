@@ -22,7 +22,11 @@ pub struct Divergence {
     pub until: Option<Time>,
 }
 
-/// Summary of a replicated run.
+/// Summary of a replicated run. Replicas are compared by the state digests
+/// their outputs carry, so a digest collision (≈ 2⁻⁶⁴ per comparison) can at
+/// worst hide a transient divergence episode here; every final-agreement
+/// check ([`crate::ShardReport::snapshots_agree`], the conformance and chaos
+/// suites) compares snapshot bytes read from the replicas.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConvergenceReport {
     /// The time from which all correct replicas exposed identical snapshots
@@ -84,13 +88,13 @@ impl ConvergenceReport {
     }
 
     fn agree_at(history: &OutputHistory<ReplicaOutput>, correct: &ProcessSet, t: Time) -> bool {
-        let mut snapshots = correct
+        let mut digests = correct
             .iter()
-            .map(|p| history.value_at(p, t).map(|o| &o.snapshot));
-        let Some(first) = snapshots.next() else {
+            .map(|p| history.value_at(p, t).map(|o| o.digest));
+        let Some(first) = digests.next() else {
             return true;
         };
-        snapshots.all(|s| s == first)
+        digests.all(|d| d == first)
     }
 
     /// Number of divergence episodes.
@@ -117,7 +121,7 @@ mod tests {
     fn out(applied: usize, tag: u8) -> ReplicaOutput {
         ReplicaOutput {
             applied,
-            snapshot: vec![tag].into(),
+            digest: crate::state_machine::snapshot_digest(&[tag]),
         }
     }
 
@@ -162,10 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn sharing_snapshot_allocations_does_not_change_the_report() {
-        // (replica, time, applied, snapshot tag): p1 lags, p2 diverges and
-        // comes back — the same timeline once with every output owning its
-        // bytes and once with equal snapshots pointing at one allocation
+    fn a_lagging_and_a_diverging_replica_give_two_closed_episodes() {
+        // (replica, time, applied, state tag): p1 lags, p2 diverges and
+        // comes back
         let timeline = [
             (0, 5, 1, 1u8),
             (2, 6, 1, 7),
@@ -175,27 +178,11 @@ mod tests {
             (1, 20, 2, 2),
             (2, 21, 2, 2),
         ];
-        let mut unshared = OutputHistory::new(3);
-        let mut shared = OutputHistory::new(3);
-        let mut pool: Vec<std::sync::Arc<[u8]>> = Vec::new();
+        let mut h = OutputHistory::new(3);
         for (p, t, applied, tag) in timeline {
-            let (p, t) = (ProcessId::new(p), Time::new(t));
-            unshared.record(p, t, out(applied, tag));
-            let snapshot = match pool.iter().find(|seen| ***seen == [tag]) {
-                Some(seen) => seen.clone(),
-                None => {
-                    pool.push(vec![tag].into());
-                    pool[pool.len() - 1].clone()
-                }
-            };
-            shared.record(p, t, ReplicaOutput { applied, snapshot });
+            h.record(ProcessId::new(p), Time::new(t), out(applied, tag));
         }
-        assert_eq!(pool.len(), 3, "seven outputs, three allocations");
-        let report = ConvergenceReport::from_history(&shared, &correct(3));
-        assert_eq!(
-            report,
-            ConvergenceReport::from_history(&unshared, &correct(3))
-        );
+        let report = ConvergenceReport::from_history(&h, &correct(3));
         assert_eq!(report.divergence_count(), 2);
         assert_eq!(report.converged_at, Some(Time::new(21)));
     }

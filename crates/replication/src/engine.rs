@@ -33,7 +33,6 @@
 //! virtual ticks, on the real-time engines a facade tick is one millisecond
 //! of wall clock since deployment.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::io;
 use std::marker::PhantomData;
@@ -47,7 +46,7 @@ use ec_detectors::omega::OmegaOracle;
 use ec_detectors::scripted::{LieWindow, OverlayFd};
 use ec_detectors::sigma::SigmaOracle;
 use ec_detectors::PairFd;
-use ec_runtime::{sleep_ms, ChannelTransport, Final, Runtime, RuntimeConfig, Stopwatch, Transport};
+use ec_runtime::{sleep_ms, ChannelTransport, Runtime, RuntimeConfig, Stopwatch, Transport};
 use ec_sim::{
     FailureDetector, FailurePattern, Metrics, NetworkModel, OutputHistory, ProcessId, ProcessSet,
     RecoveryPolicy, Time, World, WorldBuilder,
@@ -452,11 +451,9 @@ impl<T> RealTimeEngine<T> {
         // one stopwatch, started now and copied into every replica's
         // recorder: all flight-event timestamps share one epoch
         let clock = TimeSource::External(Arc::new(Stopwatch::start()));
-        let mut interner = SnapshotInterner::default();
         let runtime = Runtime::<Replica<S, B>, T>::launch(
             plan.replicas,
             RuntimeConfig::default(),
-            move |output| interner.intern(output),
             move |p| make_replica(p, layer(p), &durable, &clock),
             derive,
         );
@@ -493,10 +490,10 @@ impl Engine for NetEngine {
 // ---------------------------------------------------------------------------
 
 /// A running replica group behind the uniform driving interface the
-/// [`crate::cluster::Cluster`] facade uses. The defaults are the answers of
-/// a deployment that lacks the capability: dynamic crashes, and what only
-/// the simulator (live replica internals) or only a wire (addresses,
-/// malformed frames, scrapes) can provide.
+/// [`crate::cluster::Cluster`] facade uses. Every read of a replica is
+/// answered by the replica itself on every engine; the defaults are the
+/// answers of a deployment that lacks the capability: dynamic crashes, and
+/// what only a wire (addresses, malformed frames, scrapes) can provide.
 pub trait Deployment<S: StateMachine>: fmt::Debug {
     /// Which engine this deployment runs on.
     fn kind(&self) -> EngineKind;
@@ -514,24 +511,26 @@ pub trait Deployment<S: StateMachine>: fmt::Debug {
     /// simulator, paced wall-clock time on the real-time engines).
     fn run_until(&mut self, t: u64);
 
-    /// Commands applied by replica `p` so far.
+    /// Commands applied by replica `p`'s current incarnation so far. The
+    /// one read that does not ask the replica: callers poll it on their
+    /// latency path, so on the real-time engines it is the count in the
+    /// replica's latest recorded output (O(1), never queued behind the
+    /// node's inbox; 0 until a restarted incarnation has output).
     fn applied(&self, p: ProcessId) -> usize;
 
-    /// The canonical snapshot of replica `p`'s state machine.
+    /// The canonical snapshot of replica `p`'s state machine (of an empty
+    /// one if the replica cannot be reached, see [`Deployment::state`]).
     fn snapshot(&self, p: ProcessId) -> Vec<u8>;
 
-    /// A typed copy of replica `p`'s state machine. Direct on the
-    /// simulator; reconstructed from the latest emitted snapshot on the
-    /// real-time engines (`None` if `S` does not support
-    /// [`StateMachine::from_snapshot`]).
+    /// A typed copy of replica `p`'s state machine; of a replica that is
+    /// down, the state it went down with. `None` if a real-time node's
+    /// thread died or did not get to the question within
+    /// [`ec_runtime::GOODBYE_WAIT_MS`].
     fn state(&self, p: ProcessId) -> Option<S>;
 
-    /// The stable delivered sequence of replica `p`'s broadcast layer.
-    /// Simulator only: real-time replicas are observable only through their
-    /// outputs until [`Deployment::finish`].
-    fn delivered(&self, _p: ProcessId) -> Option<Vec<AppMessage>> {
-        None
-    }
+    /// The stable delivered sequence of replica `p`'s broadcast layer
+    /// (`None` as for [`Deployment::state`]).
+    fn delivered(&self, p: ProcessId) -> Option<Vec<AppMessage>>;
 
     /// Crashes replica `p` if the engine supports dynamic crashes. `true`
     /// on the real-time engines; `false` on the simulator, where crashes
@@ -574,32 +573,19 @@ pub trait Deployment<S: StateMachine>: fmt::Debug {
     fn correct(&self, facade_crashed: &ProcessSet) -> ProcessSet;
 
     /// Total `update` broadcasts of the Algorithm 5 layers so far (0 for
-    /// strong deployments, and 0 live on the real-time engines, where
-    /// replica internals are only harvested at finish).
-    fn updates_sent(&self) -> u64 {
-        0
-    }
+    /// strong deployments).
+    fn updates_sent(&self) -> u64;
 
     /// Total digest pulls (delta-sync update-gap repairs, see
     /// `EtobOmega::sync_pulls`) of the Algorithm 5 layers so far — each one
-    /// is a wire-level gap that was detected and healed. Same availability
-    /// as [`Deployment::updates_sent`].
-    fn sync_pulls(&self) -> u64 {
-        0
-    }
+    /// is a wire-level gap that was detected and healed.
+    fn sync_pulls(&self) -> u64;
 
-    /// The merged latency summary so far. Live on the simulator; empty on
-    /// the real-time engines until [`Deployment::finish`] — scrape a live
-    /// net node with [`Deployment::scrape`] instead.
-    fn telemetry(&self) -> TelemetryReport {
-        TelemetryReport::default()
-    }
+    /// The merged latency summary of the replicas so far.
+    fn telemetry(&self) -> TelemetryReport;
 
-    /// The per-replica flight-recorder traces so far (simulator only; empty
-    /// vectors elsewhere).
-    fn flight_events(&self) -> Vec<Vec<Event>> {
-        vec![Vec::new(); self.n()]
-    }
+    /// The per-replica flight-recorder traces so far.
+    fn flight_events(&self) -> Vec<Vec<Event>>;
 
     /// Scrapes the live metrics exposition of replica `p`'s node over its
     /// socket (net engine only; `None` elsewhere, and on a node that is
@@ -608,8 +594,8 @@ pub trait Deployment<S: StateMachine>: fmt::Debug {
         None
     }
 
-    /// What the deployment can say about itself right now, from the live
-    /// accessors above.
+    /// What the deployment can say about itself right now, running or
+    /// stopped, from the accessors above.
     fn summary(&self, facade_crashed: &ProcessSet) -> DeploymentSummary {
         let ids = || (0..self.n()).map(ProcessId::new);
         DeploymentSummary {
@@ -623,9 +609,9 @@ pub trait Deployment<S: StateMachine>: fmt::Debug {
         }
     }
 
-    /// Stops the deployment and harvests its final state. A real-time
-    /// engine joins every replica thread and reads the exact final
-    /// automata; the simulator reads the live state.
+    /// Stops the deployment (a real-time engine lets every replica drain
+    /// its inbox and joins its thread; the simulator has nothing to stop)
+    /// and returns its [`Deployment::summary`].
     fn finish(self: Box<Self>, facade_crashed: &ProcessSet) -> DeploymentSummary;
 }
 
@@ -717,9 +703,7 @@ where
     fn telemetry(&self) -> TelemetryReport {
         let mut telemetry = TelemetryReport::default();
         for p in self.process_ids() {
-            if let Some(r) = self.algorithm(p).broadcast_layer().recorder() {
-                telemetry.merge(&r.report());
-            }
+            telemetry.merge(&self.algorithm(p).telemetry());
         }
         telemetry
     }
@@ -727,10 +711,9 @@ where
     /// Per-replica recorder events plus the world's crash/recover events
     /// routed to the affected replica.
     fn flight_events(&self) -> Vec<Vec<Event>> {
-        let recorder = |p| self.algorithm(p).broadcast_layer().recorder();
         let mut flight: Vec<Vec<Event>> = self
             .process_ids()
-            .map(|p| recorder(p).map(Recorder::events).unwrap_or_default())
+            .map(|p| self.algorithm(p).flight_events())
             .collect();
         for event in self.fault_events() {
             if let Some(slot) = flight.get_mut(event.origin as usize) {
@@ -745,39 +728,10 @@ where
     }
 }
 
-/// How many distinct recent snapshots a [`SnapshotInterner`] keeps as
-/// sharing candidates: the replicas' outputs for one promote reach the
-/// driver within a tick or two of each other, so a handful spans them.
-const RECENT_SNAPSHOTS: usize = 8;
-
-/// What every output of a real-time deployment passes on its way into the
-/// driver-side record. A replica output carries its whole state snapshot as
-/// shared bytes; this points a new output at the allocation of a recent
-/// byte-identical snapshot (dropping its own copy), so the replicas'
-/// outputs for the same promote — the same bytes under a stable Ω — are
-/// held once, not once per replica.
-#[derive(Debug, Default)]
-struct SnapshotInterner {
-    /// The distinct snapshots seen most recently, newest first.
-    recent: VecDeque<Arc<[u8]>>,
-}
-
-impl SnapshotInterner {
-    fn intern(&mut self, output: &mut ReplicaOutput) {
-        match self.recent.iter().find(|seen| ***seen == *output.snapshot) {
-            Some(seen) => output.snapshot = Arc::clone(seen),
-            None => {
-                self.recent.truncate(RECENT_SNAPSHOTS - 1);
-                self.recent.push_front(Arc::clone(&output.snapshot));
-            }
-        }
-    }
-}
-
 /// A replica group running on the real-time [`Runtime`] over transport `T`,
 /// with facade times paced against the wall clock: a facade tick is a
 /// millisecond of the runtime's clock, the unit its output history is
-/// stamped in. Replicas are observed live through their latest outputs only.
+/// stamped in. Reads ask the replica ([`Runtime::look`]), running or down.
 #[derive(Debug)]
 pub struct RealTimeDeployment<S: StateMachine, B: BroadcastLayer, T> {
     runtime: Runtime<Replica<S, B>, T>,
@@ -785,6 +739,10 @@ pub struct RealTimeDeployment<S: StateMachine, B: BroadcastLayer, T> {
 }
 
 impl<S: StateMachine, B: BroadcastLayer, T> RealTimeDeployment<S, B, T> {
+    fn ids(&self) -> impl Iterator<Item = ProcessId> {
+        (0..self.runtime.n()).map(ProcessId::new)
+    }
+
     /// Sleeps until `t` milliseconds of wall-clock time have elapsed since
     /// deployment (no-op if that moment has already passed).
     fn pace_to(&self, t: u64) {
@@ -826,15 +784,17 @@ where
     }
 
     fn snapshot(&self, p: ProcessId) -> Vec<u8> {
-        let latest = self.runtime.latest_output_of(p);
-        latest.map_or_else(|| S::default().snapshot(), |o| o.snapshot.to_vec())
+        let snapshot = self.runtime.look(p, |r| r.state().snapshot());
+        snapshot.unwrap_or_else(|| S::default().snapshot())
     }
 
     fn state(&self, p: ProcessId) -> Option<S> {
-        match self.runtime.latest_output_of(p) {
-            Some(out) => S::from_snapshot(&out.snapshot),
-            None => Some(S::default()),
-        }
+        self.runtime.look(p, |r| r.state().clone())
+    }
+
+    fn delivered(&self, p: ProcessId) -> Option<Vec<AppMessage>> {
+        self.runtime
+            .look(p, |r| r.broadcast_layer().delivered().to_vec())
     }
 
     fn crash(&mut self, p: ProcessId) -> bool {
@@ -866,6 +826,30 @@ where
         ProcessSet::all(self.n()).difference(facade_crashed)
     }
 
+    fn updates_sent(&self) -> u64 {
+        let sent = |p| self.runtime.look(p, |r| r.broadcast_layer().updates_sent());
+        self.ids().filter_map(sent).sum()
+    }
+
+    fn sync_pulls(&self) -> u64 {
+        let pulls = |p| self.runtime.look(p, |r| r.broadcast_layer().sync_pulls());
+        self.ids().filter_map(pulls).sum()
+    }
+
+    fn telemetry(&self) -> TelemetryReport {
+        let mut telemetry = TelemetryReport::default();
+        let reports = |p| self.runtime.look(p, Replica::telemetry);
+        for report in self.ids().filter_map(reports) {
+            telemetry.merge(&report);
+        }
+        telemetry
+    }
+
+    fn flight_events(&self) -> Vec<Vec<Event>> {
+        let events = |p| self.runtime.look(p, Replica::flight_events);
+        self.ids().map(|p| events(p).unwrap_or_default()).collect()
+    }
+
     fn scrape(&self, p: ProcessId) -> Option<String> {
         if self.runtime.is_down(p) {
             return None;
@@ -873,37 +857,9 @@ where
         self.runtime.transport().scrape(p)
     }
 
-    fn finish(self: Box<Self>, facade_crashed: &ProcessSet) -> DeploymentSummary {
-        let n = self.n();
-        let Final {
-            final_states,
-            outputs,
-            metrics,
-            ..
-        } = self.runtime.shutdown();
-        let mut telemetry = TelemetryReport::default();
-        let layers = final_states.iter().flatten().map(Replica::broadcast_layer);
-        for recorder in layers.clone().filter_map(Instrumented::recorder) {
-            telemetry.merge(&recorder.report());
-        }
-        DeploymentSummary {
-            applied: final_states
-                .iter()
-                .map(|r| r.as_ref().map_or(0, Replica::applied))
-                .collect(),
-            snapshots: final_states
-                .iter()
-                .map(|r| match r {
-                    Some(replica) => replica.state().snapshot(),
-                    None => S::default().snapshot(),
-                })
-                .collect(),
-            history: outputs,
-            metrics,
-            correct: ProcessSet::all(n).difference(facade_crashed),
-            updates_sent: layers.map(BroadcastLayer::updates_sent).sum(),
-            telemetry,
-        }
+    fn finish(mut self: Box<Self>, facade_crashed: &ProcessSet) -> DeploymentSummary {
+        self.runtime.stop();
+        self.summary(facade_crashed)
     }
 }
 
@@ -913,83 +869,6 @@ mod tests {
     use crate::cluster::ClusterBuilder;
     use crate::state_machine::KvStore;
     use ec_runtime::{ChannelLinks, Hub};
-
-    fn output(applied: usize, bytes: &[u8]) -> ReplicaOutput {
-        ReplicaOutput {
-            applied,
-            snapshot: bytes.into(),
-        }
-    }
-
-    /// The driver-side record as the runtime keeps it: intern, then record.
-    struct OutputRecord {
-        interner: SnapshotInterner,
-        history: OutputHistory<ReplicaOutput>,
-    }
-
-    impl OutputRecord {
-        fn new(n: usize) -> Self {
-            OutputRecord {
-                interner: SnapshotInterner::default(),
-                history: OutputHistory::new(n),
-            }
-        }
-
-        fn record(&mut self, p: ProcessId, elapsed_ms: u64, mut output: ReplicaOutput) {
-            self.interner.intern(&mut output);
-            self.history.record(p, Time::new(elapsed_ms), output);
-        }
-    }
-
-    #[test]
-    fn identical_snapshots_from_different_replicas_share_one_allocation() {
-        let ids: Vec<ProcessId> = (0..3).map(ProcessId::new).collect();
-        let mut recorder = OutputRecord::new(3);
-        // each replica's output is decoded from its own connection: three
-        // separate allocations of the same bytes, then a differing one
-        for p in &ids {
-            recorder.record(*p, 1, output(1, b"state-1"));
-        }
-        recorder.record(ids[0], 2, output(2, b"state-2"));
-        let latest = |recorder: &OutputRecord, p: usize| {
-            recorder.history.last(ids[p]).map(|o| o.snapshot.clone())
-        };
-        let (Some(a), Some(b), Some(c)) = (
-            latest(&recorder, 0),
-            latest(&recorder, 1),
-            latest(&recorder, 2),
-        ) else {
-            unreachable!("all three recorded")
-        };
-        assert!(Arc::ptr_eq(&b, &c), "same bytes, one allocation");
-        assert!(
-            !Arc::ptr_eq(&a, &b) && *a != *b,
-            "different bytes stay apart"
-        );
-        // the history's first entry is the allocation the followers share
-        let first = &recorder.history.outputs(ids[0])[0].1;
-        assert!(Arc::ptr_eq(&first.snapshot, &b));
-        // sharing is by content only: `applied` never decides it
-        recorder.record(ids[1], 3, output(9, b"state-2"));
-        assert!(latest(&recorder, 1).is_some_and(|s| Arc::ptr_eq(&s, &a)));
-    }
-
-    #[test]
-    fn only_recent_snapshots_are_sharing_candidates() {
-        let p = ProcessId::new(0);
-        let mut recorder = OutputRecord::new(2);
-        recorder.record(p, 0, output(0, b"old"));
-        for k in 0..RECENT_SNAPSHOTS {
-            recorder.record(p, 1, output(k + 1, &[k as u8]));
-        }
-        assert_eq!(recorder.interner.recent.len(), RECENT_SNAPSHOTS);
-        // "old" fell out of the window: equal bytes, but a fresh allocation
-        recorder.record(ProcessId::new(1), 2, output(0, b"old"));
-        let first = &recorder.history.outputs(p)[0].1;
-        let last = recorder.history.last(ProcessId::new(1)).expect("recorded");
-        assert_eq!(first, last);
-        assert!(!Arc::ptr_eq(&first.snapshot, &last.snapshot));
-    }
 
     /// A transport whose substrate refuses everything.
     #[derive(Debug)]

@@ -76,4 +76,4 @@ pub use shard::{
     shard_of, HashRouter, Router, ShardConfig, ShardedCluster, ShardedClusterBuilder, ShardedKv,
     ShardedKvBuilder,
 };
-pub use state_machine::{Counter, KvStore, Register, StateMachine};
+pub use state_machine::{snapshot_digest, Counter, KvStore, Register, StateMachine};

@@ -92,13 +92,13 @@ impl WireCodec for ReplicaCommand {
 impl WireCodec for ReplicaOutput {
     fn encode<S: Sink>(&self, out: &mut S) {
         push_u64(out, self.applied as u64);
-        push_bytes(out, &self.snapshot);
+        push_u64(out, self.digest);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(ReplicaOutput {
             applied: read_usize(r, "applied count")?,
-            snapshot: r.read_bytes()?.into(),
+            digest: r.read_u64()?,
         })
     }
 }
@@ -133,7 +133,8 @@ pub enum Frame<M> {
     },
     /// Driver → replica: a client command.
     Input(ReplicaCommand),
-    /// Replica → driver: an externally visible state change.
+    /// Replica → driver: an externally visible state change, as two
+    /// `u64`s (applied count, state digest) — never the state.
     Output(ReplicaOutput),
     /// Driver → replica: stop taking steps, keeping state for harvest.
     Crash,

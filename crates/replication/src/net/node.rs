@@ -200,11 +200,11 @@ where
 
     /// Stops the acceptors: the hub's stop flag is up, so one dummy
     /// connection each unblocks them.
-    fn close(self) {
+    fn close(&mut self) {
         for node in &self.nodes {
             let _ = TcpStream::connect(node.addr);
         }
-        for handle in self.acceptors {
+        for handle in self.acceptors.drain(..) {
             let _ = handle.join();
         }
     }
@@ -339,9 +339,7 @@ where
     B: BroadcastLayer,
     B::Msg: WireCodec,
 {
-    let recorder = replica.broadcast_layer().recorder();
-    let report = recorder.map(|r| r.report()).unwrap_or_default();
-    let text = report.to_exposition(p.index() as u32);
+    let text = replica.telemetry().to_exposition(p.index() as u32);
     let body = encode_body::<B::Msg>(&Frame::StatsText(text.into_bytes()));
     let _ = write_frame(&mut reply, &body);
 }

@@ -2,16 +2,16 @@
 //! broadcast implementation.
 
 use std::fmt;
-use std::sync::Arc;
 
 use ec_core::types::{
     AppMessage, Compactable, DeliveryDelta, EtobBroadcast, EventualTotalOrderBroadcast,
     Instrumented, MsgId, Payload,
 };
 use ec_sim::{Algorithm, Context, ProcessId};
+use ec_telemetry::{Event, Recorder, TelemetryReport};
 
 use crate::durable::{DurableOptions, DurableStore};
-use crate::state_machine::StateMachine;
+use crate::state_machine::{snapshot_digest, StateMachine};
 
 /// A client command submitted to a replica.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -85,18 +85,17 @@ impl From<String> for ReplicaCommand {
     }
 }
 
-/// The externally visible state of a replica, emitted every time the applied
-/// command sequence changes.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// What a replica shows of itself every time the applied command sequence
+/// or the state changes: how far it got and a fingerprint of where it is —
+/// enough to tell when replicas agree. The state itself is read from the
+/// replica ([`crate::Cluster::snapshot`], [`crate::Cluster::state`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplicaOutput {
     /// Number of commands currently applied.
     pub applied: usize,
-    /// Canonical snapshot of the state machine after applying them:
-    /// shared immutable bytes, so the copies an output goes through (the
-    /// replica's own last-output memo, the engine's [`ec_sim::OutputHistory`]
-    /// and every copy handed out of it) are pointer copies of one
-    /// allocation.
-    pub snapshot: Arc<[u8]>,
+    /// [`snapshot_digest`] of the state machine's canonical snapshot after
+    /// applying them.
+    pub digest: u64,
 }
 
 /// A replica: a deterministic state machine `S` fed by the delivered sequence
@@ -243,6 +242,18 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
         self.rejected_deltas
     }
 
+    /// The latency summary of this replica's recorder (empty without one).
+    pub fn telemetry(&self) -> TelemetryReport {
+        let recorder = self.broadcast.recorder();
+        recorder.map(Recorder::report).unwrap_or_default()
+    }
+
+    /// The flight-recorder trace of this replica (empty without a recorder).
+    pub fn flight_events(&self) -> Vec<Event> {
+        let recorder = self.broadcast.recorder();
+        recorder.map(Recorder::events).unwrap_or_default()
+    }
+
     /// The attached durable store, once `on_start` has opened it.
     pub fn durable_store(&self) -> Option<&DurableStore> {
         self.durable.as_ref()
@@ -294,12 +305,11 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
     /// last one, keeping `applied` in sync with the adopted tail.
     fn emit_output(&mut self, ctx: &mut Context<'_, Self>) {
         self.applied = self.base_applied + self.tail.len();
-        let snapshot = self.state.snapshot();
-        let unchanged = self
-            .last_output
-            .as_ref()
-            .is_some_and(|last| last.applied == self.applied && *last.snapshot == *snapshot);
-        if unchanged {
+        let output = ReplicaOutput {
+            applied: self.applied,
+            digest: snapshot_digest(&self.state.snapshot()),
+        };
+        if self.last_output == Some(output) {
             return;
         }
         // flight-record the newest applied command (one event per visible
@@ -310,11 +320,7 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
                 recorder.applied(origin, seq);
             }
         }
-        let output = ReplicaOutput {
-            applied: self.applied,
-            snapshot: snapshot.into(),
-        };
-        self.last_output = Some(output.clone());
+        self.last_output = Some(output);
         ctx.output(output);
     }
 
@@ -548,21 +554,18 @@ mod tests {
             );
         }
         world.run_until(2_000);
-        let snapshots: Vec<Arc<[u8]>> = world
+        let outputs: Vec<ReplicaOutput> = world
             .process_ids()
-            .map(|p| {
-                world
-                    .output_history()
-                    .last(p)
-                    .expect("output")
-                    .snapshot
-                    .clone()
-            })
+            .map(|p| *world.output_history().last(p).expect("output"))
             .collect();
         assert!(
-            snapshots.windows(2).all(|w| w[0] == w[1]),
+            outputs.windows(2).all(|w| w[0] == w[1]),
             "replicas diverged"
         );
+        // an output is 16 plain bytes, and its digest is the state's
+        assert_eq!(std::mem::size_of::<ReplicaOutput>(), 16);
+        let state = world.algorithm(ProcessId::new(0)).state();
+        assert_eq!(outputs[0].digest, snapshot_digest(&state.snapshot()));
         assert_eq!(world.algorithm(ProcessId::new(0)).applied(), 6);
         assert_eq!(
             world.algorithm(ProcessId::new(0)).state().get("k3"),

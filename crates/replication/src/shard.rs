@@ -422,9 +422,7 @@ where
             }
         }
         ClusterReport {
-            // analysis:allow(panic-safety::expect, reason = "aggregate only folds locally produced reports and ShardConfig guarantees at least one shard; no peer input reaches this path")
             engine: engine.expect("a sharded cluster has at least one shard"),
-            // analysis:allow(panic-safety::expect, reason = "aggregate only folds locally produced reports and ShardConfig guarantees at least one shard; no peer input reaches this path")
             consistency: consistency.expect("a sharded cluster has at least one shard"),
             shards,
             totals,

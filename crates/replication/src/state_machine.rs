@@ -26,11 +26,11 @@ pub trait StateMachine: Clone + fmt::Debug + Default {
     /// Reconstructs a state machine from a [`StateMachine::snapshot`]
     /// encoding, if the implementation supports it.
     ///
-    /// Execution engines that cannot reach into replica memory (the thread
-    /// runtime observes replicas only through their emitted outputs) use
-    /// this to offer typed reads: the latest snapshot bytes are decoded back
-    /// into an `S`. The default returns `None`, which degrades such reads to
-    /// raw snapshot bytes; the built-in state machines all round-trip.
+    /// Durable recovery rebuilds the checkpointed base state through this,
+    /// and so can any caller that holds snapshot bytes; no engine reads a
+    /// replica through it (typed reads ask the replica). The default returns
+    /// `None`: a durable replica of such a machine cannot recover a folded
+    /// base and restarts blank. The built-in state machines all round-trip.
     fn from_snapshot(snapshot: &[u8]) -> Option<Self> {
         let _ = snapshot;
         None
@@ -44,6 +44,25 @@ pub trait StateMachine: Clone + fmt::Debug + Default {
         }
         sm
     }
+}
+
+/// The 64-bit fingerprint of a canonical snapshot: what a
+/// [`crate::ReplicaOutput`] carries in place of the bytes, so that replicas
+/// can be compared without shipping or keeping their states. One multiply
+/// per eight bytes (the length goes in first, so zero-padding the last word
+/// is unambiguous); equal snapshots always give equal digests, unequal ones
+/// collide with probability ≈ 2⁻⁶⁴.
+pub fn snapshot_digest(snapshot: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |h: u64, word: u64| (h.rotate_left(23) ^ word).wrapping_mul(K);
+    let (words, rest) = snapshot.as_chunks::<8>();
+    let h = (snapshot.len() as u64).wrapping_mul(K);
+    let h = words
+        .iter()
+        .fold(h, |h, word| mix(h, u64::from_le_bytes(*word)));
+    let last = rest.iter().rev().fold(0, |w, b| (w << 8) | u64::from(*b));
+    let h = mix(h, last);
+    h ^ (h >> 29)
 }
 
 /// A key–value store. Commands: `put <key> <value>` and `del <key>`
@@ -290,6 +309,22 @@ mod tests {
         r.apply(b"payload");
         assert_eq!(Register::from_snapshot(&r.snapshot()), Some(r));
         assert_eq!(Register::from_snapshot(b"tiny"), None);
+    }
+
+    #[test]
+    fn digests_tell_snapshots_apart_by_content_length_and_padding() {
+        let mut kv = KvStore::default();
+        kv.apply(&KvStore::put("x", "1"));
+        let one = kv.snapshot();
+        kv.apply(&KvStore::put("y", "two words"));
+        let two = kv.snapshot();
+        assert_eq!(snapshot_digest(&one), snapshot_digest(&one.clone()));
+        assert_ne!(snapshot_digest(&one), snapshot_digest(&two));
+        // a trailing zero byte, a whole zero word and nothing all differ
+        let digests = [&b""[..], &[0], &[0; 8], &[0; 9], &[1], &[0, 1]].map(snapshot_digest);
+        for (i, a) in digests.iter().enumerate() {
+            assert!(digests[i + 1..].iter().all(|b| a != b), "{digests:?}");
+        }
     }
 
     #[test]

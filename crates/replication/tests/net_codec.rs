@@ -186,11 +186,27 @@ proptest! {
     fn commands_and_outputs_roundtrip(
         command in arb_command(),
         applied in 0usize..10_000,
-        snapshot in arb_payload(),
+        digest in any::<u64>(),
     ) {
         roundtrip(&command);
-        let output = ReplicaOutput { applied, snapshot: snapshot.into() };
+        let output = ReplicaOutput { applied, digest };
         roundtrip(&output);
+        assert_prefixes_fail(&output);
+        // on the wire an output is its length prefix, its tag and two u64s
+        // whatever the state behind it; a body cut short or with a byte
+        // too many is a typed error
+        let wire = frame_bytes::<EtobMsg>(&Frame::Output(output));
+        prop_assert_eq!(wire.len(), 4 + 1 + 16);
+        prop_assert_eq!(decode_body::<EtobMsg>(&wire[4..]), Ok(Frame::Output(output)));
+        prop_assert!(matches!(
+            decode_body::<EtobMsg>(&wire[4..wire.len() - 1]),
+            Err(DecodeError::Truncated { .. })
+        ));
+        let over_long = [&wire[4..], &[0]].concat();
+        prop_assert_eq!(
+            decode_body::<EtobMsg>(&over_long),
+            Err(DecodeError::TrailingBytes { remaining: 1 })
+        );
         roundtrip(&HeartbeatMsg::Heartbeat);
     }
 

@@ -10,7 +10,8 @@
 //! * [`Runtime`] is the driver side: it launches one OS thread per process,
 //!   submits inputs, crashes and restarts processes (a restart is a fresh
 //!   incarnation behind the same inbox), keeps the counters and the output
-//!   record, and on shutdown harvests every automaton into a [`Final`].
+//!   record, and answers every read of an automaton the same way, live,
+//!   crashed or stopped ([`Runtime::look`]).
 //! * The node loop (one function, in `node.rs`) is the process side:
 //!   a message-based [`ec_detectors::HeartbeatOmega`] per process supplies
 //!   the Ω value — or, through the `derive` hook, any detector value that is
@@ -53,4 +54,4 @@ pub use pacer::{Pacer, Turn};
 /// The non-poisoning lock the runtime shares its own state under, for
 /// transports whose threads share state too.
 pub use parking_lot::Mutex;
-pub use runtime::{Final, Hub, Runtime, RuntimeConfig, Transport, GOODBYE_WAIT_MS};
+pub use runtime::{Hub, Runtime, RuntimeConfig, Transport, GOODBYE_WAIT_MS};

@@ -38,7 +38,8 @@ pub enum Event<A: Algorithm> {
     /// An input from the driver.
     Input(A::Input),
     /// Runs a closure against the live automaton, between two steps (a
-    /// metrics scrape, a test probe). A dead node drops it unrun.
+    /// [`crate::Runtime::look`], a metrics scrape). A dead node drops it
+    /// unrun.
     Inspect(Box<dyn FnOnce(&A) + Send>),
     /// Stop taking steps at once and say nothing: the peers must find out
     /// from the missing heartbeats.

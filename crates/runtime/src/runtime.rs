@@ -1,5 +1,5 @@
 //! The driver side of a real-time run: launch the nodes over a
-//! [`Transport`], feed them, crash and restart them, stop them and harvest.
+//! [`Transport`], feed them, look at them, crash and restart them, stop them.
 
 use std::fmt;
 use std::io;
@@ -42,8 +42,9 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// How long a shutdown waits for live nodes to drain their inboxes and say
-/// goodbye before the stop flag ends them wherever they are.
+/// How long the driver waits for a live node to get through its inbox: to
+/// say goodbye at a stop before the stop flag ends it wherever it is, or to
+/// answer a [`Runtime::look`].
 pub const GOODBYE_WAIT_MS: u64 = 2_000;
 
 /// How a process derives the failure-detector value its algorithm queries
@@ -51,13 +52,6 @@ pub const GOODBYE_WAIT_MS: u64 = 2_000;
 /// of `(leader, n)`. The identity map realizes Ω; pairing the leader with a
 /// static quorum realizes the Ω + Σ the strongly consistent baseline needs.
 pub(crate) type FdDerive<F> = Arc<dyn Fn(ProcessId, usize) -> F + Send + Sync>;
-
-/// The driver-side record of outputs — the run's output history, stamped
-/// in milliseconds of the run's clock — and what shares their payloads.
-struct Sink<O> {
-    history: OutputHistory<O>,
-    intern: Box<dyn FnMut(&mut O) + Send>,
-}
 
 /// What the driver, the node threads and a transport's own threads share
 /// during one run: each node's inbox, the output record, the counters, the
@@ -68,7 +62,8 @@ pub struct Hub<A: Algorithm> {
     inboxes: Vec<Mutex<Option<Sender<Event<A>>>>>,
     /// Raised when a node's current incarnation has said goodbye.
     goodbyes: Vec<AtomicBool>,
-    sink: Mutex<Sink<A::Output>>,
+    /// The run's output history, stamped in milliseconds of its clock.
+    history: Mutex<OutputHistory<A::Output>>,
     leaders: Mutex<Vec<(ProcessId, u64, ProcessId)>>,
     pub(crate) metrics: Mutex<Metrics>,
     malformed: AtomicU64,
@@ -102,14 +97,13 @@ impl<A: Algorithm> Hub<A> {
     /// Records an output of node `p`, stamped with the run's clock. A `p`
     /// that is no node of the run (a transport read it off a wire) is
     /// ignored.
-    pub fn record_output(&self, p: ProcessId, mut output: A::Output) {
-        let mut sink = self.sink.lock();
+    pub fn record_output(&self, p: ProcessId, output: A::Output) {
+        let mut history = self.history.lock();
         // read under the lock: stamps are monotone in the order recorded,
         // whichever threads record for `p`
         let elapsed = Time::new(self.stopwatch.elapsed_ms());
-        if p.index() < sink.history.n() {
-            (sink.intern)(&mut output);
-            sink.history.record(p, elapsed, output);
+        if p.index() < history.n() {
+            history.record(p, elapsed, output);
         }
     }
 
@@ -181,7 +175,7 @@ pub trait Transport<A: Algorithm>: Sized {
 
     /// Tears the transport down once the stop flag is up and every node
     /// thread has been joined.
-    fn close(self) {}
+    fn close(&mut self) {}
 
     /// The socket address node `p` listens on, if nodes have addresses.
     fn addr(&self, _p: ProcessId) -> Option<SocketAddr> {
@@ -193,22 +187,6 @@ pub trait Transport<A: Algorithm>: Sized {
     fn scrape(&self, _p: ProcessId) -> Option<String> {
         None
     }
-}
-
-/// Everything a stopped run hands back.
-#[derive(Debug)]
-pub struct Final<A: Algorithm> {
-    /// The automaton of each node's last incarnation, as it was when its
-    /// thread stopped (a crashed node contributes its state at the crash).
-    pub final_states: Vec<Option<A>>,
-    /// The output history of the run, timed in milliseconds since launch.
-    pub outputs: OutputHistory<A::Output>,
-    /// Leader estimates of the heartbeat Ω modules as
-    /// `(process, elapsed_ms, leader)`, one entry per change.
-    pub leaders: Vec<(ProcessId, u64, ProcessId)>,
-    /// Application-message counters (heartbeat traffic is not counted;
-    /// `timer_fires` counts the periodic ticks).
-    pub metrics: Metrics,
 }
 
 /// A running set of processes executing an [`Algorithm`] as one OS thread
@@ -225,6 +203,9 @@ pub struct Runtime<A: Algorithm, T> {
     handles: Vec<Option<JoinHandle<A>>>,
     /// The automaton of each node's last stopped incarnation.
     final_states: Vec<Option<A>>,
+    /// How many outputs of each node the record held when the node's
+    /// current incarnation started: what its predecessors said.
+    inherited: Vec<usize>,
 }
 
 impl<A: Algorithm, T> fmt::Debug for Runtime<A, T> {
@@ -248,20 +229,21 @@ impl<A: Algorithm, T> Runtime<A, T> {
         matches!(self.handles.get(p.index()), Some(None))
     }
 
-    /// The most recent output of process `p`, observed live (without
-    /// stopping the run) — how service facades poll replica progress.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
+    /// The most recent output of process `p`'s current incarnation (`None`
+    /// until it has output, whatever its predecessors said), read off the
+    /// record in O(1) without a turn of `p`'s inbox — how service facades
+    /// poll replica progress.
     pub fn latest_output_of(&self, p: ProcessId) -> Option<A::Output> {
-        self.hub.sink.lock().history.last(p).cloned()
+        let inherited = *self.inherited.get(p.index())?;
+        let history = self.hub.history.lock();
+        let own = history.outputs(p).get(inherited..)?;
+        own.last().map(|(_, output)| output.clone())
     }
 
     /// A copy of the output history so far, timed in milliseconds since
     /// launch.
     pub fn outputs_so_far(&self) -> OutputHistory<A::Output> {
-        self.hub.sink.lock().history.clone()
+        self.hub.history.lock().clone()
     }
 
     /// Inbound data the transport rejected as malformed so far (always 0
@@ -270,9 +252,16 @@ impl<A: Algorithm, T> Runtime<A, T> {
         self.hub.malformed.load(Ordering::SeqCst)
     }
 
-    /// A snapshot of the application-message counters so far.
+    /// A snapshot of the application-message counters so far (heartbeat
+    /// traffic is not counted; `timer_fires` counts the periodic ticks).
     pub fn metrics(&self) -> Metrics {
         self.hub.metrics.lock().clone()
+    }
+
+    /// Leader estimates of the heartbeat Ω modules so far as
+    /// `(process, elapsed_ms, leader)`, one entry per change.
+    pub fn leaders(&self) -> Vec<(ProcessId, u64, ProcessId)> {
+        self.hub.leaders.lock().clone()
     }
 
     /// Milliseconds elapsed since the runtime was launched.
@@ -292,8 +281,7 @@ where
     /// Launches `n` processes running the algorithm produced by `factory`
     /// (called again for every restarted incarnation), with each step's
     /// failure-detector value computed by `derive` from the local heartbeat
-    /// module's current leader estimate and `n`. Every output passes
-    /// through `intern` on its way into the driver-side record.
+    /// module's current leader estimate and `n`.
     ///
     /// If the transport cannot be set up, what was started is stopped again
     /// and the error returned.
@@ -301,13 +289,7 @@ where
     /// # Panics
     ///
     /// Panics if `n < 2` (the system model requires two processes).
-    pub fn launch<F, D>(
-        n: usize,
-        config: RuntimeConfig,
-        intern: impl FnMut(&mut A::Output) + Send + 'static,
-        factory: F,
-        derive: D,
-    ) -> io::Result<Self>
+    pub fn launch<F, D>(n: usize, config: RuntimeConfig, factory: F, derive: D) -> io::Result<Self>
     where
         F: FnMut(ProcessId) -> A + Send + 'static,
         D: Fn(ProcessId, usize) -> A::Fd + Send + Sync + 'static,
@@ -316,10 +298,7 @@ where
         let hub = Arc::new(Hub {
             inboxes: (0..n).map(|_| Mutex::new(None)).collect(),
             goodbyes: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            sink: Mutex::new(Sink {
-                history: OutputHistory::new(n),
-                intern: Box::new(intern),
-            }),
+            history: Mutex::new(OutputHistory::new(n)),
             leaders: Mutex::new(Vec::new()),
             metrics: Mutex::new(Metrics::new(n)),
             malformed: AtomicU64::new(0),
@@ -334,10 +313,11 @@ where
             derive: Arc::new(derive),
             handles: (0..n).map(|_| None).collect(),
             final_states: (0..n).map(|_| None).collect(),
+            inherited: vec![0; n],
         };
         for p in (0..n).map(ProcessId::new) {
             if let Err(err) = runtime.start(p) {
-                runtime.shutdown();
+                runtime.stop();
                 return Err(err);
             }
         }
@@ -348,6 +328,9 @@ where
     /// automaton, and a thread running the node loop.
     fn start(&mut self, p: ProcessId) -> io::Result<()> {
         let inbox = self.hub.open_inbox(p);
+        if let Some(inherited) = self.inherited.get_mut(p.index()) {
+            *inherited = self.hub.history.lock().outputs(p).len();
+        }
         let links = self.transport.open(p, &self.hub)?;
         let algorithm = (self.factory)(p);
         let (hub, derive, config) = (Arc::clone(&self.hub), Arc::clone(&self.derive), self.config);
@@ -371,17 +354,36 @@ where
         self.transport.deliver(p, Event::Input(input), &self.hub);
     }
 
-    /// Runs `look` against the live automaton of process `p`, between two
-    /// of its steps. A crashed process drops it unrun.
-    pub fn inspect(&mut self, p: ProcessId, look: impl FnOnce(&A) + Send + 'static) {
-        let event = Event::Inspect(Box::new(look));
-        self.transport.deliver(p, event, &self.hub);
+    /// Runs `f` against the automaton of process `p` and returns what it
+    /// saw: between two steps of a live process, queued behind what its
+    /// inbox already holds; at once, against the automaton its last
+    /// incarnation left behind, for one that is down. `None` if there is
+    /// nothing to ask (the thread panicked) or no answer within
+    /// [`GOODBYE_WAIT_MS`]; an `f` abandoned by then still runs when its
+    /// turn comes, into a dropped channel. Nothing is locked while waiting.
+    pub fn look<R: Send + 'static>(
+        &self,
+        p: ProcessId,
+        f: impl FnOnce(&A) -> R + Send + 'static,
+    ) -> Option<R> {
+        if self.is_down(p) {
+            return self.final_states.get(p.index())?.as_ref().map(f);
+        }
+        let (reply, answer) = unbounded();
+        let ask = Event::Inspect(Box::new(move |automaton: &A| {
+            let _ = reply.send(f(automaton));
+        }));
+        // an inbox nobody drains any more drops the event and `reply` with
+        // it: the wait below ends at once
+        self.hub.send(p, ask);
+        let bound = Duration::from_millis(GOODBYE_WAIT_MS);
+        answer.recv_timeout(bound).ok()
     }
 
     /// Crashes process `p`: its thread stops taking steps and stops sending
     /// heartbeats, so the other processes' Ω modules eventually elect a new
-    /// leader. Returns once the thread has stopped and its state is kept
-    /// for harvest.
+    /// leader. Returns once the thread has stopped and its automaton is
+    /// kept for [`Runtime::look`].
     pub fn crash(&mut self, p: ProcessId) {
         if !self.is_down(p) {
             self.transport.deliver(p, Event::Crash, &self.hub);
@@ -409,12 +411,13 @@ where
         self.is_down(p) && self.start(p).is_ok()
     }
 
-    /// Stops all processes and returns everything they output, together
-    /// with the final automaton state of every process. Live nodes are
-    /// asked to shut down in order and given [`GOODBYE_WAIT_MS`] to say
+    /// Stops all processes and tears the transport down, leaving the run
+    /// readable: every node is down afterwards, so [`Runtime::look`] answers
+    /// from the automata they left and the record is complete. Live nodes
+    /// are asked to shut down in order and given [`GOODBYE_WAIT_MS`] to say
     /// goodbye, so that what they output last is in the record; the stop
     /// flag is the backstop for one that never hears the request.
-    pub fn shutdown(mut self) -> Final<A> {
+    pub fn stop(&mut self) {
         let ids = (0..self.n()).map(ProcessId::new);
         let live: Vec<ProcessId> = ids.filter(|p| !self.is_down(*p)).collect();
         for p in &live {
@@ -431,17 +434,6 @@ where
             self.join(p);
         }
         self.transport.close();
-        // one lock at a time; a recorder that straggles in after this finds
-        // no process in range
-        let outputs = std::mem::replace(&mut self.hub.sink.lock().history, OutputHistory::new(0));
-        let leaders = std::mem::take(&mut *self.hub.leaders.lock());
-        let metrics = self.hub.metrics.lock().clone();
-        Final {
-            final_states: self.final_states,
-            outputs,
-            leaders,
-            metrics,
-        }
     }
 }
 
@@ -476,7 +468,6 @@ mod tests {
         Runtime::launch(
             n,
             config(),
-            |_| {},
             move |p| EtobOmega::new(p, etob),
             |leader, _n| leader,
         )
@@ -488,10 +479,13 @@ mod tests {
         runtime.submit(origin, EtobBroadcast::new(origin, seq, payload.to_vec()));
     }
 
-    /// The final delivered sequence of `p`: its delivery deltas folded in
+    /// The delivered sequence of `p` so far: its delivery deltas folded in
     /// order.
-    fn final_ids<A: Algorithm<Output = DeliveryDelta>>(fin: &Final<A>, p: ProcessId) -> Vec<MsgId> {
-        materialize(&fin.outputs)
+    fn delivered_ids<A, T>(runtime: &Runtime<A, T>, p: ProcessId) -> Vec<MsgId>
+    where
+        A: Algorithm<Output = DeliveryDelta>,
+    {
+        materialize(&runtime.outputs_so_far())
             .last(p)
             .expect("delivered")
             .iter()
@@ -499,8 +493,9 @@ mod tests {
             .collect()
     }
 
-    fn last_leader_of<A: Algorithm>(fin: &Final<A>, p: ProcessId) -> Option<ProcessId> {
-        let mut of_p = fin.leaders.iter().rev().filter(|(q, _, _)| *q == p);
+    fn last_leader_of<A: Algorithm, T>(runtime: &Runtime<A, T>, p: ProcessId) -> Option<ProcessId> {
+        let leaders = runtime.leaders();
+        let mut of_p = leaders.iter().rev().filter(|(q, _, _)| *q == p);
         of_p.next().map(|(_, _, leader)| *leader)
     }
 
@@ -539,28 +534,32 @@ mod tests {
         wait_until(5, "all three delivered 5", || {
             (0..n).all(|i| delivered_len(&runtime, ProcessId::new(i)) == 5)
         });
-        let fin = runtime.shutdown();
+        runtime.stop();
         // every process delivered all five messages, in the same order
-        let reference = final_ids(&fin, ProcessId::new(0));
+        let reference = delivered_ids(&runtime, ProcessId::new(0));
         assert_eq!(reference.len(), 5);
         for p in (1..n).map(ProcessId::new) {
-            assert_eq!(final_ids(&fin, p), reference, "{p} diverged");
+            assert_eq!(delivered_ids(&runtime, p), reference, "{p} diverged");
         }
         // the heartbeat Ω elected p0 everywhere
         for p in (0..n).map(ProcessId::new) {
-            assert_eq!(last_leader_of(&fin, p), Some(ProcessId::new(0)));
+            assert_eq!(last_leader_of(&runtime, p), Some(ProcessId::new(0)));
         }
-        // the final automaton state is harvested and matches the outputs
-        for i in 0..n {
-            let final_state = fin.final_states[i].as_ref().expect("state harvested");
-            assert_eq!(final_state.delivered().len(), 5, "p{i}");
+        // a stopped run stays readable: the automata the nodes left behind
+        // match the outputs
+        for p in (0..n).map(ProcessId::new) {
+            assert!(runtime.is_down(p));
+            let delivered = runtime.look(p, |a: &EtobOmega| a.delivered().len());
+            assert_eq!(delivered, Some(5), "{p}");
         }
         // app messages were counted
-        assert!(fin.metrics.messages_sent > 0);
-        assert!(fin.metrics.messages_delivered > 0);
-        assert_eq!(fin.metrics.inputs, 5);
+        let metrics = runtime.metrics();
+        assert!(metrics.messages_sent > 0);
+        assert!(metrics.messages_delivered > 0);
+        assert_eq!(metrics.inputs, 5);
         // the last delta each process emitted ends where its sequence does
-        let last = fin.outputs.last(ProcessId::new(0)).expect("p0 delivered");
+        let last = runtime.latest_output_of(ProcessId::new(0));
+        let last = last.expect("p0 delivered");
         assert_eq!(last.keep + last.suffix.len(), reference.len());
     }
 
@@ -580,18 +579,18 @@ mod tests {
         wait_until(10, "the survivors delivered the post-crash one", || {
             survivors.iter().all(|p| delivered_len(&runtime, *p) == 2)
         });
-        let fin = runtime.shutdown();
+        runtime.stop();
         // the survivors eventually elected p1 and still deliver new messages
         for p in survivors {
-            assert_eq!(last_leader_of(&fin, p), Some(ProcessId::new(1)), "{p}");
-            let history = materialize(&fin.outputs);
+            assert_eq!(last_leader_of(&runtime, p), Some(ProcessId::new(1)), "{p}");
+            let history = materialize(&runtime.outputs_so_far());
             let delivered = history.last(p).expect("delivered something");
             assert!(
                 delivered.iter().any(|m| &m.payload[..] == b"after"),
                 "{p} did not deliver the post-crash broadcast"
             );
         }
-        assert!(format!("{fin:?}").contains("Final"));
+        assert!(format!("{runtime:?}").contains("live: 0"));
     }
 
     #[test]
@@ -617,11 +616,14 @@ mod tests {
         wait_until(10, "the restarted process caught up", || {
             delivered_len(&runtime, victim) == 2
         });
-        let fin = runtime.shutdown();
-        assert_eq!(final_ids(&fin, victim), final_ids(&fin, ProcessId::new(0)));
-        // the harvested automaton is the second incarnation's
-        let reborn = fin.final_states[2].as_ref().expect("state harvested");
-        assert_eq!(reborn.delivered().len(), 2);
+        runtime.stop();
+        assert_eq!(
+            delivered_ids(&runtime, victim),
+            delivered_ids(&runtime, ProcessId::new(0))
+        );
+        // the automaton left behind is the second incarnation's
+        let reborn = runtime.look(victim, |a: &EtobOmega| a.delivered().len());
+        assert_eq!(reborn, Some(2));
     }
 
     #[test]
@@ -641,7 +643,7 @@ mod tests {
         assert!(Transport::<EtobOmega>::scrape(transport, p0).is_none());
         assert!(format!("{runtime:?}").contains("live: 2"));
         let _ = runtime.elapsed_ms();
-        runtime.shutdown();
+        runtime.stop();
     }
 
     #[test]
@@ -652,7 +654,7 @@ mod tests {
             suffix: Vec::new(),
         };
         // nothing is broadcast, so the nodes record nothing themselves
-        let runtime = launch_etob(2, EtobConfig::default());
+        let mut runtime = launch_etob(2, EtobConfig::default());
         assert_eq!(runtime.latest_output_of(p0), None);
         runtime.hub.record_output(p0, delta(1));
         runtime.hub.record_output(p1, delta(2));
@@ -668,31 +670,71 @@ mod tests {
             panic!("p0 recorded twice")
         };
         assert!(first <= second);
-        assert_eq!(runtime.shutdown().outputs, so_far);
+        runtime.stop();
+        assert_eq!(runtime.outputs_so_far(), so_far);
+    }
+
+    fn delivered_at(runtime: &Channels<EtobOmega>, p: ProcessId) -> Option<usize> {
+        runtime.look(p, |a: &EtobOmega| a.delivered().len())
     }
 
     #[test]
-    fn inspect_sees_the_live_automaton_and_a_crashed_node_drops_it() {
-        let p1 = ProcessId::new(1);
+    fn look_reaches_the_live_automaton_the_one_a_crash_left_and_the_new_incarnation() {
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
         let mut runtime = launch_etob(2, EtobConfig::default());
         broadcast(&mut runtime, 0, 1, b"seen");
         wait_until(5, "p1 delivered", || delivered_len(&runtime, p1) == 1);
-        let (reply, seen) = mpsc::channel();
-        runtime.inspect(p1, move |a: &EtobOmega| {
-            let _ = reply.send(a.delivered().len());
-        });
-        assert_eq!(seen.recv_timeout(Duration::from_secs(5)), Ok(1));
+        // live: answered between two steps of p1
+        assert_eq!(delivered_at(&runtime, p1), Some(1));
+        // down: answered from the automaton the crashed incarnation left
+        runtime.crash(p0);
         runtime.crash(p1);
-        let (reply, seen) = mpsc::channel();
-        runtime.inspect(p1, move |a: &EtobOmega| {
-            let _ = reply.send(a.delivered().len());
-        });
-        // dropped unrun, and its captures with it
-        assert_eq!(
-            seen.recv_timeout(Duration::from_secs(5)),
-            Err(mpsc::RecvTimeoutError::Disconnected)
-        );
-        runtime.shutdown();
+        assert_eq!(delivered_at(&runtime, p1), Some(1));
+        assert_eq!(delivered_len(&runtime, p1), 1);
+        // restarted with no peer left to re-fill it: reads reach the blank
+        // new incarnation, and the latest output is no longer its
+        // predecessor's, which stays in the record
+        assert!(runtime.restart(p1));
+        assert_eq!(delivered_at(&runtime, p1), Some(0));
+        assert_eq!(runtime.latest_output_of(p1), None);
+        assert_eq!(runtime.outputs_so_far().outputs(p1).len(), 1);
+        // no node of the run: nothing to ask
+        assert_eq!(delivered_at(&runtime, ProcessId::new(7)), None);
+        assert_eq!(runtime.latest_output_of(ProcessId::new(7)), None);
+        runtime.stop();
+    }
+
+    #[test]
+    fn look_gives_up_on_a_node_that_never_drains_and_at_once_on_one_that_is_gone() {
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        let bound = Duration::from_millis(GOODBYE_WAIT_MS);
+        let mut runtime = launch_etob(2, EtobConfig::default());
+        // wedge p1 inside an event: it drains nothing until released
+        let (release, gate) = mpsc::channel::<()>();
+        let wedge = Event::Inspect(Box::new(move |_: &EtobOmega| {
+            let _ = gate.recv();
+        }));
+        assert!(runtime.hub.send(p1, wedge));
+        let asked = Instant::now();
+        assert_eq!(delivered_at(&runtime, p1), None);
+        let waited = asked.elapsed();
+        assert!(waited >= bound && waited < 2 * bound, "{waited:?}");
+        // released, p1 runs the abandoned closure into its dropped channel
+        // and answers the next one
+        drop(release);
+        assert_eq!(delivered_at(&runtime, p1), Some(0));
+        // a node whose thread died in an event holds no inbox any more
+        let kill = Event::Inspect(Box::new(|_: &EtobOmega| {
+            panic!("this probe kills its node")
+        }));
+        assert!(runtime.hub.send(p0, kill));
+        let asked = Instant::now();
+        assert_eq!(delivered_at(&runtime, p0), None);
+        assert!(asked.elapsed() < bound);
+        runtime.stop();
+        // it left no automaton behind either
+        assert_eq!(delivered_at(&runtime, p0), None);
+        assert_eq!(delivered_at(&runtime, p1), Some(0));
     }
 
     #[test]
@@ -701,7 +743,6 @@ mod tests {
         let mut runtime: Channels<ConsensusTob> = Runtime::launch(
             n,
             config(),
-            |_| {},
             |p| ConsensusTob::new(p, ConsensusTobConfig::default()),
             |leader, n| (leader, ProcessSet::all(n)),
         )
@@ -717,11 +758,11 @@ mod tests {
         wait_until(10, "the quorum-gated TOB delivered all three", || {
             (0..n).all(|i| delivered_len(&runtime, ProcessId::new(i)) == 3)
         });
-        let fin = runtime.shutdown();
+        runtime.stop();
         // identical delivery order everywhere (strong consistency)
-        let reference = final_ids(&fin, ProcessId::new(0));
+        let reference = delivered_ids(&runtime, ProcessId::new(0));
         for p in (1..n).map(ProcessId::new) {
-            assert_eq!(final_ids(&fin, p), reference, "{p} diverged");
+            assert_eq!(delivered_ids(&runtime, p), reference, "{p} diverged");
         }
     }
 
@@ -776,7 +817,6 @@ mod tests {
         let launched = Runtime::<EtobOmega, Unroutable>::launch(
             3,
             config(),
-            |_| {},
             |p| EtobOmega::new(p, EtobConfig::default()),
             |leader, _n| leader,
         );

@@ -13,8 +13,8 @@
 //! frames) all differ.
 
 use ec_replication::{
-    Cluster, ClusterBuilder, Consistency, Engine, KvStore, NetEngine, Session, SimEngine,
-    StateMachine, ThreadEngine,
+    snapshot_digest, Cluster, ClusterBuilder, Consistency, Engine, KvStore, NetEngine, Session,
+    SimEngine, StateMachine, ThreadEngine,
 };
 
 const REPLICAS: usize = 3;
@@ -56,8 +56,24 @@ fn drive<E: Engine>(engine: &E, consistency: Consistency) -> Vec<Vec<u8>> {
         let probes = (0..=cluster.clock()).step_by(10);
         let applied: Vec<usize> = probes.map(|t| cluster.applied_at(p, t)).collect();
         assert!(applied.is_sorted(), "{p} went backwards: {applied:?}");
+        // an output fingerprints the state, the replica answers for it: the
+        // digest on record is that of the bytes read from the replica, and
+        // the typed read is those bytes decoded
+        let snapshot = cluster.snapshot(p);
+        let newest = history.last(p).map(|output| output.digest);
+        assert_eq!(newest, Some(snapshot_digest(&snapshot)), "{p}");
+        assert_eq!(cluster.state(p), KvStore::from_snapshot(&snapshot), "{p}");
     }
+    // a report taken from the running cluster says what the stopped one
+    // says, on every engine
+    let live = cluster.report();
     let report = cluster.finish();
+    let (live, stopped) = (&live.shards[0], &report.shards[0]);
+    assert_eq!(live.applied, stopped.applied);
+    assert_eq!(live.snapshots, stopped.snapshots);
+    assert_eq!(live.updates_sent, stopped.updates_sent);
+    assert_eq!(live.converged_at, stopped.converged_at);
+    assert_eq!(live.divergences, stopped.divergences);
     assert_eq!(report.consistency, consistency);
     assert!(
         report.shards[0].snapshots_agree(),

@@ -1,5 +1,6 @@
 //! Cross-engine telemetry: every engine surfaces submit→deliver latency
-//! percentiles through the same `ClusterReport`, the simulator's telemetry
+//! percentiles through the same `ClusterReport` and the same live reads of
+//! a running cluster, the simulator's telemetry
 //! is byte-deterministic (two identical runs export identical JSON), and a
 //! live socket node answers a metrics scrape over its own wire protocol.
 //!
@@ -9,7 +10,8 @@
 //! JSON export are identical, so one dashboard reads all three.
 
 use ec_replication::{
-    Cluster, ClusterBuilder, Consistency, Engine, KvStore, NetEngine, SimEngine, ThreadEngine,
+    Cluster, ClusterBuilder, ClusterReport, Consistency, Engine, KvStore, NetEngine, SimEngine,
+    ThreadEngine,
 };
 use ec_sim::ProcessId;
 
@@ -73,27 +75,33 @@ fn sim_clusters_report_live_latency_and_flight_events() {
     }
 }
 
+/// The running cluster's latency summary and flight traces, then its final
+/// report: every engine answers all three.
+fn live_then_finished<E: Engine>(engine: &E) -> ClusterReport {
+    let cluster = drive(engine, Consistency::Eventual);
+    let name = cluster.engine();
+    let live = cluster.telemetry();
+    assert!(live.submit_deliver.count() > 0, "{name}: {live}");
+    let flight = cluster.flight_events();
+    assert_eq!(flight.len(), REPLICAS);
+    for (replica, ring) in flight.iter().enumerate() {
+        assert!(!ring.is_empty(), "{name}: replica {replica} has no events");
+    }
+    cluster.finish()
+}
+
 #[test]
 fn all_three_engines_report_submit_deliver_percentiles() {
     let reports = [
-        (
-            "sim",
-            drive(&SimEngine::new(), Consistency::Eventual).finish(),
-        ),
-        (
-            "thread",
-            drive(&ThreadEngine::default(), Consistency::Eventual).finish(),
-        ),
-        (
-            "net",
-            drive(&NetEngine::default(), Consistency::Eventual).finish(),
-        ),
+        ("sim", live_then_finished(&SimEngine::new())),
+        ("thread", live_then_finished(&ThreadEngine::default())),
+        ("net", live_then_finished(&NetEngine::default())),
     ];
     for (name, report) in &reports {
         let telemetry = report.telemetry();
         assert!(
             telemetry.submit_deliver.count() > 0,
-            "{name}: no submit→deliver samples harvested"
+            "{name}: no submit→deliver samples in the final report"
         );
         let p50 = telemetry.submit_deliver.quantile(500);
         let p99 = telemetry.submit_deliver.quantile(990);
