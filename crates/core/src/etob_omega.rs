@@ -17,7 +17,9 @@
 //!   processes in one more hop (`promote`). With
 //!   [`EtobConfig::eager_promote`] the leader promotes immediately upon
 //!   learning a new message, making the two-hop latency visible end to end;
-//!   otherwise a fraction of the promotion period is added.
+//!   otherwise a fraction of the promotion period is added on the simulator,
+//!   while the real-time engines promote whenever the leader's inbox runs
+//!   dry ([`Algorithm::on_idle`]).
 //! * **P2 — strong consistency under a stable leader.** If Ω outputs the same
 //!   leader at every process from the very beginning, delivered sequences are
 //!   prefix-ordered from time 0: the algorithm implements full TOB.
@@ -352,27 +354,39 @@ pub enum EtobMsg {
 /// Configuration of [`EtobOmega`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EtobConfig {
-    /// Ticks between the leader's periodic `promote` broadcasts.
+    /// Ticks between the leader's periodic `promote` broadcasts: the
+    /// liveness and repair cadence (a promote goes out every period, grown
+    /// or not, and compaction evidence is exchanged on it). On the
+    /// simulator it is also when a grown sequence leaves; on the real-time
+    /// engines the leader sends a grown suffix as soon as its inbox drains
+    /// ([`Algorithm::on_idle`]).
     pub promote_period: u64,
     /// If `true`, a process that currently considers itself the leader sends
-    /// a `promote` immediately whenever its promotion sequence grows, instead
-    /// of waiting for the next period. This realizes the paper's optimal
-    /// two-communication-step delivery; ablation A2 quantifies the trade-off.
+    /// a `promote` immediately whenever its promotion sequence grows — once
+    /// per step that grew it, busy or not. This realizes the paper's optimal
+    /// two-communication-step delivery on every engine; ablation A2
+    /// quantifies the trade-off. The real-time engines get the same two
+    /// steps without it, one promote per burst instead of per step.
     pub eager_promote: bool,
-    /// Message batching: the maximum number of ticks an application message
-    /// may wait before the `update` carrying it is broadcast.
+    /// Message batching: an upper bound, in ticks, on how long an
+    /// application message may wait before the `update` carrying it is
+    /// broadcast.
     ///
     /// With `batch == 0` (the default) every `broadcastETOB(m, C(m))`
     /// invocation broadcasts `update(CG_i)` immediately — one broadcast per
     /// operation, the literal Algorithm 5. With `batch > 0` the process
-    /// instead coalesces all operations submitted within a `batch`-tick
-    /// window into a *single* `update(CG_i)` broadcast, so the hot path
-    /// scales with operations per flush rather than per message. This is
-    /// correct because the flushed broadcast covers every pending message at
-    /// once: the whole causality graph in full-graph mode, and everything
-    /// since the previous broadcast in delta mode.
-    /// Experiment E11 quantifies the broadcasts-per-op reduction; the
-    /// trade-off is up to `batch` extra ticks of delivery latency.
+    /// instead coalesces pending operations into a *single*
+    /// `update(CG_i)` broadcast, so the hot path scales with operations per
+    /// flush rather than per message. This is correct because the flushed
+    /// broadcast covers every pending message at once: the whole causality
+    /// graph in full-graph mode, and everything since the previous
+    /// broadcast in delta mode. On the simulator the flush comes `batch`
+    /// ticks after the first pending operation (experiment E11 quantifies
+    /// the broadcasts-per-op reduction; the trade-off is up to `batch`
+    /// extra ticks of delivery latency). On the real-time engines it comes
+    /// when the node's inbox runs dry ([`Algorithm::on_idle`]), so a batch
+    /// is whatever arrived while the node was busy, and the deadline only
+    /// binds when the inbox never drains.
     pub batch: u64,
     /// Anti-entropy retransmission: every `resend_period` ticks, a process
     /// whose causality graph contains messages missing from its delivered
@@ -979,24 +993,24 @@ impl EtobOmega {
     /// mode, or the suffix since the previous promote broadcast keyed by the
     /// prefix length and hash in delta mode.
     fn broadcast_promote(&mut self, ctx: &mut Context<'_, Self>) {
-        if !self.config.delta_sync {
+        if self.config.delta_sync {
+            // `base` is absolute; the resident `promote`/`promote_hashes`
+            // start at `folded`, and `promote_hashes` always has
+            // `promote.len() + 1` entries, so the clamped relative index is
+            // always in range; the fallbacks keep this path panic-free even
+            // if that invariant is ever broken.
+            let base = self
+                .last_promote_broadcast
+                .clamp(self.folded, self.folded + self.promote.len());
+            let rel = base - self.folded;
+            ctx.broadcast(EtobMsg::PromoteDelta {
+                base,
+                prefix_hash: self.promote_hashes.get(rel).copied().unwrap_or(FNV_OFFSET),
+                suffix: self.promote.get(rel..).unwrap_or_default().to_vec(),
+            });
+        } else {
             ctx.broadcast(EtobMsg::Promote(self.promote.clone()));
-            return;
         }
-        // `base` is absolute; the resident `promote`/`promote_hashes` start
-        // at `folded`, and `promote_hashes` always has `promote.len() + 1`
-        // entries, so the clamped relative index is always in range; the
-        // fallbacks keep this path panic-free even if that invariant is
-        // ever broken.
-        let base = self
-            .last_promote_broadcast
-            .clamp(self.folded, self.folded + self.promote.len());
-        let rel = base - self.folded;
-        ctx.broadcast(EtobMsg::PromoteDelta {
-            base,
-            prefix_hash: self.promote_hashes.get(rel).copied().unwrap_or(FNV_OFFSET),
-            suffix: self.promote.get(rel..).unwrap_or_default().to_vec(),
-        });
         self.last_promote_broadcast = self.folded + self.promote.len();
     }
 
@@ -1471,6 +1485,20 @@ impl Algorithm for EtobOmega {
             ctx.set_timer(self.config.promote_period);
         }
         self.maybe_resend(ctx);
+    }
+
+    fn on_idle(&mut self, ctx: &mut Context<'_, Self>) {
+        // Nothing else is queued: a pending batch and an unsent promote
+        // suffix leave now instead of at their deadlines, so a broadcast is
+        // delivered in the paper's two communication steps, not two timers.
+        // `batch` and `promote_period` stay the bounds when the inbox never
+        // drains.
+        if self.next_flush.take().is_some() {
+            self.broadcast_update(ctx);
+        }
+        if *ctx.fd() == self.me && self.folded + self.promote.len() > self.last_promote_broadcast {
+            self.broadcast_promote(ctx);
+        }
     }
 
     fn wire_size(msg: &EtobMsg) -> u64 {
@@ -1964,6 +1992,121 @@ mod tests {
             }
         }
         assert_eq!(alg.updates_sent(), 1);
+    }
+
+    /// One step of `alg` in a group of three at tick `now`, with Ω trusting
+    /// `leader`; returns what the step sent.
+    fn step_at(
+        alg: &mut EtobOmega,
+        now: u64,
+        leader: usize,
+        handler: impl FnOnce(&mut EtobOmega, &mut Context<'_, EtobOmega>),
+    ) -> Vec<(ProcessId, EtobMsg)> {
+        let mut actions = ec_sim::Actions::<EtobOmega>::new();
+        let leader = ProcessId::new(leader);
+        let mut ctx = Context::new(alg.me, Time::new(now), 3, leader, &mut actions);
+        handler(alg, &mut ctx);
+        actions.sends
+    }
+
+    /// Batching on both wire formats: deltas and the paper's full graph.
+    fn batched_wires() -> [EtobConfig; 2] {
+        let full_graph = EtobConfig {
+            batch: 5,
+            ..EtobConfig::full_graph()
+        };
+        [EtobConfig::batched(5), full_graph]
+    }
+
+    /// The graph nodes an update carries; `None` for any other message.
+    fn update_nodes(msg: &EtobMsg) -> Option<usize> {
+        match msg {
+            EtobMsg::Delta { nodes, .. } => Some(nodes.len()),
+            EtobMsg::Update(graph) => Some(graph.len()),
+            _ => None,
+        }
+    }
+
+    /// The sequence entries a promote carries; `None` for any other message.
+    fn promoted_entries(msg: &EtobMsg) -> Option<usize> {
+        match msg {
+            EtobMsg::PromoteDelta { suffix, .. } => Some(suffix.len()),
+            EtobMsg::Promote(sequence) => Some(sequence.len()),
+            _ => None,
+        }
+    }
+
+    /// Submits `seqs` at `alg` as its own broadcasts; each is held back.
+    fn submit_held_back(alg: &mut EtobOmega, seqs: std::ops::RangeInclusive<u64>) {
+        for seq in seqs {
+            let input = EtobBroadcast::new(alg.me, seq, b"x".to_vec());
+            let sent = step_at(alg, 10, 0, |a, ctx| a.on_input(input, ctx));
+            assert!(sent.is_empty(), "held back to coalesce");
+        }
+    }
+
+    #[test]
+    fn an_idle_step_with_nothing_pending_sends_nothing() {
+        // an idle cluster's traffic is what it was before the hook existed
+        let [delta, full_graph] = batched_wires();
+        for config in [EtobConfig::default(), delta, full_graph] {
+            for me in 0..3 {
+                let mut alg = EtobOmega::new(ProcessId::new(me), config);
+                step_at(&mut alg, 0, 0, |a, ctx| a.on_start(ctx));
+                let sent = step_at(&mut alg, 1, 0, |a, ctx| a.on_idle(ctx));
+                assert!(sent.is_empty(), "{config:?}, p{me}: {sent:?}");
+                assert_eq!(alg.updates_sent(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn an_idle_step_flushes_a_pending_batch_once() {
+        for config in batched_wires() {
+            let mut alg = EtobOmega::new(ProcessId::new(1), config);
+            submit_held_back(&mut alg, 1..=3);
+            let flushed = step_at(&mut alg, 10, 0, |a, ctx| a.on_idle(ctx));
+            assert_eq!(alg.updates_sent(), 1);
+            assert_eq!(flushed.len(), 3, "{config:?}: one update to each process");
+            for (to, msg) in &flushed {
+                let nodes = update_nodes(msg).expect("an update");
+                if *to != alg.me {
+                    assert_eq!(nodes, 3, "{config:?}: one update carrying all three");
+                }
+            }
+            // the flush deadline finds nothing left to send
+            let at_deadline = step_at(&mut alg, 15, 0, |a, ctx| a.on_timer(ctx));
+            assert!(at_deadline.iter().all(|(_, m)| update_nodes(m).is_none()));
+            assert_eq!(alg.updates_sent(), 1);
+        }
+    }
+
+    #[test]
+    fn an_idle_leader_promotes_what_grew_and_a_follower_never_does() {
+        for config in batched_wires() {
+            // p2's batch of two reaches the leader p0 and the follower p1
+            let mut origin = EtobOmega::new(ProcessId::new(2), config);
+            submit_held_back(&mut origin, 1..=2);
+            let update = step_at(&mut origin, 10, 0, |a, ctx| a.on_idle(ctx));
+            let copy_for = |p: usize| update.iter().find(|(to, _)| to.index() == p).cloned();
+            let mut leader = EtobOmega::new(ProcessId::new(0), config);
+            let mut follower = EtobOmega::new(ProcessId::new(1), config);
+            for alg in [&mut leader, &mut follower] {
+                let (_, msg) = copy_for(alg.me.index()).expect("sent to every process");
+                let sent = step_at(alg, 11, 0, |a, ctx| a.on_message(origin.me, msg, ctx));
+                assert!(sent.is_empty(), "{config:?}: not eager, nothing missing");
+                assert_eq!(alg.promotion_sequence().len(), 2);
+            }
+            let promoted = step_at(&mut leader, 11, 0, |a, ctx| a.on_idle(ctx));
+            assert_eq!(promoted.len(), 3, "{config:?}: one promote to each process");
+            for (_, msg) in &promoted {
+                assert_eq!(promoted_entries(msg), Some(2), "{config:?}");
+            }
+            let again = step_at(&mut leader, 12, 0, |a, ctx| a.on_idle(ctx));
+            assert!(again.is_empty(), "{config:?}: no growth, no promote");
+            let follows = step_at(&mut follower, 11, 0, |a, ctx| a.on_idle(ctx));
+            assert!(follows.is_empty(), "{config:?}: a follower never promotes");
+        }
     }
 
     #[test]

@@ -516,6 +516,10 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
         ctx.set_timer(3);
     }
 
+    fn on_idle(&mut self, ctx: &mut Context<'_, Self>) {
+        self.drive(ctx, |b, ictx| b.on_idle(ictx));
+    }
+
     fn wire_size(msg: &B::Msg) -> u64 {
         B::wire_size(msg)
     }

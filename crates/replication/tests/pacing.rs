@@ -1,4 +1,5 @@
-//! The real-time node loop keeps its tick under load, on both engines.
+//! The real-time node loop keeps its tick under load, and needs no tick at
+//! idle — on both engines.
 //!
 //! Everything Algorithm 5 does on a clock (promote, batch flush, resend,
 //! the heartbeat Ω) counts `on_timer` calls, so a tick that stretches when
@@ -7,8 +8,13 @@
 //! fired ≈ 35 times a second instead of 200. With the deadline-driven
 //! [`ec_runtime::Pacer`] the tick is due on schedule whatever arrives — and
 //! since there is one loop, one body checks it over channels and over TCP.
+//!
+//! The other half: what a node holds back to coalesce leaves when its inbox
+//! runs dry, not at the next deadline, so an operation on a quiet cluster
+//! is delivered in Algorithm 5's two communication steps with every
+//! protocol timer seconds away.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ec_core::etob_omega::EtobConfig;
 use ec_replication::{Cluster, ClusterBuilder, Engine, KvStore, NetEngine, ThreadEngine};
@@ -67,4 +73,34 @@ fn thread_nodes_keep_their_tick_under_sustained_submit_load() {
 #[test]
 fn net_nodes_keep_their_tick_under_sustained_submit_load() {
     nodes_keep_their_tick_under_sustained_submit_load(&NetEngine::new());
+}
+
+fn delivery_needs_no_tick<E: Engine>(engine: &E) {
+    // every protocol deadline — flush, promote — is 1000 ticks (5 s of
+    // wall clock) away; before flush-on-drain the put waited for both
+    let etob = EtobConfig {
+        batch: 1_000,
+        promote_period: 1_000,
+        ..EtobConfig::batched(1_000)
+    };
+    let mut cluster: Cluster<KvStore> = ClusterBuilder::new(3).etob(etob).deploy(engine);
+    let mut session = cluster.session();
+    let submitted = Instant::now();
+    cluster.submit(&mut session, KvStore::put("k", "v"), 0);
+    // facade time is milliseconds since launch, which came first
+    let applied = cluster.run_until_applied(1, 1_000);
+    let took = submitted.elapsed();
+    assert!(applied, "not applied everywhere within 1 s");
+    assert!(took < Duration::from_secs(1), "{took:?}");
+    assert!(cluster.finish().shards[0].snapshots_agree());
+}
+
+#[test]
+fn thread_delivery_needs_no_tick() {
+    delivery_needs_no_tick(&ThreadEngine::new());
+}
+
+#[test]
+fn net_delivery_needs_no_tick() {
+    delivery_needs_no_tick(&NetEngine::new());
 }

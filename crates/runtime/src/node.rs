@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crossbeam_channel::{Receiver, RecvTimeoutError};
+use crossbeam_channel::{Receiver, RecvTimeoutError, TryRecvError};
 
 use ec_detectors::{HeartbeatMsg, HeartbeatOmega};
 use ec_sim::{Actions, Algorithm, Context, ProcessId, Time};
@@ -106,13 +106,17 @@ impl<A: Algorithm, L: Links<A>> Node<'_, A, L> {
 
     /// One step of the algorithm under the current leader's detector value:
     /// messages go out over the links and are counted, outputs go to the
-    /// driver. Timer requests are satisfied by the periodic tick.
+    /// driver. Timer requests are satisfied by the periodic tick. A step
+    /// that produced nothing touches neither the links nor the counters.
     fn step(&mut self, handler: impl FnOnce(&mut A, &mut Context<'_, A>)) {
         let fd = (self.derive)(self.omega.leader(), self.n);
         let mut actions = Actions::<A>::new();
         let mut ctx = Context::new(self.me, Time::new(self.tick), self.n, fd, &mut actions);
         handler(&mut self.algorithm, &mut ctx);
         let sent = actions.sends.len();
+        if sent == 0 && actions.outputs.is_empty() {
+            return;
+        }
         let mut wire_bytes = 0u64;
         for (to, msg) in actions.sends {
             wire_bytes += self.links.send(to, msg);
@@ -134,7 +138,10 @@ impl<A: Algorithm, L: Links<A>> Node<'_, A, L> {
 /// Runs one incarnation of node `me` until it crashes, shuts down or the
 /// run is stopped, and returns its automaton for harvest. `on_timer` is
 /// paced by a [`Pacer`]: a tick is due every `config.tick` of wall-clock
-/// time however busy the inbox is.
+/// time however busy the inbox is. When a burst of message, input or timer
+/// steps has emptied the inbox, the node takes one [`Algorithm::on_idle`]
+/// step before it blocks again: what the burst held back leaves at once,
+/// coalesced over however much the burst held.
 pub(crate) fn node_loop<A: Algorithm, L: Links<A>>(
     me: ProcessId,
     algorithm: A,
@@ -158,43 +165,181 @@ pub(crate) fn node_loop<A: Algorithm, L: Links<A>>(
     node.step(|a, ctx| a.on_start(ctx));
 
     let mut pacer = Pacer::start(config.tick);
+    // an algorithm step was taken since the last idle step
+    let mut busy = false;
     while !hub.stopped() {
         let Turn::Recv(wait) = pacer.turn() else {
             node.tick += 1;
             hub.metrics.lock().timer_fires += 1;
             node.beat(|omega, ctx| omega.on_timer(ctx));
             node.step(|a, ctx| a.on_timer(ctx));
+            busy = true;
             continue;
         };
-        match inbox.recv_timeout(wait) {
-            Ok(Event::Crash) | Err(RecvTimeoutError::Disconnected) => break,
-            Ok(Event::Shutdown) => {
+        let event = match inbox.try_recv() {
+            Ok(event) => event,
+            Err(TryRecvError::Empty) if busy => {
+                busy = false;
+                node.step(|a, ctx| a.on_idle(ctx));
+                continue;
+            }
+            Err(TryRecvError::Empty) => match inbox.recv_timeout(wait) {
+                Ok(event) => event,
+                // the next turn fires the tick that just came due
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
+            },
+            Err(TryRecvError::Disconnected) => break,
+        };
+        match event {
+            Event::Crash => break,
+            Event::Shutdown => {
                 node.links.goodbye();
                 break;
             }
-            Ok(Event::Heartbeat { from, msg }) => {
+            Event::Heartbeat { from, msg } => {
                 node.beat(|omega, ctx| omega.on_message(from, msg, ctx));
             }
-            Ok(Event::App {
+            Event::App {
                 from,
                 msg,
                 wire_len,
-            }) => {
+            } => {
                 {
                     let mut metrics = hub.metrics.lock();
                     metrics.messages_delivered += 1;
                     metrics.bytes_delivered += wire_len;
                 }
                 node.step(|a, ctx| a.on_message(from, msg, ctx));
+                busy = true;
             }
-            Ok(Event::Input(input)) => {
+            Event::Input(input) => {
                 hub.metrics.lock().inputs += 1;
                 node.step(|a, ctx| a.on_input(input, ctx));
+                busy = true;
             }
-            Ok(Event::Inspect(look)) => look(&node.algorithm),
-            // the next turn fires the tick that just came due
-            Err(RecvTimeoutError::Timeout) => {}
+            Event::Inspect(look) => look(&node.algorithm),
         }
     }
     node.algorithm
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use crossbeam_channel::{unbounded, Sender};
+
+    const WAIT: Duration = Duration::from_secs(5);
+
+    /// Takes inputs, produces nothing, logs its steps and reports each
+    /// idle one.
+    struct Logged {
+        steps: Vec<&'static str>,
+        idled: Sender<()>,
+    }
+
+    impl Algorithm for Logged {
+        type Msg = ();
+        type Input = ();
+        type Output = ();
+        type Fd = ();
+
+        fn on_input(&mut self, _: (), _: &mut Context<'_, Self>) {
+            self.steps.push("input");
+        }
+
+        fn on_idle(&mut self, _: &mut Context<'_, Self>) {
+            self.steps.push("idle");
+            let _ = self.idled.send(());
+        }
+    }
+
+    /// Links that count what the algorithm's steps hand them (heartbeats
+    /// are the Ω module's and pass uncounted).
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Links<Logged> for Counted {
+        fn send(&mut self, _: ProcessId, _: ()) -> u64 {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            0
+        }
+        fn heartbeat(&mut self, _: ProcessId, _: HeartbeatMsg) {}
+        fn output(&mut self, _: ()) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+        fn goodbye(&mut self) {}
+    }
+
+    /// An `Inspect` that answers with the steps taken so far.
+    fn ask_steps() -> (Event<Logged>, Receiver<Vec<&'static str>>) {
+        let (reply, answer) = unbounded();
+        let look = Box::new(move |a: &Logged| {
+            let _ = reply.send(a.steps.clone());
+        });
+        (Event::Inspect(look), answer)
+    }
+
+    fn steps_now(inbox: &Sender<Event<Logged>>) -> Vec<&'static str> {
+        let (ask, answer) = ask_steps();
+        inbox.send(ask).expect("the node is running");
+        answer.recv_timeout(WAIT).expect("answered")
+    }
+
+    #[test]
+    fn one_idle_step_ends_a_burst_and_nothing_else_takes_one() {
+        const BURST: usize = 4;
+        let hub = Arc::new(Hub::<Logged>::new(2));
+        let (inbox, events) = unbounded();
+        let (idled, idle_steps) = unbounded();
+        // the whole burst is queued before the loop runs, a look behind it
+        for _ in 0..BURST {
+            inbox.send(Event::Input(())).expect("queued");
+        }
+        let (ask, mid_burst) = ask_steps();
+        inbox.send(ask).expect("queued");
+        let handed = Arc::new(AtomicUsize::new(0));
+        let links = Counted(Arc::clone(&handed));
+        // no tick comes due while the test runs
+        let config = RuntimeConfig {
+            tick: Duration::from_secs(3_600),
+            ..RuntimeConfig::default()
+        };
+        let node = {
+            let (me, hub) = (ProcessId::new(0), Arc::clone(&hub));
+            let derive: FdDerive<()> = Arc::new(|_, _| ());
+            let logged = Logged {
+                steps: Vec::new(),
+                idled,
+            };
+            std::thread::spawn(move || node_loop(me, logged, events, links, &hub, config, &derive))
+        };
+        // no idle step while the inbox held events, then exactly one
+        let inputs = vec!["input"; BURST];
+        assert_eq!(mid_burst.recv_timeout(WAIT), Ok(inputs.clone()));
+        let idle = idle_steps.recv_timeout(WAIT);
+        idle.expect("an idle step once the inbox drained");
+        let burst = [inputs, vec!["idle"]].concat();
+        assert_eq!(steps_now(&inbox), burst);
+        // heartbeat and look turns are no burst: a second look would see
+        // an idle step the first turns triggered
+        let beat = Event::Heartbeat {
+            from: ProcessId::new(1),
+            msg: HeartbeatMsg::Heartbeat,
+        };
+        inbox.send(beat).expect("the node is running");
+        assert_eq!(steps_now(&inbox), burst);
+        assert_eq!(steps_now(&inbox), burst);
+        inbox.send(Event::Crash).expect("the node is running");
+        let left = node.join().expect("the node loop returns");
+        assert_eq!(left.steps, burst);
+        // steps that produced nothing touched neither links nor counters
+        assert_eq!(handed.load(Ordering::SeqCst), 0);
+        let metrics = hub.metrics.lock();
+        assert_eq!((metrics.messages_sent, metrics.outputs), (0, 0));
+        assert_eq!(metrics.inputs, BURST as u64);
+    }
 }

@@ -80,6 +80,20 @@ impl<A: Algorithm> fmt::Debug for Hub<A> {
 }
 
 impl<A: Algorithm> Hub<A> {
+    /// The hub of a run of `n` nodes, none of them started yet.
+    pub(crate) fn new(n: usize) -> Self {
+        Hub {
+            inboxes: (0..n).map(|_| Mutex::new(None)).collect(),
+            goodbyes: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            history: Mutex::new(OutputHistory::new(n)),
+            leaders: Mutex::new(Vec::new()),
+            metrics: Mutex::new(Metrics::new(n)),
+            malformed: AtomicU64::new(0),
+            stopwatch: Stopwatch::start(),
+            stop: AtomicBool::new(false),
+        }
+    }
+
     /// Number of nodes in the run.
     pub fn n(&self) -> usize {
         self.inboxes.len()
@@ -295,16 +309,7 @@ where
         D: Fn(ProcessId, usize) -> A::Fd + Send + Sync + 'static,
     {
         assert!(n >= 2, "the system model requires at least two processes");
-        let hub = Arc::new(Hub {
-            inboxes: (0..n).map(|_| Mutex::new(None)).collect(),
-            goodbyes: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            history: Mutex::new(OutputHistory::new(n)),
-            leaders: Mutex::new(Vec::new()),
-            metrics: Mutex::new(Metrics::new(n)),
-            malformed: AtomicU64::new(0),
-            stopwatch: Stopwatch::start(),
-            stop: AtomicBool::new(false),
-        });
+        let hub = Arc::new(Hub::new(n));
         let mut runtime = Runtime {
             transport: T::bind(&hub)?,
             hub,

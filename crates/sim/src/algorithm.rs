@@ -22,7 +22,9 @@ use crate::{ProcessId, Time};
 ///   express the paper's "on local timeout" clauses;
 /// * [`Algorithm::on_input`] — a step accepting an input from the external
 ///   world (an operation invocation such as `broadcastETOB(m)` or
-///   `proposeEC_ℓ(v)`).
+///   `proposeEC_ℓ(v)`);
+/// * [`Algorithm::on_idle`] — a step taken when the process has nothing
+///   else queued (real-time engines only; see its docs).
 ///
 /// All handlers have no-op defaults so that simple automata only implement
 /// what they need. Every handler may query the failure-detector value for the
@@ -58,6 +60,16 @@ pub trait Algorithm {
     /// A step in which the process accepts an input from the external world.
     fn on_input(&mut self, input: Self::Input, ctx: &mut Context<'_, Self>) {
         let _ = (input, ctx);
+    }
+
+    /// A step taken when nothing else is queued: send what was held back to
+    /// coalesce with what might have followed. Only the real-time node loop
+    /// calls it, once at the end of each burst of message, input and timer
+    /// steps; the simulator's `World` never does, so simulated runs keep
+    /// their tick-window batching. A wrapper deployed on a real-time engine
+    /// must forward it to what it wraps.
+    fn on_idle(&mut self, ctx: &mut Context<'_, Self>) {
+        let _ = ctx;
     }
 
     /// The wire size of a message in bytes, used by the runners for the
@@ -288,6 +300,7 @@ mod tests {
         a.on_message(ProcessId::new(0), (), &mut ctx);
         a.on_timer(&mut ctx);
         a.on_input((), &mut ctx);
+        a.on_idle(&mut ctx);
         assert!(actions.is_empty());
     }
 
