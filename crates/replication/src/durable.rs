@@ -33,19 +33,33 @@
 //!
 //! ## Checkpoints
 //!
-//! A checkpoint publishes one snapshot — `base`, `hash`, the compacted
-//! identifier frontier, the state-machine snapshot at `base`, and the
-//! own-sequence high-water mark — then atomically rewrites the log down to
-//! `Base` + the resident tail. Recovery therefore composes the newest valid
-//! snapshot with the log tail, verifying the **hash linkage** between them:
-//! log entries below the snapshot's base must hash (from the log's base
-//! hash) to exactly the snapshot's hash, otherwise the log is distrusted
-//! and recovery falls back to the snapshot alone.
+//! A checkpoint costs what changed since the last one. While the log's
+//! `Base` is one recovery already links — the newest snapshot on disk is at
+//! exactly that `(base, hash)`, or there is none and the base is 0, which
+//! is every checkpoint of an uncompacted replica — it appends an `OwnSeq`
+//! mark if the high-water mark grew and `fdatasync`s the log: one sync,
+//! no snapshot, no rewrite.
+//!
+//! Otherwise — a fold moved the base, or a re-anchor wrote a `Base` no
+//! snapshot vouches for — it publishes one snapshot (`base`, `hash`, the
+//! compacted identifier frontier, the state-machine snapshot at `base`, and
+//! the own-sequence high-water mark), then atomically rewrites the log down
+//! to `Base` + the resident tail. The same rewrite runs when the log holds
+//! more than twice the records a rewrite would write (dead `Truncate`d
+//! entries, superseded `OwnSeq` marks), so the log stays within a constant
+//! factor of its live size, the way `Vec` doubling bounds its slack.
+//!
+//! Recovery composes the newest valid snapshot with the log tail, verifying
+//! the **hash linkage** between them: log entries below the snapshot's base
+//! must hash (from the log's base hash) to exactly the snapshot's hash,
+//! otherwise the log is distrusted and recovery falls back to the snapshot
+//! alone.
 //!
 //! ## Failure policy
 //!
-//! Appends are plain `write(2)` calls (they survive a process kill; the
-//! periodic checkpoint fsyncs), and any I/O error flips the store into a
+//! Appends are plain `write(2)` calls (they survive a process kill); every
+//! checkpoint forces them to the platter, so a power loss costs at most the
+//! entries logged since the last one. Any I/O error flips the store into a
 //! **degraded** mode that stops persisting but never panics and never
 //! disturbs the in-memory replica — durability is best-effort by design,
 //! correctness never depends on it.
@@ -68,6 +82,8 @@ pub struct DurableOptions {
     /// Root directory; each replica persists under `<dir>/<replica index>/`.
     pub dir: PathBuf,
     /// Checkpoint after this many newly logged entries (clamped to ≥ 1).
+    /// A checkpoint is one `fdatasync` of the log, plus a snapshot and a
+    /// log rewrite only when the base moved (see the module docs).
     pub checkpoint_every: usize,
 }
 
@@ -208,6 +224,17 @@ fn encode_own_seq(seq: u64) -> Vec<u8> {
     out
 }
 
+/// The canonical log image: `Base` + `tail` + the own-seq mark (if any).
+fn canonical_log(base: u64, hash: u64, tail: &[AppMessage], own_seq: u64) -> Vec<Vec<u8>> {
+    let mut bodies = Vec::with_capacity(tail.len() + 2);
+    bodies.push(encode_base(base, hash));
+    bodies.extend(tail.iter().map(encode_entry));
+    if own_seq > 0 {
+        bodies.push(encode_own_seq(own_seq));
+    }
+    bodies
+}
+
 fn decode_record(body: &[u8]) -> Result<LogRecord, DecodeError> {
     let mut r = Reader::new(body);
     let record = match r.read_u8()? {
@@ -266,6 +293,13 @@ pub struct DurableStore {
     snapshots: SnapshotStore,
     /// Absolute base the logged entries extend (the last `Base` record).
     log_base: u64,
+    /// The `(base, hash)` of the log's `Base` record while recovery links
+    /// it as it stands — the newest snapshot on disk is at exactly that
+    /// point, or there is none and the base is 0. `None` after a re-anchor
+    /// wrote a `Base` no snapshot vouches for.
+    anchor: Option<(u64, u64)>,
+    /// Records in the log since its last rewrite, the `Base` included.
+    log_records: usize,
     /// Identifier mirror of the `Entry` records currently live in the log
     /// (post-`Truncate`), so tail updates append only the changed suffix.
     logged: Vec<MsgId>,
@@ -367,13 +401,10 @@ impl DurableStore {
             }
         };
 
-        // Canonical rewrite: Base + tail + own-seq high-water mark.
-        let mut bodies: Vec<Vec<u8>> = Vec::with_capacity(tail.len() + 2);
-        bodies.push(encode_base(base, hash));
-        bodies.extend(tail.iter().map(encode_entry));
-        if own_seq > 0 {
-            bodies.push(encode_own_seq(own_seq));
-        }
+        // Canonical rewrite: Base + tail + own-seq high-water mark. Its
+        // `Base` is the adopted snapshot's point (or 0 with none usable), so
+        // recovery links it as it stands.
+        let bodies = canonical_log(base, hash, &tail, own_seq);
         let log = RecordLog::rewrite(options.dir.join(LOG_FILE), bodies.iter().map(Vec::as_slice))?;
 
         let next_snapshot_id = snapshots.ids()?.last().map_or(1, |newest| newest + 1);
@@ -394,6 +425,8 @@ impl DurableStore {
                 log,
                 snapshots,
                 log_base: base,
+                anchor: Some((base, hash)),
+                log_records: bodies.len(),
                 logged: tail.iter().map(|m| m.id).collect(),
                 own_seq,
                 since_checkpoint: 0,
@@ -484,8 +517,17 @@ impl DurableStore {
         !self.degraded && self.since_checkpoint >= self.checkpoint_every
     }
 
-    /// Publishes a checkpoint — snapshot first (atomic), then the log is
-    /// rewritten down to `Base` + the resident tail — and fsyncs both.
+    /// Makes everything logged durable, anchored at `base` (prefix hash
+    /// `hash`, identifier `frontier`, state-machine snapshot `state`) with
+    /// `tail` beyond it — the tail the last
+    /// [`record_tail`](Self::record_tail) mirrored. When it returns, every
+    /// logged entry and the own-sequence mark are on the platter.
+    ///
+    /// If the log's `Base` is already at `(base, hash)` with a snapshot (or
+    /// base 0) behind it, and the log holds at most twice the records a
+    /// rewrite would write, that is one `fdatasync`, after an `OwnSeq` mark
+    /// if `own_seq` grew. Otherwise a snapshot is published (atomic) and the
+    /// log is rewritten down to `Base` + `tail`, both fsynced.
     pub fn checkpoint(
         &mut self,
         base: u64,
@@ -498,18 +540,28 @@ impl DurableStore {
         if self.degraded {
             return;
         }
-        let body = encode_snapshot_body(base, hash, frontier, state, own_seq.max(self.own_seq));
-        if self
-            .snapshots
-            .publish(self.next_snapshot_id, &body)
-            .is_err()
-        {
-            self.degraded = true;
-            return;
+        let rewrite_records = tail.len() + 1 + usize::from(own_seq.max(self.own_seq) > 0);
+        if self.anchor == Some((base, hash)) && self.log_records <= 2 * rewrite_records {
+            self.record_own_seq(own_seq);
+            if !self.degraded && self.log.sync().is_err() {
+                self.degraded = true;
+            }
+        } else {
+            let own_seq = own_seq.max(self.own_seq);
+            let body = encode_snapshot_body(base, hash, frontier, state, own_seq);
+            if self
+                .snapshots
+                .publish(self.next_snapshot_id, &body)
+                .is_err()
+            {
+                self.degraded = true;
+                return;
+            }
+            self.next_snapshot_id += 1;
+            self.own_seq = own_seq;
+            self.rewrite_to(base, hash, tail);
+            self.anchor = Some((base, hash));
         }
-        self.next_snapshot_id += 1;
-        self.own_seq = self.own_seq.max(own_seq);
-        self.rewrite_to(base, hash, tail);
         self.since_checkpoint = 0;
     }
 
@@ -524,19 +576,12 @@ impl DurableStore {
         self.log.path()
     }
 
-    /// The snapshot directory.
-    pub fn snapshot_dir(&self) -> &Path {
-        self.snapshots.dir()
-    }
-
-    /// Entries appended since the last checkpoint.
-    pub fn entries_since_checkpoint(&self) -> usize {
-        self.since_checkpoint
-    }
-
     fn append(&mut self, body: &[u8]) -> Result<(), ()> {
         match self.log.append(body) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                self.log_records += 1;
+                Ok(())
+            }
             Err(_) => {
                 self.degraded = true;
                 Err(())
@@ -545,13 +590,10 @@ impl DurableStore {
     }
 
     /// Atomically replaces the log with `Base` + `tail` (+ own-seq mark).
+    /// No snapshot vouches for the new `Base` until the caller publishes
+    /// one.
     fn rewrite_to(&mut self, base: u64, hash: u64, tail: &[AppMessage]) {
-        let mut bodies: Vec<Vec<u8>> = Vec::with_capacity(tail.len() + 2);
-        bodies.push(encode_base(base, hash));
-        bodies.extend(tail.iter().map(encode_entry));
-        if self.own_seq > 0 {
-            bodies.push(encode_own_seq(self.own_seq));
-        }
+        let bodies = canonical_log(base, hash, tail, self.own_seq);
         match RecordLog::rewrite(
             self.log.path().to_path_buf(),
             bodies.iter().map(Vec::as_slice),
@@ -559,6 +601,8 @@ impl DurableStore {
             Ok(log) => {
                 self.log = log;
                 self.log_base = base;
+                self.anchor = None;
+                self.log_records = bodies.len();
                 self.logged = tail.iter().map(|m| m.id).collect();
             }
             Err(_) => self.degraded = true,
@@ -587,6 +631,14 @@ mod tests {
 
     fn roll(h0: u64, tail: &[AppMessage]) -> u64 {
         tail.iter().fold(h0, |h, m| seq_hash_step(h, m.id))
+    }
+
+    fn frontier_of(prefix: &[AppMessage]) -> VersionVector {
+        let mut frontier = VersionVector::new();
+        for m in prefix {
+            frontier.insert(m.id);
+        }
+        frontier
     }
 
     #[test]
@@ -645,10 +697,7 @@ mod tests {
             whole.record_tail(0, SEQ_HASH_SEED, tail);
             change.record_change(0, SEQ_HASH_SEED, tail, *keep);
             assert_eq!(whole.logged, change.logged);
-            assert_eq!(
-                whole.entries_since_checkpoint(),
-                change.entries_since_checkpoint()
-            );
+            assert_eq!(whole.since_checkpoint, change.since_checkpoint);
         }
         let bytes = |store: &DurableStore| fs::read(store.log_path()).expect("read log");
         assert_eq!(bytes(&whole), bytes(&change), "the logs differ on disk");
@@ -696,10 +745,7 @@ mod tests {
         store.record_tail(0, SEQ_HASH_SEED, &all);
         // fold the first four entries into a checkpoint
         let fold_hash = roll(SEQ_HASH_SEED, &all[..4]);
-        let mut frontier = VersionVector::new();
-        for m in &all[..4] {
-            frontier.insert(m.id);
-        }
+        let frontier = frontier_of(&all[..4]);
         store.checkpoint(4, fold_hash, &frontier, b"state@4", &all[4..], 6);
         // more entries arrive after the checkpoint
         let late = msg(1, 1);
@@ -719,6 +765,121 @@ mod tests {
     }
 
     #[test]
+    fn an_unmoved_base_checkpoints_with_one_sync_and_keeps_the_own_seq() {
+        let dir = tmp_dir("short");
+        let opts = DurableOptions::new(&dir).checkpoint_every(100);
+        let (mut store, _) = DurableStore::open(&opts).expect("open");
+        let tail = vec![msg(0, 1), msg(1, 1)];
+        store.record_tail(0, SEQ_HASH_SEED, &tail);
+        store.checkpoint(0, SEQ_HASH_SEED, &VersionVector::new(), &[], &tail, 9);
+        assert!(
+            store.snapshots.ids().expect("ids").is_empty(),
+            "no snapshot"
+        );
+        // Base, two entries, the own-seq mark: appended, not rewritten
+        assert_eq!(store.log_records, 4);
+        drop(store);
+        let (_, recovered) = DurableStore::open(&opts).expect("reopen");
+        let recovered = recovered.expect("recovered");
+        assert_eq!((recovered.tail, recovered.own_seq), (tail, 9));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_re_anchored_log_checkpoints_the_full_way() {
+        // the re-anchor writes `Base` 4 with no snapshot behind it: a sync
+        // alone would leave `open` a log whose base outruns every snapshot,
+        // and it would drop the tail
+        let dir = tmp_dir("reanchor-checkpoint");
+        let opts = DurableOptions::new(&dir).checkpoint_every(100);
+        let (mut store, _) = DurableStore::open(&opts).expect("open");
+        let all: Vec<AppMessage> = (1..=6).map(|s| msg(0, s)).collect();
+        store.record_tail(0, SEQ_HASH_SEED, &all[..2]);
+        let fold_hash = roll(SEQ_HASH_SEED, &all[..4]);
+        store.record_change(4, fold_hash, &all[4..], 5);
+        assert_eq!((store.log_base, store.anchor), (4, None));
+        let frontier = frontier_of(&all[..4]);
+        store.checkpoint(4, fold_hash, &frontier, b"state@4", &all[4..], 0);
+        assert_eq!(store.snapshots.ids().expect("ids").len(), 1, "published");
+        drop(store);
+        let (_, recovered) = DurableStore::open(&opts).expect("reopen");
+        let recovered = recovered.expect("recovered");
+        assert_eq!((recovered.base, recovered.hash), (4, fold_hash));
+        assert_eq!(recovered.state, b"state@4".to_vec());
+        assert_eq!(recovered.tail, all[4..].to_vec());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reorder_churn_past_twice_the_live_size_is_rewritten_once() {
+        let dir = tmp_dir("churn");
+        let opts = DurableOptions::new(&dir).checkpoint_every(100);
+        let (mut store, _) = DurableStore::open(&opts).expect("open");
+        let (head, a, b) = ([msg(0, 1), msg(0, 2)], msg(1, 1), msg(2, 1));
+        let ab: Vec<AppMessage> = head.iter().cloned().chain([a.clone(), b.clone()]).collect();
+        let ba: Vec<AppMessage> = head.iter().cloned().chain([b, a]).collect();
+        store.record_tail(0, SEQ_HASH_SEED, &ab);
+        // Base + four entries: what a rewrite would write
+        assert_eq!(store.log_records, 5);
+        let mut rewrites = 0;
+        for tail in [&ba, &ab, &ba] {
+            // each reorder logs a Truncate and two entries
+            store.record_tail(0, SEQ_HASH_SEED, tail);
+            let before = store.log_records;
+            store.checkpoint(0, SEQ_HASH_SEED, &VersionVector::new(), &[], tail, 0);
+            if store.log_records < before {
+                rewrites += 1;
+                assert_eq!(store.log_records, 5, "back to the live size");
+            }
+        }
+        // 8 records sync, 11 > 2 × 5 rewrite, then 8 sync again
+        assert_eq!(rewrites, 1);
+        assert_eq!(store.log_records, 8);
+        drop(store);
+        let (_, recovered) = DurableStore::open(&opts).expect("reopen");
+        assert_eq!(recovered.expect("recovered").tail, ba);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_log_cut_anywhere_after_a_short_checkpoint_opens_to_a_linked_prefix() {
+        let dir = tmp_dir("cut");
+        let opts = DurableOptions::new(&dir).checkpoint_every(100);
+        let (mut store, _) = DurableStore::open(&opts).expect("open");
+        let all: Vec<AppMessage> = (1..=7).map(|s| msg(0, s)).collect();
+        let fold_hash = roll(SEQ_HASH_SEED, &all[..4]);
+        let frontier = frontier_of(&all[..4]);
+        store.record_tail(0, SEQ_HASH_SEED, &all[..5]);
+        // the base moved: snapshot at 4, log rewritten to Base 4 + one entry
+        store.checkpoint(4, fold_hash, &frontier, b"state@4", &all[4..5], 3);
+        store.record_tail(4, fold_hash, &all[4..]);
+        // the base did not move: two entries and an own-seq mark, synced
+        store.checkpoint(4, fold_hash, &frontier, b"state@4", &all[4..], 7);
+        assert_eq!(store.snapshots.ids().expect("ids").len(), 1);
+        let log_path = store.log_path().to_path_buf();
+        drop(store);
+        let image = fs::read(&log_path).expect("read log");
+        for cut in 0..=image.len() {
+            fs::write(&log_path, &image[..cut]).expect("cut log");
+            let (_, recovered) = DurableStore::open(&opts).expect("open a cut log");
+            let recovered = recovered.expect("the snapshot survives any cut");
+            assert_eq!(
+                (recovered.base, recovered.hash),
+                (4, fold_hash),
+                "cut {cut}"
+            );
+            assert_eq!(recovered.state, b"state@4".to_vec(), "cut {cut}");
+            let kept = recovered.tail.len();
+            assert_eq!(recovered.tail, all[4..4 + kept].to_vec(), "cut {cut}");
+            // the short path's mark is the last record; the snapshot holds 3
+            let whole = cut == image.len();
+            assert_eq!(recovered.own_seq, if whole { 7 } else { 3 }, "cut {cut}");
+            assert!(!whole || kept == 3);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn snapshot_ahead_of_log_wins_and_verifies_linkage() {
         let dir = tmp_dir("linkage");
         let opts = DurableOptions::new(&dir).checkpoint_every(100);
@@ -729,11 +890,7 @@ mod tests {
         // simulate a crash between snapshot publish and log rewrite: publish
         // a snapshot at base 2 by hand, leaving the log at base 0.
         let fold_hash = roll(SEQ_HASH_SEED, &all[..2]);
-        let mut frontier = VersionVector::new();
-        for m in &all[..2] {
-            frontier.insert(m.id);
-        }
-        let body = encode_snapshot_body(2, fold_hash, &frontier, b"state@2", 3);
+        let body = encode_snapshot_body(2, fold_hash, &frontier_of(&all[..2]), b"state@2", 3);
         let mut snaps = SnapshotStore::open(dir.join(SNAPSHOT_DIR), 3).expect("snaps");
         snaps.publish(1, &body).expect("publish");
         let (_, recovered) = DurableStore::open(&opts).expect("reopen");

@@ -36,9 +36,10 @@
 //!   experiment needs direct control over the world or the broadcast layer.
 //! * [`durable`] — the per-replica durability layer behind
 //!   [`ClusterBuilder::durable`]: an `ec-storage` record log mirroring the
-//!   delivered tail plus periodic snapshots, and the recovery path that
-//!   [`Cluster::restart`] (and the chaos crash–recover nemesis) uses to
-//!   rejoin from disk, pulling only the missing suffix via anti-entropy.
+//!   delivered tail plus snapshots of the folded prefix, and the recovery
+//!   path that [`Cluster::restart`] (and the chaos crash–recover nemesis)
+//!   uses to rejoin from disk, pulling only the missing suffix via
+//!   anti-entropy.
 //! * [`convergence`] — convergence metrics over replica output histories:
 //!   when did all correct replicas last agree, how long did divergence
 //!   episodes last, how many commands were applied on each side of a

@@ -134,7 +134,8 @@ pub struct ReplicaOutput {
 /// [`Replica::durable`] attaches a [`DurableStore`]: every delivered-tail
 /// change is mirrored into the record log — the change only, so an
 /// activation that delivered nothing does not touch the store — periodic
-/// checkpoints snapshot `base_state`, and on (re)start the replica recovers
+/// checkpoints fsync the log and, once a fold moved the base, snapshot
+/// `base_state`, and on (re)start the replica recovers
 /// from disk and primes the broadcast layer
 /// ([`Compactable::prime_recovery`]) so anti-entropy only fetches the suffix
 /// missed while down. Recovery is **lazy** — nothing touches the disk until
@@ -252,11 +253,6 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
     pub fn flight_events(&self) -> Vec<Event> {
         let recorder = self.broadcast.recorder();
         recorder.map(Recorder::events).unwrap_or_default()
-    }
-
-    /// The attached durable store, once `on_start` has opened it.
-    pub fn durable_store(&self) -> Option<&DurableStore> {
-        self.durable.as_ref()
     }
 
     fn relay(

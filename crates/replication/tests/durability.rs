@@ -9,6 +9,11 @@
 //! enabled, the surviving peers may have folded the prefix out of resident
 //! state, so a blank-slate restart could never be healed by anti-entropy —
 //! only disk recovery can seat the restarted node back into the group.
+//!
+//! The `checkpoint_cost` pair runs on the simulator (deterministic) and
+//! watches the directories themselves: an uncompacted replica's checkpoints
+//! sync its log in place and never rewrite it, a compacting one anchors its
+//! folds with snapshots and rewrites, and both recover from disk.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,4 +172,194 @@ fn durable_dirs_are_created_per_replica_and_survive_finish() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(unix)]
+mod checkpoint_cost {
+    use std::collections::BTreeSet;
+    use std::ops::Range;
+    use std::os::unix::fs::MetadataExt;
+    use std::path::Path;
+
+    use ec_core::etob_omega::EtobConfig;
+    use ec_replication::{Cluster, ClusterBuilder, KvStore, SimEngine, StateMachine};
+    use ec_sim::{FailurePattern, ProcessId, RecoveryPolicy, Time};
+    use ec_storage::log::{scan_records, LOG_MAGIC};
+    use ec_storage::SnapshotStore;
+
+    use super::unique_dir;
+
+    const PUTS: u64 = 1_000;
+    /// Every put is applied everywhere long before replica 2 crashes; it
+    /// rejoins blank (`ClearState`) at `BACK`, so whatever it applies at
+    /// that instant it read from disk.
+    const CRASH: u64 = 1_600;
+    const BACK: u64 = 1_700;
+    const END: u64 = 2_000;
+    const SAMPLE: u64 = 25;
+
+    fn victim() -> ProcessId {
+        ProcessId::new(2)
+    }
+
+    /// One look at a replica's directory.
+    struct Disk {
+        inode: u64,
+        records: usize,
+        /// Snapshots published so far (ids count up from 1).
+        published: u64,
+    }
+
+    fn look(dir: &Path, p: usize) -> Disk {
+        let dir = dir.join(p.to_string());
+        let log = dir.join("replica.eclog");
+        let bytes = std::fs::read(&log).expect("read log");
+        let snapshots = SnapshotStore::open(dir.join("snapshots"), 3).expect("snapshots");
+        Disk {
+            inode: std::fs::metadata(&log).expect("log metadata").ino(),
+            records: scan_records(&bytes[LOG_MAGIC.len()..]).records.len(),
+            published: snapshots.ids().expect("ids").last().copied().unwrap_or(0),
+        }
+    }
+
+    struct Sample {
+        at: u64,
+        disks: Vec<Disk>,
+        resident: Vec<usize>,
+    }
+
+    /// `PUTS` puts to distinct keys over three sessions, sampled every
+    /// `SAMPLE` ticks; returns the samples after checking that the victim
+    /// recovered everything from disk and the group converged on the
+    /// ground truth.
+    fn run(etob: EtobConfig, dir: &Path) -> Vec<Sample> {
+        let failures = FailurePattern::no_failures(3).with_crash_recovery(
+            victim(),
+            Time::new(CRASH),
+            Time::new(BACK),
+        );
+        let engine = SimEngine::new()
+            .failures(failures)
+            .recovery(RecoveryPolicy::ClearState);
+        let mut cluster: Cluster<KvStore> = ClusterBuilder::new(3)
+            .etob(etob)
+            .durable(dir)
+            .deploy(&engine);
+        let mut sessions = [cluster.session(), cluster.session(), cluster.session()];
+        let mut expected = KvStore::default();
+        for k in 0..PUTS {
+            let put = KvStore::put(&format!("k{k}"), &format!("v{k}"));
+            expected.apply(&put);
+            cluster.submit(&mut sessions[(k % 3) as usize], put, 10 + k);
+        }
+        let mut samples = Vec::new();
+        for at in (SAMPLE..=END).step_by(SAMPLE as usize) {
+            cluster.run_until(at);
+            samples.push(Sample {
+                at,
+                disks: (0..3).map(|p| look(dir, p)).collect(),
+                resident: cluster
+                    .replica_ids()
+                    .map(|p| cluster.delivered(p).map_or(0, |d| d.len()))
+                    .collect(),
+            });
+        }
+        assert_eq!(
+            cluster.applied_at(victim(), BACK),
+            PUTS as usize,
+            "the victim rejoined with every put, read from disk"
+        );
+        let report = cluster.finish();
+        assert_eq!(report.shards[0].applied, vec![PUTS as usize; 3]);
+        for snapshot in &report.shards[0].snapshots {
+            assert_eq!(snapshot, &expected.snapshot(), "recovered byte-identically");
+        }
+        samples
+    }
+
+    /// The distinct log inodes replica `p` had at the samples taken in
+    /// `during`.
+    fn inodes(samples: &[Sample], p: usize, during: Range<u64>) -> BTreeSet<u64> {
+        samples
+            .iter()
+            .filter(|s| during.contains(&s.at))
+            .map(|s| s.disks[p].inode)
+            .collect()
+    }
+
+    /// Prints what each replica's directory holds at the end (deterministic:
+    /// CI runs this suite twice and diffs the output).
+    fn print_final(tag: &str, samples: &[Sample]) {
+        if let Some(last) = samples.last() {
+            for (p, disk) in last.disks.iter().enumerate() {
+                let peak = samples.iter().map(|s| s.disks[p].records).max();
+                println!(
+                    "{tag} replica {p}: {} log records (peak {}), {} snapshots published",
+                    disk.records,
+                    peak.unwrap_or(0),
+                    disk.published
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_uncompacted_run_never_rewrites_its_log() {
+        let dir = unique_dir("sim-uncompacted");
+        let samples = run(EtobConfig::default(), &dir);
+        print_final("uncompacted", &samples);
+        let v = victim().index();
+        for p in 0..3 {
+            // within an incarnation: one log file, only ever appended to (a
+            // rewrite would drop the superseded own-seq marks)
+            let incarnations = if p == v {
+                vec![(0, CRASH), (BACK, u64::MAX)]
+            } else {
+                vec![(0, u64::MAX)]
+            };
+            for (from, until) in incarnations {
+                let life = from..until;
+                assert_eq!(inodes(&samples, p, life.clone()).len(), 1, "replica {p}");
+                let records: Vec<usize> = samples
+                    .iter()
+                    .filter(|s| life.contains(&s.at))
+                    .map(|s| s.disks[p].records)
+                    .collect();
+                assert!(records.windows(2).all(|w| w[0] <= w[1]), "replica {p}");
+            }
+            for s in &samples {
+                assert_eq!(s.disks[p].published, 0, "replica {p} at {}", s.at);
+            }
+            // the log mirrors the whole history: `Base` + every put
+            let last = samples.last().map_or(0, |s| s.disks[p].records);
+            assert!(last > PUTS as usize, "replica {p}: {last} records");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_compacting_run_anchors_its_folds_and_keeps_its_log_small() {
+        const CHUNK: u64 = 64;
+        let dir = unique_dir("sim-compacted");
+        let samples = run(EtobConfig::default().with_compaction(CHUNK), &dir);
+        print_final("compacted", &samples);
+        for p in 0..3 {
+            assert!(inodes(&samples, p, 0..u64::MAX).len() > 1, "replica {p}");
+            let published = samples.last().map_or(0, |s| s.disks[p].published);
+            assert!(published >= PUTS / CHUNK - 1, "replica {p}: {published}");
+            for s in &samples {
+                // twice what a rewrite would write (`Base`, the resident
+                // tail, the own-seq mark), plus a fold not yet checkpointed
+                let bound = 2 * (s.resident[p] + CHUNK as usize + 2);
+                assert!(
+                    s.disks[p].records <= bound,
+                    "replica {p} at {}: {} records, resident {}",
+                    s.at,
+                    s.disks[p].records,
+                    s.resident[p]
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -186,7 +186,6 @@ pub struct LogRecovery {
 pub struct RecordLog {
     file: File,
     path: PathBuf,
-    len: u64,
 }
 
 impl RecordLog {
@@ -216,11 +215,7 @@ impl RecordLog {
             file.sync_data()?;
             let truncated = bytes.len() as u64;
             return Ok((
-                RecordLog {
-                    file,
-                    path,
-                    len: LOG_MAGIC.len() as u64,
-                },
+                RecordLog { file, path },
                 LogRecovery {
                     records: Vec::new(),
                     truncated_bytes: truncated,
@@ -250,11 +245,7 @@ impl RecordLog {
         }
         file.seek(SeekFrom::Start(keep))?;
         Ok((
-            RecordLog {
-                file,
-                path,
-                len: keep,
-            },
+            RecordLog { file, path },
             LogRecovery {
                 records: scan.records,
                 truncated_bytes,
@@ -290,8 +281,8 @@ impl RecordLog {
         std::fs::rename(&tmp, &path)?;
         sync_parent_dir(&path)?;
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let len = file.seek(SeekFrom::End(0))?;
-        Ok(RecordLog { file, path, len })
+        file.seek(SeekFrom::End(0))?;
+        Ok(RecordLog { file, path })
     }
 
     /// Appends one record. Buffered by the OS — call [`RecordLog::sync`] to
@@ -303,7 +294,6 @@ impl RecordLog {
         let mut record = Vec::with_capacity(8 + body.len());
         encode_record(body, &mut record);
         self.file.write_all(&record)?;
-        self.len += record.len() as u64;
         Ok(())
     }
 
@@ -316,11 +306,6 @@ impl RecordLog {
     /// The file this log writes to.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Current file length in bytes (magic + intact records).
-    pub fn len_bytes(&self) -> u64 {
-        self.len
     }
 }
 
@@ -367,16 +352,17 @@ mod tests {
         log.append(b"beta").expect("append");
         log.sync().expect("sync");
         drop(log);
-        let (log, rec) = RecordLog::open(&path).expect("reopen");
+        let (_, rec) = RecordLog::open(&path).expect("reopen");
         assert_eq!(
             rec.records,
             vec![b"alpha".to_vec(), Vec::new(), b"beta".to_vec()]
         );
         assert_eq!(rec.truncated_bytes, 0);
         assert!(rec.torn.is_none());
+        let framed: usize = rec.records.iter().map(|body| 8 + body.len()).sum();
         assert_eq!(
-            log.len_bytes(),
-            std::fs::metadata(&path).expect("meta").len()
+            std::fs::metadata(&path).expect("meta").len(),
+            (LOG_MAGIC.len() + framed) as u64
         );
         let _ = std::fs::remove_file(&path);
     }

@@ -19,7 +19,7 @@
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::codec::{DecodeError, Reader};
 use crate::crc::crc32;
@@ -111,11 +111,6 @@ impl SnapshotStore {
             dir,
             keep: keep.max(1),
         })
-    }
-
-    /// The directory snapshots live in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Atomically publishes snapshot `id`: temp write + fsync + rename +
