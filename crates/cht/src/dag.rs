@@ -155,45 +155,6 @@ impl<R: Clone + PartialEq + fmt::Debug> FdDag<R> {
         // identically because samples are replayed in the original order)
         dag
     }
-
-    /// The number of distinct processes appearing in the DAG.
-    pub fn participating_processes(&self) -> usize {
-        let set: BTreeSet<ProcessId> = self.vertices.iter().map(|v| v.process).collect();
-        set.len()
-    }
-
-    /// Checks the structural properties of Appendix B:
-    /// (2) samples of one process are totally ordered by their `k`,
-    /// (3) the edge relation is transitively closed.
-    pub fn check_structure(&self) -> Result<(), String> {
-        // (2): for two vertices of the same process, k order must follow
-        // insertion order and an edge must exist.
-        for i in 0..self.vertices.len() {
-            for j in (i + 1)..self.vertices.len() {
-                let (a, b) = (&self.vertices[i], &self.vertices[j]);
-                if a.process == b.process {
-                    if a.k >= b.k {
-                        return Err(format!(
-                            "per-process query indices not increasing: {:?} before {:?}",
-                            a, b
-                        ));
-                    }
-                    if !self.has_edge(i, j) {
-                        return Err(format!("missing same-process edge {i} -> {j}"));
-                    }
-                }
-            }
-        }
-        // (3): transitivity.
-        for &(a, b) in &self.edges {
-            for &(c, d) in &self.edges {
-                if b == c && !self.has_edge(a, d) {
-                    return Err(format!("edges {a}->{b} and {c}->{d} but no edge {a}->{d}"));
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 impl<R: fmt::Debug> fmt::Debug for FdDag<R> {
@@ -213,6 +174,39 @@ mod tests {
         ProcessId::new(i)
     }
 
+    /// The structural properties of Appendix B:
+    /// (2) samples of one process are totally ordered by their `k`,
+    /// (3) the edge relation is transitively closed.
+    fn check_structure<R: fmt::Debug>(dag: &FdDag<R>) -> Result<(), String> {
+        // (2): for two vertices of the same process, k order must follow
+        // insertion order and an edge must exist.
+        for i in 0..dag.vertices.len() {
+            for j in (i + 1)..dag.vertices.len() {
+                let (a, b) = (&dag.vertices[i], &dag.vertices[j]);
+                if a.process == b.process {
+                    if a.k >= b.k {
+                        return Err(format!(
+                            "per-process query indices not increasing: {:?} before {:?}",
+                            a, b
+                        ));
+                    }
+                    if !dag.has_edge(i, j) {
+                        return Err(format!("missing same-process edge {i} -> {j}"));
+                    }
+                }
+            }
+        }
+        // (3): transitivity.
+        for &(a, b) in &dag.edges {
+            for &(c, d) in &dag.edges {
+                if b == c && !dag.has_edge(a, d) {
+                    return Err(format!("edges {a}->{b} and {c}->{d} but no edge {a}->{d}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
     #[test]
     fn figure1_construction_adds_edges_from_all_existing_vertices() {
         let mut dag = FdDag::new(2);
@@ -228,7 +222,7 @@ mod tests {
         // per-process k indices
         assert_eq!(dag.vertices()[a].k, 1);
         assert_eq!(dag.vertices()[c].k, 2);
-        assert!(dag.check_structure().is_ok());
+        assert!(check_structure(&dag).is_ok());
     }
 
     #[test]
@@ -246,8 +240,9 @@ mod tests {
         assert_eq!(merged.len(), 3, "merging twice must not duplicate");
         merged.merge(&g1);
         assert_eq!(merged.len(), 3);
-        assert!(merged.check_structure().is_ok());
-        assert_eq!(merged.participating_processes(), 2);
+        assert!(check_structure(&merged).is_ok());
+        let processes: BTreeSet<ProcessId> = merged.vertices().iter().map(|v| v.process).collect();
+        assert_eq!(processes.len(), 2);
     }
 
     #[test]
@@ -276,7 +271,7 @@ mod tests {
         let dag = FdDag::from_history(&h, 2);
         assert_eq!(dag.len(), 3);
         assert_eq!(dag.vertices()[2].k, 2);
-        assert!(dag.check_structure().is_ok());
+        assert!(check_structure(&dag).is_ok());
     }
 
     #[test]
@@ -288,7 +283,7 @@ mod tests {
         let pre = dag.prefix(3);
         assert_eq!(pre.len(), 3);
         assert_eq!(pre.vertices()[2].value, 2);
-        assert!(pre.check_structure().is_ok());
+        assert!(check_structure(&pre).is_ok());
         assert_eq!(dag.prefix(99).len(), 5);
     }
 }

@@ -776,11 +776,6 @@ impl EtobOmega {
         &self.delivered
     }
 
-    /// The current promotion sequence `promote_i`.
-    pub fn promotion_sequence(&self) -> &[AppMessage] {
-        &self.promote
-    }
-
     /// The causality graph `CG_i`.
     pub fn causal_graph(&self) -> &CausalGraph {
         &self.graph
@@ -835,7 +830,14 @@ impl EtobOmega {
         let total = folded + self.delivered.len() as u64;
         let start = t.delivered_watermark().saturating_sub(folded) as usize;
         for m in self.delivered.iter().skip(start) {
-            t.delivered(m.id.origin.index() as u32, m.id.seq);
+            let (origin, seq) = (m.id.origin.index() as u32, m.id.seq);
+            // a follower can deliver the leader's promote before the
+            // update carrying the message: its own promote is still to come
+            if self.promoted_ids.contains(&m.id) {
+                t.delivered(origin, seq);
+            } else {
+                t.delivered_ahead(origin, seq);
+            }
         }
         t.set_delivered_watermark(total);
     }
@@ -1166,6 +1168,10 @@ impl EtobOmega {
             .promote
             .get(..fold)
             .is_some_and(|prefix| prefix.iter().map(|m| m.id).eq(ids.iter().copied()));
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            let folded = ids.iter().map(|id| (id.origin.index() as u32, id.seq));
+            t.folded(target as u64, folded);
+        }
         self.graph.retire(ids);
         self.delivered.drain(..fold);
         self.delivered_hashes.drain(..fold);
@@ -1182,9 +1188,6 @@ impl EtobOmega {
         self.last_promote_broadcast = self.last_promote_broadcast.max(target);
         self.compactions += 1;
         self.compacted_total += fold as u64;
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.folded(target as u64);
-        }
     }
 
     /// Anti-entropy step: when enabled and due, retransmits graph state if
@@ -2095,7 +2098,7 @@ mod tests {
                 let (_, msg) = copy_for(alg.me.index()).expect("sent to every process");
                 let sent = step_at(alg, 11, 0, |a, ctx| a.on_message(origin.me, msg, ctx));
                 assert!(sent.is_empty(), "{config:?}: not eager, nothing missing");
-                assert_eq!(alg.promotion_sequence().len(), 2);
+                assert_eq!(alg.promote.len(), 2);
             }
             let promoted = step_at(&mut leader, 11, 0, |a, ctx| a.on_idle(ctx));
             assert_eq!(promoted.len(), 3, "{config:?}: one promote to each process");
@@ -2321,7 +2324,7 @@ mod tests {
         assert_eq!(receiver.delivered().len(), 5);
         assert_eq!(receiver.promote_pulls(), 1, "no further fallback needed");
         let ids: Vec<MsgId> = receiver.delivered().iter().map(|m| m.id).collect();
-        let expected: Vec<MsgId> = leader.promotion_sequence().iter().map(|m| m.id).collect();
+        let expected: Vec<MsgId> = leader.promote.iter().map(|m| m.id).collect();
         assert_eq!(ids, expected);
     }
 
@@ -2502,11 +2505,11 @@ mod tests {
         // b arrives without a: held back
         alg.admit(b.clone());
         alg.update_promote();
-        assert!(alg.promotion_sequence().is_empty());
+        assert!(alg.promote.is_empty());
         // once a arrives, both are appended in causal order
         alg.admit(a.clone());
         alg.update_promote();
-        let ids: Vec<MsgId> = alg.promotion_sequence().iter().map(|m| m.id).collect();
+        let ids: Vec<MsgId> = alg.promote.iter().map(|m| m.id).collect();
         assert_eq!(ids, vec![a.id, b.id]);
         assert!(format!("{alg:?}").contains("EtobOmega"));
     }

@@ -49,11 +49,6 @@ impl<E: EventualConsensus> MultiInstanceProposer<E> {
         &self.inner
     }
 
-    /// Highest instance proposed so far.
-    pub fn proposed_instances(&self) -> u64 {
-        self.proposed
-    }
-
     fn propose_next(
         &mut self,
         ctx: &mut Context<'_, Self>,
@@ -202,7 +197,7 @@ mod tests {
                 .map(|(_, d)| d.instance)
                 .collect();
             assert_eq!(decided, vec![1, 2], "process {p} decisions: {decided:?}");
-            assert_eq!(world.algorithm(p).proposed_instances(), 2);
+            assert_eq!(world.algorithm(p).proposed, 2);
         }
     }
 

@@ -156,13 +156,6 @@ pub struct KvOp {
     pub value: Option<String>,
 }
 
-impl KvOp {
-    /// Returns `true` if the operation is a put.
-    pub fn is_put(&self) -> bool {
-        self.value.is_some()
-    }
-}
-
 /// Parameters of the zipf-skewed client mix generated by [`KvWorkload::zipf`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct ZipfMix {
@@ -289,22 +282,22 @@ impl KvWorkload {
     pub fn last_submission_time(&self) -> u64 {
         self.ops.iter().map(|op| op.at).max().unwrap_or(0)
     }
-
-    /// Per-key operation counts, indexed by key rank.
-    pub fn key_histogram(&self) -> Vec<usize> {
-        let mut hist = vec![0usize; self.keys];
-        for op in &self.ops {
-            if let Some(rank) = op.key[1..].parse::<usize>().ok().filter(|r| *r < self.keys) {
-                hist[rank] += 1;
-            }
-        }
-        hist
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Per-key operation counts, indexed by key rank.
+    fn key_histogram(w: &KvWorkload) -> Vec<usize> {
+        let mut hist = vec![0usize; w.keys];
+        for op in &w.ops {
+            if let Some(rank) = op.key[1..].parse::<usize>().ok().filter(|r| *r < w.keys) {
+                hist[rank] += 1;
+            }
+        }
+        hist
+    }
 
     #[test]
     fn uniform_workload_round_robins_origins_and_spaces_times() {
@@ -352,7 +345,7 @@ mod tests {
         assert_eq!(a.len(), 400);
         assert!(!a.is_empty());
         assert_eq!(a.keyspace(), 32);
-        let hist = a.key_histogram();
+        let hist = key_histogram(&a);
         assert_eq!(hist.iter().sum::<usize>(), 400);
         // rank 0 is the hottest key; the cold tail gets much less traffic
         assert!(hist[0] > hist[31] * 2, "hist = {hist:?}");
@@ -363,7 +356,7 @@ mod tests {
             skew: 2.0,
             ..Default::default()
         });
-        assert!(sharp.key_histogram()[0] > hist[0]);
+        assert!(key_histogram(&sharp)[0] > hist[0]);
     }
 
     #[test]
@@ -383,7 +376,7 @@ mod tests {
         assert_eq!(w.ops()[9].at, 100 + 7 * 9);
         assert_eq!(w.last_submission_time(), 163);
         // del_every = 0 disables deletes entirely
-        assert!(w.ops().iter().all(KvOp::is_put));
+        assert!(w.ops().iter().all(|op| op.value.is_some()));
     }
 
     #[test]
@@ -395,7 +388,7 @@ mod tests {
             del_every: 0,
             ..Default::default()
         });
-        let hist = w.key_histogram();
+        let hist = key_histogram(&w);
         // uniform: every key within a loose factor of the mean (200)
         assert!(hist.iter().all(|&h| h > 100 && h < 300), "hist = {hist:?}");
         // deletes disabled ⇒ all ops carry values; with them enabled some don't
@@ -406,7 +399,7 @@ mod tests {
             del_every: 5,
             ..Default::default()
         });
-        assert!(with_dels.ops().iter().any(|op| !op.is_put()));
+        assert!(with_dels.ops().iter().any(|op| op.value.is_none()));
     }
 
     /// Determinism is part of the workload contract: the sharded service
@@ -482,7 +475,7 @@ mod tests {
             del_every: 0,
             ..Default::default()
         });
-        let hist = w.key_histogram();
+        let hist = key_histogram(&w);
         let hottest = hist
             .iter()
             .enumerate()

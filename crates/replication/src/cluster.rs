@@ -64,13 +64,6 @@ pub enum Consistency {
     Strong,
 }
 
-impl Consistency {
-    /// Whether this level needs the quorum detector Σ in addition to Ω.
-    pub fn requires_quorums(self) -> bool {
-        matches!(self, Consistency::Strong)
-    }
-}
-
 impl fmt::Display for Consistency {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -740,8 +733,6 @@ mod tests {
         let builder = ClusterBuilder::<KvStore>::new(3);
         assert_eq!(builder.plan().replicas, 3);
         assert_eq!(builder.plan().consistency, Consistency::Eventual);
-        assert!(!Consistency::Eventual.requires_quorums());
-        assert!(Consistency::Strong.requires_quorums());
         assert_eq!(format!("{}", Consistency::Eventual), "eventual");
         assert_eq!(format!("{}", Consistency::Strong), "strong");
     }

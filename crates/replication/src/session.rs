@@ -51,17 +51,6 @@ impl Session {
         self.last
     }
 
-    /// A new session that starts from this session's causal frontier but
-    /// enters through `entry`. Commands submitted through the fork are
-    /// ordered after everything this session submitted so far, and the two
-    /// branches are concurrent with each other afterwards.
-    pub fn fork_at(&self, entry: ProcessId) -> Session {
-        Session {
-            entry,
-            last: self.last,
-        }
-    }
-
     /// Advances the causal frontier to `id` (called by the cluster after it
     /// has assigned the identifier of a submitted command).
     pub(crate) fn advance(&mut self, id: MsgId) {
@@ -81,8 +70,5 @@ mod tests {
         let id = MsgId::new(ProcessId::new(2), 1);
         s.advance(id);
         assert_eq!(s.frontier(), Some(id));
-        let fork = s.fork_at(ProcessId::new(0));
-        assert_eq!(fork.entry(), ProcessId::new(0));
-        assert_eq!(fork.frontier(), Some(id));
     }
 }

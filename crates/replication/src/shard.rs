@@ -299,11 +299,6 @@ where
     S: StateMachine + Send + 'static,
     R: Router,
 {
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.config.shards
-    }
-
     /// Replicas per shard.
     pub fn replicas_per_shard(&self) -> usize {
         self.config.replicas_per_shard
@@ -542,7 +537,7 @@ mod tests {
             replicas_per_shard: 3,
             ..Default::default()
         });
-        assert_eq!(cluster.num_shards(), 3);
+        assert_eq!(cluster.config.shards, 3);
         assert_eq!(cluster.replicas_per_shard(), 3);
         let mut routed = [0u64; 3];
         for k in 0..12u64 {

@@ -13,8 +13,9 @@ use std::fmt;
 ///
 /// Implementations must be deterministic: the state after applying a command
 /// sequence is a pure function of the sequence. [`StateMachine::snapshot`]
-/// returns a canonical encoding used by the convergence metrics to compare
-/// replica states.
+/// returns a canonical encoding — what final-agreement checks compare and
+/// durable checkpoints store — and [`StateMachine::digest`] the 64-bit
+/// fingerprint every [`crate::ReplicaOutput`] carries.
 pub trait StateMachine: Clone + fmt::Debug + Default {
     /// Applies one command. Unrecognized commands must be ignored (not
     /// panic), so that replicas never diverge by crashing on garbage.
@@ -22,6 +23,17 @@ pub trait StateMachine: Clone + fmt::Debug + Default {
 
     /// A canonical encoding of the current state.
     fn snapshot(&self) -> Vec<u8>;
+
+    /// A fingerprint of the current state: equal states must give equal
+    /// digests, and unequal ones should collide with probability ≈ 2⁻⁶⁴.
+    /// The replica computes one for every output, so a machine whose state
+    /// grows should keep it up to date in [`StateMachine::apply`] rather
+    /// than encode the state for it ([`KvStore`] does). The default is
+    /// [`snapshot_digest`] of [`StateMachine::snapshot`]: O(|state|) per
+    /// call.
+    fn digest(&self) -> u64 {
+        snapshot_digest(&self.snapshot())
+    }
 
     /// Reconstructs a state machine from a [`StateMachine::snapshot`]
     /// encoding, if the implementation supports it.
@@ -46,9 +58,9 @@ pub trait StateMachine: Clone + fmt::Debug + Default {
     }
 }
 
-/// The 64-bit fingerprint of a canonical snapshot: what a
-/// [`crate::ReplicaOutput`] carries in place of the bytes, so that replicas
-/// can be compared without shipping or keeping their states. One multiply
+/// The 64-bit fingerprint of a canonical snapshot: the default
+/// [`StateMachine::digest`], so that replicas can be compared without
+/// shipping or keeping their states. One multiply
 /// per eight bytes (the length goes in first, so zero-padding the last word
 /// is unambiguous); equal snapshots always give equal digests, unequal ones
 /// collide with probability ≈ 2⁻⁶⁴.
@@ -65,11 +77,36 @@ pub fn snapshot_digest(snapshot: &[u8]) -> u64 {
     h ^ (h >> 29)
 }
 
+/// SplitMix64's finaliser: every input bit moves every output bit.
+fn mix64(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// What one `(key, value)` entry adds to a [`KvStore`]'s entry sum: both
+/// halves fingerprinted with their lengths (so the split point counts),
+/// combined asymmetrically, then fully mixed, so that a sum of entry hashes
+/// behaves like a sum of independent random words.
+fn entry_hash(key: &str, value: &str) -> u64 {
+    mix64(snapshot_digest(key.as_bytes()).rotate_left(32) ^ snapshot_digest(value.as_bytes()))
+}
+
 /// A key–value store. Commands: `put <key> <value>` and `del <key>`
 /// (whitespace separated, UTF-8).
+///
+/// The store keeps its [`StateMachine::digest`] up to date instead of
+/// encoding itself for it: a wrapping sum of one mixed hash per entry, to
+/// which a command adds the entry it writes and from which it subtracts the
+/// one it replaces or deletes — O(|command|) whatever the size of the store.
+/// The sum is a function of the entries alone, so equal stores compare,
+/// clone and digest equal. A `put` to an existing key rewrites the value in
+/// place and allocates nothing.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KvStore {
     entries: BTreeMap<String, String>,
+    /// Wrapping sum of [`entry_hash`] over `entries`.
+    entry_sum: u64,
 }
 
 impl KvStore {
@@ -97,6 +134,21 @@ impl KvStore {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// Sets `key` to `value`, keeping the entry sum in step.
+    fn write(&mut self, key: &str, value: &str) {
+        self.entry_sum = self.entry_sum.wrapping_add(entry_hash(key, value));
+        match self.entries.get_mut(key) {
+            Some(old) => {
+                self.entry_sum = self.entry_sum.wrapping_sub(entry_hash(key, old));
+                old.clear();
+                old.push_str(value);
+            }
+            None => {
+                self.entries.insert(key.to_string(), value.to_string());
+            }
+        }
+    }
 }
 
 impl StateMachine for KvStore {
@@ -106,14 +158,20 @@ impl StateMachine for KvStore {
         };
         let mut parts = text.splitn(3, ' ');
         match (parts.next(), parts.next(), parts.next()) {
-            (Some("put"), Some(key), Some(value)) => {
-                self.entries.insert(key.to_string(), value.to_string());
-            }
+            (Some("put"), Some(key), Some(value)) => self.write(key, value),
             (Some("del"), Some(key), _) => {
-                self.entries.remove(key);
+                if let Some(old) = self.entries.remove(key) {
+                    self.entry_sum = self.entry_sum.wrapping_sub(entry_hash(key, &old));
+                }
             }
             _ => {}
         }
+    }
+
+    /// The entry sum combined with the entry count: O(1).
+    fn digest(&self) -> u64 {
+        let count = (self.entries.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        mix64(self.entry_sum ^ count)
     }
 
     fn snapshot(&self) -> Vec<u8> {
@@ -136,7 +194,7 @@ impl StateMachine for KvStore {
         let mut store = KvStore::default();
         for segment in text.split(';').filter(|s| !s.is_empty()) {
             let (key, value) = segment.split_once('=')?;
-            store.entries.insert(key.to_string(), value.to_string());
+            store.write(key, value);
         }
         Some(store)
     }
@@ -325,6 +383,89 @@ mod tests {
         for (i, a) in digests.iter().enumerate() {
             assert!(digests[i + 1..].iter().all(|b| a != b), "{digests:?}");
         }
+    }
+
+    fn kv(commands: &[Vec<u8>]) -> KvStore {
+        KvStore::replay(commands.iter().map(Vec::as_slice))
+    }
+
+    #[test]
+    fn kv_digest_depends_on_the_state_not_on_the_path_to_it() {
+        let one = kv(&[
+            KvStore::put("a", "1"),
+            KvStore::put("b", "2"),
+            KvStore::del("a"),
+            KvStore::put("c", "3"),
+            KvStore::put("b", "two"),
+        ]);
+        let other = kv(&[
+            KvStore::put("c", "old"),
+            KvStore::put("b", "two"),
+            KvStore::del("nothing"),
+            KvStore::put("c", "3"),
+        ]);
+        assert_eq!(one.snapshot(), other.snapshot());
+        assert_eq!(one.digest(), other.digest());
+        assert_eq!(one, other, "the entry sum is a function of the entries");
+    }
+
+    #[test]
+    fn kv_put_del_and_put_back_restores_the_digest() {
+        let mut store = kv(&[KvStore::put("x", "1"), KvStore::put("y", "2")]);
+        let before = store.digest();
+        store.apply(&KvStore::put("z", "3"));
+        assert_ne!(store.digest(), before);
+        store.apply(&KvStore::del("z"));
+        assert_eq!(store.digest(), before);
+        store.apply(&KvStore::put("x", "changed"));
+        assert_ne!(store.digest(), before);
+        store.apply(&KvStore::put("x", "1"));
+        assert_eq!(store.digest(), before);
+        assert_eq!(
+            KvStore::default().digest(),
+            kv(&[KvStore::del("x")]).digest()
+        );
+    }
+
+    /// A seeded corpus of small stores over few keys and short values, so
+    /// that many reach the same state by different paths: the digest is
+    /// kept incrementally, equals the digest of the state read back from
+    /// its snapshot, and tells every two distinct states apart.
+    #[test]
+    fn kv_digests_match_snapshots_over_a_seeded_corpus() {
+        let mut seed = 0x5EED_u64;
+        let mut next = |n: u64| {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            mix64(seed) % n
+        };
+        let mut by_snapshot: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+        for _ in 0..3_000 {
+            let mut store = KvStore::default();
+            for _ in 0..next(12) {
+                let key = format!("k{}", next(6));
+                match next(4) {
+                    0 => store.apply(&KvStore::del(&key)),
+                    _ => store.apply(&KvStore::put(&key, &"v".repeat(next(4) as usize + 1))),
+                }
+                let snapshot = store.snapshot();
+                let read_back = KvStore::from_snapshot(&snapshot).expect("round trip");
+                assert_eq!(read_back.digest(), store.digest());
+                let digest = *by_snapshot.entry(snapshot).or_insert(store.digest());
+                assert_eq!(digest, store.digest(), "equal states, different digests");
+            }
+        }
+        let distinct: std::collections::BTreeSet<u64> = by_snapshot.values().copied().collect();
+        assert!(by_snapshot.len() > 1_000, "{} states", by_snapshot.len());
+        assert_eq!(distinct.len(), by_snapshot.len(), "two states collided");
+    }
+
+    #[test]
+    fn machines_without_their_own_digest_hash_their_snapshot() {
+        let mut c = Counter::default();
+        c.apply(&Counter::add(3));
+        assert_eq!(c.digest(), snapshot_digest(&c.snapshot()));
+        let r = Register::replay([b"v".as_slice()]);
+        assert_eq!(r.digest(), snapshot_digest(&r.snapshot()));
     }
 
     #[test]

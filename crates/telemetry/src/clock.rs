@@ -42,13 +42,6 @@ impl fmt::Debug for TimeSource {
     }
 }
 
-impl TimeSource {
-    /// True on the deterministic (logical-tick) source.
-    pub fn is_logical(&self) -> bool {
-        matches!(self, TimeSource::Logical)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,9 +56,8 @@ mod tests {
 
     #[test]
     fn sources_are_distinguishable() {
-        assert!(TimeSource::Logical.is_logical());
         let external = TimeSource::External(Arc::new(Fixed(AtomicU64::new(42))));
-        assert!(!external.is_logical());
+        assert!(matches!(TimeSource::default(), TimeSource::Logical));
         assert_eq!(format!("{external:?}"), "External(..)");
         assert_eq!(format!("{:?}", TimeSource::Logical), "Logical");
         if let TimeSource::External(c) = &external {

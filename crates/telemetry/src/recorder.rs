@@ -6,19 +6,42 @@
 //! component). The automaton pushes the current logical tick at every
 //! handler entry ([`Recorder::set_tick`]); on the deterministic engine that
 //! tick *is* the timestamp, on the real-time engines the attached external
-//! [`crate::clock::Clock`] is read instead. Pending-time maps are keyed by
-//! message identity and drained on delivery, so memory stays bounded by the
-//! number of in-flight messages and a message delivered twice (e.g. after a
-//! divergence window is absorbed) is only measured once.
+//! [`crate::clock::Clock`] is read instead.
+//!
+//! Each message has at most one pending record, keyed by its identity and
+//! holding the start times of its open clocks. Memory stays bounded by the
+//! number of in-flight messages because no record outlives its message:
+//!
+//! - [`Recorder::delivered`] settles the clocks and removes the record, so a
+//!   message delivered twice (e.g. after a divergence window is absorbed) is
+//!   only measured once;
+//! - a message delivered *before* this replica promoted it (a follower that
+//!   gets the leader's promote ahead of the update carrying the message) is
+//!   reported through [`Recorder::delivered_ahead`]: its record stays as a
+//!   marker, the admission and promote that follow start no clock, and the
+//!   promote removes it;
+//! - a marker whose promote never comes (the message was folded first) is
+//!   dropped with the fold ([`Recorder::folded`]).
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use crate::clock::TimeSource;
 use crate::event::{Event, EventKind, EventRing};
 use crate::report::TelemetryReport;
 
+/// The open clocks of one message at this replica — or, once it was
+/// delivered ahead of its own promote, a marker that starts none.
+#[derive(Debug, Default)]
+struct Pending {
+    submit: Option<u64>,
+    admit: Option<u64>,
+    promote: Option<u64>,
+    /// Delivered already: the events still to come start no clock.
+    delivered: bool,
+}
+
 /// Per-replica telemetry state: an event ring plus the three latency
-/// histograms and their pending-time bookkeeping.
+/// histograms and the pending record of every in-flight message.
 #[derive(Debug)]
 pub struct Recorder {
     replica: u32,
@@ -26,9 +49,7 @@ pub struct Recorder {
     tick: u64,
     ring: EventRing,
     report: TelemetryReport,
-    pending_submit: BTreeMap<(u32, u64), u64>,
-    pending_admit: BTreeMap<(u32, u64), u64>,
-    pending_promote: BTreeMap<(u32, u64), u64>,
+    pending: BTreeMap<(u32, u64), Pending>,
     /// Absolute count of delivered-sequence entries already recorded, so
     /// wholesale sequence adoptions only scan their new suffix.
     delivered_watermark: u64,
@@ -44,9 +65,7 @@ impl Recorder {
             tick: 0,
             ring: EventRing::new(capacity),
             report: TelemetryReport::default(),
-            pending_submit: BTreeMap::new(),
-            pending_admit: BTreeMap::new(),
-            pending_promote: BTreeMap::new(),
+            pending: BTreeMap::new(),
             delivered_watermark: 0,
         }
     }
@@ -81,43 +100,85 @@ impl Recorder {
         });
     }
 
+    /// Starts the clock `clock` picks out of the message's record, unless
+    /// it runs already or the message was delivered.
+    fn start(&mut self, origin: u32, seq: u64, clock: fn(&mut Pending) -> &mut Option<u64>) {
+        let at = self.now();
+        let record = self.pending.entry((origin, seq)).or_default();
+        if !record.delivered {
+            clock(record).get_or_insert(at);
+        }
+    }
+
     /// A client submitted message (`origin`, `seq`) here; starts the
     /// submit→deliver clock.
     pub fn submitted(&mut self, origin: u32, seq: u64) {
         self.event(EventKind::Submitted, origin, seq);
-        let at = self.now();
-        self.pending_submit.entry((origin, seq)).or_insert(at);
+        self.start(origin, seq, |r| &mut r.submit);
     }
 
     /// The message was admitted into the local causal graph; starts the
     /// stability-lag clock.
     pub fn admitted(&mut self, origin: u32, seq: u64) {
         self.event(EventKind::Broadcast, origin, seq);
-        let at = self.now();
-        self.pending_admit.entry((origin, seq)).or_insert(at);
+        self.start(origin, seq, |r| &mut r.admit);
     }
 
     /// The message entered the local promotion sequence; starts the
-    /// promote→deliver clock.
+    /// promote→deliver clock — or, for a message delivered ahead of it,
+    /// removes the marker.
     pub fn promoted(&mut self, origin: u32, seq: u64) {
         self.event(EventKind::Promoted, origin, seq);
         let at = self.now();
-        self.pending_promote.entry((origin, seq)).or_insert(at);
+        match self.pending.entry((origin, seq)) {
+            Entry::Occupied(marker) if marker.get().delivered => {
+                marker.remove();
+            }
+            record => {
+                record.or_default().promote.get_or_insert(at);
+            }
+        }
     }
 
-    /// The message entered the local delivered sequence; settles every
-    /// pending clock that was started for it.
+    /// The message entered the local delivered sequence, and this replica
+    /// records nothing more for it; settles every clock that was started
+    /// for it and drops its record.
     pub fn delivered(&mut self, origin: u32, seq: u64) {
         self.event(EventKind::Delivered, origin, seq);
+        self.settle(origin, seq);
+    }
+
+    /// The message entered the local delivered sequence before this replica
+    /// promoted it; settles every clock that was started for it and leaves
+    /// a marker, so its admission and promote start none. The promote (or
+    /// the fold of the message) removes the marker.
+    pub fn delivered_ahead(&mut self, origin: u32, seq: u64) {
+        self.event(EventKind::Delivered, origin, seq);
+        self.settle(origin, seq);
+        let marker = Pending {
+            delivered: true,
+            ..Pending::default()
+        };
+        self.pending.insert((origin, seq), marker);
+    }
+
+    fn settle(&mut self, origin: u32, seq: u64) {
+        let Some(record) = self.pending.remove(&(origin, seq)) else {
+            return;
+        };
+        if record.delivered {
+            return;
+        }
         let at = self.now();
-        if let Some(t0) = self.pending_submit.remove(&(origin, seq)) {
-            self.report.submit_deliver.record(at.saturating_sub(t0));
-        }
-        if let Some(t0) = self.pending_admit.remove(&(origin, seq)) {
-            self.report.stability_lag.record(at.saturating_sub(t0));
-        }
-        if let Some(t0) = self.pending_promote.remove(&(origin, seq)) {
-            self.report.promote_stable.record(at.saturating_sub(t0));
+        let report = &mut self.report;
+        for (start, histogram) in [
+            (record.submit, &mut report.submit_deliver),
+            (record.admit, &mut report.stability_lag),
+            (record.promote, &mut report.promote_stable),
+        ] {
+            if let Some(t0) = start {
+                histogram.record(at.saturating_sub(t0));
+            }
         }
     }
 
@@ -126,10 +187,26 @@ impl Recorder {
         self.event(EventKind::Applied, origin, seq);
     }
 
-    /// The stable prefix was folded up to absolute base `base`.
-    pub fn folded(&mut self, base: u64) {
+    /// The stable prefix was folded up to absolute base `base`; `ids` are
+    /// the `(origin, seq)` of the messages folded. A folded message is
+    /// delivered here and never promoted again, so whatever record it still
+    /// holds is a marker no event will remove: it is dropped.
+    pub fn folded(&mut self, base: u64, ids: impl IntoIterator<Item = (u32, u64)>) {
         let replica = self.replica;
         self.event(EventKind::Folded, replica, base);
+        if !self.pending.is_empty() {
+            for id in ids {
+                self.pending.remove(&id);
+            }
+        }
+    }
+
+    /// Messages with a record here: clocks started and not yet settled,
+    /// plus markers of messages delivered ahead of their promote. The
+    /// in-flight gauge of this replica — it returns to 0 once everything it
+    /// has seen is delivered and promoted here, or folded.
+    pub fn pending(&self) -> usize {
+        self.pending.len()
     }
 
     /// A digest gap was detected and a sync pull issued.
@@ -202,6 +279,7 @@ mod tests {
         assert_eq!(report.stability_lag.max(), 7);
         assert_eq!(report.promote_stable.max(), 5);
         assert_eq!(report.events_recorded, 4);
+        assert_eq!(r.pending(), 0, "delivery ends the record");
     }
 
     #[test]
@@ -216,6 +294,58 @@ mod tests {
         let report = r.report();
         assert_eq!(report.submit_deliver.count(), 1);
         assert_eq!(report.submit_deliver.max(), 3);
+        assert_eq!(r.pending(), 0);
+    }
+
+    /// The Ω leader's own batched message at a follower: the leader's
+    /// promote delivers it before the update that carries it is admitted.
+    #[test]
+    fn events_after_a_delivery_ahead_start_no_clock() {
+        let mut r = Recorder::new(1, TimeSource::Logical, 16);
+        r.set_tick(3);
+        r.delivered_ahead(0, 5);
+        assert_eq!(r.pending(), 1, "a marker waits for the promote");
+        r.set_tick(6);
+        r.admitted(0, 5);
+        r.set_tick(8);
+        r.promoted(0, 5);
+        assert_eq!(r.pending(), 0, "the promote consumes the marker");
+        r.set_tick(20);
+        r.delivered(0, 5);
+        let report = r.report();
+        assert_eq!(report.stability_lag.count(), 0);
+        assert_eq!(report.promote_stable.count(), 0);
+        assert_eq!(report.events_recorded, 4);
+    }
+
+    /// Admitted, held back on a missing dependency, delivered through the
+    /// leader's promote, promoted last: the clock that ran settles, the
+    /// promote starts none.
+    #[test]
+    fn a_promote_after_delivery_settles_nothing() {
+        let mut r = Recorder::new(1, TimeSource::Logical, 16);
+        r.set_tick(2);
+        r.admitted(2, 1);
+        r.set_tick(9);
+        r.delivered_ahead(2, 1);
+        r.promoted(2, 1);
+        let report = r.report();
+        assert_eq!(report.stability_lag.count(), 1);
+        assert_eq!(report.stability_lag.max(), 7);
+        assert_eq!(report.promote_stable.count(), 0);
+        assert_eq!(r.pending(), 0);
+    }
+
+    #[test]
+    fn a_fold_drops_the_marker_of_a_message_never_admitted() {
+        let mut r = Recorder::new(2, TimeSource::Logical, 16);
+        r.set_tick(1);
+        r.delivered_ahead(0, 1);
+        r.delivered_ahead(0, 2);
+        r.submitted(2, 1);
+        r.folded(2, [(0, 1), (0, 2)]);
+        assert_eq!(r.pending(), 1, "only the folded markers go");
+        assert_eq!(r.report().submit_deliver.count(), 0);
     }
 
     #[test]
@@ -235,7 +365,7 @@ mod tests {
         r.recovered();
         r.sync_pull();
         r.malformed();
-        r.folded(40);
+        r.folded(40, []);
         let events = r.events();
         assert!(events.iter().all(|e| e.origin == 7 && e.at == 2));
         assert_eq!(events.last().map(|e| e.seq), Some(40));

@@ -13,8 +13,8 @@
 //! frames) all differ.
 
 use ec_replication::{
-    snapshot_digest, Cluster, ClusterBuilder, Consistency, Engine, KvStore, NetEngine, Session,
-    SimEngine, StateMachine, ThreadEngine,
+    Cluster, ClusterBuilder, Consistency, Engine, KvStore, NetEngine, Session, SimEngine,
+    StateMachine, ThreadEngine,
 };
 
 const REPLICAS: usize = 3;
@@ -57,12 +57,13 @@ fn drive<E: Engine>(engine: &E, consistency: Consistency) -> Vec<Vec<u8>> {
         let applied: Vec<usize> = probes.map(|t| cluster.applied_at(p, t)).collect();
         assert!(applied.is_sorted(), "{p} went backwards: {applied:?}");
         // an output fingerprints the state, the replica answers for it: the
-        // digest on record is that of the bytes read from the replica, and
-        // the typed read is those bytes decoded
+        // digest on record is that of the state read back from the bytes the
+        // replica gives, and the typed read is those bytes decoded
         let snapshot = cluster.snapshot(p);
+        let read_back = KvStore::from_snapshot(&snapshot);
         let newest = history.last(p).map(|output| output.digest);
-        assert_eq!(newest, Some(snapshot_digest(&snapshot)), "{p}");
-        assert_eq!(cluster.state(p), KvStore::from_snapshot(&snapshot), "{p}");
+        assert_eq!(newest, read_back.as_ref().map(KvStore::digest), "{p}");
+        assert_eq!(cluster.state(p), read_back, "{p}");
     }
     // a report taken from the running cluster says what the stopped one
     // says, on every engine
