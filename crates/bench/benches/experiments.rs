@@ -810,12 +810,12 @@ fn a2_promote_period(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------------
-// E10: shard scaling — aggregate throughput vs shard count
+// E10: shard scaling — messages and convergence vs shard count
 // ---------------------------------------------------------------------------
 
 /// Runs a fixed zipf client mix against an `s`-shard cluster and returns
-/// `(wall_micros, messages_sent, cluster_converged_at)`.
-fn sharded_run(shards: usize, ops: usize) -> (u128, u64, u64) {
+/// `(messages_sent, cluster_converged_at)`.
+fn sharded_run(shards: usize, ops: usize) -> (u64, u64) {
     let workload = KvWorkload::zipf(ZipfMix {
         keys: 64,
         ops,
@@ -833,16 +833,11 @@ fn sharded_run(shards: usize, ops: usize) -> (u128, u64, u64) {
         ..Default::default()
     });
     cluster.submit_workload(&workload);
-    // Time only the serving phase: cluster construction and routing are
-    // per-run setup, not the throughput being measured.
-    let started = std::time::Instant::now();
     cluster.run_until(workload.last_submission_time() + 500);
-    let wall = started.elapsed().as_micros();
     let report = cluster.report();
     assert!(report.all_converged(), "cluster must converge");
     assert_eq!(report.total_ops_routed(), ops as u64);
     (
-        wall,
         report.totals.messages_sent,
         report.converged_at().map(|t| t.as_u64()).unwrap_or(0),
     )
@@ -853,23 +848,13 @@ fn e10_shard_scaling(c: &mut Criterion) {
     println!(
         "\n[E10] shard scaling: fixed {ops}-op zipf mix, 3 replicas per shard, batch flush = 5"
     );
-    println!(
-        "{:<8} {:>14} {:>18} {:>16} {:>14}",
-        "shards", "wall [ms]", "throughput [op/s]", "messages", "converged [t]"
-    );
+    println!("{:<8} {:>16} {:>14}", "shards", "messages", "converged [t]");
     for shards in [1usize, 2, 4, 8] {
-        let (wall, messages, converged) = sharded_run(shards, ops);
-        println!(
-            "{:<8} {:>14.2} {:>18.0} {:>16} {:>14}",
-            shards,
-            wall as f64 / 1_000.0,
-            ops as f64 / (wall as f64 / 1_000_000.0),
-            messages,
-            converged
-        );
+        let (messages, converged) = sharded_run(shards, ops);
+        println!("{:<8} {:>16} {:>14}", shards, messages, converged);
     }
     println!("  (each shard is an independent ETOB group: per-group update/promote payloads");
-    println!("   shrink with ops-per-shard, so aggregate throughput grows with shard count)");
+    println!("   shrink with ops-per-shard; throughput is measured by `benchmark/`)");
     let mut group = configure(c).benchmark_group("e10_shard_scaling");
     group
         .sample_size(10)
@@ -888,8 +873,8 @@ fn e10_shard_scaling(c: &mut Criterion) {
 // ---------------------------------------------------------------------------
 
 /// Runs one ETOB group under a dense broadcast workload and returns
-/// `(update_broadcasts, messages_sent, delivered_ops, wall_micros)`.
-fn batched_run(batch: u64, ops: usize) -> (u64, u64, usize, u128) {
+/// `(update_broadcasts, messages_sent, delivered_ops)`.
+fn batched_run(batch: u64, ops: usize) -> (u64, u64, usize) {
     let n = 4;
     let failures = FailurePattern::no_failures(n);
     let omega = OmegaOracle::stable_from_start(failures.clone());
@@ -898,7 +883,6 @@ fn batched_run(batch: u64, ops: usize) -> (u64, u64, usize, u128) {
         batch,
         ..Default::default()
     };
-    let started = std::time::Instant::now();
     let mut world = WorldBuilder::new(n)
         .network(NetworkModel::fixed_delay(2))
         .failures(failures)
@@ -906,31 +890,29 @@ fn batched_run(batch: u64, ops: usize) -> (u64, u64, usize, u128) {
         .build_with(|p| EtobOmega::new(p, config), omega);
     workload.submit_to(&mut world);
     world.run_until(workload.last_submission_time() + 1_000);
-    let wall = started.elapsed().as_micros();
     let delivered = world.algorithm(ProcessId::new(0)).delivered().len();
     assert_eq!(delivered, ops, "all ops must be delivered");
     let updates: u64 = (0..n)
         .map(|p| world.algorithm(ProcessId::new(p)).updates_sent())
         .sum();
-    (updates, world.metrics().messages_sent, delivered, wall)
+    (updates, world.metrics().messages_sent, delivered)
 }
 
 fn e11_batching(c: &mut Criterion) {
     let ops = 160;
     println!("\n[E11] batching: {ops} ops, n = 4, spacing 1 tick (flush interval 0 = off)");
     println!(
-        "{:<10} {:>10} {:>20} {:>12} {:>18}",
-        "batch", "updates", "broadcasts per op", "messages", "throughput [op/s]"
+        "{:<10} {:>10} {:>20} {:>12}",
+        "batch", "updates", "broadcasts per op", "messages"
     );
     for batch in [0u64, 2, 5, 10, 20] {
-        let (updates, messages, delivered, wall) = batched_run(batch, ops);
+        let (updates, messages, delivered) = batched_run(batch, ops);
         println!(
-            "{:<10} {:>10} {:>20.3} {:>12} {:>18.0}",
+            "{:<10} {:>10} {:>20.3} {:>12}",
             batch,
             updates,
             updates as f64 / delivered as f64,
-            messages,
-            delivered as f64 / (wall as f64 / 1_000_000.0)
+            messages
         );
     }
     let mut group = configure(c).benchmark_group("e11_batching");
@@ -947,7 +929,7 @@ fn e11_batching(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------------
-// E12: delta-state wire format — bytes and wall clock vs history length
+// E12: delta-state wire format — bytes and tick latency vs history length
 // ---------------------------------------------------------------------------
 
 fn e12_delta_wire(c: &mut Criterion) {

@@ -1,9 +1,7 @@
 //! The `perf-smoke` entry point: runs the E12 grid (wire bytes, full-graph
 //! vs delta wire format, history ∈ {100, 250, 500} on 5 processes) once and
 //! writes the deterministic artifact `BENCH_delta.json` to the current
-//! directory. A human-readable table — including the host-dependent
-//! wall-clock column, which is deliberately *not* in the JSON — goes to
-//! stdout.
+//! directory, and the same numbers as a human-readable table to stdout.
 
 use ec_bench::delta::{grid_json, print_table, run_grid};
 

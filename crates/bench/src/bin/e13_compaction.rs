@@ -1,9 +1,8 @@
 //! The `perf-smoke` entry point for E13: runs the compaction grid
-//! (resident graph size and op cost, compaction on vs off,
+//! (resident graph size and wire bytes, compaction on vs off,
 //! ops ∈ {10k, 30k, 100k} on 3 processes) once and writes the deterministic
-//! artifact `BENCH_compaction.json` to the current directory. A
-//! human-readable table — including the host-dependent wall-clock columns,
-//! which are deliberately *not* in the JSON — goes to stdout.
+//! artifact `BENCH_compaction.json` to the current directory, and the same
+//! numbers as a human-readable table to stdout.
 
 use ec_bench::compaction::{grid_json, print_table, run_grid};
 

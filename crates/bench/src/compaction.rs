@@ -1,5 +1,5 @@
-//! Experiment E13 driver: resident graph size and operation cost over a
-//! long run, with stable-prefix compaction on vs off.
+//! Experiment E13: resident graph size and wire bytes over a long run,
+//! with stable-prefix compaction on vs off.
 //!
 //! The claim under test: without compaction the causality graph and the
 //! delivered tail are **unbounded** — resident entries grow linearly with
@@ -9,9 +9,10 @@
 //! hash).
 //!
 //! The grid is deterministic (fixed seed, fixed-delay network, virtual
-//! time), so everything except the wall-clock column is bit-reproducible —
-//! the `perf-smoke` CI job regenerates `BENCH_compaction.json` twice and
-//! diffs the outputs. The same driver backs the Criterion bench target
+//! time), so every column is bit-reproducible — the `perf-smoke` CI job
+//! regenerates `BENCH_compaction.json` twice and diffs the outputs.
+//! Wall-clock cost per operation is measured by `benchmark/` (`sim-steady`
+//! against `sim-history`). This module backs the Criterion bench target
 //! (experiment E13) and the standalone `e13_compaction` binary.
 
 use std::cmp::Reverse;
@@ -53,9 +54,6 @@ pub struct CompactionPoint {
     pub delivered_hash: u64,
     /// Encoded wire bytes handed to the network over the whole run.
     pub bytes_sent: u64,
-    /// Wall-clock microseconds of the run (host-dependent; not part of the
-    /// deterministic JSON artifact).
-    pub wall_micros: u128,
 }
 
 /// The resident footprint of one process: causality-graph nodes plus the
@@ -119,7 +117,6 @@ pub fn compaction_run(ops: usize, chunk: u64) -> CompactionPoint {
     if chunk > 0 {
         config = config.with_compaction(chunk);
     }
-    let started = std::time::Instant::now();
     let mut algs: Vec<EtobOmega> = (0..n)
         .map(|i| EtobOmega::new(ProcessId::new(i), config))
         .collect();
@@ -195,7 +192,6 @@ pub fn compaction_run(ops: usize, chunk: u64) -> CompactionPoint {
         );
         t += 1;
     }
-    let wall_micros = started.elapsed().as_micros();
     let resident_final = algs.iter().map(resident).max().unwrap_or(0);
     resident_peak = resident_peak.max(resident_final);
     let p0 = &algs[0];
@@ -209,7 +205,6 @@ pub fn compaction_run(ops: usize, chunk: u64) -> CompactionPoint {
         delivered_total: p0.delivered_total(),
         delivered_hash: p0.delivered_hash(),
         bytes_sent: net.bytes_sent,
-        wall_micros,
     }
 }
 
@@ -261,24 +256,21 @@ pub fn run_grid_over(grid: &[usize]) -> Vec<(CompactionPoint, CompactionPoint)> 
         .collect()
 }
 
-/// Prints the human-readable E13 table (including the host-dependent
-/// wall-clock columns, which the JSON artifact deliberately omits).
+/// Prints the human-readable E13 table.
 pub fn print_table(pairs: &[(CompactionPoint, CompactionPoint)]) {
     println!(
-        "{:<9} {:<5} {:>13} {:>14} {:>12} {:>11} {:>12}",
-        "ops", "mode", "resident max", "resident end", "compactions", "wall [ms]", "ns/op"
+        "{:<9} {:<5} {:>13} {:>14} {:>12}",
+        "ops", "mode", "resident max", "resident end", "compactions"
     );
     for (off, on) in pairs {
         for p in [off, on] {
             println!(
-                "{:<9} {:<5} {:>13} {:>14} {:>12} {:>11.2} {:>12.0}",
+                "{:<9} {:<5} {:>13} {:>14} {:>12}",
                 p.ops,
                 if p.chunk > 0 { "on" } else { "off" },
                 p.resident_peak,
                 p.resident_final,
                 p.compactions,
-                p.wall_micros as f64 / 1_000.0,
-                p.wall_micros as f64 * 1_000.0 / p.ops as f64,
             );
         }
         println!(
@@ -291,8 +283,7 @@ pub fn print_table(pairs: &[(CompactionPoint, CompactionPoint)]) {
 }
 
 /// Renders the deterministic JSON artifact (`BENCH_compaction.json`) from a
-/// measured grid. Wall-clock numbers are deliberately excluded so the
-/// artifact diffs clean across runs and hosts.
+/// measured grid.
 pub fn grid_json(pairs: &[(CompactionPoint, CompactionPoint)]) -> String {
     let mut out = String::from("{\n  \"experiment\": \"E13\",\n  \"points\": [\n");
     for (i, (off, on)) in pairs.iter().enumerate() {

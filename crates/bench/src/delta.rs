@@ -1,12 +1,12 @@
-//! Experiment E12 driver: wire bytes and wall clock vs history length, for
-//! the delta-state wire format against the paper-literal full-graph format.
+//! Experiment E12: wire bytes and tick latency vs history length, for the
+//! delta-state wire format against the paper-literal full-graph format.
 //!
 //! The grid is deterministic (fixed seeds, fixed-delay network, virtual
-//! time), so everything except the wall-clock column is bit-reproducible —
-//! which is what lets the `perf-smoke` CI job regenerate `BENCH_delta.json`
-//! twice and diff the outputs. The same driver backs the Criterion bench
-//! target (`cargo bench -p ec-bench`, experiment E12) and the standalone
-//! `e12_delta` binary.
+//! time), so every column is bit-reproducible — which is what lets the
+//! `perf-smoke` CI job regenerate `BENCH_delta.json` twice and diff the
+//! outputs. Wall-clock time is measured by `benchmark/`, not here. This
+//! module backs the Criterion bench target (`cargo bench -p ec-bench`,
+//! experiment E12) and the standalone `e12_delta` binary.
 
 use ec_core::etob_omega::{EtobConfig, EtobOmega};
 use ec_core::types::{Instrumented, MsgId};
@@ -46,9 +46,6 @@ pub struct DeltaPoint {
     pub submit_deliver_p90: u64,
     /// Submit→deliver latency p99, in logical ticks.
     pub submit_deliver_p99: u64,
-    /// Wall-clock microseconds of the serving phase (host-dependent; not
-    /// part of the deterministic JSON artifact).
-    pub wall_micros: u128,
 }
 
 /// Runs one E12 grid point: `history` operations from round-robin origins
@@ -61,7 +58,6 @@ pub fn delta_run(history: usize, delta: bool) -> DeltaPoint {
     let omega = OmegaOracle::stable_from_start(failures.clone());
     let workload = BroadcastWorkload::uniform(n, history, 10, 2);
     let config = EtobConfig::default().with_delta_sync(delta);
-    let started = std::time::Instant::now();
     let mut world = WorldBuilder::new(n)
         .network(NetworkModel::fixed_delay(2))
         .failures(failures)
@@ -80,7 +76,6 @@ pub fn delta_run(history: usize, delta: bool) -> DeltaPoint {
         );
     workload.submit_to(&mut world);
     world.run_until(workload.last_submission_time() + 600);
-    let wall_micros = started.elapsed().as_micros();
     let sequence: Vec<MsgId> = world
         .algorithm(ProcessId::new(0))
         .delivered()
@@ -118,7 +113,6 @@ pub fn delta_run(history: usize, delta: bool) -> DeltaPoint {
         submit_deliver_p50: telemetry.submit_deliver.quantile(500),
         submit_deliver_p90: telemetry.submit_deliver.quantile(900),
         submit_deliver_p99: telemetry.submit_deliver.quantile(990),
-        wall_micros,
     }
 }
 
@@ -145,19 +139,17 @@ pub fn run_grid() -> Vec<(DeltaPoint, DeltaPoint)> {
         .collect()
 }
 
-/// Prints the human-readable E12 table (including the host-dependent
-/// wall-clock column, which the JSON artifact deliberately omits) — shared
-/// by the Criterion bench target and the `e12_delta` binary so the two
-/// outputs cannot drift apart.
+/// Prints the human-readable E12 table — shared by the Criterion bench
+/// target and the `e12_delta` binary so the two outputs cannot drift apart.
 pub fn print_table(pairs: &[(DeltaPoint, DeltaPoint)]) {
     println!(
-        "{:<10} {:<7} {:>14} {:>10} {:>10} {:>9} {:>9} {:>12}",
-        "history", "mode", "bytes sent", "messages", "updates", "lat p50", "lat p99", "wall [ms]"
+        "{:<10} {:<7} {:>14} {:>10} {:>10} {:>9} {:>9}",
+        "history", "mode", "bytes sent", "messages", "updates", "lat p50", "lat p99"
     );
     for (full, delta) in pairs {
         for p in [full, delta] {
             println!(
-                "{:<10} {:<7} {:>14} {:>10} {:>10} {:>9} {:>9} {:>12.2}",
+                "{:<10} {:<7} {:>14} {:>10} {:>10} {:>9} {:>9}",
                 p.history,
                 if p.delta { "delta" } else { "full" },
                 p.bytes_sent,
@@ -165,7 +157,6 @@ pub fn print_table(pairs: &[(DeltaPoint, DeltaPoint)]) {
                 p.updates_sent,
                 p.submit_deliver_p50,
                 p.submit_deliver_p99,
-                p.wall_micros as f64 / 1_000.0,
             );
         }
         println!(
@@ -178,8 +169,7 @@ pub fn print_table(pairs: &[(DeltaPoint, DeltaPoint)]) {
 
 /// Renders the deterministic JSON artifact (`BENCH_delta.json`) from a
 /// measured grid: one record per (history, mode) plus the per-history byte
-/// ratio. Wall-clock numbers are deliberately excluded so the artifact
-/// diffs clean across runs and hosts.
+/// ratio.
 pub fn grid_json(pairs: &[(DeltaPoint, DeltaPoint)]) -> String {
     let mut out = String::from("{\n  \"experiment\": \"E12\",\n  \"points\": [\n");
     for (i, (full, delta)) in pairs.iter().enumerate() {

@@ -37,7 +37,6 @@
 pub mod ec_omega;
 pub mod etob_omega;
 pub mod harness;
-pub mod inline;
 pub mod spec;
 pub mod tob_consensus;
 pub mod transforms;

@@ -56,12 +56,11 @@ impl fmt::Display for MsgId {
 /// client's `Vec<u8>` is moved behind the `Arc`.
 pub type Payload = Arc<[u8]>;
 
-/// The causal dependency list `C(m)` of a message. Session-chained
-/// commands declare exactly one dependency, so the list lives inline
-/// ([`crate::inline::InlineVec`]) and cloning an [`AppMessage`] on the
-/// broadcast fan-out or delivery path allocates nothing; a rare longer
-/// list spills to the heap transparently.
-pub type DepList = crate::inline::InlineVec<MsgId, 2>;
+/// The causal dependency list `C(m)` of a message — also the edges into it
+/// in every causality graph that holds it. Like [`Payload`] it is built
+/// once, when the message is created, and shared by every clone, so the
+/// broadcast fan-out and the delivery path copy a pointer, not the list.
+pub type DepList = Arc<[MsgId]>;
 
 /// An application message broadcast through (E)TOB: an identifier, an opaque
 /// payload, and the identifiers of the messages it causally depends on (the
@@ -73,7 +72,7 @@ pub struct AppMessage {
     /// Opaque application payload (shared zero-copy across fan-outs).
     pub payload: Payload,
     /// Identifiers of causal predecessors declared at broadcast time
-    /// (inline up to two entries, so clones stay allocation-free).
+    /// (shared, never changed after construction).
     pub deps: DepList,
 }
 
@@ -83,7 +82,7 @@ impl AppMessage {
         AppMessage {
             id,
             payload: payload.into(),
-            deps: DepList::new(),
+            deps: DepList::from([]),
         }
     }
 
@@ -473,7 +472,7 @@ mod tests {
         assert!(m.deps.is_empty());
         let dep = MsgId::new(ProcessId::new(0), 1);
         let m2 = AppMessage::with_deps(MsgId::new(ProcessId::new(1), 2), vec![], vec![dep]);
-        assert_eq!(m2.deps, vec![dep]);
+        assert_eq!(*m2.deps, [dep]);
         assert!(format!("{m2:?}").contains("deps"));
     }
 
@@ -483,7 +482,7 @@ mod tests {
         assert_eq!(b.message.id, MsgId::new(ProcessId::new(2), 9));
         let dep = MsgId::new(ProcessId::new(2), 8);
         let c = EtobBroadcast::with_deps(ProcessId::new(2), 10, b"y".to_vec(), vec![dep]);
-        assert_eq!(c.message.deps, vec![dep]);
+        assert_eq!(*c.message.deps, [dep]);
     }
 
     #[test]

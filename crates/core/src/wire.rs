@@ -43,7 +43,7 @@ impl WireCodec for AppMessage {
         self.id.encode(out);
         push_bytes(out, self.payload.as_ref());
         push_u32(out, self.deps.len() as u32);
-        for dep in &self.deps {
+        for dep in self.deps.iter() {
             dep.encode(out);
         }
     }

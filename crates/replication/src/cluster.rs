@@ -776,7 +776,7 @@ mod tests {
         let delivered = cluster.delivered(ProcessId::new(0)).expect("sim read");
         assert_eq!(delivered.len(), 2);
         assert_eq!(delivered[0].id, first);
-        assert_eq!(delivered[1].deps, vec![first]);
+        assert_eq!(*delivered[1].deps, [first]);
         assert_eq!(cluster.read(&session).unwrap().get("k"), Some("second"));
     }
 
