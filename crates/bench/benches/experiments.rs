@@ -623,27 +623,25 @@ struct EicBenchDriver<I: ec_core::types::EventualIrrevocableConsensus> {
 }
 
 impl<I: ec_core::types::EventualIrrevocableConsensus> EicBenchDriver<I> {
+    /// Runs `f` on the wrapped EIC, re-emits its responses and says whether
+    /// one answered the current instance.
+    fn run<F>(&mut self, ctx: &mut ec_sim::Context<'_, Self>, f: F) -> bool
+    where
+        F: FnOnce(&mut I, &mut ec_sim::Context<'_, I>),
+    {
+        let responses = ctx.nest(&mut self.inner, |m| m, f);
+        let answered = responses.iter().any(|out| out.instance == self.proposed);
+        for out in responses {
+            ctx.output(out);
+        }
+        answered
+    }
+
     fn drive<F>(&mut self, ctx: &mut ec_sim::Context<'_, Self>, f: F)
     where
         F: FnOnce(&mut I, &mut ec_sim::Context<'_, I>),
     {
-        let mut actions = ec_sim::Actions::<I>::new();
-        {
-            let mut ictx =
-                ec_sim::Context::new(ctx.me(), ctx.now(), ctx.n(), ctx.fd().clone(), &mut actions);
-            f(&mut self.inner, &mut ictx);
-        }
-        for (to, msg) in actions.sends {
-            ctx.send(to, msg);
-        }
-        let mut should_advance = false;
-        for out in actions.outputs {
-            if out.instance == self.proposed {
-                should_advance = true;
-            }
-            ctx.output(out);
-        }
-        if should_advance {
+        if self.run(ctx, f) {
             self.propose_next(ctx);
         }
     }
@@ -655,18 +653,9 @@ impl<I: ec_core::types::EventualIrrevocableConsensus> EicBenchDriver<I> {
         self.proposed += 1;
         let value = self.values[self.proposed as usize - 1].clone();
         let instance = self.proposed;
-        let mut actions = ec_sim::Actions::<I>::new();
-        {
-            let mut ictx =
-                ec_sim::Context::new(ctx.me(), ctx.now(), ctx.n(), ctx.fd().clone(), &mut actions);
-            self.inner.on_input(EicInput { instance, value }, &mut ictx);
-        }
-        for (to, msg) in actions.sends {
-            ctx.send(to, msg);
-        }
-        for out in actions.outputs {
-            ctx.output(out);
-        }
+        self.run(ctx, |inner, ictx| {
+            inner.on_input(EicInput { instance, value }, ictx)
+        });
     }
 }
 

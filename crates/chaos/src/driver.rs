@@ -241,29 +241,31 @@ pub fn run_scenario<S: KvInterface>(scenario: &Scenario) -> RunOutcome {
     }
     cluster.run_until(scenario.horizon());
 
+    let snapshots = cluster.replica_ids().map(|p| cluster.snapshot(p)).collect();
+    let delivered: Vec<Vec<AppMessage>> = cluster
+        .replica_ids()
+        .map(|p| cluster.delivered(p).expect("sim deployment"))
+        .collect();
+
     // Reconstruct write acknowledgement times from the output history: a
     // write is acknowledged the first time its entry replica's applied count
     // exceeds the write's position in that replica's delivered sequence.
-    let output_history = cluster.output_history();
-    for record in &mut history {
-        if let OpRecord::Write {
-            entry, id, acked, ..
-        } = record
-        {
-            let delivered = cluster.delivered(*entry).expect("sim deployment");
-            if let Some(pos) = delivered.iter().position(|m| m.id == *id) {
-                *acked = output_history
+    cluster.with_history(|outputs| {
+        for record in &mut history {
+            let OpRecord::Write {
+                entry, id, acked, ..
+            } = record
+            else {
+                continue;
+            };
+            let sequence = delivered.get(entry.index());
+            if let Some(pos) = sequence.and_then(|s| s.iter().position(|m| m.id == *id)) {
+                *acked = outputs
                     .first_time_where(*entry, |o| o.applied > pos)
                     .map(Time::as_u64);
             }
         }
-    }
-
-    let snapshots = cluster.replica_ids().map(|p| cluster.snapshot(p)).collect();
-    let delivered = cluster
-        .replica_ids()
-        .map(|p| cluster.delivered(p).expect("sim deployment"))
-        .collect();
+    });
     RunOutcome {
         name: scenario.name.clone(),
         consistency: scenario.consistency,

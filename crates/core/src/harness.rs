@@ -13,14 +13,10 @@ use std::fmt;
 use ec_sim::{Algorithm, Context, ProcessId};
 
 use crate::types::{EcInput, EcOutput, EventualConsensus};
-use crate::wrapper::run_inner;
 
-/// Drives an [`EventualConsensus`] implementation through sequential
-/// instances `1, 2, …, values.len()`, proposing `values[ℓ-1]` in instance `ℓ`
-/// as soon as instance `ℓ-1` has returned at this process.
 /// Ticks between the driver's local timeouts, which also pace the wrapped
-/// algorithm's timeout-driven logic (wrappers own the single timer chain of a
-/// process; see the module docs of [`crate::wrapper`]).
+/// algorithm's timeout-driven logic (the driver owns the single timer chain
+/// of the process; see [`Context::nest`]).
 const POLL_PERIOD: u64 = 3;
 
 /// Drives an [`EventualConsensus`] implementation through sequential
@@ -49,50 +45,29 @@ impl<E: EventualConsensus> MultiInstanceProposer<E> {
         &self.inner
     }
 
-    fn propose_next(
-        &mut self,
-        ctx: &mut Context<'_, Self>,
-        pending: &mut VecDeque<EcOutput<E::Value>>,
-    ) {
+    /// Proposes the next value, if any, and returns the decisions the
+    /// proposal produced.
+    fn propose_next(&mut self, ctx: &mut Context<'_, Self>) -> Vec<EcOutput<E::Value>> {
         let Some(value) = self.values.get(self.proposed as usize).cloned() else {
-            return;
+            return Vec::new();
         };
         self.proposed += 1;
         let instance = self.proposed;
-        let actions = run_inner(
+        ctx.nest(
             &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
+            |m| m,
             |inner, ictx| inner.on_input(EcInput { instance, value }, ictx),
-        );
-        self.relay(actions, ctx, pending);
+        )
     }
 
-    fn relay(
-        &mut self,
-        actions: ec_sim::Actions<E>,
-        ctx: &mut Context<'_, Self>,
-        pending: &mut VecDeque<EcOutput<E::Value>>,
-    ) {
-        for (to, msg) in actions.sends {
-            ctx.send(to, msg);
-        }
-        // Inner timer requests are deliberately not relayed: the driver owns
-        // the single periodic timer chain of the process and forwards every
-        // fire to the wrapped algorithm, which keeps the number of scheduled
-        // timer events constant instead of growing with every fire.
-        pending.extend(actions.outputs);
-    }
-
-    fn drain(&mut self, ctx: &mut Context<'_, Self>, pending: &mut VecDeque<EcOutput<E::Value>>) {
+    fn drain(&mut self, ctx: &mut Context<'_, Self>, decisions: Vec<EcOutput<E::Value>>) {
+        let mut pending = VecDeque::from(decisions);
         while let Some(decision) = pending.pop_front() {
             ctx.output(decision.clone());
             // The specification's discipline: invoke the next instance as
             // soon as the previous one returns at this process.
             if decision.instance == self.proposed {
-                self.propose_next(ctx, pending);
+                pending.extend(self.propose_next(ctx));
             }
         }
     }
@@ -115,47 +90,24 @@ impl<E: EventualConsensus> Algorithm for MultiInstanceProposer<E> {
     type Fd = E::Fd;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
-        let mut pending = VecDeque::new();
-        let actions = run_inner(
-            &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
-            |inner, ictx| inner.on_start(ictx),
-        );
-        self.relay(actions, ctx, &mut pending);
-        self.propose_next(ctx, &mut pending);
-        self.drain(ctx, &mut pending);
+        let mut decisions = ctx.nest(&mut self.inner, |m| m, |inner, ictx| inner.on_start(ictx));
+        decisions.extend(self.propose_next(ctx));
+        self.drain(ctx, decisions);
         ctx.set_timer(POLL_PERIOD);
     }
 
     fn on_message(&mut self, from: ProcessId, msg: E::Msg, ctx: &mut Context<'_, Self>) {
-        let mut pending = VecDeque::new();
-        let actions = run_inner(
+        let decisions = ctx.nest(
             &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
+            |m| m,
             |inner, ictx| inner.on_message(from, msg, ictx),
         );
-        self.relay(actions, ctx, &mut pending);
-        self.drain(ctx, &mut pending);
+        self.drain(ctx, decisions);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Self>) {
-        let mut pending = VecDeque::new();
-        let actions = run_inner(
-            &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
-            |inner, ictx| inner.on_timer(ictx),
-        );
-        self.relay(actions, ctx, &mut pending);
-        self.drain(ctx, &mut pending);
+        let decisions = ctx.nest(&mut self.inner, |m| m, |inner, ictx| inner.on_timer(ictx));
+        self.drain(ctx, decisions);
         ctx.set_timer(POLL_PERIOD);
     }
 

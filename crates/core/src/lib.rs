@@ -45,8 +45,6 @@ pub mod version;
 pub mod wire;
 pub mod workload;
 
-mod wrapper;
-
 pub use ec_omega::{EcConfig, EcMsg, EcOmega};
 pub use etob_omega::{CausalGraph, EtobConfig, EtobMsg, EtobOmega};
 pub use harness::MultiInstanceProposer;

@@ -16,7 +16,6 @@ use ec_sim::{Algorithm, Context, ProcessId};
 use crate::types::{
     AppMessage, DeliveryDelta, EcInput, EcOutput, Either, EtobBroadcast, EventualConsensus, MsgId,
 };
-use crate::wrapper::run_inner;
 
 /// Algorithm 1: ETOB from any EC implementation with message-sequence values.
 pub struct EcToEtob<E: EventualConsensus<Value = Vec<AppMessage>>> {
@@ -71,44 +70,21 @@ impl<E: EventualConsensus<Value = Vec<AppMessage>>> EcToEtob<E> {
             .collect()
     }
 
+    /// Invokes `proposeEC_instance(value)` and returns the responses the
+    /// invocation produced.
     fn propose(
         &mut self,
         instance: u64,
         value: Vec<AppMessage>,
         ctx: &mut Context<'_, Self>,
-        pending: &mut VecDeque<EcOutput<Vec<AppMessage>>>,
-    ) {
-        let actions = run_inner(
-            &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
-            |inner, ictx| inner.on_input(EcInput { instance, value }, ictx),
-        );
-        self.relay(actions, ctx, pending);
+    ) -> Vec<EcOutput<Vec<AppMessage>>> {
+        ctx.nest(&mut self.inner, Either::Right, |inner, ictx| {
+            inner.on_input(EcInput { instance, value }, ictx)
+        })
     }
 
-    fn relay(
-        &mut self,
-        actions: ec_sim::Actions<E>,
-        ctx: &mut Context<'_, Self>,
-        pending: &mut VecDeque<EcOutput<Vec<AppMessage>>>,
-    ) {
-        for (to, msg) in actions.sends {
-            ctx.send(to, Either::Right(msg));
-        }
-        // Inner timer requests are not relayed: this wrapper owns the single
-        // periodic timer chain of the process (armed in `on_start`, re-armed
-        // in `on_timer`) and forwards every fire to the wrapped algorithm.
-        pending.extend(actions.outputs);
-    }
-
-    fn drain(
-        &mut self,
-        ctx: &mut Context<'_, Self>,
-        pending: &mut VecDeque<EcOutput<Vec<AppMessage>>>,
-    ) {
+    fn drain(&mut self, ctx: &mut Context<'_, Self>, responses: Vec<EcOutput<Vec<AppMessage>>>) {
+        let mut pending = VecDeque::from(responses);
         while let Some(response) = pending.pop_front() {
             // On reception of d as response of proposeEC_ℓ:
             //   d_i := d; count_i := count_i + 1;
@@ -125,7 +101,7 @@ impl<E: EventualConsensus<Value = Vec<AppMessage>>> EcToEtob<E> {
             self.count += 1;
             let mut proposal = self.delivered.clone();
             proposal.extend(self.new_batch());
-            self.propose(self.count, proposal, ctx, pending);
+            pending.extend(self.propose(self.count, proposal, ctx));
         }
     }
 }
@@ -148,17 +124,10 @@ impl<E: EventualConsensus<Value = Vec<AppMessage>>> Algorithm for EcToEtob<E> {
     type Fd = E::Fd;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
-        let mut pending = VecDeque::new();
-        let actions = run_inner(
-            &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
-            |inner, ictx| inner.on_start(ictx),
-        );
-        self.relay(actions, ctx, &mut pending);
-        self.drain(ctx, &mut pending);
+        let responses = ctx.nest(&mut self.inner, Either::Right, |inner, ictx| {
+            inner.on_start(ictx)
+        });
+        self.drain(ctx, responses);
         ctx.set_timer(self.poll_period);
     }
 
@@ -173,47 +142,34 @@ impl<E: EventualConsensus<Value = Vec<AppMessage>>> Algorithm for EcToEtob<E> {
         msg: Either<AppMessage, E::Msg>,
         ctx: &mut Context<'_, Self>,
     ) {
-        let mut pending = VecDeque::new();
         match msg {
             Either::Left(message) => {
                 // On reception of push(m): toDeliver_i := toDeliver_i ∪ {m}.
                 self.to_deliver.insert(message.id, message);
             }
             Either::Right(inner_msg) => {
-                let actions = run_inner(
-                    &mut self.inner,
-                    ctx.me(),
-                    ctx.now(),
-                    ctx.n(),
-                    ctx.fd().clone(),
-                    |inner, ictx| inner.on_message(from, inner_msg, ictx),
-                );
-                self.relay(actions, ctx, &mut pending);
+                let responses = ctx.nest(&mut self.inner, Either::Right, |inner, ictx| {
+                    inner.on_message(from, inner_msg, ictx)
+                });
+                self.drain(ctx, responses);
             }
         }
-        self.drain(ctx, &mut pending);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Self>) {
-        let mut pending = VecDeque::new();
         // On local timeout: if count_i = 0 then count_i := 1;
         //   proposeEC_1(NewBatch(d_i, toDeliver_i)).
+        let mut responses = Vec::new();
         if self.count == 0 {
             self.count = 1;
             let proposal = self.new_batch();
-            self.propose(1, proposal, ctx, &mut pending);
+            responses = self.propose(1, proposal, ctx);
         }
         // Also tick the wrapped algorithm (its own local timeouts).
-        let actions = run_inner(
-            &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
-            |inner, ictx| inner.on_timer(ictx),
-        );
-        self.relay(actions, ctx, &mut pending);
-        self.drain(ctx, &mut pending);
+        responses.extend(ctx.nest(&mut self.inner, Either::Right, |inner, ictx| {
+            inner.on_timer(ictx)
+        }));
+        self.drain(ctx, responses);
         ctx.set_timer(self.poll_period);
     }
 }

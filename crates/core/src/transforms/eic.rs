@@ -9,7 +9,7 @@
 //! Algorithm 7 builds EC back from EIC by simply returning the first response
 //! of each instance.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use ec_sim::{Algorithm, Context, ProcessId};
@@ -17,7 +17,6 @@ use ec_sim::{Algorithm, Context, ProcessId};
 use crate::types::{
     EcInput, EcOutput, EicInput, EicOutput, EventualConsensus, EventualIrrevocableConsensus,
 };
-use crate::wrapper::run_inner;
 
 /// Algorithm 6: EIC from EC (`T_{EC→EIC}`). The wrapped EC implementation
 /// must carry sequences of values (`Vec<Vec<u8>>`).
@@ -47,26 +46,8 @@ impl<E: EventualConsensus<Value = Vec<Vec<u8>>>> EcToEic<E> {
         &self.decision
     }
 
-    fn relay(
-        &mut self,
-        actions: ec_sim::Actions<E>,
-        ctx: &mut Context<'_, Self>,
-        pending: &mut VecDeque<EcOutput<Vec<Vec<u8>>>>,
-    ) {
-        for (to, msg) in actions.sends {
-            ctx.send(to, msg);
-        }
-        // Inner timer requests are not relayed; the outermost driver owns the
-        // process's single timer chain and forwards fires down the stack.
-        pending.extend(actions.outputs);
-    }
-
-    fn drain(
-        &mut self,
-        ctx: &mut Context<'_, Self>,
-        pending: &mut VecDeque<EcOutput<Vec<Vec<u8>>>>,
-    ) {
-        while let Some(response) = pending.pop_front() {
+    fn drain(&mut self, ctx: &mut Context<'_, Self>, responses: Vec<EcOutput<Vec<Vec<u8>>>>) {
+        for response in responses {
             // On reception of decision as response of proposeEC_ℓ:
             //   for k in 0..ℓ: if decision[k] ≠ decision_i[k] then
             //     DecideEIC(k, decision[k]);
@@ -101,17 +82,8 @@ impl<E: EventualConsensus<Value = Vec<Vec<u8>>>> Algorithm for EcToEic<E> {
     type Fd = E::Fd;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
-        let mut pending = VecDeque::new();
-        let actions = run_inner(
-            &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
-            |inner, ictx| inner.on_start(ictx),
-        );
-        self.relay(actions, ctx, &mut pending);
-        self.drain(ctx, &mut pending);
+        let responses = ctx.nest(&mut self.inner, |m| m, |inner, ictx| inner.on_start(ictx));
+        self.drain(ctx, responses);
     }
 
     fn on_input(&mut self, input: EicInput<Vec<u8>>, ctx: &mut Context<'_, Self>) {
@@ -119,53 +91,35 @@ impl<E: EventualConsensus<Value = Vec<Vec<u8>>>> Algorithm for EcToEic<E> {
         let mut proposal = self.decision.clone();
         proposal.truncate(input.instance as usize - 1);
         proposal.push(input.value);
-        let mut pending = VecDeque::new();
-        let actions = run_inner(
+        let instance = input.instance;
+        let responses = ctx.nest(
             &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
+            |m| m,
             |inner, ictx| {
                 inner.on_input(
                     EcInput {
-                        instance: input.instance,
+                        instance,
                         value: proposal,
                     },
                     ictx,
                 )
             },
         );
-        self.relay(actions, ctx, &mut pending);
-        self.drain(ctx, &mut pending);
+        self.drain(ctx, responses);
     }
 
     fn on_message(&mut self, from: ProcessId, msg: E::Msg, ctx: &mut Context<'_, Self>) {
-        let mut pending = VecDeque::new();
-        let actions = run_inner(
+        let responses = ctx.nest(
             &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
+            |m| m,
             |inner, ictx| inner.on_message(from, msg, ictx),
         );
-        self.relay(actions, ctx, &mut pending);
-        self.drain(ctx, &mut pending);
+        self.drain(ctx, responses);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Self>) {
-        let mut pending = VecDeque::new();
-        let actions = run_inner(
-            &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
-            |inner, ictx| inner.on_timer(ictx),
-        );
-        self.relay(actions, ctx, &mut pending);
-        self.drain(ctx, &mut pending);
+        let responses = ctx.nest(&mut self.inner, |m| m, |inner, ictx| inner.on_timer(ictx));
+        self.drain(ctx, responses);
     }
 }
 
@@ -202,22 +156,8 @@ impl<I: EventualIrrevocableConsensus> EicToEc<I> {
         self.count
     }
 
-    fn relay(
-        &mut self,
-        actions: ec_sim::Actions<I>,
-        ctx: &mut Context<'_, Self>,
-        pending: &mut VecDeque<EicOutput<I::Value>>,
-    ) {
-        for (to, msg) in actions.sends {
-            ctx.send(to, msg);
-        }
-        // Inner timer requests are not relayed; the outermost driver owns the
-        // process's single timer chain and forwards fires down the stack.
-        pending.extend(actions.outputs);
-    }
-
-    fn drain(&mut self, ctx: &mut Context<'_, Self>, pending: &mut VecDeque<EicOutput<I::Value>>) {
-        while let Some(response) = pending.pop_front() {
+    fn drain(&mut self, ctx: &mut Context<'_, Self>, responses: Vec<EicOutput<I::Value>>) {
+        for response in responses {
             // On reception of v as response of proposeEIC_ℓ:
             //   if count_i = ℓ then DecideEC(ℓ, v) (only the first response).
             if response.instance == self.count && self.decided.insert(response.instance) {
@@ -247,69 +187,34 @@ impl<I: EventualIrrevocableConsensus> Algorithm for EicToEc<I> {
     type Fd = I::Fd;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
-        let mut pending = VecDeque::new();
-        let actions = run_inner(
-            &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
-            |inner, ictx| inner.on_start(ictx),
-        );
-        self.relay(actions, ctx, &mut pending);
-        self.drain(ctx, &mut pending);
+        let responses = ctx.nest(&mut self.inner, |m| m, |inner, ictx| inner.on_start(ictx));
+        self.drain(ctx, responses);
     }
 
     fn on_input(&mut self, input: EcInput<I::Value>, ctx: &mut Context<'_, Self>) {
         // On invocation of proposeEC_ℓ(v): count_i := ℓ; proposeEIC_ℓ(v).
         self.count = input.instance;
-        let mut pending = VecDeque::new();
-        let actions = run_inner(
+        let EcInput { instance, value } = input;
+        let responses = ctx.nest(
             &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
-            |inner, ictx| {
-                inner.on_input(
-                    EicInput {
-                        instance: input.instance,
-                        value: input.value,
-                    },
-                    ictx,
-                )
-            },
+            |m| m,
+            |inner, ictx| inner.on_input(EicInput { instance, value }, ictx),
         );
-        self.relay(actions, ctx, &mut pending);
-        self.drain(ctx, &mut pending);
+        self.drain(ctx, responses);
     }
 
     fn on_message(&mut self, from: ProcessId, msg: I::Msg, ctx: &mut Context<'_, Self>) {
-        let mut pending = VecDeque::new();
-        let actions = run_inner(
+        let responses = ctx.nest(
             &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
+            |m| m,
             |inner, ictx| inner.on_message(from, msg, ictx),
         );
-        self.relay(actions, ctx, &mut pending);
-        self.drain(ctx, &mut pending);
+        self.drain(ctx, responses);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Self>) {
-        let mut pending = VecDeque::new();
-        let actions = run_inner(
-            &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
-            |inner, ictx| inner.on_timer(ictx),
-        );
-        self.relay(actions, ctx, &mut pending);
-        self.drain(ctx, &mut pending);
+        let responses = ctx.nest(&mut self.inner, |m| m, |inner, ictx| inner.on_timer(ictx));
+        self.drain(ctx, responses);
     }
 }
 
@@ -459,35 +364,24 @@ mod tests {
     }
 
     impl<I: EventualIrrevocableConsensus> EicDriver<I> {
-        fn relay_and_emit(
-            &mut self,
-            actions: ec_sim::Actions<I>,
-            ctx: &mut Context<'_, Self>,
-        ) -> Vec<EicOutput<I::Value>> {
-            for (to, msg) in actions.sends {
-                ctx.send(to, msg);
+        /// Runs `f` on the wrapped EIC and re-emits its responses.
+        fn run<F>(&mut self, ctx: &mut Context<'_, Self>, f: F) -> bool
+        where
+            F: FnOnce(&mut I, &mut Context<'_, I>),
+        {
+            let responses = ctx.nest(&mut self.inner, |m| m, f);
+            let first_response_for_current = responses.iter().any(|o| o.instance == self.proposed);
+            for response in responses {
+                ctx.output(response);
             }
-            for out in &actions.outputs {
-                ctx.output(out.clone());
-            }
-            actions.outputs
+            first_response_for_current
         }
 
         fn drive<F>(&mut self, ctx: &mut Context<'_, Self>, f: F)
         where
             F: FnOnce(&mut I, &mut Context<'_, I>),
         {
-            let actions = run_inner(
-                &mut self.inner,
-                ctx.me(),
-                ctx.now(),
-                ctx.n(),
-                ctx.fd().clone(),
-                f,
-            );
-            let outputs = self.relay_and_emit(actions, ctx);
-            let first_response_for_current = outputs.iter().any(|o| o.instance == self.proposed);
-            if first_response_for_current {
+            if self.run(ctx, f) {
                 self.propose_next(ctx);
             }
         }
@@ -499,15 +393,9 @@ mod tests {
             self.proposed += 1;
             let value = self.values[self.proposed as usize - 1].clone();
             let instance = self.proposed;
-            let actions = run_inner(
-                &mut self.inner,
-                ctx.me(),
-                ctx.now(),
-                ctx.n(),
-                ctx.fd().clone(),
-                |inner, ictx| inner.on_input(EicInput { instance, value }, ictx),
-            );
-            self.relay_and_emit(actions, ctx);
+            self.run(ctx, |inner, ictx| {
+                inner.on_input(EicInput { instance, value }, ictx)
+            });
         }
     }
 

@@ -7,7 +7,7 @@
 //! underlying ETOB stabilizes, the first `(ℓ, ·)` message is the same at
 //! every process, so decisions agree.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use ec_sim::{Algorithm, Context, ProcessId};
@@ -16,7 +16,6 @@ use crate::types::{
     AppMessage, DeliveryDelta, EcInput, EcOutput, EtobBroadcast, EventualConsensus,
     EventualTotalOrderBroadcast, MsgId,
 };
-use crate::wrapper::run_inner;
 
 /// Encodes `(ℓ, v)` as the payload of an ETOB message.
 fn encode(instance: u64, value: &[u8]) -> Vec<u8> {
@@ -83,23 +82,8 @@ impl<B: EventualTotalOrderBroadcast> EtobToEc<B> {
             .map(|(_, v)| v)
     }
 
-    fn relay(
-        &mut self,
-        actions: ec_sim::Actions<B>,
-        ctx: &mut Context<'_, Self>,
-        deliveries: &mut VecDeque<DeliveryDelta>,
-    ) {
-        for (to, msg) in actions.sends {
-            ctx.send(to, msg);
-        }
-        // Inner timer requests are not relayed: this wrapper owns the single
-        // periodic timer chain of the process (armed in `on_start`, re-armed
-        // in `on_timer`) and forwards every fire to the wrapped algorithm.
-        deliveries.extend(actions.outputs);
-    }
-
-    fn absorb(&mut self, deliveries: &mut VecDeque<DeliveryDelta>) {
-        while let Some(delta) = deliveries.pop_front() {
+    fn absorb(&mut self, deliveries: Vec<DeliveryDelta>) {
+        for delta in deliveries {
             delta.apply_to(&mut self.delivered);
         }
     }
@@ -135,17 +119,8 @@ impl<B: EventualTotalOrderBroadcast> Algorithm for EtobToEc<B> {
     type Fd = B::Fd;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
-        let mut deliveries = VecDeque::new();
-        let actions = run_inner(
-            &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
-            |inner, ictx| inner.on_start(ictx),
-        );
-        self.relay(actions, ctx, &mut deliveries);
-        self.absorb(&mut deliveries);
+        let deliveries = ctx.nest(&mut self.inner, |m| m, |inner, ictx| inner.on_start(ictx));
+        self.absorb(deliveries);
         ctx.set_timer(self.poll_period);
     }
 
@@ -157,48 +132,29 @@ impl<B: EventualTotalOrderBroadcast> Algorithm for EtobToEc<B> {
             MsgId::new(ctx.me(), self.next_seq),
             encode(input.instance, &input.value),
         );
-        let mut deliveries = VecDeque::new();
-        let actions = run_inner(
+        let deliveries = ctx.nest(
             &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
+            |m| m,
             |inner, ictx| inner.on_input(EtobBroadcast { message }, ictx),
         );
-        self.relay(actions, ctx, &mut deliveries);
-        self.absorb(&mut deliveries);
+        self.absorb(deliveries);
         self.try_decide(ctx);
     }
 
     fn on_message(&mut self, from: ProcessId, msg: B::Msg, ctx: &mut Context<'_, Self>) {
-        let mut deliveries = VecDeque::new();
-        let actions = run_inner(
+        let deliveries = ctx.nest(
             &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
+            |m| m,
             |inner, ictx| inner.on_message(from, msg, ictx),
         );
-        self.relay(actions, ctx, &mut deliveries);
-        self.absorb(&mut deliveries);
+        self.absorb(deliveries);
         self.try_decide(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Self>) {
         // On local timeout: if First(count_i) ≠ ⊥ then decide it.
-        let mut deliveries = VecDeque::new();
-        let actions = run_inner(
-            &mut self.inner,
-            ctx.me(),
-            ctx.now(),
-            ctx.n(),
-            ctx.fd().clone(),
-            |inner, ictx| inner.on_timer(ictx),
-        );
-        self.relay(actions, ctx, &mut deliveries);
-        self.absorb(&mut deliveries);
+        let deliveries = ctx.nest(&mut self.inner, |m| m, |inner, ictx| inner.on_timer(ictx));
+        self.absorb(deliveries);
         self.try_decide(ctx);
         ctx.set_timer(self.poll_period);
     }

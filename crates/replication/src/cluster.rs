@@ -42,11 +42,10 @@ use std::marker::PhantomData;
 use ec_core::etob_omega::EtobConfig;
 use ec_core::tob_consensus::ConsensusTobConfig;
 use ec_core::types::{AppMessage, MsgId};
-use ec_sim::{Metrics, ProcessId, ProcessSet, Time};
+use ec_sim::{Metrics, OutputHistory, ProcessId, ProcessSet, Time};
 
-use crate::convergence::ConvergenceReport;
 use crate::engine::{DeployError, DeployPlan, Deployment, DeploymentSummary, Engine, EngineKind};
-use crate::replica::ReplicaCommand;
+use crate::replica::{ReplicaCommand, ReplicaOutput};
 use crate::session::Session;
 use crate::state_machine::StateMachine;
 
@@ -348,32 +347,36 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
     }
 
     /// Commands replica `p` had applied at facade time `t` (for probing
-    /// availability during a partition window). Each call copies the output
-    /// history; [`Cluster::applied_at_all`] probes every replica from one
-    /// copy.
+    /// availability during a partition window).
     pub fn applied_at(&self, p: ProcessId, t: u64) -> usize {
-        let history = self.deployment.output_history();
-        history.value_at(p, Time::new(t)).map_or(0, |o| o.applied)
+        let mut applied = 0;
+        self.with_history(|history| {
+            applied = history.value_at(p, Time::new(t)).map_or(0, |o| o.applied);
+        });
+        applied
     }
 
-    /// Commands each replica had applied at facade time `t`, from a single
-    /// copy of the output history.
+    /// Commands each replica had applied at facade time `t`.
     pub fn applied_at_all(&self, t: u64) -> Vec<usize> {
-        let history = self.deployment.output_history();
-        self.replica_ids()
-            .map(|p| {
-                history
-                    .value_at(p, Time::new(t))
-                    .map(|o| o.applied)
-                    .unwrap_or(0)
-            })
-            .collect()
+        self.replica_ids().map(|p| self.applied_at(p, t)).collect()
     }
 
-    /// The timed replica-output history so far, in facade ticks — what the
-    /// history-based chaos checkers reconstruct acknowledgement times from.
-    pub fn output_history(&self) -> ec_sim::OutputHistory<crate::replica::ReplicaOutput> {
-        self.deployment.output_history()
+    /// Lends `f` the timed replica-output history so far, in facade ticks,
+    /// without copying it — what the history-based chaos checkers
+    /// reconstruct acknowledgement times from. On the real-time engines `f`
+    /// runs under the lock the replicas take to record an output, so it must
+    /// only read: no call back into the cluster, no I/O.
+    pub fn with_history(&self, mut f: impl FnMut(&OutputHistory<ReplicaOutput>)) {
+        self.deployment.with_history(&mut f);
+    }
+
+    /// A copy of the timed replica-output history so far, in facade ticks
+    /// (for tests that keep a history; [`Cluster::with_history`] reads one
+    /// without the copy).
+    pub fn output_history(&self) -> OutputHistory<ReplicaOutput> {
+        let mut copy = OutputHistory::new(0);
+        self.with_history(|history| copy = history.clone());
+        copy
     }
 
     /// The canonical snapshot of replica `p`'s state machine.
@@ -498,14 +501,13 @@ fn report_of(
     submitted: u64,
     summary: DeploymentSummary,
 ) -> ClusterReport {
-    let convergence = ConvergenceReport::from_history(&summary.history, &summary.correct);
     let shard = ShardReport {
         shard: 0,
         ops_routed: submitted,
         applied: summary.applied,
         snapshots: summary.snapshots,
-        converged_at: convergence.converged_at,
-        divergences: convergence.divergence_count(),
+        converged_at: summary.convergence.converged_at,
+        divergences: summary.convergence.divergence_count(),
         messages_sent: summary.metrics.messages_sent,
         bytes_sent: summary.metrics.bytes_sent,
         updates_sent: summary.updates_sent,

@@ -27,7 +27,7 @@ pub struct Divergence {
 /// worst hide a transient divergence episode here; every final-agreement
 /// check ([`crate::ShardReport::snapshots_agree`], the conformance and chaos
 /// suites) compares snapshot bytes read from the replicas.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ConvergenceReport {
     /// The time from which all correct replicas exposed identical snapshots
     /// until the end of the history (`None` if they never converged).

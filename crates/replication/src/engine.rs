@@ -54,6 +54,7 @@ use ec_sim::{
 use ec_telemetry::{Event, Recorder, TelemetryReport, TimeSource, FLIGHT_CAPACITY};
 
 use crate::cluster::Consistency;
+use crate::convergence::ConvergenceReport;
 use crate::durable::DurableOptions;
 use crate::net::TcpTransport;
 use crate::replica::{Replica, ReplicaCommand, ReplicaOutput};
@@ -565,8 +566,11 @@ pub trait Deployment<S: StateMachine>: fmt::Debug {
     /// exclude).
     fn metrics(&self) -> Metrics;
 
-    /// A copy of the timed output history so far, in facade ticks.
-    fn output_history(&self) -> OutputHistory<ReplicaOutput>;
+    /// Lends `f` the timed output history so far, in facade ticks, without
+    /// copying it. On the real-time engines `f` runs under the lock the node
+    /// threads take to record an output, so it must only read: no call back
+    /// into the deployment, no I/O.
+    fn with_history(&self, f: &mut dyn FnMut(&OutputHistory<ReplicaOutput>));
 
     /// The processes correct for the whole run: from the failure pattern on
     /// the simulator, everything minus `facade_crashed` elsewhere.
@@ -598,12 +602,17 @@ pub trait Deployment<S: StateMachine>: fmt::Debug {
     /// stopped, from the accessors above.
     fn summary(&self, facade_crashed: &ProcessSet) -> DeploymentSummary {
         let ids = || (0..self.n()).map(ProcessId::new);
+        let correct = self.correct(facade_crashed);
+        let mut convergence = ConvergenceReport::default();
+        self.with_history(&mut |history| {
+            convergence = ConvergenceReport::from_history(history, &correct);
+        });
         DeploymentSummary {
             applied: ids().map(|p| self.applied(p)).collect(),
             snapshots: ids().map(|p| self.snapshot(p)).collect(),
-            history: self.output_history(),
+            convergence,
             metrics: self.metrics(),
-            correct: self.correct(facade_crashed),
+            correct,
             updates_sent: self.updates_sent(),
             telemetry: self.telemetry(),
         }
@@ -622,8 +631,8 @@ pub struct DeploymentSummary {
     pub applied: Vec<usize>,
     /// Canonical state-machine snapshot, per replica.
     pub snapshots: Vec<Vec<u8>>,
-    /// Timed output history of the whole run, in facade ticks.
-    pub history: OutputHistory<ReplicaOutput>,
+    /// Convergence of the replicas' outputs over the whole run.
+    pub convergence: ConvergenceReport,
     /// Message counters of the run.
     pub metrics: Metrics,
     /// Processes that were correct for the whole run.
@@ -678,8 +687,8 @@ where
         World::metrics(self).clone()
     }
 
-    fn output_history(&self) -> OutputHistory<ReplicaOutput> {
-        World::output_history(self).clone()
+    fn with_history(&self, f: &mut dyn FnMut(&OutputHistory<ReplicaOutput>)) {
+        f(World::output_history(self));
     }
 
     fn correct(&self, _facade_crashed: &ProcessSet) -> ProcessSet {
@@ -818,8 +827,8 @@ where
         self.runtime.metrics()
     }
 
-    fn output_history(&self) -> OutputHistory<ReplicaOutput> {
-        self.runtime.outputs_so_far()
+    fn with_history(&self, f: &mut dyn FnMut(&OutputHistory<ReplicaOutput>)) {
+        self.runtime.with_outputs(f);
     }
 
     fn correct(&self, facade_crashed: &ProcessSet) -> ProcessSet {

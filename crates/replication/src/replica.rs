@@ -256,19 +256,6 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
         recorder.map(Recorder::events).unwrap_or_default()
     }
 
-    fn relay(
-        &mut self,
-        actions: ec_sim::Actions<B>,
-        ctx: &mut Context<'_, Self>,
-    ) -> Vec<DeliveryDelta> {
-        for (to, msg) in actions.sends {
-            ctx.send(to, msg);
-        }
-        // Timer requests of the broadcast layer are not relayed; the replica
-        // owns the single timer chain (see ec-core's wrapper policy).
-        actions.outputs
-    }
-
     /// Recomputes `state` as `base_state` plus the resident tail and emits
     /// an output if the visible state changed.
     fn rebuild(&mut self, ctx: &mut Context<'_, Self>) {
@@ -417,13 +404,7 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
     where
         F: FnOnce(&mut B, &mut Context<'_, B>),
     {
-        let mut actions = ec_sim::Actions::<B>::new();
-        {
-            let mut ictx =
-                Context::new(ctx.me(), ctx.now(), ctx.n(), ctx.fd().clone(), &mut actions);
-            f(&mut self.broadcast, &mut ictx);
-        }
-        let deltas = self.relay(actions, ctx);
+        let deltas = ctx.nest(&mut self.broadcast, |m| m, f);
         // Where the delivered copy ended before this activation. A fold
         // moves the base under an unchanged tail: a change that starts
         // there.

@@ -16,8 +16,8 @@ use ec_core::types::{Compactable, DeliveryDelta, EtobBroadcast, Instrumented, Ms
 use ec_detectors::omega::{OmegaOracle, PreStabilization};
 use ec_replication::{KvStore, Replica, ReplicaCommand, StateMachine};
 use ec_sim::{
-    Actions, Algorithm, Context, FailureDetector, FailurePattern, NetworkModel, ProcessId, Time,
-    World, WorldBuilder,
+    Algorithm, Context, FailureDetector, FailurePattern, NetworkModel, ProcessId, Time, World,
+    WorldBuilder,
 };
 
 const REPLICAS: usize = 3;
@@ -64,15 +64,7 @@ impl Tallied {
     where
         F: FnOnce(&mut EtobOmega, &mut Context<'_, EtobOmega>),
     {
-        let mut actions = Actions::<EtobOmega>::new();
-        {
-            let mut inner = Context::new(ctx.me(), ctx.now(), ctx.n(), *ctx.fd(), &mut actions);
-            handler(&mut self.inner, &mut inner);
-        }
-        for (to, msg) in actions.sends {
-            ctx.send(to, msg);
-        }
-        for delta in actions.outputs {
+        for delta in ctx.nest(&mut self.inner, |m| m, handler) {
             self.deltas += 1;
             self.suffix_entries += delta.suffix.len();
             ctx.output(delta);

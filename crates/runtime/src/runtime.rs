@@ -254,10 +254,12 @@ impl<A: Algorithm, T> Runtime<A, T> {
         own.last().map(|(_, output)| output.clone())
     }
 
-    /// A copy of the output history so far, timed in milliseconds since
-    /// launch.
-    pub fn outputs_so_far(&self) -> OutputHistory<A::Output> {
-        self.hub.history.lock().clone()
+    /// Runs `f` on the output history so far, timed in milliseconds since
+    /// launch, without copying it. `f` runs under the lock every node
+    /// thread takes to record an output, so it must only read: no call
+    /// back into the runtime, no I/O.
+    pub fn with_outputs<R>(&self, f: impl FnOnce(&OutputHistory<A::Output>) -> R) -> R {
+        f(&self.hub.history.lock())
     }
 
     /// Inbound data the transport rejected as malformed so far (always 0
@@ -490,7 +492,8 @@ mod tests {
     where
         A: Algorithm<Output = DeliveryDelta>,
     {
-        materialize(&runtime.outputs_so_far())
+        runtime
+            .with_outputs(materialize)
             .last(p)
             .expect("delivered")
             .iter()
@@ -588,7 +591,7 @@ mod tests {
         // the survivors eventually elected p1 and still deliver new messages
         for p in survivors {
             assert_eq!(last_leader_of(&runtime, p), Some(ProcessId::new(1)), "{p}");
-            let history = materialize(&runtime.outputs_so_far());
+            let history = runtime.with_outputs(materialize);
             let delivered = history.last(p).expect("delivered something");
             assert!(
                 delivered.iter().any(|m| &m.payload[..] == b"after"),
@@ -638,7 +641,7 @@ mod tests {
         wait_until(5, "p1 delivered", || {
             delivered_len(&runtime, ProcessId::new(1)) == 1
         });
-        assert!(runtime.outputs_so_far().last(ProcessId::new(1)).is_some());
+        assert!(runtime.with_outputs(|h| h.last(ProcessId::new(1)).is_some()));
         assert!(runtime.metrics().messages_sent > 0);
         assert_eq!(runtime.n(), 2);
         // a transport with no wire answers for none
@@ -668,7 +671,7 @@ mod tests {
         runtime.hub.record_output(ProcessId::new(7), delta(4));
         assert_eq!(runtime.latest_output_of(p0), Some(delta(3)));
         assert_eq!(runtime.latest_output_of(p1), Some(delta(2)));
-        let so_far = runtime.outputs_so_far();
+        let so_far = runtime.with_outputs(Clone::clone);
         assert_eq!(so_far.all().count(), 3);
         // stamped by the run's clock, in the order recorded
         let [(first, _), (second, _)] = so_far.outputs(p0) else {
@@ -676,7 +679,7 @@ mod tests {
         };
         assert!(first <= second);
         runtime.stop();
-        assert_eq!(runtime.outputs_so_far(), so_far);
+        assert!(runtime.with_outputs(|h| *h == so_far));
     }
 
     fn delivered_at(runtime: &Channels<EtobOmega>, p: ProcessId) -> Option<usize> {
@@ -702,7 +705,7 @@ mod tests {
         assert!(runtime.restart(p1));
         assert_eq!(delivered_at(&runtime, p1), Some(0));
         assert_eq!(runtime.latest_output_of(p1), None);
-        assert_eq!(runtime.outputs_so_far().outputs(p1).len(), 1);
+        assert_eq!(runtime.with_outputs(|h| h.outputs(p1).len()), 1);
         // no node of the run: nothing to ask
         assert_eq!(delivered_at(&runtime, ProcessId::new(7)), None);
         assert_eq!(runtime.latest_output_of(ProcessId::new(7)), None);

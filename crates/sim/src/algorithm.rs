@@ -67,7 +67,7 @@ pub trait Algorithm {
     /// calls it, once at the end of each burst of message, input and timer
     /// steps; the simulator's `World` never does, so simulated runs keep
     /// their tick-window batching. A wrapper deployed on a real-time engine
-    /// must forward it to what it wraps.
+    /// must forward it to what it wraps with [`Context::nest`].
     fn on_idle(&mut self, ctx: &mut Context<'_, Self>) {
         let _ = ctx;
     }
@@ -89,11 +89,9 @@ pub trait Algorithm {
 /// The actions produced by one step of an algorithm: messages to send,
 /// outputs to the external world, and timers to arm.
 ///
-/// Wrapper algorithms (such as the paper's black-box transformations
-/// `T_{EC→ETOB}` and `T_{ETOB→EC}`) drive an inner algorithm by building a
-/// fresh `Actions` buffer, constructing a [`Context`] over it with
-/// [`Context::new`], invoking the inner handler, and then translating the
-/// collected actions into their own.
+/// A runner builds one per step, hands the handler a [`Context`] over it
+/// with [`Context::new`] and carries the actions out. A wrapper algorithm
+/// runs what it wraps with [`Context::nest`] instead.
 pub struct Actions<A: Algorithm + ?Sized> {
     /// Messages to send, as `(destination, message)` pairs.
     pub sends: Vec<(ProcessId, A::Msg)>,
@@ -153,12 +151,7 @@ pub struct Context<'a, A: Algorithm + ?Sized> {
 }
 
 impl<'a, A: Algorithm + ?Sized> Context<'a, A> {
-    /// Creates a context over an external action buffer.
-    ///
-    /// This is public so that *wrapper* algorithms (the paper's asynchronous
-    /// black-box transformations) can drive inner algorithms: build an
-    /// `Actions` buffer, call the inner handler with a context over it, then
-    /// translate the collected actions.
+    /// Creates the context of a root step over the runner's action buffer.
     pub fn new(me: ProcessId, now: Time, n: usize, fd: A::Fd, actions: &'a mut Actions<A>) -> Self {
         Context {
             me,
@@ -219,6 +212,40 @@ impl<'a, A: Algorithm + ?Sized> Context<'a, A> {
     /// Arms a local timeout that fires `delay` ticks from now (at least 1).
     pub fn set_timer(&mut self, delay: u64) {
         self.actions.timers.push(delay.max(1));
+    }
+
+    /// Runs one handler of a wrapped algorithm as part of this step — how
+    /// the paper's black-box transformations (and a replica over its
+    /// broadcast layer) use what they wrap: feed it, relay its messages,
+    /// consume its outputs.
+    ///
+    /// The inner step sees this step's `me`, `now`, `n` and failure-detector
+    /// value; its sends go out through `wrap`, in the order it emitted them;
+    /// its outputs are returned to the wrapper.
+    ///
+    /// Timer policy: the inner step's timer requests are dropped. Exactly
+    /// one component of a process — the outermost wrapper, or the algorithm
+    /// itself when it runs unwrapped — arms a periodic timer in `on_start`
+    /// and re-arms it once per `on_timer`, forwarding every fire down the
+    /// stack. Relaying inner timers *and* re-arming an own timer would
+    /// schedule two future timers per fire and make the event queue grow
+    /// exponentially.
+    pub fn nest<B: Algorithm<Fd = A::Fd>>(
+        &mut self,
+        inner: &mut B,
+        wrap: impl Fn(B::Msg) -> A::Msg,
+        handler: impl FnOnce(&mut B, &mut Context<'_, B>),
+    ) -> Vec<B::Output> {
+        let mut actions = Actions::<B>::new();
+        let fd = self.fd.clone();
+        handler(
+            inner,
+            &mut Context::new(self.me, self.now, self.n, fd, &mut actions),
+        );
+        for (to, msg) in actions.sends {
+            self.actions.sends.push((to, wrap(msg)));
+        }
+        actions.outputs
     }
 }
 
@@ -302,6 +329,47 @@ mod tests {
         a.on_input((), &mut ctx);
         a.on_idle(&mut ctx);
         assert!(actions.is_empty());
+    }
+
+    /// Reports what its step saw, sends twice and asks for a timer.
+    struct Probe;
+
+    impl Algorithm for Probe {
+        type Msg = u32;
+        type Input = ();
+        type Output = (ProcessId, Time, usize, u8);
+        type Fd = u8;
+
+        fn on_input(&mut self, _: (), ctx: &mut Context<'_, Self>) {
+            ctx.send(ProcessId::new(2), 1);
+            ctx.send(ProcessId::new(0), 2);
+            ctx.output((ctx.me(), ctx.now(), ctx.n(), *ctx.fd()));
+            ctx.set_timer(4);
+        }
+    }
+
+    /// A wrapper whose own messages are `Option`s of what it wraps.
+    struct Outer;
+
+    impl Algorithm for Outer {
+        type Msg = Option<u32>;
+        type Input = ();
+        type Output = ();
+        type Fd = u8;
+    }
+
+    #[test]
+    fn nest_runs_the_inner_step_inside_the_outer_one_and_drops_its_timers() {
+        let mut actions = Actions::<Outer>::new();
+        let mut ctx = Context::new(ProcessId::new(1), Time::new(5), 3, 7, &mut actions);
+        let outputs = ctx.nest(&mut Probe, Some, |probe, ictx| probe.on_input((), ictx));
+        assert_eq!(outputs, vec![(ProcessId::new(1), Time::new(5), 3, 7)]);
+        assert_eq!(
+            actions.sends,
+            vec![(ProcessId::new(2), Some(1)), (ProcessId::new(0), Some(2))]
+        );
+        assert!(actions.timers.is_empty(), "inner timers are never relayed");
+        assert!(actions.outputs.is_empty());
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! * **Equivalence** — for the same workload, the full-graph and delta wire
 //!   formats converge every replica to byte-identical state-machine
 //!   snapshots (and, on the simulator, *identical* stable delivered
-//!   sequences — the facade can read them there).
+//!   sequences — every engine answers `delivered(p)`, but only the
+//!   simulator delivers in a deterministic order, so the sequence
+//!   comparison stays there).
 //! * **The win** — at history length 500 on a 5-process group, delta sync
-//!   sends at least 5× fewer modeled wire bytes than full-graph (the actual
+//!   sends at least 5× fewer encoded wire bytes than full-graph (the actual
 //!   deterministic ratio is pinned in `BENCH_delta.json`; the bound here is
 //!   the acceptance floor, robust to workload tweaks).
 
