@@ -8,28 +8,23 @@
 //! at *equal correctness* (same delivered count, same rolling delivered
 //! hash).
 //!
-//! The grid is deterministic (fixed seed, fixed-delay network, virtual
-//! time), so every column is bit-reproducible — the `perf-smoke` CI job
-//! regenerates `BENCH_compaction.json` twice and diffs the outputs.
+//! The grid is deterministic (a simulated `World`, fixed-delay network,
+//! virtual time), so every column is bit-reproducible — the `perf-smoke` CI
+//! job regenerates `BENCH_compaction.json` twice and diffs the outputs.
 //! Wall-clock cost per operation is measured by `benchmark/` (`sim-steady`
 //! against `sim-history`). This module backs the Criterion bench target
 //! (experiment E13) and the standalone `e13_compaction` binary.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-use ec_core::etob_omega::{EtobConfig, EtobMsg, EtobOmega};
+use ec_core::etob_omega::{EtobConfig, EtobOmega};
 use ec_core::workload::BroadcastWorkload;
-use ec_sim::{Actions, Algorithm, Context, ProcessId, Time};
+use ec_detectors::omega::OmegaOracle;
+use ec_sim::{FailurePattern, NetworkModel, ProcessId, World, WorldBuilder};
 
 /// Number of processes in every E13 run.
 pub const E13_PROCESSES: usize = 3;
 
 /// Virtual ticks between resident-size samples.
 const SAMPLE_EVERY: u64 = 250;
-
-/// Fixed link delay of the lock-step network, in ticks.
-const DELAY: u64 = 2;
 
 /// One measured E13 run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,134 +51,52 @@ pub struct CompactionPoint {
     pub bytes_sent: u64,
 }
 
-/// The resident footprint of one process: causality-graph nodes plus the
+/// The worst process's resident footprint: causality-graph nodes plus the
 /// not-yet-folded delivered tail.
-fn resident(automaton: &EtobOmega) -> usize {
-    automaton.causal_graph().len() + automaton.delivered().len()
-}
-
-/// One in-flight message of the lock-step network.
-type InFlight = (u64, ProcessId, EtobMsg);
-
-/// The lock-step network: one FIFO inbox per destination (uniform delay
-/// keeps each queue sorted by arrival tick) plus the encoded wire-byte
-/// tally.
-struct Net {
-    inbox: Vec<VecDeque<InFlight>>,
-    bytes_sent: u64,
-}
-
-/// Drives one handler activation of `alg` and routes its effects: sends go
-/// into the per-destination inboxes (fixed [`DELAY`]), timers into the
-/// process's timer heap, and outputs — the full delivered sequence per
-/// delivery — are deliberately **dropped**. Retaining them (as the tracing
-/// simulator does) is what makes 100k-op runs quadratic in memory; the
-/// measured quantities are all readable from the automaton afterwards.
-fn drive(
-    alg: &mut EtobOmega,
-    p: ProcessId,
-    now: u64,
-    n: usize,
-    net: &mut Net,
-    timers: &mut BinaryHeap<Reverse<u64>>,
-    f: impl FnOnce(&mut EtobOmega, &mut Context<'_, EtobOmega>),
-) {
-    let mut actions = Actions::<EtobOmega>::new();
-    {
-        // Ω is stable from the start: process 0 leads forever
-        let mut ctx = Context::new(p, Time::new(now), n, ProcessId::new(0), &mut actions);
-        f(alg, &mut ctx);
-    }
-    for (to, msg) in actions.sends {
-        net.bytes_sent += EtobOmega::wire_size(&msg);
-        net.inbox[to.index()].push_back((now + DELAY, p, msg));
-    }
-    for delay in actions.timers {
-        timers.push(Reverse(now + delay));
-    }
+fn resident(world: &World<EtobOmega, OmegaOracle>) -> usize {
+    let footprint = |p| {
+        let automaton = world.algorithm(p);
+        automaton.causal_graph().len() + automaton.delivered().len()
+    };
+    world.process_ids().map(footprint).max().unwrap_or(0)
 }
 
 /// Runs one E13 point: `ops` operations from round-robin origins over a
-/// loss-free fixed-delay group, folding every `chunk` stable entries
-/// (`chunk = 0` disables compaction). The network is a deterministic
-/// lock-step tick loop driving the three automata directly — no tracing, so
-/// time and memory stay linear in `ops`. Panics if any process fails to
-/// deliver the full history.
+/// loss-free fixed-delay group with Ω stable on process 0, folding every
+/// `chunk` stable entries (`chunk = 0` disables compaction). The run stops
+/// at the first tick after the last submission at which every process has
+/// delivered the full history and no message is in flight. Panics if that
+/// tick does not come within 10 000 ticks.
 pub fn compaction_run(ops: usize, chunk: u64) -> CompactionPoint {
     let n = E13_PROCESSES;
+    let failures = FailurePattern::no_failures(n);
+    let omega = OmegaOracle::stable_from_start(failures.clone());
     let workload = BroadcastWorkload::uniform(n, ops, 10, 2);
-    let entries = workload.entries();
     let mut config = EtobConfig::default();
     if chunk > 0 {
         config = config.with_compaction(chunk);
     }
-    let mut algs: Vec<EtobOmega> = (0..n)
-        .map(|i| EtobOmega::new(ProcessId::new(i), config))
-        .collect();
-    let mut net = Net {
-        inbox: vec![VecDeque::new(); n],
-        bytes_sent: 0,
-    };
-    let mut timers: Vec<BinaryHeap<Reverse<u64>>> = vec![BinaryHeap::new(); n];
+    let mut world = WorldBuilder::new(n)
+        .network(NetworkModel::fixed_delay(2))
+        .failures(failures)
+        .build_with(|p| EtobOmega::new(p, config), omega);
+    workload.submit_to(&mut world);
     let mut resident_peak = 0usize;
-    let mut sub_idx = 0usize;
     let last_submission = workload.last_submission_time();
     let hard_cap = last_submission + 10_000;
     let mut t = 0u64;
     loop {
-        if t == 0 {
-            for i in 0..n {
-                let p = ProcessId::new(i);
-                drive(&mut algs[i], p, t, n, &mut net, &mut timers[i], |a, ctx| {
-                    a.on_start(ctx)
-                });
-            }
-        }
-        // deliveries due this tick (FIFO per destination: uniform delay
-        // keeps the queue sorted by arrival)
-        for i in 0..n {
-            while net.inbox[i].front().is_some_and(|(at, _, _)| *at <= t) {
-                let Some((_, from, msg)) = net.inbox[i].pop_front() else {
-                    break;
-                };
-                let p = ProcessId::new(i);
-                drive(&mut algs[i], p, t, n, &mut net, &mut timers[i], |a, ctx| {
-                    a.on_message(from, msg, ctx)
-                });
-            }
-        }
-        // timers due this tick
-        for i in 0..n {
-            while timers[i].peek().is_some_and(|Reverse(at)| *at <= t) {
-                timers[i].pop();
-                let p = ProcessId::new(i);
-                drive(&mut algs[i], p, t, n, &mut net, &mut timers[i], |a, ctx| {
-                    a.on_timer(ctx)
-                });
-            }
-        }
-        // client submissions due this tick
-        while sub_idx < entries.len() && entries[sub_idx].1 <= t {
-            let (origin, _, input) = entries[sub_idx].clone();
-            let i = origin.index();
-            drive(
-                &mut algs[i],
-                origin,
-                t,
-                n,
-                &mut net,
-                &mut timers[i],
-                |a, ctx| a.on_input(input, ctx),
-            );
-            sub_idx += 1;
-        }
+        world.run_until(t);
         if t.is_multiple_of(SAMPLE_EVERY) {
-            let worst = algs.iter().map(resident).max().unwrap_or(0);
-            resident_peak = resident_peak.max(worst);
+            resident_peak = resident_peak.max(resident(&world));
         }
-        let drained = net.inbox.iter().all(VecDeque::is_empty);
-        if t > last_submission && drained && algs.iter().all(|a| a.delivered_total() == ops as u64)
-        {
+        let metrics = world.metrics();
+        let drained = metrics.messages_delivered == metrics.messages_sent;
+        let complete = || {
+            let total = |p| world.algorithm(p).delivered_total();
+            world.process_ids().all(|p| total(p) == ops as u64)
+        };
+        if t > last_submission && drained && complete() {
             break;
         }
         assert!(
@@ -192,19 +105,21 @@ pub fn compaction_run(ops: usize, chunk: u64) -> CompactionPoint {
         );
         t += 1;
     }
-    let resident_final = algs.iter().map(resident).max().unwrap_or(0);
-    resident_peak = resident_peak.max(resident_final);
-    let p0 = &algs[0];
+    let resident_final = resident(&world);
+    let p0 = world.algorithm(ProcessId::new(0));
     CompactionPoint {
         ops,
         chunk,
-        resident_peak,
+        resident_peak: resident_peak.max(resident_final),
         resident_final,
-        compactions: algs.iter().map(EtobOmega::compactions).sum(),
+        compactions: world
+            .process_ids()
+            .map(|p| world.algorithm(p).compactions())
+            .sum(),
         folded: p0.folded(),
         delivered_total: p0.delivered_total(),
         delivered_hash: p0.delivered_hash(),
-        bytes_sent: net.bytes_sent,
+        bytes_sent: world.metrics().bytes_sent,
     }
 }
 

@@ -1,6 +1,10 @@
-//! The chaos driver: compiles a [`Scenario`] onto the `Cluster` facade,
-//! replays its workload through pinned client sessions, and records a
-//! per-client operation history for the post-hoc checkers.
+//! The chaos driver: deploys a [`Scenario`] through the `Cluster` facade on
+//! the engine it names, applies its crashes and restarts through
+//! [`Cluster::crash`] / [`Cluster::restart`] (refused on the simulator,
+//! whose world scripted them already), replays its workload through pinned
+//! client sessions, and records a per-client operation history for the
+//! post-hoc checkers. Client liveness and the correct set come from the
+//! scenario's failure pattern on every engine.
 //!
 //! Reads are engine-honest: a client never observes a replica that is down
 //! (the operation is refused, like a connection timeout), and at
@@ -18,12 +22,13 @@ use ec_core::etob_omega::EtobConfig;
 use ec_core::tob_consensus::ConsensusTobConfig;
 use ec_core::types::{AppMessage, MsgId};
 use ec_replication::{
-    Cluster, ClusterBuilder, ClusterReport, Consistency, Engine, KvStore, Session, StateMachine,
+    Cluster, ClusterBuilder, ClusterReport, Consistency, EngineKind, KvStore, NetEngine, Session,
+    StateMachine, ThreadEngine,
 };
-use ec_sim::{ProcessId, ProcessSet, Time};
+use ec_sim::{FailurePattern, ProcessId, ProcessSet, Time};
 use ec_telemetry::Event;
 
-use crate::scenario::{NemesisOp, Scenario, WorkloadOp};
+use crate::scenario::{Scenario, WorkloadOp};
 
 /// The key–value surface the chaos workload drives: any state machine that
 /// can encode a put and answer a lookup. Implemented by the stock
@@ -95,7 +100,7 @@ pub struct RunOutcome {
     pub n: usize,
     /// The recorded operation history, in issue order.
     pub history: Vec<OpRecord>,
-    /// Replicas that are eventually always up.
+    /// Replicas that are eventually always up (by the failure pattern).
     pub correct: ProcessSet,
     /// Replicas that were down at any point (their sessions' unacknowledged
     /// writes carry no delivery guarantee).
@@ -144,9 +149,44 @@ const READ_DEADLINE: u64 = 500;
 const READ_CHUNK: u64 = 25;
 /// Anti-entropy retransmission period handed to Algorithm 5 in chaos runs.
 const CHAOS_RESEND: u64 = 15;
-/// Facade ticks (wall-clock milliseconds) a real-time smoke run may take
-/// past its horizon to finish applying what it accepted.
-const SMOKE_GRACE: u64 = 5_000;
+/// Facade ticks a run may take past its horizon for every correct replica
+/// to apply what the checkers require of it. On a real-time engine the
+/// horizon is wall-clock time, and a loaded host can eat the settle window;
+/// a simulated run that passes needs none of it.
+const SETTLE_GRACE: u64 = 5_000;
+
+/// The crashes and restarts not yet applied, as `(at, is_restart, replica)`
+/// in time order — a crash precedes a restart scripted for the same tick.
+type Faults = std::iter::Peekable<std::vec::IntoIter<(u64, bool, ProcessId)>>;
+
+/// Every crash and restart of `failures`.
+fn fault_schedule(failures: &FailurePattern) -> Faults {
+    let mut faults = Vec::new();
+    for p in (0..failures.n()).map(ProcessId::new) {
+        for window in failures.down_windows(p) {
+            faults.push((window.from.as_u64(), false, p));
+            if window.until != Time::MAX {
+                faults.push((window.until.as_u64(), true, p));
+            }
+        }
+    }
+    faults.sort();
+    faults.into_iter().peekable()
+}
+
+/// Advances `cluster` to facade time `t`, crashing and restarting replicas
+/// at their scripted ticks on the way.
+fn advance<S: KvInterface>(cluster: &mut Cluster<S>, faults: &mut Faults, t: u64) {
+    while let Some((at, restart, p)) = faults.next_if(|(at, ..)| *at <= t) {
+        cluster.run_until(at);
+        let _applied = if restart {
+            cluster.restart(p)
+        } else {
+            cluster.crash(p)
+        };
+    }
+    cluster.run_until(t);
+}
 
 /// The cluster a scenario asks for, on whatever engine runs it.
 fn builder_for<S: KvInterface>(scenario: &Scenario) -> ClusterBuilder<S> {
@@ -160,25 +200,33 @@ fn builder_for<S: KvInterface>(scenario: &Scenario) -> ClusterBuilder<S> {
     }
 }
 
-/// Runs a scenario to completion on the deterministic simulator and returns
-/// the recorded outcome. Bit-reproducible: the same scenario always returns
-/// the same outcome.
+/// Runs a scenario to completion on its engine and returns the recorded
+/// outcome, after stopping the deployment. On the simulator the run is
+/// bit-reproducible: the same scenario always returns the same outcome.
 ///
 /// # Panics
 ///
 /// Panics if the scenario is not well-formed (see
-/// [`Scenario::assert_well_formed`]).
+/// [`Scenario::assert_well_formed`]), or if a real-time engine cannot
+/// deploy.
 pub fn run_scenario<S: KvInterface>(scenario: &Scenario) -> RunOutcome {
     scenario.assert_well_formed();
     let failures = scenario.failure_pattern();
-    let mut cluster: Cluster<S> = builder_for(scenario).deploy(&scenario.engine());
+    let ever_down = scenario.ever_down();
+    let builder = builder_for::<S>(scenario);
+    let mut cluster = match scenario.engine {
+        EngineKind::Sim => builder.deploy(&scenario.sim_engine()),
+        EngineKind::Thread => builder.deploy(&ThreadEngine::new()),
+        EngineKind::Net => builder.deploy(&NetEngine::new()),
+    };
+    let mut faults = fault_schedule(&failures);
     let mut sessions: Vec<Session> = (0..scenario.sessions).map(|_| cluster.session()).collect();
 
     let mut history: Vec<OpRecord> = Vec::new();
-    let mut writes_submitted = 0usize;
+    let (mut writes_submitted, mut required) = (0usize, 0usize);
     let mut reads_dropped = 0usize;
     for op in &scenario.workload {
-        cluster.run_until(op.at);
+        advance(&mut cluster, &mut faults, op.at);
         let entry = sessions[op.session].entry();
         let now = cluster.clock();
         if !failures.is_alive(entry, Time::new(now)) {
@@ -192,6 +240,8 @@ pub fn run_scenario<S: KvInterface>(scenario: &Scenario) -> RunOutcome {
             WorkloadOp::Put { key, value } => {
                 let id = cluster.submit(&mut sessions[op.session], S::put_command(key, value), now);
                 writes_submitted += 1;
+                // the eventual-delivery check requires it at every correct replica
+                required += usize::from(!ever_down.contains(entry));
                 history.push(OpRecord::Write {
                     session: op.session,
                     entry,
@@ -213,7 +263,7 @@ pub fn run_scenario<S: KvInterface>(scenario: &Scenario) -> RunOutcome {
                         && failures.is_alive(entry, Time::new(cluster.clock()))
                     {
                         let next = (cluster.clock() + READ_CHUNK).min(deadline);
-                        cluster.run_until(next);
+                        advance(&mut cluster, &mut faults, next);
                     }
                     if cluster.applied(entry) < writes_submitted {
                         reads_dropped += 1;
@@ -239,12 +289,13 @@ pub fn run_scenario<S: KvInterface>(scenario: &Scenario) -> RunOutcome {
             }
         }
     }
-    cluster.run_until(scenario.horizon());
+    advance(&mut cluster, &mut faults, scenario.horizon());
+    let _ = cluster.run_until_applied(required, scenario.horizon() + SETTLE_GRACE);
 
     let snapshots = cluster.replica_ids().map(|p| cluster.snapshot(p)).collect();
     let delivered: Vec<Vec<AppMessage>> = cluster
         .replica_ids()
-        .map(|p| cluster.delivered(p).expect("sim deployment"))
+        .map(|p| cluster.delivered(p).unwrap_or_default())
         .collect();
 
     // Reconstruct write acknowledgement times from the output history: a
@@ -271,100 +322,15 @@ pub fn run_scenario<S: KvInterface>(scenario: &Scenario) -> RunOutcome {
         consistency: scenario.consistency,
         n: scenario.n,
         history,
-        correct: cluster.correct(),
-        ever_down: scenario.ever_down(),
+        correct: failures.correct(),
+        ever_down,
         snapshots,
         delivered,
         reads_dropped,
         sync_pulls: cluster.sync_pulls(),
-        report: cluster.report(),
         flight: cluster.flight_events(),
+        report: cluster.finish(),
     }
-}
-
-/// Runs the crash smoke subset of a scenario on a real-time engine
-/// ([`ec_replication::ThreadEngine`] or [`ec_replication::NetEngine`]): the
-/// write workload is replayed against OS threads or real TCP nodes, with
-/// [`NemesisOp::Crash`] ops killing replicas at their scripted facade times
-/// and [`NemesisOp::CrashRecover`] ops additionally **restarting** them — a
-/// fresh incarnation behind the same inbox or address, empty (or recovered
-/// from disk, for a durable scenario) until the broadcast layer's
-/// anti-entropy re-fills it. Returns the final cluster report after every
-/// replica thread has been joined; the caller asserts convergence.
-///
-/// Network-level faults and Ω lies are simulator-only (the real-time
-/// engines have no scripted network), so scenarios carrying them are
-/// rejected — the cross-engine claim the smoke subset protects is that the
-/// chaos *workload and checker plumbing*, and process-style recovery, are
-/// not simulator artifacts.
-///
-/// # Panics
-///
-/// Panics if the scenario scripts anything other than crashes and
-/// crash–recoveries, or is otherwise malformed.
-pub fn run_realtime_smoke<S: KvInterface, E: Engine>(
-    scenario: &Scenario,
-    engine: &E,
-) -> ClusterReport {
-    // the dynamic faults as `(at, is_restart, replica)`: sorted, a crash
-    // precedes a restart scripted for the same tick
-    let mut faults: Vec<(u64, bool, ProcessId)> = Vec::new();
-    for op in &scenario.nemesis {
-        match op {
-            NemesisOp::Crash { process, at } => faults.push((*at, false, *process)),
-            NemesisOp::CrashRecover {
-                process,
-                at,
-                back_at,
-            } => faults.extend([(*at, false, *process), (*back_at, true, *process)]),
-            other => {
-                panic!(
-                    "a real-time smoke supports crash and crash-recover faults only, got: {other}"
-                )
-            }
-        }
-    }
-    scenario.assert_well_formed();
-    faults.sort();
-    let mut cluster: Cluster<S> = builder_for(scenario).deploy(engine);
-    let mut sessions: Vec<Session> = (0..scenario.sessions).map(|_| cluster.session()).collect();
-    let apply = |cluster: &mut Cluster<S>, restart: bool, p: ProcessId| {
-        let _applied = if restart {
-            cluster.restart(p)
-        } else {
-            cluster.crash(p)
-        };
-    };
-    let mut faults = faults.into_iter().peekable();
-    let mut accepted = 0usize;
-    for op in &scenario.workload {
-        while let Some((at, restart, p)) = faults.next_if(|(at, ..)| *at <= op.at) {
-            cluster.run_until(at);
-            apply(&mut cluster, restart, p);
-        }
-        cluster.run_until(op.at);
-        if let WorkloadOp::Put { key, value } = &op.op {
-            let entry = sessions[op.session].entry();
-            if !cluster.correct().contains(entry) {
-                continue; // refused, as on the simulator
-            }
-            cluster.submit(&mut sessions[op.session], S::put_command(key, value), op.at);
-            accepted += 1;
-        }
-        // reads are skipped: the smoke subset checks final convergence only
-    }
-    for (at, restart, p) in faults {
-        cluster.run_until(at);
-        apply(&mut cluster, restart, p);
-    }
-    cluster.run_until(scenario.horizon());
-    // The horizon is wall-clock time here, and a loaded host can eat all of
-    // the settle window: wait (bounded) on what the caller asserts — every
-    // accepted write applied at every correct replica — rather than trust
-    // the fixed sleep. A run that cannot get there still ends, and fails in
-    // the caller.
-    let _ = cluster.run_until_applied(accepted, scenario.horizon() + SMOKE_GRACE);
-    cluster.finish()
 }
 
 #[cfg(test)]

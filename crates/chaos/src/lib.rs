@@ -9,15 +9,18 @@
 //! * [`scenario`] — the nemesis DSL: a [`Scenario`] declares replicas,
 //!   consistency level, seed, a client workload, and a script of
 //!   [`NemesisOp`] faults (partitions, lossy/duplicating/reordering links,
-//!   crash–recovery, permanent crashes, Ω lie windows). Scenarios compile
-//!   onto the deterministic `SimEngine`, so every run is bit-reproducible
-//!   and every scenario value is a replayable artifact.
+//!   crash–recovery, permanent crashes, Ω lie windows) and the engine it
+//!   runs on. By default it compiles onto the deterministic `SimEngine`, so
+//!   every run is bit-reproducible and every scenario value is a replayable
+//!   artifact; on the thread and net engines it scripts crashes and
+//!   restarts only.
 //! * [`gen`] — [`ScenarioGen`], the seeded randomized explorer: one seed =
 //!   one unbounded, well-formed scenario stream.
-//! * [`driver`] — [`run_scenario`] replays a scenario through `Cluster`
-//!   [`ec_replication::Session`]s, recording a per-client operation history
-//!   (writes with invocation/acknowledgement intervals; barrier reads at
-//!   strong consistency).
+//! * [`driver`] — [`run_scenario`] deploys a scenario on its engine, applies
+//!   its crashes and restarts through the facade, and replays its workload
+//!   through `Cluster` [`ec_replication::Session`]s, recording a per-client
+//!   operation history (writes with invocation/acknowledgement intervals;
+//!   barrier reads at strong consistency).
 //! * [`checker`] — [`check_outcome`] validates the history post hoc:
 //!   convergence of correct replicas to byte-identical snapshots once
 //!   faults cease, delivery integrity under duplication, session causal
@@ -59,7 +62,7 @@ pub mod shrink;
 
 pub use artifact::{flight_artifact, write_flight_artifact};
 pub use checker::{check_outcome, Verdict, Violation};
-pub use driver::{run_realtime_smoke, run_scenario, KvInterface, OpRecord, RunOutcome};
+pub use driver::{run_scenario, KvInterface, OpRecord, RunOutcome};
 pub use fixtures::MergingKv;
 pub use gen::ScenarioGen;
 pub use lin::{linearizable_register, LinKind, LinOp};

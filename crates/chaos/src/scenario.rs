@@ -2,8 +2,8 @@
 //! adversarial run.
 //!
 //! A [`Scenario`] bundles everything that shapes a chaos run — replica count,
-//! consistency level, seed, the client workload, and a script of
-//! [`NemesisOp`] faults — and compiles it onto the deterministic
+//! consistency level, seed, engine, the client workload, and a script of
+//! [`NemesisOp`] faults. On the simulator it compiles onto the deterministic
 //! [`SimEngine`], so a scenario value *is* a replayable artifact: running it
 //! twice produces bit-identical outcomes, and a failing scenario printed by
 //! the shrinker can be pasted back into a test verbatim.
@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use ec_replication::{Consistency, SimEngine};
+use ec_replication::{Consistency, EngineKind, SimEngine};
 use ec_sim::{
     FailurePattern, LinkFaults, LinkScope, NetworkModel, ProcessId, ProcessSet, RecoveryPolicy,
     Time,
@@ -177,6 +177,9 @@ pub struct Scenario {
     pub seed: u64,
     /// Consistency level of the deployment under test.
     pub consistency: Consistency,
+    /// The engine the scenario runs on ([`EngineKind::Sim`] unless set; on
+    /// the real-time engines `seed` and `max_delay` shape nothing).
+    pub engine: EngineKind,
     /// Rejoin semantics for [`NemesisOp::CrashRecover`] windows.
     pub recovery: RecoveryPolicy,
     /// Durable storage root for the deployment, if any: each replica then
@@ -208,6 +211,7 @@ impl Scenario {
             n,
             seed: 1,
             consistency,
+            engine: EngineKind::Sim,
             recovery: RecoveryPolicy::RetainState,
             durable: None,
             sessions: 2,
@@ -253,7 +257,7 @@ impl Scenario {
     }
 
     /// Compiles the scenario onto the deterministic simulation engine.
-    pub fn engine(&self) -> SimEngine {
+    pub fn sim_engine(&self) -> SimEngine {
         let mut network = NetworkModel::uniform_delay(1, self.max_delay.max(1));
         let mut engine = SimEngine::new().seed(self.seed).recovery(self.recovery);
         for op in &self.nemesis {
@@ -313,10 +317,13 @@ impl Scenario {
     /// [`Consistency::Strong`]), at most one crash op per process, Ω lies
     /// are [`Consistency::Eventual`]-only, strong scenarios must retain
     /// durable state across rejoins, loss must stay below certainty, and the
-    /// workload must be time-sorted with session indices in range.
+    /// workload must be time-sorted with session indices in range. A
+    /// scenario on a real-time engine scripts crashes and crash–recoveries
+    /// only, and declares [`RecoveryPolicy::ClearState`] for a rejoin.
     pub fn assert_well_formed(&self) {
         assert!(self.n >= 2, "{}: need at least two replicas", self.name);
         assert!(self.sessions >= 1, "{}: need a session", self.name);
+        let real_time = self.engine != EngineKind::Sim;
         let mut crash_ops: Vec<ProcessId> = Vec::new();
         for op in &self.nemesis {
             assert!(
@@ -324,6 +331,13 @@ impl Scenario {
                 "{}: fault {op} outlives the fault horizon {}",
                 self.name,
                 self.fault_horizon
+            );
+            // the real-time engines have no scripted network or oracle
+            assert!(
+                !real_time
+                    || matches!(op, NemesisOp::Crash { .. } | NemesisOp::CrashRecover { .. }),
+                "{}: a real-time scenario supports crash and crash-recover faults only, got: {op}",
+                self.name
             );
             match op {
                 NemesisOp::Crash { process, .. } | NemesisOp::CrashRecover { process, .. } => {
@@ -338,6 +352,14 @@ impl Scenario {
                         self.name
                     );
                     crash_ops.push(*process);
+                    assert!(
+                        !real_time
+                            || matches!(op, NemesisOp::Crash { .. })
+                            || self.recovery == RecoveryPolicy::ClearState,
+                        "{}: a real-time restart is a fresh incarnation, blank or recovered \
+                         from disk: declare RecoveryPolicy::ClearState",
+                        self.name
+                    );
                 }
                 NemesisOp::Lossy { drop_permille, .. } => {
                     assert!(
@@ -425,6 +447,9 @@ impl fmt::Display for Scenario {
         if let Some(dir) = &self.durable {
             writeln!(f, "  durable: {}", dir.display())?;
         }
+        if self.engine != EngineKind::Sim {
+            writeln!(f, "  engine: {}", self.engine)?;
+        }
         for op in &self.nemesis {
             writeln!(f, "  nemesis: {op}")?;
         }
@@ -462,7 +487,7 @@ mod tests {
         let mut s = Scenario::quiet("t", 3, Consistency::Eventual);
         s.workload.push(write(10, 0, "k", "v"));
         s.assert_well_formed();
-        let _ = s.engine();
+        let _ = s.sim_engine();
         assert_eq!(s.horizon(), 3_600);
         assert!(s.ever_down().is_empty());
     }
@@ -499,7 +524,7 @@ mod tests {
         assert!(!failures.is_alive(ProcessId::new(3), Time::new(200)));
         assert!(failures.is_alive(ProcessId::new(3), Time::new(500)));
         assert_eq!(s.ever_down().len(), 1);
-        let _ = s.engine();
+        let _ = s.sim_engine();
         let rendered = format!("{s}");
         assert!(rendered.contains("partition"));
         assert!(rendered.contains("rejoin at 400"));
@@ -572,6 +597,87 @@ mod tests {
             process: ProcessId::new(1),
             at: 10,
         });
+        s.assert_well_formed();
+    }
+
+    /// A real-time scenario whose nemesis is `op`.
+    fn real_time(engine: EngineKind, op: NemesisOp) -> Scenario {
+        let mut s = Scenario::quiet("t", 3, Consistency::Eventual);
+        s.engine = engine;
+        s.recovery = RecoveryPolicy::ClearState;
+        s.nemesis.push(op);
+        s
+    }
+
+    #[test]
+    fn real_time_scenarios_crash_and_restart_and_name_their_engine() {
+        let crash = NemesisOp::Crash {
+            process: ProcessId::new(2),
+            at: 100,
+        };
+        let restart = NemesisOp::CrashRecover {
+            process: ProcessId::new(2),
+            at: 60,
+            back_at: 140,
+        };
+        real_time(EngineKind::Thread, crash).assert_well_formed();
+        let s = real_time(EngineKind::Net, restart);
+        s.assert_well_formed();
+        assert!(format!("{s}").contains("  engine: net\n"), "{s}");
+        // the simulator is the default and goes unnamed
+        let sim = Scenario::quiet("t", 3, Consistency::Eventual);
+        assert!(!format!("{sim}").contains("engine"), "{sim}");
+    }
+
+    #[test]
+    #[should_panic(expected = "crash and crash-recover faults only")]
+    fn partitions_are_rejected_on_the_thread_engine() {
+        let partition = NemesisOp::Partition {
+            from: 10,
+            until: 50,
+            minority: [0].into_iter().collect(),
+        };
+        real_time(EngineKind::Thread, partition).assert_well_formed();
+    }
+
+    #[test]
+    #[should_panic(expected = "crash and crash-recover faults only")]
+    fn lossy_links_are_rejected_on_the_net_engine() {
+        let lossy = NemesisOp::Lossy {
+            from: 10,
+            until: 50,
+            scope: LinkScope::All,
+            drop_permille: 100,
+            dup_permille: 0,
+            jitter: 0,
+        };
+        real_time(EngineKind::Net, lossy).assert_well_formed();
+    }
+
+    #[test]
+    #[should_panic(expected = "crash and crash-recover faults only")]
+    fn omega_lies_are_rejected_on_real_time_engines() {
+        let lie = NemesisOp::OmegaLie {
+            from: 10,
+            until: 50,
+            observers: [1].into_iter().collect(),
+            leader: ProcessId::new(1),
+        };
+        real_time(EngineKind::Thread, lie).assert_well_formed();
+    }
+
+    #[test]
+    #[should_panic(expected = "declare RecoveryPolicy::ClearState")]
+    fn real_time_restarts_must_clear_state() {
+        let mut s = real_time(
+            EngineKind::Thread,
+            NemesisOp::CrashRecover {
+                process: ProcessId::new(2),
+                at: 60,
+                back_at: 140,
+            },
+        );
+        s.recovery = RecoveryPolicy::RetainState;
         s.assert_well_formed();
     }
 

@@ -365,10 +365,12 @@ impl Engine for SimEngine {
 /// At [`Consistency::Strong`] the Σ component is the static full-membership
 /// quorum derived alongside the heartbeat leader: sound while no process
 /// crashes (any two copies intersect and contain only correct processes),
-/// but a crash makes the quorum permanently unreachable — the deployment
-/// stops delivering, which is precisely the availability price of strong
-/// consistency the paper quantifies. Use [`Consistency::Eventual`] for
-/// crash-tolerant real-time deployments.
+/// but a crash makes the quorum permanently unreachable and the deployment
+/// stops delivering. That is a limitation of a static full-membership Σ,
+/// not the price of strong consistency the paper quantifies: the paper's Σ
+/// gap is an environment *without* a correct majority, and majorities
+/// implement Σ wherever a majority is correct (ROADMAP item 8). Use
+/// [`Consistency::Eventual`] for crash-tolerant real-time deployments.
 ///
 /// Both engines crash and restart replicas dynamically
 /// ([`crate::cluster::Cluster::restart`]): the fresh incarnation rejoins

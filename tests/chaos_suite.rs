@@ -3,7 +3,8 @@
 //! crash–recovery, Ω lies — and every run must satisfy the history checkers
 //! appropriate to its consistency level. A deliberately broken state
 //! machine must, in turn, be *caught*, shrunk to a minimal scenario, and
-//! replay deterministically.
+//! replay deterministically. The same driver and checkers judge the
+//! real-time rows: crashes and restarts on OS threads and on TCP nodes.
 //!
 //! The suite prints one verdict line per scenario; the CI `chaos` job runs
 //! it twice with `--nocapture` and diffs the outputs, so any
@@ -11,10 +12,10 @@
 
 use eventual_consistency::chaos::shrink::shrink;
 use eventual_consistency::chaos::{
-    check_outcome, run_realtime_smoke, run_scenario, write_flight_artifact, ClientOp, MergingKv,
-    NemesisOp, Scenario, ScenarioGen, WorkloadOp,
+    check_outcome, run_scenario, write_flight_artifact, ClientOp, MergingKv, NemesisOp, Scenario,
+    ScenarioGen, WorkloadOp,
 };
-use eventual_consistency::replication::{Consistency, Engine, KvStore, NetEngine, ThreadEngine};
+use eventual_consistency::replication::{Consistency, EngineKind, KvStore};
 use eventual_consistency::sim::{LinkScope, ProcessId, RecoveryPolicy};
 
 /// One fixed seed = the whole suite. Bump deliberately, never accidentally.
@@ -178,7 +179,10 @@ fn broken_state_machine_is_caught_shrunk_and_replayable() {
         .expect("artifact write must succeed")
         .expect("a failing run must emit a flight artifact");
     let trace = std::fs::read_to_string(&path).expect("artifact must be readable");
-    println!("flight artifact at {}:\n{trace}", path.display());
+    // the file name only: the directory carries the pid, which would make
+    // two runs of the suite print different lines
+    let file = path.file_name().unwrap_or_default().to_string_lossy();
+    println!("flight artifact {file}:\n{trace}");
     assert!(trace.contains("# chaos counterexample: merging-kv-bug-shrunk"));
     assert!(trace.contains("linearizability"), "{trace}");
     // the timeline shows the witness writes being submitted and delivered
@@ -187,52 +191,25 @@ fn broken_state_machine_is_caught_shrunk_and_replayable() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn thread_engine_smoke_subset_converges() {
-    // the chaos workload plumbing is not a simulator artifact: the crash-only
-    // smoke subset replays against real OS threads and still converges
-    let mut s = Scenario::quiet("thread-smoke", 3, Consistency::Eventual);
-    s.fault_horizon = 150;
-    s.settle = 600; // wall-clock paced: 1 ms per tick
-    s.nemesis.push(NemesisOp::Crash {
-        process: ProcessId::new(2),
-        at: 100,
-    });
-    s.workload = (0..4)
-        .map(|i| ClientOp {
-            at: 10 + 30 * i as u64,
-            session: i % 2,
-            op: WorkloadOp::Put {
-                key: "k".into(),
-                value: format!("v{i}"),
-            },
-        })
-        .collect();
-    let report = run_realtime_smoke::<KvStore, _>(&s, &ThreadEngine::new());
-    let shard = &report.shards[0];
-    // the two surviving replicas (the crashed one is excluded from the
-    // convergence comparison) agree byte for byte
-    assert!(
-        shard.is_converged(),
-        "thread smoke did not converge: {report}"
-    );
-    assert_eq!(shard.snapshots[0], shard.snapshots[1]);
-    assert!(shard.applied[0] >= 4, "all four writes must be applied");
-}
-
-/// The harder smoke, run on both real-time engines: a replica is killed
-/// mid-workload and a *fresh incarnation* is started in its place. It comes
-/// back empty, so the run only converges if the broadcast layer's
-/// anti-entropy actually re-fills it.
-fn kill_and_restart_smoke<E: Engine>(name: &str, engine: &E) {
+/// One real-time row of the scenario table: five writes through two
+/// sessions (entry replicas 0 and 1) and one fault at replica 2, on the
+/// thread or the net engine, judged by every check of `check_outcome` like
+/// the explorer's scenarios. A restart is a fresh incarnation behind the
+/// same inbox or address; it comes back empty, so the row converges only if
+/// the broadcast layer's anti-entropy re-fills it.
+///
+/// The rows are eventual-only. On the real-time engines Σ is the static
+/// full-membership quorum, which one crash makes unreachable for good — a
+/// limitation of that Σ, not the price of strong consistency the paper
+/// quantifies (ROADMAP item 8). Each row prints only its verdict line, no
+/// wall-clock-dependent counter, so two runs of the suite print the same.
+fn realtime_row(name: &str, engine: EngineKind, fault: NemesisOp) {
     let mut s = Scenario::quiet(name, 3, Consistency::Eventual);
+    s.engine = engine;
+    s.recovery = RecoveryPolicy::ClearState;
     s.fault_horizon = 200;
     s.settle = 800; // wall-clock paced: 1 ms per tick
-    s.nemesis.push(NemesisOp::CrashRecover {
-        process: ProcessId::new(2),
-        at: 60,
-        back_at: 140,
-    });
+    s.nemesis.push(fault);
     s.workload = (0..5)
         .map(|i| ClientOp {
             at: 10 + 25 * i as u64,
@@ -243,32 +220,39 @@ fn kill_and_restart_smoke<E: Engine>(name: &str, engine: &E) {
             },
         })
         .collect();
-    let report = run_realtime_smoke::<KvStore, _>(&s, engine);
-    let shard = &report.shards[0];
-    // all three replicas — including the restarted incarnation — agree
-    assert!(shard.is_converged(), "{name} did not converge: {report}");
-    assert!(
-        shard.snapshots_agree(),
-        "restarted replica did not catch up: {report}"
-    );
-    assert!(shard.applied[0] >= 5, "all five writes must be applied");
-    assert!(
-        shard.applied[2] >= 5,
-        "the restarted replica must replay the full history: {report}"
-    );
+    let verdict = check_outcome(&run_scenario::<KvStore>(&s));
+    println!("{verdict}");
+    assert!(verdict.ok(), "{s}{verdict}");
+}
+
+/// Replica 2 crashes mid-workload and rejoins after the last write.
+fn crash_restart() -> NemesisOp {
+    NemesisOp::CrashRecover {
+        process: ProcessId::new(2),
+        at: 60,
+        back_at: 140,
+    }
 }
 
 #[test]
-fn thread_engine_smoke_kills_and_restarts_a_replica() {
-    // a fresh incarnation behind the same inbox, no codec or socket involved
-    kill_and_restart_smoke("thread-restart-smoke", &ThreadEngine::new());
+fn realtime_row_thread_crash() {
+    let crash = NemesisOp::Crash {
+        process: ProcessId::new(2),
+        at: 100,
+    };
+    realtime_row("thread-crash", EngineKind::Thread, crash);
 }
 
 #[test]
-fn net_engine_smoke_kills_and_restarts_real_nodes() {
+fn realtime_row_thread_crash_restart() {
+    realtime_row("thread-crash-restart", EngineKind::Thread, crash_restart());
+}
+
+#[test]
+fn realtime_row_net_crash_restart() {
     // a real TCP node, restarted behind the same address and re-filled
     // over the wire
-    kill_and_restart_smoke("net-smoke", &NetEngine::default());
+    realtime_row("net-crash-restart", EngineKind::Net, crash_restart());
 }
 
 #[test]
