@@ -16,8 +16,8 @@
 //! * [`NetEngine`] — the same runtime over the TCP transport of
 //!   [`crate::net`]: each replica an independent node speaking the
 //!   length-prefixed binary frame format over loopback TCP, heartbeats on
-//!   the same connections, the facade attached over per-node control
-//!   connections.
+//!   the same connections; the facade reaches the nodes in-process, as on
+//!   the thread engine.
 //!
 //! The two real-time engines are one type, [`RealTimeEngine`], and differ
 //! only in the [`Transport`] they name. Every engine hands the facade a

@@ -23,97 +23,37 @@
 //! protocol-type implementations live next to the types they encode
 //! ([`ec_core::wire`], `ec_detectors::heartbeat`). This module re-exports
 //! the core under the original paths and keeps only the engine-local frame
-//! layer: [`Frame`], [`ReplicaCommand`] / [`ReplicaOutput`] bodies, and the
-//! length-prefix assembly.
+//! layer: [`Frame`] and the length-prefix assembly.
 
-use ec_core::types::{MsgId, Payload};
-use ec_core::wire::MSG_ID_BYTES;
 use ec_detectors::HeartbeatMsg;
 use ec_sim::ProcessId;
 
-use ec_storage::codec::{push_bytes, push_u32, push_u64, push_u8, read_usize, Sink};
+use ec_storage::codec::{push_bytes, push_u32, push_u8, Sink};
 pub use ec_storage::codec::{DecodeError, Reader, WireCodec};
-
-use crate::replica::{ReplicaCommand, ReplicaOutput};
 
 /// Upper bound on the body length of a single frame (16 MiB). A length
 /// prefix above this is rejected before any allocation happens, so a
 /// hostile or corrupted prefix cannot make a reader reserve gigabytes.
 pub const MAX_FRAME_BODY: usize = 16 << 20;
 
-/// The `from` value a driver (test harness / facade) announces in its
-/// [`Frame::Hello`], distinguishing the control connection from peer
-/// connections (which announce their replica index).
-pub const DRIVER: u32 = u32::MAX;
-
 /// The `from` value a metrics scraper announces in its [`Frame::Hello`]:
-/// like [`DRIVER`] it is no replica, but unlike the driver it must *not*
-/// capture the node's control stream — a scrape connection only ever
-/// carries one [`Frame::StatsRequest`] and its [`Frame::StatsText`] reply.
+/// it is no replica, and its connection only ever carries one
+/// [`Frame::StatsRequest`] and its [`Frame::StatsText`] reply.
 pub const SCRAPER: u32 = u32::MAX - 1;
-
-impl WireCodec for ReplicaCommand {
-    fn encode<S: Sink>(&self, out: &mut S) {
-        push_bytes(out, self.command.as_ref());
-        push_u32(out, self.deps.len() as u32);
-        for dep in &self.deps {
-            dep.encode(out);
-        }
-        match self.id {
-            None => push_u8(out, 0),
-            Some(id) => {
-                push_u8(out, 1);
-                id.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let command: Payload = r.read_bytes()?.into();
-        let count = r.read_count(MSG_ID_BYTES, "command dependency list")?;
-        let mut deps = Vec::with_capacity(count);
-        for _ in 0..count {
-            deps.push(MsgId::decode(r)?);
-        }
-        let id = match r.read_u8()? {
-            0 => None,
-            1 => Some(MsgId::decode(r)?),
-            tag => {
-                return Err(DecodeError::BadTag {
-                    context: "command id option",
-                    tag,
-                })
-            }
-        };
-        Ok(ReplicaCommand { command, deps, id })
-    }
-}
-
-impl WireCodec for ReplicaOutput {
-    fn encode<S: Sink>(&self, out: &mut S) {
-        push_u64(out, self.applied as u64);
-        push_u64(out, self.digest);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ReplicaOutput {
-            applied: read_usize(r, "applied count")?,
-            digest: r.read_u64()?,
-        })
-    }
-}
 
 /// One frame body of the socket engine, generic over the broadcast-layer
 /// message type `M` ([`ec_core::EtobMsg`] or [`ec_core::TobMsg`]). Peer
-/// connections carry
-/// `App` and `Heartbeat`; the driver's control connection carries `Input`,
-/// `Crash` and `Shutdown` inbound and `Output` plus a final `Shutdown`
-/// goodbye outbound. Every connection opens with a `Hello`.
+/// connections carry `App` and `Heartbeat`, a scrape connection one
+/// `StatsRequest` and its `StatsText` reply; every connection opens with a
+/// `Hello`. Tags 3–6 are retired and decode to [`DecodeError::BadTag`]: the
+/// facade reaches nodes in-process, so no frame carries its inputs,
+/// crashes, shutdowns or outputs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Frame<M> {
-    /// Connection preamble: who is dialing (a replica index, or [`DRIVER`]).
+    /// Connection preamble: who is dialing (a replica index, or
+    /// [`SCRAPER`]).
     Hello {
-        /// The dialer's replica index, or [`DRIVER`] for the control link.
+        /// The dialer's replica index, or [`SCRAPER`] for a scrape.
         from: u32,
     },
     /// A broadcast-layer protocol message between replicas.
@@ -131,17 +71,6 @@ pub enum Frame<M> {
         /// The heartbeat message.
         msg: HeartbeatMsg,
     },
-    /// Driver → replica: a client command.
-    Input(ReplicaCommand),
-    /// Replica → driver: an externally visible state change, as two
-    /// `u64`s (applied count, state digest) — never the state.
-    Output(ReplicaOutput),
-    /// Driver → replica: stop taking steps, keeping state for harvest.
-    Crash,
-    /// Driver → replica: stop and say goodbye (a replica echoes `Shutdown`
-    /// back once its final outputs are flushed, so the driver can drain
-    /// deterministically); replica → driver: that goodbye.
-    Shutdown,
     /// Scraper → replica: ask for the node's current telemetry in text
     /// exposition form. Answered with [`Frame::StatsText`] on the same
     /// connection.
@@ -171,16 +100,6 @@ impl<M: WireCodec> WireCodec for Frame<M> {
                 push_u32(out, from.index() as u32);
                 msg.encode(out);
             }
-            Frame::Input(command) => {
-                push_u8(out, 3);
-                command.encode(out);
-            }
-            Frame::Output(output) => {
-                push_u8(out, 4);
-                output.encode(out);
-            }
-            Frame::Crash => push_u8(out, 5),
-            Frame::Shutdown => push_u8(out, 6),
             Frame::StatsRequest => push_u8(out, 7),
             Frame::StatsText(text) => {
                 push_u8(out, 8);
@@ -202,10 +121,6 @@ impl<M: WireCodec> WireCodec for Frame<M> {
                 from: ProcessId::new(r.read_u32()? as usize),
                 msg: HeartbeatMsg::decode(r)?,
             }),
-            3 => Ok(Frame::Input(ReplicaCommand::decode(r)?)),
-            4 => Ok(Frame::Output(ReplicaOutput::decode(r)?)),
-            5 => Ok(Frame::Crash),
-            6 => Ok(Frame::Shutdown),
             7 => Ok(Frame::StatsRequest),
             8 => Ok(Frame::StatsText(r.read_bytes()?.to_vec())),
             tag => Err(DecodeError::BadTag {
@@ -255,8 +170,9 @@ pub fn hello_body(from: u32) -> Vec<u8> {
 mod tests {
     use super::*;
     use ec_core::etob_omega::{CausalGraph, EtobMsg};
-    use ec_core::types::AppMessage;
+    use ec_core::types::{AppMessage, MsgId};
     use ec_core::version::VersionVector;
+    use ec_storage::codec::push_u64;
     use std::fmt;
 
     fn id(p: usize, seq: u64) -> MsgId {
@@ -329,15 +245,26 @@ mod tests {
             decode_body::<EtobMsg>(&[0, 1, 2]),
             Err(DecodeError::Truncated { .. })
         ));
-        // trailing garbage after a complete Crash frame
+        // the retired driver control tags (Input, Output, Crash, Shutdown)
+        for tag in 3..=6 {
+            assert_eq!(
+                decode_body::<EtobMsg>(&[tag]),
+                Err(DecodeError::BadTag {
+                    context: "Frame",
+                    tag
+                })
+            );
+        }
+        // trailing garbage after a complete StatsRequest frame
         assert_eq!(
-            decode_body::<EtobMsg>(&[5, 0]),
+            decode_body::<EtobMsg>(&[7, 0]),
             Err(DecodeError::TrailingBytes { remaining: 1 })
         );
         // a list count no remaining input could satisfy
-        let mut body = vec![3u8]; // Input
-        body.extend_from_slice(&0u32.to_be_bytes()); // empty command
-        body.extend_from_slice(&u32::MAX.to_be_bytes()); // absurd dep count
+        let mut body = vec![1u8]; // App
+        body.extend_from_slice(&0u32.to_be_bytes()); // from p0
+        body.push(3); // Promote
+        body.extend_from_slice(&u32::MAX.to_be_bytes()); // absurd message count
         assert!(matches!(
             decode_body::<EtobMsg>(&body),
             Err(DecodeError::BadLength { .. })

@@ -7,8 +7,9 @@
 //! over [`TcpTransport`]: each replica an independent node that speaks a
 //! hand-rolled length-prefixed binary codec over real TCP sockets
 //! (loopback, ephemeral ports). Heartbeats travel over the same
-//! connections as protocol traffic, and the driver (the facade) talks to
-//! each node over a dedicated control connection.
+//! connections as protocol traffic. The facade shares the nodes' process
+//! and reaches them in-process, as on the thread engine, so sockets carry
+//! only what peers send one another and the metrics scrape.
 //!
 //! Layering:
 //!
@@ -17,9 +18,8 @@
 //! * `transport` (crate-private) — blocking frame I/O over `TcpStream`s and
 //!   peer links with reconnect;
 //! * `node` (crate-private) — [`TcpTransport`] itself: listeners,
-//!   acceptors, the reader threads that turn inbound frames into node
-//!   events (counting, never propagating, malformed input), the control
-//!   connections and the shutdown goodbye protocol.
+//!   acceptors, and the reader threads that turn inbound frames into node
+//!   events (counting, never propagating, malformed input).
 
 pub mod codec;
 

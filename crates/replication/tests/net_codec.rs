@@ -2,17 +2,17 @@
 //! a `NetEngine` socket, and adversarial decoding.
 //!
 //! Three layers of guarantees are checked here. **Round-trip**: for
-//! arbitrary instances of every wire enum (`EtobMsg`, `TobMsg`, heartbeats,
-//! commands, outputs, frames), `decode(encode(x)) == x`. **One truth**: what
-//! the sim and thread engines charge per message (`Algorithm::wire_size`) is
-//! the encoded length, nine bytes short of the socket engine's frame.
+//! arbitrary instances of every wire enum (`EtobMsg`, `TobMsg`, frames),
+//! `decode(encode(x)) == x`. **One truth**: what the sim and thread engines
+//! charge per message (`Algorithm::wire_size`) is the encoded length, nine
+//! bytes short of the socket engine's frame.
 //! **Totality**: malformed input of any shape — truncations, random bytes,
 //! bad tags, impossible list counts, trailing garbage — yields a typed
 //! `DecodeError`, never a panic; and on a live cluster, injected garbage
 //! increments the malformed-frame counter while the protocol keeps
 //! converging.
 
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -24,9 +24,7 @@ use ec_detectors::HeartbeatMsg;
 use ec_replication::net::codec::{
     decode_body, frame_bytes, DecodeError, Frame, Reader, WireCodec, MAX_FRAME_BODY,
 };
-use ec_replication::{
-    Cluster, ClusterBuilder, KvStore, NetEngine, ReplicaCommand, ReplicaOutput, StateMachine,
-};
+use ec_replication::{Cluster, ClusterBuilder, KvStore, NetEngine, StateMachine};
 use ec_sim::{Algorithm, ProcessId};
 use proptest::prelude::*;
 
@@ -152,23 +150,6 @@ fn arb_tob_msg() -> impl Strategy<Value = TobMsg> {
         })
 }
 
-fn arb_command() -> impl Strategy<Value = ReplicaCommand> {
-    (
-        arb_payload(),
-        prop::collection::vec(arb_msg_id(), 0..4),
-        any::<bool>(),
-        arb_msg_id(),
-    )
-        .prop_map(|(payload, deps, with_id, id)| {
-            let command = ReplicaCommand::with_deps(payload, deps);
-            if with_id {
-                command.with_id(id)
-            } else {
-                command
-            }
-        })
-}
-
 proptest! {
     #[test]
     fn etob_messages_roundtrip(msg in arb_etob_msg()) {
@@ -180,34 +161,6 @@ proptest! {
     fn tob_messages_roundtrip(msg in arb_tob_msg()) {
         roundtrip(&msg);
         assert_prefixes_fail(&msg);
-    }
-
-    #[test]
-    fn commands_and_outputs_roundtrip(
-        command in arb_command(),
-        applied in 0usize..10_000,
-        digest in any::<u64>(),
-    ) {
-        roundtrip(&command);
-        let output = ReplicaOutput { applied, digest };
-        roundtrip(&output);
-        assert_prefixes_fail(&output);
-        // on the wire an output is its length prefix, its tag and two u64s
-        // whatever the state behind it; a body cut short or with a byte
-        // too many is a typed error
-        let wire = frame_bytes::<EtobMsg>(&Frame::Output(output));
-        prop_assert_eq!(wire.len(), 4 + 1 + 16);
-        prop_assert_eq!(decode_body::<EtobMsg>(&wire[4..]), Ok(Frame::Output(output)));
-        prop_assert!(matches!(
-            decode_body::<EtobMsg>(&wire[4..wire.len() - 1]),
-            Err(DecodeError::Truncated { .. })
-        ));
-        let over_long = [&wire[4..], &[0]].concat();
-        prop_assert_eq!(
-            decode_body::<EtobMsg>(&over_long),
-            Err(DecodeError::TrailingBytes { remaining: 1 })
-        );
-        roundtrip(&HeartbeatMsg::Heartbeat);
     }
 
     #[test]
@@ -367,16 +320,16 @@ fn adversarial_corpus_yields_typed_errors() {
         Err(DecodeError::Truncated { .. })
     ));
 
-    // trailing bytes after a complete frame
+    // trailing bytes after a complete StatsRequest frame
     assert_eq!(
-        decode_body::<EtobMsg>(&[6, 0, 0]),
+        decode_body::<EtobMsg>(&[7, 0, 0]),
         Err(DecodeError::TrailingBytes { remaining: 2 })
     );
 
-    // a dependency count no input of sane size could satisfy: rejected
-    // before allocation, so u32::MAX never turns into a reserve call
-    let mut body = vec![3u8];
-    body.extend_from_slice(&0u32.to_be_bytes());
+    // a promote's message count no input of sane size could satisfy:
+    // rejected before allocation, so u32::MAX never turns into a reserve
+    // call
+    let mut body = vec![1u8, 0, 0, 0, 0, 3];
     body.extend_from_slice(&u32::MAX.to_be_bytes());
     assert!(matches!(
         decode_body::<EtobMsg>(&body),
@@ -396,14 +349,19 @@ fn adversarial_corpus_yields_typed_errors() {
 
 /// Injecting garbage into live node sockets increments the malformed-frame
 /// counter and closes only the offending connections: the cluster still
-/// converges, and a clean run counts zero.
+/// converges, and a clean run counts zero. No connection can reach what
+/// the facade does in-process: a retired `Crash` frame is malformed and
+/// stops nobody, and a hello with the old driver id takes no outputs.
 #[test]
 fn live_nodes_count_malformed_frames_and_keep_converging() {
-    let mut cluster: Cluster<KvStore> = ClusterBuilder::new(2).deploy(&NetEngine::default());
+    let mut cluster: Cluster<KvStore> = ClusterBuilder::new(3).deploy(&NetEngine::default());
     assert_eq!(cluster.malformed_frames(), 0);
-    let addr = cluster
-        .node_addr(ProcessId::new(0))
-        .expect("the net engine exposes node addresses");
+    let addr_of = |p: usize| {
+        cluster
+            .node_addr(ProcessId::new(p))
+            .expect("the net engine exposes node addresses")
+    };
+    let (addr, addr_p1) = (addr_of(0), addr_of(1));
 
     // connection 1: no Hello at all — an unknown tag right away
     let mut garbage = TcpStream::connect(addr).expect("dial node");
@@ -426,23 +384,53 @@ fn live_nodes_count_malformed_frames_and_keep_converging() {
         .write_all(&u32::MAX.to_be_bytes())
         .expect("write oversized prefix");
 
+    // connection 4: a peer hello at p1, then the 1-byte body of tag 5, the
+    // retired `Crash` frame
+    let mut crashing = TcpStream::connect(addr_p1).expect("dial node");
+    let hello = |from: u32| frame_bytes::<EtobMsg>(&Frame::Hello { from });
+    crashing.write_all(&hello(0)).expect("write hello");
+    crashing
+        .write_all(&[0, 0, 0, 1, 5])
+        .expect("write retired frame");
+
+    // connection 5: a hello at p0 with the old driver id, held open
+    let mut held = TcpStream::connect(addr).expect("dial node");
+    held.write_all(&hello(u32::MAX)).expect("write hello");
+    held.set_read_timeout(Some(Duration::from_millis(200)))
+        .expect("set a read timeout");
+
     let deadline = Instant::now() + Duration::from_secs(10);
-    while cluster.malformed_frames() < 3 {
+    while cluster.malformed_frames() < 4 {
         assert!(
             Instant::now() < deadline,
-            "only {} of 3 malformed frames were counted",
+            "only {} of 4 malformed frames were counted",
             cluster.malformed_frames()
         );
         std::thread::sleep(Duration::from_millis(2));
     }
 
-    // the protocol connections are unaffected: the cluster still converges
+    // the protocol connections are unaffected: every replica applies the
+    // put, p1 included
     let mut session = cluster.session();
     cluster.submit(&mut session, KvStore::put("k", "v"), 10);
     assert!(
         cluster.run_until_applied(1, 10_000),
         "cluster stopped converging after malformed input"
     );
+    let applied: Vec<usize> = (0..3).map(|p| cluster.applied(ProcessId::new(p))).collect();
+    assert_eq!(applied, [1, 1, 1]);
+
+    // p0's outputs went to the facade, not down the held connection
+    let mut buf = [0u8; 64];
+    match held.read(&mut buf) {
+        Ok(0) => {}
+        Ok(read) => panic!("the held connection read {read} bytes"),
+        Err(err) => assert!(
+            matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "unexpected read error: {err}"
+        ),
+    }
+
     let report = cluster.finish();
     assert!(report.shards[0].snapshots_agree());
 

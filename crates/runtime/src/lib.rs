@@ -20,8 +20,10 @@
 //!   every [`RuntimeConfig::tick`] of wall-clock time however busy the inbox
 //!   is.
 //! * A [`Transport`] supplies only what differs between substrates: how an
-//!   incarnation's [`Links`] are opened, how a driver [`Event`] reaches a
-//!   node, where outputs go, and teardown. [`ChannelTransport`] lives here;
+//!   incarnation's [`Links`] to its peers are opened, and teardown. A
+//!   driver [`Event`] goes straight into the node's inbox and outputs
+//!   straight into the hub's record on every transport, so a wire carries
+//!   only what peers send one another. [`ChannelTransport`] lives here;
 //!   the TCP one lives in `ec_replication::net`; a test substitutes a fake.
 //!
 //! Differences from the simulator (documented, deliberate):
@@ -35,8 +37,10 @@
 //!   stabilization time depends on real scheduling latencies rather than on a
 //!   scripted oracle. A static full-membership quorum paired with it is a
 //!   valid Σ only while no process crashes; after a crash it stops being
-//!   live, which is exactly the paper's point about the price of strong
-//!   consistency.
+//!   live. That is a limitation of a static full-membership Σ, not the
+//!   price of strong consistency the paper quantifies: the paper's Σ gap
+//!   is an environment *without* a correct majority, and majorities
+//!   implement Σ wherever a majority is correct (ROADMAP item 8).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -51,7 +55,4 @@ pub use channel::{ChannelLinks, ChannelTransport};
 pub use clock::{sleep_ms, Stopwatch};
 pub use node::{Event, Links};
 pub use pacer::{Pacer, Turn};
-/// The non-poisoning lock the runtime shares its own state under, for
-/// transports whose threads share state too.
-pub use parking_lot::Mutex;
 pub use runtime::{Hub, Runtime, RuntimeConfig, Transport, GOODBYE_WAIT_MS};

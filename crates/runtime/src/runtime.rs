@@ -109,8 +109,9 @@ impl<A: Algorithm> Hub<A> {
     }
 
     /// Records an output of node `p`, stamped with the run's clock. A `p`
-    /// that is no node of the run (a transport read it off a wire) is
-    /// ignored.
+    /// that is no node of the run is ignored rather than indexed: links
+    /// record under their own incarnation's id, but the hub is public and
+    /// a bad id must not panic whichever thread holds it.
     pub fn record_output(&self, p: ProcessId, output: A::Output) {
         let mut history = self.history.lock();
         // read under the lock: stamps are monotone in the order recorded,
@@ -167,9 +168,10 @@ impl<A: Algorithm> Hub<A> {
 }
 
 /// What genuinely differs between the substrates a real-time run can use:
-/// how an incarnation's links are opened, how a driver event reaches a
-/// node, and what has to be torn down. Everything else — the node loop, the
-/// bookkeeping, crash and restart — is [`Runtime`]'s and the same for all.
+/// how an incarnation's links to its peers are opened and what has to be
+/// torn down. Everything else — the node loop, the bookkeeping, how a
+/// driver event reaches a node (straight into its inbox), crash and
+/// restart — is [`Runtime`]'s and the same for all.
 pub trait Transport<A: Algorithm>: Sized {
     /// The node-side half: one incarnation's way out to peers and driver.
     type Links: Links<A> + Send + 'static;
@@ -180,12 +182,6 @@ pub trait Transport<A: Algorithm>: Sized {
     /// Opens the links of a fresh incarnation of node `p`, whose inbox the
     /// hub has just renewed.
     fn open(&mut self, p: ProcessId, hub: &Arc<Hub<A>>) -> io::Result<Self::Links>;
-
-    /// Gets a driver event to node `p`. The default puts it straight into
-    /// the inbox.
-    fn deliver(&mut self, p: ProcessId, event: Event<A>, hub: &Hub<A>) {
-        hub.send(p, event);
-    }
 
     /// Tears the transport down once the stop flag is up and every node
     /// thread has been joined.
@@ -358,7 +354,7 @@ where
     /// Submits an application input to process `p`; a crashed process
     /// swallows it, like in the model.
     pub fn submit(&mut self, p: ProcessId, input: A::Input) {
-        self.transport.deliver(p, Event::Input(input), &self.hub);
+        self.hub.send(p, Event::Input(input));
     }
 
     /// Runs `f` against the automaton of process `p` and returns what it
@@ -393,7 +389,7 @@ where
     /// kept for [`Runtime::look`].
     pub fn crash(&mut self, p: ProcessId) {
         if !self.is_down(p) {
-            self.transport.deliver(p, Event::Crash, &self.hub);
+            self.hub.send(p, Event::Crash);
             self.join(p);
         }
     }
@@ -428,7 +424,7 @@ where
         let ids = (0..self.n()).map(ProcessId::new);
         let live: Vec<ProcessId> = ids.filter(|p| !self.is_down(*p)).collect();
         for p in &live {
-            self.transport.deliver(*p, Event::Shutdown, &self.hub);
+            self.hub.send(*p, Event::Shutdown);
         }
         let give_up = self.hub.stopwatch.elapsed_ms() + GOODBYE_WAIT_MS;
         while !live.iter().all(|p| self.hub.said_goodbye(*p))
