@@ -223,15 +223,6 @@ impl CausalGraph {
         self.nodes.contains_key(&id)
     }
 
-    /// The causal predecessors of `id`: the resident node's `C(m)`, retired
-    /// ones included (none if `id` is not resident).
-    fn predecessors(&self, id: MsgId) -> &[MsgId] {
-        self.nodes
-            .get(&id)
-            .map(|m| m.deps.as_ref())
-            .unwrap_or_default()
-    }
-
     /// The messages of the graph, keyed by identifier.
     pub fn messages(&self) -> impl Iterator<Item = &AppMessage> + '_ {
         self.nodes.values()
@@ -510,10 +501,11 @@ pub struct EtobOmega {
     unpromoted: BTreeSet<MsgId>,
     /// `CG_i`: the causality graph.
     graph: CausalGraph,
-    /// Delta state: identifiers of graph nodes added since this process's
-    /// last `update` broadcast — the broadcast suffix, maintained
-    /// incrementally so a broadcast never rescans the graph.
-    unsent: Vec<MsgId>,
+    /// Delta state: the graph nodes added since this process's last
+    /// `update` broadcast — the broadcast suffix, kept as the copies
+    /// [`EtobOmega::admit`] was handed, so a broadcast neither rescans nor
+    /// looks up the graph.
+    unsent: Vec<AppMessage>,
     /// Delta state: per-peer *acked* frontiers — everything a peer has
     /// provably confirmed knowing, through the digests it sent (deltas,
     /// beacons and sync requests). Only ever advanced by evidence from the
@@ -721,8 +713,9 @@ impl EtobOmega {
     /// graph grew.
     fn admit(&mut self, msg: AppMessage) -> bool {
         let id = msg.id;
+        let copy = msg.clone();
         if self.graph.update(msg) {
-            self.unsent.push(id);
+            self.unsent.push(copy);
             self.unpromoted.insert(id);
             if let Some(t) = self.telemetry.as_deref_mut() {
                 t.admitted(id.origin.index() as u32, id.seq);
@@ -797,6 +790,7 @@ impl EtobOmega {
         let mut scratch = std::mem::take(&mut self.promote_scratch);
         loop {
             let mut appended = false;
+            let mut held_back = false;
             // Deterministic scan order: by message identifier. Only the
             // incrementally maintained pending set is scanned, so a pass
             // costs O(pending), independent of how much promoted history
@@ -804,27 +798,31 @@ impl EtobOmega {
             scratch.clear();
             scratch.extend(self.unpromoted.iter().copied());
             for &id in &scratch {
-                let deps_satisfied = self
-                    .graph
-                    .predecessors(id)
+                let Some(msg) = self.graph.get(id) else {
+                    self.unpromoted.remove(&id);
+                    continue;
+                };
+                let deps_satisfied = msg
+                    .deps
                     .iter()
                     .all(|dep| self.is_promoted(*dep) || self.graph.is_compacted(*dep));
-                if deps_satisfied {
-                    let Some(msg) = self.graph.get(id).cloned() else {
-                        self.unpromoted.remove(&id);
-                        continue;
-                    };
-                    let tail = self.promote_hashes.last().copied().unwrap_or(FNV_OFFSET);
-                    self.promote_hashes.push(hash_step(tail, id));
-                    self.promote.push(msg);
-                    self.unpromoted.remove(&id);
-                    if let Some(t) = self.telemetry.as_deref_mut() {
-                        t.promoted(id.origin.index() as u32, id.seq);
-                    }
-                    appended = true;
+                if !deps_satisfied {
+                    held_back = true;
+                    continue;
                 }
+                let msg = msg.clone();
+                let tail = self.promote_hashes.last().copied().unwrap_or(FNV_OFFSET);
+                self.promote_hashes.push(hash_step(tail, id));
+                self.promote.push(msg);
+                self.unpromoted.remove(&id);
+                if let Some(t) = self.telemetry.as_deref_mut() {
+                    t.promoted(id.origin.index() as u32, id.seq);
+                }
+                appended = true;
             }
-            if !appended {
+            // A pass that held nothing back emptied the candidate set, so
+            // another could not append.
+            if !appended || !held_back {
                 break;
             }
         }
@@ -899,7 +897,8 @@ impl EtobOmega {
     /// full-graph mode, or per-peer suffix deltas (everything neither
     /// broadcast before nor acked by the peer) plus the digest in delta
     /// mode. The suffix is the incrementally maintained `unsent` list, so
-    /// broadcast cost is O(new nodes), never a graph rescan. The self-copy
+    /// broadcast cost is O(new nodes), never a graph rescan or lookup, and
+    /// its buffer is kept for the next suffix. The self-copy
     /// carries no nodes — delivering it only triggers the paper's
     /// `UpdatePromote()` step, exactly like receiving one's own full update.
     fn broadcast_update(&mut self, ctx: &mut Context<'_, Self>) {
@@ -909,12 +908,7 @@ impl EtobOmega {
             ctx.broadcast(EtobMsg::Update(self.graph.clone()));
             return;
         }
-        let fresh: Vec<AppMessage> = self
-            .unsent
-            .iter()
-            .filter_map(|id| self.graph.get(*id).cloned())
-            .collect();
-        self.unsent.clear();
+        let mut fresh = std::mem::take(&mut self.unsent);
         for i in 0..ctx.n() {
             let to = ProcessId::new(i);
             let nodes = if to == self.me {
@@ -931,6 +925,8 @@ impl EtobOmega {
             };
             self.send_delta(to, nodes, ctx);
         }
+        fresh.clear();
+        self.unsent = fresh;
     }
 
     /// Broadcasts the promotion sequence: the full sequence in full-graph
@@ -1124,7 +1120,7 @@ impl EtobOmega {
             let fold_hash = self.delivered_hashes.first().copied().unwrap_or(FNV_OFFSET);
             self.promote_hashes = prefix_hashes_from(fold_hash, &self.promote);
         }
-        self.unsent.retain(|id| !self.graph.is_compacted(*id));
+        self.unsent.retain(|m| !self.graph.is_compacted(m.id));
         self.folded = target;
         self.last_promote_broadcast = self.last_promote_broadcast.max(target);
         self.compactions += 1;
@@ -2425,8 +2421,8 @@ mod tests {
         g.update(b.clone());
         assert_eq!(g.len(), 2);
         assert!(g.contains(a.id));
-        assert_eq!(g.predecessors(b.id), [a.id]);
-        assert!(g.predecessors(a.id).is_empty());
+        assert_eq!(g.get(b.id).map(|m| m.deps.as_ref()), Some(&[a.id][..]));
+        assert!(g.get(a.id).is_some_and(|m| m.deps.is_empty()));
         assert_eq!(g.messages().count(), 2);
     }
 
@@ -2442,7 +2438,6 @@ mod tests {
         // neither the payload nor C(m) of the promoted node may change
         assert!(!alg.admit(forged));
         assert_eq!(alg.causal_graph().get(a.id), Some(&a));
-        assert!(alg.causal_graph().predecessors(a.id).is_empty());
         assert!(alg.is_promoted(a.id) && alg.unpromoted.is_empty());
     }
 

@@ -59,5 +59,5 @@ pub use types::{
     EicInput, EicOutput, Either, EtobBroadcast, EventualConsensus, EventualIrrevocableConsensus,
     EventualTotalOrderBroadcast, Instrumented, MsgId, Payload, SEQ_HASH_SEED,
 };
-pub use version::{SeqRanges, VersionVector};
+pub use version::VersionVector;
 pub use workload::{BroadcastWorkload, KvOp, KvWorkload, ZipfMix};

@@ -18,7 +18,7 @@ use ec_storage::{DecodeError, Reader, Sink, WireCodec};
 use crate::etob_omega::{CausalGraph, EtobMsg};
 use crate::tob_consensus::TobMsg;
 use crate::types::{AppMessage, MsgId, Payload};
-use crate::version::{SeqRanges, VersionVector};
+use crate::version::VersionVector;
 
 /// Encoded [`MsgId`] size — the `min_elem` bound for dependency lists.
 pub const MSG_ID_BYTES: usize = 12;
@@ -82,42 +82,29 @@ pub fn decode_messages(r: &mut Reader<'_>) -> Result<Vec<AppMessage>, DecodeErro
     Ok(messages)
 }
 
-impl WireCodec for SeqRanges {
-    fn encode<S: Sink>(&self, out: &mut S) {
-        push_u32(out, self.runs().len() as u32);
-        for &(lo, hi) in self.runs() {
-            push_u64(out, lo);
-            push_u64(out, hi);
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let count = r.read_count(16, "digest run list")?;
-        let mut runs = Vec::with_capacity(count);
-        for _ in 0..count {
-            let lo = r.read_u64()?;
-            let hi = r.read_u64()?;
-            runs.push((lo, hi));
-        }
-        SeqRanges::from_runs(runs).ok_or(DecodeError::Invalid {
-            context: "digest runs must be ascending and maximal",
-        })
-    }
-}
-
 impl WireCodec for VersionVector {
+    // Per origin: the origin id, then its run list, count-prefixed.
     fn encode<S: Sink>(&self, out: &mut S) {
-        push_u32(out, self.entries().count() as u32);
-        for (origin, ranges) in self.entries() {
-            push_u32(out, origin.index() as u32);
-            ranges.encode(out);
+        let origins = || self.runs().chunk_by(|a, b| a.0 == b.0);
+        push_u32(out, origins().count() as u32);
+        for group in origins() {
+            let origin = group.first().map_or(0, |run| run.0.index());
+            push_u32(out, origin as u32);
+            push_u32(out, group.len() as u32);
+            for &(_, lo, hi) in group {
+                push_u64(out, lo);
+                push_u64(out, hi);
+            }
         }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        const NOT_CANONICAL: DecodeError = DecodeError::Invalid {
+            context: "digest runs must be ascending and maximal",
+        };
         // origin id (4) + run count (4) + at least one run (16)
         let count = r.read_count(24, "digest origin list")?;
-        let mut vector = VersionVector::new();
+        let mut runs = Vec::with_capacity(count);
         let mut prev: Option<usize> = None;
         for _ in 0..count {
             let origin = r.read_u32()? as usize;
@@ -127,15 +114,23 @@ impl WireCodec for VersionVector {
                 });
             }
             prev = Some(origin);
-            let ranges = SeqRanges::decode(r)?;
-            if ranges.is_empty() {
+            let group = r.read_count(16, "digest run list")?;
+            let start = runs.len();
+            for _ in 0..group {
+                let lo = r.read_u64()?;
+                let hi = r.read_u64()?;
+                runs.push((ProcessId::new(origin), lo, hi));
+            }
+            if !VersionVector::is_canonical(runs.get(start..).unwrap_or_default()) {
+                return Err(NOT_CANONICAL);
+            }
+            if group == 0 {
                 return Err(DecodeError::Invalid {
                     context: "digest entries must be non-empty",
                 });
             }
-            vector.insert_ranges(ProcessId::new(origin), &ranges);
         }
-        Ok(vector)
+        VersionVector::from_runs(runs).ok_or(NOT_CANONICAL)
     }
 }
 

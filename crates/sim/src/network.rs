@@ -393,8 +393,9 @@ impl NetworkModel {
     }
 
     /// Transmits a message over the (possibly faulty) network: returns the
-    /// delivery times of every copy that survives — empty if the message is
-    /// dropped by an active fault window, two entries if it is duplicated.
+    /// delivery times of the copies that survive — `[None, None]` if the
+    /// message is dropped by an active fault window, `[Some(t), None]` if
+    /// one copy is delivered, both `Some` if it is duplicated.
     ///
     /// Fault windows whose scope covers the link and whose time window covers
     /// the *send* time apply; multiple active windows compound (any drop
@@ -408,15 +409,11 @@ impl NetworkModel {
         to: ProcessId,
         sent: Time,
         rng: &mut R,
-    ) -> Vec<Time> {
+    ) -> [Option<Time>; 2] {
         let mut dropped = false;
         let mut duplicated = false;
-        let active: Vec<&FaultWindow> = self
-            .faults
-            .iter()
-            .filter(|w| w.applies(from, to, sent))
-            .collect();
-        for w in &active {
+        let active = || self.faults.iter().filter(|w| w.applies(from, to, sent));
+        for w in active() {
             if w.faults.drop_ppm > 0 && rng.gen_range(0u32..1_000_000) < w.faults.drop_ppm {
                 dropped = true;
             }
@@ -425,24 +422,21 @@ impl NetworkModel {
             }
         }
         if dropped {
-            return Vec::new();
+            return [None, None];
         }
         let jitter = |rng: &mut R| -> u64 {
-            active
-                .iter()
+            active()
                 .filter(|w| w.faults.extra_jitter > 0)
                 .map(|w| rng.gen_range(0..=w.faults.extra_jitter))
                 .sum()
         };
         let first_jitter = jitter(rng);
         let first = self.delivery_time(from, to, sent, rng) + first_jitter;
-        if duplicated {
+        let second = duplicated.then(|| {
             let second_jitter = jitter(rng);
-            let second = self.delivery_time(from, to, sent, rng) + second_jitter;
-            vec![first, second]
-        } else {
-            vec![first]
-        }
+            self.delivery_time(from, to, sent, rng) + second_jitter
+        });
+        [Some(first), second]
     }
 }
 
@@ -562,7 +556,7 @@ mod tests {
         let net = NetworkModel::fixed_delay(3);
         let mut r = rng();
         let times = net.transmit(ProcessId::new(0), ProcessId::new(1), Time::new(10), &mut r);
-        assert_eq!(times, vec![Time::new(13)]);
+        assert_eq!(times, [Some(Time::new(13)), None]);
     }
 
     #[test]
@@ -594,17 +588,16 @@ mod tests {
         let mut r = rng();
         let mut lost = 0;
         for k in 0..100u64 {
-            if net
-                .transmit(ProcessId::new(0), ProcessId::new(1), Time::new(k), &mut r)
-                .is_empty()
-            {
-                lost += 1;
+            match net.transmit(ProcessId::new(0), ProcessId::new(1), Time::new(k), &mut r) {
+                [None, None] => lost += 1,
+                [Some(_), None] => {}
+                copies => panic!("a lossy link never duplicates: {copies:?}"),
             }
         }
         assert!(lost > 60, "expected heavy loss, lost {lost}/100");
         // outside the window the link is reliable again
         let after = net.transmit(ProcessId::new(0), ProcessId::new(1), Time::new(500), &mut r);
-        assert_eq!(after.len(), 1);
+        assert!(matches!(after, [Some(_), None]));
     }
 
     #[test]
@@ -617,8 +610,11 @@ mod tests {
         );
         let mut r = rng();
         let times = net.transmit(ProcessId::new(0), ProcessId::new(1), Time::new(10), &mut r);
-        assert_eq!(times.len(), 2, "dup_prob = 1 must duplicate");
-        for t in times {
+        assert!(
+            times.iter().all(Option::is_some),
+            "dup_prob = 1 must duplicate"
+        );
+        for t in times.into_iter().flatten() {
             assert!(t >= Time::new(12) && t <= Time::new(16), "t = {t:?}");
         }
     }

@@ -1,7 +1,7 @@
 //! The simulation runner: deterministic execution of algorithms over the
 //! modeled network, failure pattern and failure detector.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
@@ -156,6 +156,8 @@ impl WorldBuilder {
             rng: StdRng::seed_from_u64(self.seed),
             now: Time::ZERO,
             queue: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             seq: 0,
             outputs: OutputHistory::new(self.n),
             metrics: Metrics::new(self.n),
@@ -190,31 +192,6 @@ enum EventKind<A: Algorithm> {
     },
 }
 
-struct Event<A: Algorithm> {
-    time: Time,
-    seq: u64,
-    kind: EventKind<A>,
-}
-
-impl<A: Algorithm> PartialEq for Event<A> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<A: Algorithm> Eq for Event<A> {}
-impl<A: Algorithm> PartialOrd for Event<A> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<A: Algorithm> Ord for Event<A> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.time
-            .cmp(&other.time)
-            .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
-
 /// A deterministic simulation of `n` processes running an [`Algorithm`] with
 /// a [`FailureDetector`], over a [`NetworkModel`] and a [`FailurePattern`].
 ///
@@ -234,7 +211,14 @@ pub struct World<A: Algorithm, D: FailureDetector<Output = A::Fd>> {
     failures: FailurePattern,
     rng: StdRng,
     now: Time,
-    queue: BinaryHeap<Reverse<Event<A>>>,
+    /// Pending events as `(time, seq, slot)` keys, earliest first; `seq`
+    /// is unique, so ties at a tick break by scheduling order. A sift moves
+    /// a key, not an event.
+    queue: BinaryHeap<Reverse<(Time, u64, usize)>>,
+    /// The pending events, at the slot their key names; a fired event's
+    /// slot goes to `free` for the next one.
+    slots: Vec<Option<EventKind<A>>>,
+    free: Vec<usize>,
     seq: u64,
     /// The output history `H_O` of the run so far.
     outputs: OutputHistory<A::Output>,
@@ -331,8 +315,8 @@ impl<A: Algorithm, D: FailureDetector<Output = A::Fd>> World<A, D> {
     /// (inclusive), then advances the clock to `t`.
     pub fn run_until(&mut self, t: u64) {
         let limit = Time::new(t);
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.time > limit {
+        while let Some(Reverse((time, _, _))) = self.queue.peek() {
+            if *time > limit {
                 break;
             }
             self.step();
@@ -343,13 +327,19 @@ impl<A: Algorithm, D: FailureDetector<Output = A::Fd>> World<A, D> {
     /// Executes the single next pending event, if any. Returns `false` when
     /// the event queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(ev)) = self.queue.pop() else {
+        let Some(Reverse((time, _, slot))) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(ev.time >= self.now, "events must be processed in order");
-        self.record_crashes_up_to(ev.time);
-        self.now = ev.time;
-        match ev.kind {
+        let kind = self
+            .slots
+            .get_mut(slot)
+            .and_then(Option::take)
+            .expect("every queued key names a pending event");
+        self.free.push(slot);
+        debug_assert!(time >= self.now, "events must be processed in order");
+        self.record_crashes_up_to(time);
+        self.now = time;
+        match kind {
             EventKind::Deliver {
                 from,
                 to,
@@ -429,29 +419,24 @@ impl<A: Algorithm, D: FailureDetector<Output = A::Fd>> World<A, D> {
             let bytes = A::wire_size(&msg);
             self.metrics.record_send(p);
             self.metrics.bytes_sent += bytes;
-            let deliveries = self.network.transmit(p, to, self.now, &mut self.rng);
-            if deliveries.is_empty() {
+            let [Some(first), second] = self.network.transmit(p, to, self.now, &mut self.rng)
+            else {
                 self.metrics.faults_dropped += 1;
                 continue;
-            }
-            self.metrics.faults_duplicated += deliveries.len() as u64 - 1;
-            let last = deliveries.len() - 1;
-            let mut msg = Some(msg);
-            for (copy, deliver_at) in deliveries.into_iter().enumerate() {
-                let msg = if copy == last {
-                    msg.take().expect("one payload per copy")
-                } else {
-                    msg.as_ref().expect("one payload per copy").clone()
-                };
-                self.push_event(
-                    deliver_at,
-                    EventKind::Deliver {
-                        from: p,
-                        to,
-                        msg,
-                        bytes,
-                    },
-                );
+            };
+            let deliver = |msg| EventKind::Deliver {
+                from: p,
+                to,
+                msg,
+                bytes,
+            };
+            match second {
+                Some(second) => {
+                    self.metrics.faults_duplicated += 1;
+                    self.push_event(first, deliver(msg.clone()));
+                    self.push_event(second, deliver(msg));
+                }
+                None => self.push_event(first, deliver(msg)),
             }
         }
         for out in actions.outputs {
@@ -466,7 +451,12 @@ impl<A: Algorithm, D: FailureDetector<Output = A::Fd>> World<A, D> {
     fn push_event(&mut self, time: Time, kind: EventKind<A>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Event { time, seq, kind }));
+        let slot = self.free.pop().unwrap_or(self.slots.len());
+        match self.slots.get_mut(slot) {
+            Some(entry) => *entry = Some(kind),
+            None => self.slots.push(Some(kind)),
+        }
+        self.queue.push(Reverse((time, seq, slot)));
     }
 
     fn record_crashes_up_to(&mut self, t: Time) {
@@ -759,6 +749,90 @@ mod tests {
         };
         assert_eq!(run(RecoveryPolicy::RetainState), 2, "state survives");
         assert_eq!(run(RecoveryPolicy::ClearState), 1, "state is wiped");
+    }
+
+    /// An algorithm that outputs every input it is given.
+    struct Echo;
+    impl Algorithm for Echo {
+        type Msg = ();
+        type Input = u32;
+        type Output = u32;
+        type Fd = ();
+        fn on_input(&mut self, input: u32, ctx: &mut Context<'_, Self>) {
+            ctx.output(input);
+        }
+    }
+
+    #[test]
+    fn same_tick_events_fire_in_scheduling_order_across_slot_reuse() {
+        let mut w = WorldBuilder::new(2).build_with(|_p| Echo, NullFd);
+        let p = ProcessId::new(0);
+        // (tick, value) in scheduling order; the second round reuses the
+        // slots the first one freed, last freed first
+        let rounds: [Vec<(u64, u32)>; 2] = [
+            (0..8).map(|v| (10 + u64::from(v % 3), v)).collect(),
+            (8..30).map(|v| (60 - u64::from(v % 2), v)).collect(),
+        ];
+        let mut expected = Vec::new();
+        for (round, until) in rounds.iter().zip([50, 100]) {
+            for &(tick, v) in round {
+                w.schedule_input(p, v, tick);
+            }
+            let mut order = round.clone();
+            order.sort_by_key(|&(tick, _)| tick); // stable: ties keep scheduling order
+            expected.extend(order.into_iter().map(|(_, v)| v));
+            w.run_until(until);
+        }
+        let fired: Vec<u32> = w
+            .output_history()
+            .outputs(p)
+            .iter()
+            .map(|(_, v)| *v)
+            .collect();
+        assert_eq!(fired, expected);
+        assert_eq!(
+            w.slots.len(),
+            22,
+            "the second round reused the first's 8 slots"
+        );
+    }
+
+    /// Every process re-arms a one-tick timer and broadcasts at each fire.
+    struct Chatter;
+    impl Algorithm for Chatter {
+        type Msg = ();
+        type Input = ();
+        type Output = ();
+        type Fd = ();
+        fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
+            ctx.set_timer(1);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Self>) {
+            ctx.broadcast(());
+            ctx.set_timer(1);
+        }
+    }
+
+    #[test]
+    fn the_slot_table_never_outgrows_the_pending_events() {
+        let mut w = WorldBuilder::new(3)
+            .network(NetworkModel::uniform_delay(1, 6))
+            .seed(3)
+            .build_with(|_p| Chatter, NullFd);
+        let mut most_pending = w.queue.len();
+        while w.metrics().steps < 10_000 {
+            assert!(w.step());
+            most_pending = most_pending.max(w.queue.len());
+        }
+        assert!(
+            w.slots.len() <= most_pending,
+            "{} slots for at most {most_pending} pending events",
+            w.slots.len()
+        );
+        assert_eq!(
+            w.slots.iter().filter(|slot| slot.is_some()).count(),
+            w.queue.len()
+        );
     }
 
     #[test]
