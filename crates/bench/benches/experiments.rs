@@ -1,5 +1,5 @@
 //! The benchmark harness: one Criterion group per experiment of
-//! `EXPERIMENTS.md` (E1–E13 plus the ablations A1–A2).
+//! `EXPERIMENTS.md` (E1–E13 except the retired E10, plus the ablations A1–A2).
 //!
 //! Besides the timing samples collected by Criterion, every experiment prints
 //! the table rows / series described in EXPERIMENTS.md (hop counts,
@@ -19,11 +19,11 @@ use ec_core::spec::{EcChecker, EicChecker, EtobChecker, ProposalRecord};
 use ec_core::tob_consensus::{ConsensusTob, ConsensusTobConfig};
 use ec_core::transforms::{EcToEic, EcToEtob};
 use ec_core::types::{materialize, AppMessage, DeliveryDelta, EicInput, EicOutput, MsgId};
-use ec_core::workload::{BroadcastWorkload, KvWorkload, ZipfMix};
+use ec_core::workload::BroadcastWorkload;
 use ec_detectors::heartbeat::{HeartbeatConfig, HeartbeatOmega};
 use ec_detectors::omega::{OmegaOracle, PreStabilization};
 use ec_detectors::{check_omega_history, sigma::SigmaOracle, PairFd};
-use ec_replication::{KvStore, Replica, ReplicaCommand, ShardConfig, ShardedKv};
+use ec_replication::{KvStore, Replica, ReplicaCommand};
 use ec_sim::{
     FailurePattern, FdHistory, NetworkModel, OutputHistory, PartitionSpec, ProcessId, ProcessSet,
     RecordingFd, Time, WorldBuilder,
@@ -799,65 +799,6 @@ fn a2_promote_period(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------------
-// E10: shard scaling — messages and convergence vs shard count
-// ---------------------------------------------------------------------------
-
-/// Runs a fixed zipf client mix against an `s`-shard cluster and returns
-/// `(messages_sent, cluster_converged_at)`.
-fn sharded_run(shards: usize, ops: usize) -> (u64, u64) {
-    let workload = KvWorkload::zipf(ZipfMix {
-        keys: 64,
-        ops,
-        skew: 1.0,
-        clients: 3,
-        start: 10,
-        spacing: 1,
-        seed: 17,
-        del_every: 0,
-    });
-    let mut cluster = ShardedKv::new(ShardConfig {
-        shards,
-        replicas_per_shard: 3,
-        etob: EtobConfig::batched(5),
-        ..Default::default()
-    });
-    cluster.submit_workload(&workload);
-    cluster.run_until(workload.last_submission_time() + 500);
-    let report = cluster.report();
-    assert!(report.all_converged(), "cluster must converge");
-    assert_eq!(report.total_ops_routed(), ops as u64);
-    (
-        report.totals.messages_sent,
-        report.converged_at().map(|t| t.as_u64()).unwrap_or(0),
-    )
-}
-
-fn e10_shard_scaling(c: &mut Criterion) {
-    let ops = 768;
-    println!(
-        "\n[E10] shard scaling: fixed {ops}-op zipf mix, 3 replicas per shard, batch flush = 5"
-    );
-    println!("{:<8} {:>16} {:>14}", "shards", "messages", "converged [t]");
-    for shards in [1usize, 2, 4, 8] {
-        let (messages, converged) = sharded_run(shards, ops);
-        println!("{:<8} {:>16} {:>14}", shards, messages, converged);
-    }
-    println!("  (each shard is an independent ETOB group: per-group update/promote payloads");
-    println!("   shrink with ops-per-shard; throughput is measured by `benchmark/`)");
-    let mut group = configure(c).benchmark_group("e10_shard_scaling");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    for shards in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("zipf_mix", shards), &shards, |b, &s| {
-            b.iter(|| sharded_run(s, ops))
-        });
-    }
-    group.finish();
-}
-
-// ---------------------------------------------------------------------------
 // E11: batching — broadcasts per delivered op vs flush interval
 // ---------------------------------------------------------------------------
 
@@ -978,7 +919,6 @@ criterion_group!(
     e7_cht_extraction,
     e8_convergence_bound,
     e9_eic,
-    e10_shard_scaling,
     e11_batching,
     e12_delta_wire,
     e13_compaction,

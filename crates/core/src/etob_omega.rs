@@ -418,8 +418,8 @@ impl EtobConfig {
     }
 
     /// Configuration that coalesces operations submitted within a
-    /// `flush_interval`-tick window into one `update` broadcast (used by the
-    /// sharded service and by experiment E11).
+    /// `flush_interval`-tick window into one `update` broadcast (used by
+    /// experiment E11).
     pub fn batched(flush_interval: u64) -> Self {
         EtobConfig {
             batch: flush_interval,

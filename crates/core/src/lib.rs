@@ -60,4 +60,4 @@ pub use types::{
     EventualTotalOrderBroadcast, Instrumented, MsgId, Payload, SEQ_HASH_SEED,
 };
 pub use version::VersionVector;
-pub use workload::{BroadcastWorkload, KvOp, KvWorkload, ZipfMix};
+pub use workload::BroadcastWorkload;

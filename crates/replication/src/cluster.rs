@@ -148,7 +148,6 @@ impl<S: StateMachine + Send + 'static> ClusterBuilder<S> {
     pub fn deploy<E: Engine>(self, engine: &E) -> Cluster<S> {
         match self.try_deploy(engine) {
             Ok(cluster) => cluster,
-            // analysis:allow(panic-safety::panic, reason = "the documented contract of the infallible signature: it fires before any replica exists, on an I/O error of the local host, never on peer input")
             Err(err) => panic!("{err}"),
         }
     }
@@ -278,23 +277,6 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
         let id = self.submit_raw(session.entry(), command, at);
         session.advance(id);
         id
-    }
-
-    /// Submits a slice of commands through `session` at facade time `at`,
-    /// chaining each command on its predecessor (the first on the session's
-    /// current frontier): [`Cluster::submit`] once per command. Returns the
-    /// identifiers in submission order.
-    pub fn submit_batch(
-        &mut self,
-        session: &mut Session,
-        commands: &[ReplicaCommand],
-        at: u64,
-    ) -> Vec<MsgId> {
-        let mut ids = Vec::with_capacity(commands.len());
-        for command in commands {
-            ids.push(self.submit(session, command.clone(), at));
-        }
-        ids
     }
 
     /// Submits a command directly to replica `entry` at facade time `at`,
@@ -523,11 +505,10 @@ fn report_of(
     }
 }
 
-/// Convergence and cost summary of one replica group (a whole unsharded
-/// [`Cluster`], or one shard of a `ShardedCluster`).
+/// Convergence and cost summary of the replica group of a [`Cluster`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardReport {
-    /// The shard index (0 for an unsharded cluster).
+    /// The group's index: always 0, since a [`Cluster`] is one group.
     pub shard: usize,
     /// Operations routed to this group.
     pub ops_routed: u64,
@@ -599,8 +580,8 @@ impl fmt::Display for ShardReport {
     }
 }
 
-/// The uniform cluster-level report: one [`ShardReport`] per replica group
-/// plus merged message counters, tagged with the engine and consistency
+/// The uniform cluster-level report: the [`ShardReport`] of the replica
+/// group plus its message counters, tagged with the engine and consistency
 /// level that produced it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClusterReport {
@@ -608,9 +589,10 @@ pub struct ClusterReport {
     pub engine: EngineKind,
     /// The consistency level the cluster was deployed at.
     pub consistency: Consistency,
-    /// One report per replica group (exactly one for an unsharded cluster).
+    /// The report of the cluster's one replica group (always exactly one
+    /// entry).
     pub shards: Vec<ShardReport>,
-    /// Merged counters of all groups.
+    /// The group's message counters.
     pub totals: Metrics,
 }
 
@@ -633,15 +615,8 @@ impl ClusterReport {
             .sum()
     }
 
-    /// Total `update` broadcasts across groups (the E11 denominator).
-    pub fn total_updates_sent(&self) -> u64 {
-        self.shards.iter().map(|s| s.updates_sent).sum()
-    }
-
     /// The cluster-level convergence time: the latest per-group convergence
-    /// time, or `None` if any group has not converged. Groups are
-    /// independent, so the slowest one is what a client spanning the whole
-    /// keyspace observes — the completion time experiment E10 reports.
+    /// time, or `None` if any group has not converged.
     ///
     /// Note that the underlying groups never go *quiescent*: the paper's
     /// Algorithm 5 has the stable leader gossip its promotion sequence
@@ -656,7 +631,7 @@ impl ClusterReport {
     }
 
     /// The merged latency summary across all groups (histogram merge is
-    /// associative and commutative, so this equals any per-shard grouping).
+    /// associative and commutative, so the grouping does not matter).
     pub fn telemetry(&self) -> ec_telemetry::TelemetryReport {
         let mut merged = ec_telemetry::TelemetryReport::default();
         for shard in &self.shards {

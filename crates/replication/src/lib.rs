@@ -45,11 +45,6 @@
 //!   episodes last, how many commands were applied on each side of a
 //!   partition. These are the quantities the partition-tolerance experiment
 //!   (E2) reports.
-//! * [`shard`] — horizontal scale: [`ShardedCluster`] partitions a keyspace
-//!   across independent replica groups behind a pluggable [`Router`]
-//!   (FNV-1a hashing by default), aggregating per-shard convergence and
-//!   message metrics (experiments E10/E11). [`ShardedKv`] is its key–value
-//!   instantiation.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -61,7 +56,6 @@ pub mod engine;
 pub mod net;
 pub mod replica;
 pub mod session;
-pub mod shard;
 pub mod state_machine;
 
 pub use cluster::{Cluster, ClusterBuilder, ClusterReport, Consistency, ShardReport};
@@ -73,8 +67,4 @@ pub use engine::{
 };
 pub use replica::{Replica, ReplicaCommand, ReplicaOutput};
 pub use session::Session;
-pub use shard::{
-    shard_of, HashRouter, Router, ShardConfig, ShardedCluster, ShardedClusterBuilder, ShardedKv,
-    ShardedKvBuilder,
-};
 pub use state_machine::{snapshot_digest, Counter, KvStore, Register, StateMachine};

@@ -14,13 +14,14 @@
 //! node.
 //!
 //! The facade shares the nodes' process and reaches them in-process, as on
-//! the thread engine: inputs, crashes and shutdowns go into the inbox,
-//! outputs and the goodbye into the hub's record. A connection therefore
-//! carries only peer traffic and the metrics scrape; no connection can stop
-//! a node or take its outputs. A crashed node keeps its listener accepting
-//! — inbound traffic for a dead node is swallowed, like sends to a crashed
-//! process in the model — and a restart starts a fresh incarnation behind
-//! the same address, whose inbox the readers already serving it feed.
+//! the thread engine: inputs, crashes and shutdowns go into the inbox, and
+//! the node loop records outputs and the goodbye in the hub. A connection
+//! therefore carries only peer traffic and the metrics scrape; no
+//! connection can stop a node or take its outputs. A crashed node keeps its
+//! listener accepting — inbound traffic for a dead node is swallowed, like
+//! sends to a crashed process in the model — and a restart starts a fresh
+//! incarnation behind the same address, whose inbox the readers already
+//! serving it feed.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -34,7 +35,7 @@ use ec_sim::{Algorithm, ProcessId};
 use crate::engine::BroadcastLayer;
 use crate::net::codec::{decode_body, encode_body, hello_body, Frame, WireCodec, SCRAPER};
 use crate::net::transport::{read_frame, write_frame, PeerLink, ReadError};
-use crate::replica::{Replica, ReplicaOutput};
+use crate::replica::Replica;
 use crate::state_machine::StateMachine;
 
 /// Names the setup step an I/O error came from.
@@ -51,19 +52,17 @@ pub struct TcpTransport {
     acceptors: Vec<JoinHandle<()>>,
 }
 
-/// One incarnation's sockets, a link per destination, and the hub its
-/// outputs go to.
+/// One incarnation's sockets: a link per destination.
 #[derive(Debug)]
-pub struct TcpLinks<A: Algorithm> {
+pub struct TcpLinks {
     me: ProcessId,
     /// One link per destination, self included: algorithms send to
     /// themselves (e.g. the leader delivering its own sequence), and those
     /// frames loop through the node's own listener like any other.
     links: Vec<PeerLink>,
-    hub: Arc<Hub<A>>,
 }
 
-impl<S, B> Links<Replica<S, B>> for TcpLinks<Replica<S, B>>
+impl<S, B> Links<Replica<S, B>> for TcpLinks
 where
     S: StateMachine,
     B: BroadcastLayer,
@@ -81,14 +80,6 @@ where
             let _ = link.send(&body);
         }
     }
-
-    fn output(&mut self, output: ReplicaOutput) {
-        self.hub.record_output(self.me, output);
-    }
-
-    fn goodbye(&mut self) {
-        self.hub.goodbye(self.me);
-    }
 }
 
 impl<S, B> Transport<Replica<S, B>> for TcpTransport
@@ -97,7 +88,7 @@ where
     B: BroadcastLayer,
     B::Msg: WireCodec,
 {
-    type Links = TcpLinks<Replica<S, B>>;
+    type Links = TcpLinks;
 
     /// Binds one loopback listener per node and starts their acceptors.
     fn bind(hub: &Arc<Hub<Replica<S, B>>>) -> io::Result<Self> {
@@ -123,11 +114,7 @@ where
 
     /// Hands a fresh incarnation of `p` a link to every node's address;
     /// each dials on its first send.
-    fn open(
-        &mut self,
-        p: ProcessId,
-        hub: &Arc<Hub<Replica<S, B>>>,
-    ) -> io::Result<TcpLinks<Replica<S, B>>> {
+    fn open(&mut self, p: ProcessId, _hub: &Arc<Hub<Replica<S, B>>>) -> io::Result<TcpLinks> {
         if p.index() >= self.addrs.len() {
             return Err(io::Error::new(io::ErrorKind::NotFound, "no such node"));
         }
@@ -136,11 +123,7 @@ where
             .iter()
             .map(|addr| PeerLink::new(p.index() as u32, *addr))
             .collect();
-        Ok(TcpLinks {
-            me: p,
-            links,
-            hub: Arc::clone(hub),
-        })
+        Ok(TcpLinks { me: p, links })
     }
 
     /// Stops the acceptors: the hub's stop flag is up, so one dummy

@@ -169,8 +169,8 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
     /// # Example
     ///
     /// A single eventually consistent KV replica over Algorithm 5 (run a
-    /// whole group of them with [`ec_sim::WorldBuilder`], or a hash-sharded
-    /// cluster with [`crate::shard::ShardedKv`]):
+    /// whole group of them with [`ec_sim::WorldBuilder`], or deploy one with
+    /// [`crate::ClusterBuilder`]):
     ///
     /// ```
     /// use ec_core::etob_omega::{EtobConfig, EtobOmega};

@@ -63,12 +63,4 @@ impl<A: Algorithm> Links<A> for ChannelLinks<A> {
         let from = self.me;
         self.hub.send(to, Event::Heartbeat { from, msg });
     }
-
-    fn output(&mut self, output: A::Output) {
-        self.hub.record_output(self.me, output);
-    }
-
-    fn goodbye(&mut self) {
-        self.hub.goodbye(self.me);
-    }
 }

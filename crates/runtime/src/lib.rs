@@ -21,10 +21,11 @@
 //!   is.
 //! * A [`Transport`] supplies only what differs between substrates: how an
 //!   incarnation's [`Links`] to its peers are opened, and teardown. A
-//!   driver [`Event`] goes straight into the node's inbox and outputs
-//!   straight into the hub's record on every transport, so a wire carries
-//!   only what peers send one another. [`ChannelTransport`] lives here;
-//!   the TCP one lives in `ec_replication::net`; a test substitutes a fake.
+//!   driver [`Event`] goes straight into the node's inbox, and the node
+//!   loop records outputs straight into the hub, on every transport, so a
+//!   wire carries only what peers send one another. [`ChannelTransport`]
+//!   lives here; the TCP one lives in `ec_replication::net`; a test
+//!   substitutes a fake.
 //!
 //! Differences from the simulator (documented, deliberate):
 //!

@@ -2,9 +2,10 @@
 //!
 //! A node owns one [`Algorithm`] automaton and one heartbeat Ω module. It
 //! takes [`Event`]s from its inbox, derives the failure-detector value of
-//! each step from the heartbeat module's current leader, and hands what the
-//! step produced to its [`Links`] — the only thing that differs between a
-//! node joined to its peers by channels and one joined by sockets.
+//! each step from the heartbeat module's current leader, records the step's
+//! outputs in the [`Hub`], and hands its messages to its [`Links`] — the
+//! only thing that differs between a node joined to its peers by channels
+//! and one joined by sockets.
 
 use std::fmt;
 
@@ -61,19 +62,14 @@ impl<A: Algorithm> fmt::Debug for Event<A> {
     }
 }
 
-/// The node-side seam: where one incarnation's steps put what they produce.
+/// The node-side seam: where one incarnation's steps put the messages they
+/// send to its peers.
 pub trait Links<A: Algorithm> {
     /// Sends an algorithm message to `to`; returns the bytes put on the
     /// wire (0 if the peer is unreachable — the model's lossy link).
     fn send(&mut self, to: ProcessId, msg: A::Msg) -> u64;
     /// Sends a heartbeat to `to` (not counted as application traffic).
     fn heartbeat(&mut self, to: ProcessId, msg: HeartbeatMsg);
-    /// Hands an output to the driver.
-    fn output(&mut self, output: A::Output);
-    /// Tells the driver this incarnation has shut down in order. Ends in
-    /// [`Hub::goodbye`] once every output handed over before it has been
-    /// recorded.
-    fn goodbye(&mut self);
 }
 
 /// One incarnation's state between events.
@@ -105,8 +101,8 @@ impl<A: Algorithm, L: Links<A>> Node<'_, A, L> {
     }
 
     /// One step of the algorithm under the current leader's detector value:
-    /// messages go out over the links and are counted, outputs go to the
-    /// driver. Timer requests are satisfied by the periodic tick. A step
+    /// messages go out over the links and are counted, outputs are recorded
+    /// in the hub. Timer requests are satisfied by the periodic tick. A step
     /// that produced nothing touches neither the links nor the counters.
     fn step(&mut self, handler: impl FnOnce(&mut A, &mut Context<'_, A>)) {
         let fd = (self.derive)(self.omega.leader(), self.n);
@@ -130,7 +126,7 @@ impl<A: Algorithm, L: Links<A>> Node<'_, A, L> {
             metrics.outputs += actions.outputs.len() as u64;
         }
         for output in actions.outputs {
-            self.links.output(output);
+            self.hub.record_output(self.me, output);
         }
     }
 }
@@ -194,7 +190,7 @@ pub(crate) fn node_loop<A: Algorithm, L: Links<A>>(
         match event {
             Event::Crash => break,
             Event::Shutdown => {
-                node.links.goodbye();
+                hub.goodbye(me);
                 break;
             }
             Event::Heartbeat { from, msg } => {
@@ -235,8 +231,8 @@ mod tests {
 
     const WAIT: Duration = Duration::from_secs(5);
 
-    /// Takes inputs, produces nothing, logs its steps and reports each
-    /// idle one.
+    /// Logs its steps and reports each idle one. An input produces
+    /// nothing; a message produces one output.
     struct Logged {
         steps: Vec<&'static str>,
         idled: Sender<()>,
@@ -250,6 +246,11 @@ mod tests {
 
         fn on_input(&mut self, _: (), _: &mut Context<'_, Self>) {
             self.steps.push("input");
+        }
+
+        fn on_message(&mut self, _: ProcessId, _: (), ctx: &mut Context<'_, Self>) {
+            self.steps.push("message");
+            ctx.output(());
         }
 
         fn on_idle(&mut self, _: &mut Context<'_, Self>) {
@@ -268,10 +269,27 @@ mod tests {
             0
         }
         fn heartbeat(&mut self, _: ProcessId, _: HeartbeatMsg) {}
-        fn output(&mut self, _: ()) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-        fn goodbye(&mut self) {}
+    }
+
+    /// Runs node 0 of `hub` over `events` until it stops, with no tick
+    /// coming due while a test runs.
+    fn spawn(
+        hub: &Arc<Hub<Logged>>,
+        events: Receiver<Event<Logged>>,
+        links: Counted,
+        idled: Sender<()>,
+    ) -> std::thread::JoinHandle<Logged> {
+        let config = RuntimeConfig {
+            tick: Duration::from_secs(3_600),
+            ..RuntimeConfig::default()
+        };
+        let (me, hub) = (ProcessId::new(0), Arc::clone(hub));
+        let derive: FdDerive<()> = Arc::new(|_, _| ());
+        let logged = Logged {
+            steps: Vec::new(),
+            idled,
+        };
+        std::thread::spawn(move || node_loop(me, logged, events, links, &hub, config, &derive))
     }
 
     /// An `Inspect` that answers with the steps taken so far.
@@ -302,21 +320,7 @@ mod tests {
         let (ask, mid_burst) = ask_steps();
         inbox.send(ask).expect("queued");
         let handed = Arc::new(AtomicUsize::new(0));
-        let links = Counted(Arc::clone(&handed));
-        // no tick comes due while the test runs
-        let config = RuntimeConfig {
-            tick: Duration::from_secs(3_600),
-            ..RuntimeConfig::default()
-        };
-        let node = {
-            let (me, hub) = (ProcessId::new(0), Arc::clone(&hub));
-            let derive: FdDerive<()> = Arc::new(|_, _| ());
-            let logged = Logged {
-                steps: Vec::new(),
-                idled,
-            };
-            std::thread::spawn(move || node_loop(me, logged, events, links, &hub, config, &derive))
-        };
+        let node = spawn(&hub, events, Counted(Arc::clone(&handed)), idled);
         // no idle step while the inbox held events, then exactly one
         let inputs = vec!["input"; BURST];
         assert_eq!(mid_burst.recv_timeout(WAIT), Ok(inputs.clone()));
@@ -341,5 +345,38 @@ mod tests {
         let metrics = hub.metrics.lock();
         assert_eq!((metrics.messages_sent, metrics.outputs), (0, 0));
         assert_eq!(metrics.inputs, BURST as u64);
+    }
+
+    #[test]
+    fn the_loop_records_outputs_before_its_goodbye_and_a_crash_says_none() {
+        let me = ProcessId::new(0);
+        for (end, goodbye) in [(Event::Shutdown, true), (Event::Crash, false)] {
+            let hub = Arc::new(Hub::<Logged>::new(2));
+            let (inbox, events) = unbounded();
+            let message = Event::App {
+                from: ProcessId::new(1),
+                msg: (),
+                wire_len: 0,
+            };
+            inbox.send(message).expect("queued");
+            // a look between the message and the end: the message's output
+            // is in the record before the loop takes another event
+            let (seen, recorded) = unbounded();
+            let watch = Arc::clone(&hub);
+            let look = Box::new(move |_: &Logged| {
+                let outputs = watch.history.lock().outputs(me).len();
+                let _ = seen.send((outputs, watch.said_goodbye(me)));
+            });
+            inbox.send(Event::Inspect(look)).expect("queued");
+            inbox.send(end).expect("queued");
+            let (idled, _) = unbounded();
+            let node = spawn(&hub, events, Counted(Arc::default()), idled);
+            let left = node.join().expect("the node loop returns");
+            assert_eq!(left.steps, vec!["message"]);
+            assert_eq!(recorded.recv_timeout(WAIT), Ok((1, false)));
+            // only a shutdown says goodbye; the output stays recorded either way
+            assert_eq!(hub.said_goodbye(me), goodbye);
+            assert_eq!(hub.history.lock().outputs(me).len(), 1);
+        }
     }
 }

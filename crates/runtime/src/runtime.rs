@@ -63,7 +63,7 @@ pub struct Hub<A: Algorithm> {
     /// Raised when a node's current incarnation has said goodbye.
     goodbyes: Vec<AtomicBool>,
     /// The run's output history, stamped in milliseconds of its clock.
-    history: Mutex<OutputHistory<A::Output>>,
+    pub(crate) history: Mutex<OutputHistory<A::Output>>,
     leaders: Mutex<Vec<(ProcessId, u64, ProcessId)>>,
     pub(crate) metrics: Mutex<Metrics>,
     malformed: AtomicU64,
@@ -109,10 +109,10 @@ impl<A: Algorithm> Hub<A> {
     }
 
     /// Records an output of node `p`, stamped with the run's clock. A `p`
-    /// that is no node of the run is ignored rather than indexed: links
-    /// record under their own incarnation's id, but the hub is public and
-    /// a bad id must not panic whichever thread holds it.
-    pub fn record_output(&self, p: ProcessId, output: A::Output) {
+    /// that is no node of the run is ignored rather than indexed: the node
+    /// loop records under its own id, but a bad id must not panic whichever
+    /// thread holds the hub.
+    pub(crate) fn record_output(&self, p: ProcessId, output: A::Output) {
         let mut history = self.history.lock();
         // read under the lock: stamps are monotone in the order recorded,
         // whichever threads record for `p`
@@ -129,13 +129,13 @@ impl<A: Algorithm> Hub<A> {
 
     /// Notes that node `p` has shut down in order and that every output it
     /// produced before has been recorded.
-    pub fn goodbye(&self, p: ProcessId) {
+    pub(crate) fn goodbye(&self, p: ProcessId) {
         if let Some(flag) = self.goodbyes.get(p.index()) {
             flag.store(true, Ordering::SeqCst);
         }
     }
 
-    fn said_goodbye(&self, p: ProcessId) -> bool {
+    pub(crate) fn said_goodbye(&self, p: ProcessId) -> bool {
         let flag = self.goodbyes.get(p.index());
         flag.is_none_or(|flag| flag.load(Ordering::SeqCst))
     }
@@ -173,7 +173,7 @@ impl<A: Algorithm> Hub<A> {
 /// driver event reaches a node (straight into its inbox), crash and
 /// restart — is [`Runtime`]'s and the same for all.
 pub trait Transport<A: Algorithm>: Sized {
-    /// The node-side half: one incarnation's way out to peers and driver.
+    /// The node-side half: one incarnation's way out to its peers.
     type Links: Links<A> + Send + 'static;
 
     /// Sets up what must exist before any node runs.
@@ -663,7 +663,7 @@ mod tests {
         runtime.hub.record_output(p0, delta(1));
         runtime.hub.record_output(p1, delta(2));
         runtime.hub.record_output(p0, delta(3));
-        // a process id off a wire that names no node: dropped, no panic
+        // a process id that names no node: dropped, no panic
         runtime.hub.record_output(ProcessId::new(7), delta(4));
         assert_eq!(runtime.latest_output_of(p0), Some(delta(3)));
         assert_eq!(runtime.latest_output_of(p1), Some(delta(2)));
@@ -791,12 +791,6 @@ mod tests {
         }
         fn heartbeat(&mut self, to: ProcessId, msg: HeartbeatMsg) {
             self.0.heartbeat(to, msg);
-        }
-        fn output(&mut self, output: DeliveryDelta) {
-            self.0.output(output);
-        }
-        fn goodbye(&mut self) {
-            self.0.goodbye();
         }
     }
 

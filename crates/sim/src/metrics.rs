@@ -65,33 +65,6 @@ impl Metrics {
     pub fn sends_of(&self, p: ProcessId) -> u64 {
         self.sends_per_process.get(p.index()).copied().unwrap_or(0)
     }
-
-    /// Accumulates another run's counters into this one.
-    ///
-    /// Used by the sharded service layer to aggregate the metrics of its
-    /// per-shard worlds into one cluster-level figure. The per-process send
-    /// vectors are concatenated in merge order, so on a merged value
-    /// [`Metrics::sends_of`] no longer corresponds to any single world's
-    /// [`ProcessId`] numbering — worlds reuse ids `0..n`, and only the
-    /// aggregate counters (`messages_sent`, `steps`, …) remain meaningful
-    /// across a merge.
-    pub fn merge(&mut self, other: &Metrics) {
-        self.messages_sent += other.messages_sent;
-        self.messages_delivered += other.messages_delivered;
-        self.messages_dropped += other.messages_dropped;
-        self.outputs += other.outputs;
-        self.timer_fires += other.timer_fires;
-        self.inputs += other.inputs;
-        self.steps += other.steps;
-        self.faults_dropped += other.faults_dropped;
-        self.faults_duplicated += other.faults_duplicated;
-        self.crashes += other.crashes;
-        self.recoveries += other.recoveries;
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_delivered += other.bytes_delivered;
-        self.sends_per_process
-            .extend(other.sends_per_process.iter().copied());
-    }
 }
 
 #[cfg(test)]
@@ -108,37 +81,6 @@ mod tests {
         assert_eq!(m.sends_of(ProcessId::new(1)), 2);
         assert_eq!(m.sends_of(ProcessId::new(0)), 0);
         assert_eq!(m.sends_of(ProcessId::new(9)), 0);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_concatenates_send_vectors() {
-        let mut a = Metrics::new(2);
-        a.record_send(ProcessId::new(0));
-        a.messages_delivered = 1;
-        a.steps = 3;
-        let mut b = Metrics::new(2);
-        b.record_send(ProcessId::new(1));
-        b.record_send(ProcessId::new(1));
-        b.outputs = 5;
-        b.faults_dropped = 4;
-        b.faults_duplicated = 2;
-        b.crashes = 1;
-        b.recoveries = 1;
-        a.bytes_sent = 100;
-        b.bytes_sent = 20;
-        b.bytes_delivered = 15;
-        a.merge(&b);
-        assert_eq!(a.messages_sent, 3);
-        assert_eq!(a.messages_delivered, 1);
-        assert_eq!(a.outputs, 5);
-        assert_eq!(a.steps, 3);
-        assert_eq!(a.faults_dropped, 4);
-        assert_eq!(a.faults_duplicated, 2);
-        assert_eq!(a.crashes, 1);
-        assert_eq!(a.recoveries, 1);
-        assert_eq!(a.bytes_sent, 120);
-        assert_eq!(a.bytes_delivered, 15);
-        assert_eq!(a.sends_per_process, vec![1, 0, 0, 2]);
     }
 
     #[test]

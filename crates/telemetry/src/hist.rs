@@ -5,8 +5,8 @@
 //! across the full `u64` range. Recording is O(1) and allocation-free after
 //! construction; [`Histogram::merge`] is associative and commutative, so
 //! per-replica histograms can be folded together in any order and always
-//! produce the same totals — the property the cross-shard and cross-replica
-//! report aggregation relies on.
+//! produce the same totals — the property the cross-replica report
+//! aggregation relies on.
 
 use std::fmt;
 

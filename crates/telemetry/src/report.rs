@@ -4,12 +4,12 @@ use std::fmt;
 
 use crate::hist::Histogram;
 
-/// Latency summary of one replica (or any merge of replicas/shards): the
-/// three histograms plus the total number of flight events recorded.
+/// Latency summary of one replica (or any merge of replicas): the three
+/// histograms plus the total number of flight events recorded.
 ///
 /// Merging is associative and commutative (it folds histogram counts and
-/// sums), so reports can be aggregated per shard, per cluster, or across
-/// engines in any order with identical results.
+/// sums), so reports can be aggregated per replica group, per cluster, or
+/// across engines in any order with identical results.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetryReport {
     /// Total lifecycle events recorded (including ring-overwritten ones).

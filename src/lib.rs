@@ -17,7 +17,7 @@
 //!   implementation (Section 4 / Appendix B).
 //! * [`replication`] — the service layer: the `Cluster`/`Session` facade
 //!   deploying replicated state machines at a chosen consistency level on a
-//!   chosen execution engine, plus sharding for horizontal scale.
+//!   chosen execution engine.
 //! * [`runtime`] — the real-time runtime: the same algorithms as OS threads,
 //!   one node loop over channels (`ThreadEngine`) or TCP (`NetEngine`).
 //! * [`chaos`] — the adversarial-testing subsystem: a fault-injection
@@ -63,21 +63,6 @@
 //! // swap `SimEngine::new()` for `ThreadEngine::default()` and the same
 //! // code runs over real threads — see examples/quickstart.rs and the
 //! // cross-engine conformance suite in tests/conformance.rs.
-//! ```
-//!
-//! # Scaling out
-//!
-//! The sharded service layer partitions a keyspace across independent
-//! replica groups behind a pluggable router; see [`replication::shard`] and
-//! the `sharded_kv` example:
-//!
-//! ```
-//! use eventual_consistency::replication::shard::{ShardConfig, ShardedKv};
-//!
-//! let mut cluster = ShardedKv::new(ShardConfig::default());
-//! cluster.put("alice", "1", 10);
-//! cluster.run_until(2_000);
-//! assert_eq!(cluster.get("alice").as_deref(), Some("1"));
 //! ```
 //!
 //! # The low-level path

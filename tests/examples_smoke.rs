@@ -6,11 +6,10 @@
 
 use std::process::Command;
 
-const EXAMPLES: [&str; 8] = [
+const EXAMPLES: [&str; 7] = [
     "quickstart",
     "leader_extraction",
     "partitioned_kv",
-    "sharded_kv",
     "runtime_demo",
     "chaos_demo",
     "net_kv",
