@@ -786,7 +786,7 @@ impl EtobOmega {
         let before = self.promote.len();
         // The candidate list is a reusable scratch buffer: the fixpoint
         // runs on every update delivery, so collecting a fresh `Vec` per
-        // pass was measurable allocator churn on the E10 hot path.
+        // pass is allocator churn on the per-operation path.
         let mut scratch = std::mem::take(&mut self.promote_scratch);
         loop {
             let mut appended = false;

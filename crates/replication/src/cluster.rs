@@ -44,7 +44,8 @@ use ec_core::tob_consensus::ConsensusTobConfig;
 use ec_core::types::{AppMessage, MsgId};
 use ec_sim::{Metrics, OutputHistory, ProcessId, ProcessSet, Time};
 
-use crate::engine::{DeployError, DeployPlan, Deployment, DeploymentSummary, Engine, EngineKind};
+use crate::convergence::ConvergenceReport;
+use crate::engine::{DeployError, DeployPlan, Deployment, Engine, EngineKind, ReplicaView};
 use crate::replica::{ReplicaCommand, ReplicaOutput};
 use crate::session::Session;
 use crate::state_machine::StateMachine;
@@ -133,11 +134,6 @@ impl<S: StateMachine + Send + 'static> ClusterBuilder<S> {
         self
     }
 
-    /// The deployment plan this builder would hand to an engine.
-    pub fn plan(&self) -> &DeployPlan {
-        &self.plan
-    }
-
     /// Deploys the cluster on `engine`.
     ///
     /// # Panics
@@ -192,11 +188,6 @@ where
 }
 
 impl<S: StateMachine + Send + 'static> Cluster<S> {
-    /// Starts building a cluster of `replicas` replicas.
-    pub fn builder(replicas: usize) -> ClusterBuilder<S> {
-        ClusterBuilder::new(replicas)
-    }
-
     /// Number of replicas.
     pub fn n(&self) -> usize {
         self.n
@@ -247,15 +238,6 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
         MsgId::new(entry, *counter)
     }
 
-    fn submit_raw(&mut self, entry: ProcessId, mut command: ReplicaCommand, at: u64) -> MsgId {
-        let id = self.assign_id(entry);
-        command.id = Some(id);
-        self.clock = self.clock.max(at);
-        self.submitted += 1;
-        self.deployment.submit(entry, command, at);
-        id
-    }
-
     /// Submits a command through `session` at facade time `at`, declaring
     /// the session's previous command as a causal dependency (`C(m)` of the
     /// paper). Returns the identifier assigned to the command.
@@ -274,26 +256,14 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
                 command.deps.push(frontier);
             }
         }
-        let id = self.submit_raw(session.entry(), command, at);
+        let entry = session.entry();
+        let id = self.assign_id(entry);
+        command.id = Some(id);
+        self.clock = self.clock.max(at);
+        self.submitted += 1;
+        self.deployment.submit(entry, command, at);
         session.advance(id);
         id
-    }
-
-    /// Submits a command directly to replica `entry` at facade time `at`,
-    /// without session causal threading (any dependencies already declared
-    /// on the command are kept).
-    pub fn submit_at(
-        &mut self,
-        entry: ProcessId,
-        command: impl Into<ReplicaCommand>,
-        at: u64,
-    ) -> MsgId {
-        self.submit_raw(entry, command.into(), at)
-    }
-
-    /// Total commands submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.submitted
     }
 
     /// Advances the cluster to facade time `t`: virtual time on the
@@ -323,17 +293,20 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
     }
 
     /// Commands applied by replica `p` so far (see [`Deployment::applied`]:
-    /// cheap enough to poll).
+    /// cheap enough to poll; 0 for a `p` outside the group).
     pub fn applied(&self, p: ProcessId) -> usize {
         self.deployment.applied(p)
     }
 
     /// Commands replica `p` had applied at facade time `t` (for probing
-    /// availability during a partition window).
+    /// availability during a partition window; 0 for a `p` outside the
+    /// group).
     pub fn applied_at(&self, p: ProcessId, t: u64) -> usize {
         let mut applied = 0;
         self.with_history(|history| {
-            applied = history.value_at(p, Time::new(t)).map_or(0, |o| o.applied);
+            if p.index() < history.n() {
+                applied = history.value_at(p, Time::new(t)).map_or(0, |o| o.applied);
+            }
         });
         applied
     }
@@ -361,15 +334,46 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
         copy
     }
 
-    /// The canonical snapshot of replica `p`'s state machine.
-    pub fn snapshot(&self, p: ProcessId) -> Vec<u8> {
-        self.deployment.snapshot(p)
+    /// Asks replica `p` `question` through [`Deployment::look`] and brings
+    /// the answer back; `None` if the replica could not be reached.
+    fn ask<R: Send + 'static>(
+        &self,
+        p: ProcessId,
+        question: impl FnOnce(&dyn ReplicaView<S>) -> R + Send + 'static,
+    ) -> Option<R> {
+        let (reply, answer) = std::sync::mpsc::channel();
+        let asked = self.deployment.look(
+            p,
+            Box::new(move |replica| {
+                let _ = reply.send(question(replica));
+            }),
+        );
+        asked.then(|| answer.try_recv().ok()).flatten()
     }
 
-    /// A typed copy of replica `p`'s state machine, read from the replica
-    /// (see [`Deployment::state`] for when there is none to read).
+    /// Asks every replica `question`, in replica order, skipping those that
+    /// could not be reached.
+    fn ask_all<R: Send + 'static>(
+        &self,
+        question: impl Fn(&dyn ReplicaView<S>) -> R + Copy + Send + 'static,
+    ) -> impl Iterator<Item = R> + '_ {
+        self.replica_ids()
+            .filter_map(move |p| self.ask(p, question))
+    }
+
+    /// The canonical snapshot of replica `p`'s state machine (of an empty
+    /// one if the replica cannot be reached, see [`Cluster::state`]).
+    pub fn snapshot(&self, p: ProcessId) -> Vec<u8> {
+        let snapshot = self.ask(p, |r| r.state().snapshot());
+        snapshot.unwrap_or_else(|| S::default().snapshot())
+    }
+
+    /// A typed copy of replica `p`'s state machine; of a replica that is
+    /// down, the state it went down with. `None` if there is no replica
+    /// `p`, or if a real-time node's thread died or did not get to the
+    /// question within [`ec_runtime::GOODBYE_WAIT_MS`].
     pub fn state(&self, p: ProcessId) -> Option<S> {
-        self.deployment.state(p)
+        self.ask(p, |r| r.state().clone())
     }
 
     /// Reads the state machine at `session`'s entry replica — a local,
@@ -379,9 +383,10 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
         self.state(session.entry())
     }
 
-    /// The stable delivered sequence of replica `p`'s broadcast layer.
+    /// The stable delivered sequence of replica `p`'s broadcast layer
+    /// (`None` as for [`Cluster::state`]).
     pub fn delivered(&self, p: ProcessId) -> Option<Vec<AppMessage>> {
-        self.deployment.delivered(p)
+        self.ask(p, |r| r.delivered().to_vec())
     }
 
     /// Crashes replica `p` if the engine supports dynamic crashes (thread
@@ -437,18 +442,30 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
     /// update gaps (lost, reordered or rejoin-missed deltas) that the
     /// delta-sync machinery detected and repaired (0 for strong clusters).
     pub fn sync_pulls(&self) -> u64 {
-        self.deployment.sync_pulls()
+        self.ask_all(|r| r.sync_pulls()).sum()
     }
 
     /// The merged latency summary of the cluster so far.
     pub fn telemetry(&self) -> ec_telemetry::TelemetryReport {
-        self.deployment.telemetry()
+        let mut telemetry = ec_telemetry::TelemetryReport::default();
+        for report in self.ask_all(|r| r.telemetry()) {
+            telemetry.merge(&report);
+        }
+        telemetry
     }
 
-    /// The per-replica flight-recorder traces so far (the chaos harness
-    /// dumps these next to a failing counterexample).
+    /// The per-replica flight-recorder traces so far, each with the crash
+    /// and recovery events that befell its replica (the chaos harness dumps
+    /// these next to a failing counterexample).
     pub fn flight_events(&self) -> Vec<Vec<ec_telemetry::Event>> {
-        self.deployment.flight_events()
+        let events = |p| self.ask(p, |r| r.flight_events()).unwrap_or_default();
+        let mut flight: Vec<_> = self.replica_ids().map(events).collect();
+        for event in self.deployment.fault_events() {
+            if let Some(slot) = flight.get_mut(event.origin as usize) {
+                slot.push(event);
+            }
+        }
+        flight
     }
 
     /// Scrapes the live text metrics exposition of replica `p`'s node over
@@ -461,47 +478,40 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
     /// counts and snapshots, convergence of the replica outputs, and
     /// message costs.
     pub fn report(&self) -> ClusterReport {
-        let summary = self.deployment.summary(&self.crashed);
-        report_of(self.engine(), self.consistency, self.submitted, summary)
+        let correct = self.correct();
+        let mut convergence = ConvergenceReport::default();
+        self.with_history(|history| {
+            convergence = ConvergenceReport::from_history(history, &correct);
+        });
+        let metrics = self.metrics();
+        let shard = ShardReport {
+            shard: 0,
+            ops_routed: self.submitted,
+            applied: self.replica_ids().map(|p| self.applied(p)).collect(),
+            snapshots: self.replica_ids().map(|p| self.snapshot(p)).collect(),
+            converged_at: convergence.converged_at,
+            divergences: convergence.divergence_count(),
+            messages_sent: metrics.messages_sent,
+            bytes_sent: metrics.bytes_sent,
+            updates_sent: self.ask_all(|r| r.updates_sent()).sum(),
+            faults_dropped: metrics.faults_dropped,
+            faults_duplicated: metrics.faults_duplicated,
+            telemetry: self.telemetry(),
+        };
+        ClusterReport {
+            engine: self.engine(),
+            consistency: self.consistency,
+            shards: vec![shard],
+            totals: metrics,
+        }
     }
 
     /// Stops the cluster and returns the final report: what
     /// [`Cluster::report`] says once every replica of a real-time engine has
     /// drained its inbox and stopped.
-    pub fn finish(self) -> ClusterReport {
-        let (engine, consistency, submitted) = (self.engine(), self.consistency, self.submitted);
-        let summary = self.deployment.finish(&self.crashed);
-        report_of(engine, consistency, submitted, summary)
-    }
-}
-
-/// The uniform report of one replica group from what its deployment says
-/// about itself, live or stopped.
-fn report_of(
-    engine: EngineKind,
-    consistency: Consistency,
-    submitted: u64,
-    summary: DeploymentSummary,
-) -> ClusterReport {
-    let shard = ShardReport {
-        shard: 0,
-        ops_routed: submitted,
-        applied: summary.applied,
-        snapshots: summary.snapshots,
-        converged_at: summary.convergence.converged_at,
-        divergences: summary.convergence.divergence_count(),
-        messages_sent: summary.metrics.messages_sent,
-        bytes_sent: summary.metrics.bytes_sent,
-        updates_sent: summary.updates_sent,
-        faults_dropped: summary.metrics.faults_dropped,
-        faults_duplicated: summary.metrics.faults_duplicated,
-        telemetry: summary.telemetry,
-    };
-    ClusterReport {
-        engine,
-        consistency,
-        shards: vec![shard],
-        totals: summary.metrics,
+    pub fn finish(mut self) -> ClusterReport {
+        self.deployment.stop();
+        self.report()
     }
 }
 
@@ -701,15 +711,14 @@ impl fmt::Display for ClusterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SimEngine;
+    use crate::engine::{NetEngine, SimEngine, ThreadEngine};
     use crate::state_machine::{Counter, KvStore};
     use ec_sim::{NetworkModel, PartitionSpec};
 
     #[test]
-    fn builder_defaults_and_plan() {
-        let builder = ClusterBuilder::<KvStore>::new(3);
-        assert_eq!(builder.plan().replicas, 3);
-        assert_eq!(builder.plan().consistency, Consistency::Eventual);
+    fn builder_defaults() {
+        let cluster = ClusterBuilder::<KvStore>::new(3).deploy(&SimEngine::new());
+        assert_eq!(cluster.consistency(), Consistency::Eventual);
         assert_eq!(format!("{}", Consistency::Eventual), "eventual");
         assert_eq!(format!("{}", Consistency::Strong), "strong");
     }
@@ -733,6 +742,27 @@ mod tests {
     fn pinned_sessions_check_bounds() {
         let cluster = ClusterBuilder::<KvStore>::new(2).deploy(&SimEngine::new());
         let _ = cluster.session_at(ProcessId::new(9));
+    }
+
+    /// A replica id outside the group names a replica nobody can reach, and
+    /// every engine answers so: no read panics, no crash or restart applies.
+    #[test]
+    fn a_replica_outside_the_group_is_unreachable_on_every_engine() {
+        fn probe<E: Engine>(engine: &E) {
+            let mut cluster = ClusterBuilder::<KvStore>::new(2).deploy(engine);
+            let stranger = ProcessId::new(9);
+            assert_eq!(cluster.applied(stranger), 0, "{}", cluster.engine());
+            assert_eq!(cluster.applied_at(stranger, 0), 0);
+            assert_eq!(cluster.state(stranger), None);
+            assert_eq!(cluster.delivered(stranger), None);
+            assert_eq!(cluster.snapshot(stranger), KvStore::default().snapshot());
+            assert!(!cluster.crash(stranger), "{}", cluster.engine());
+            assert!(!cluster.restart(stranger));
+            assert_eq!(cluster.finish().shards[0].applied, vec![0, 0]);
+        }
+        probe(&SimEngine::new());
+        probe(&ThreadEngine::new());
+        probe(&NetEngine::new());
     }
 
     #[test]

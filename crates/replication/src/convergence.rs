@@ -7,7 +7,7 @@
 //! reports them side by side for the Ω-only replicated service and the
 //! Ω + Σ baseline.
 
-use ec_sim::{OutputHistory, ProcessId, ProcessSet, Time};
+use ec_sim::{OutputHistory, ProcessSet, Time};
 
 use crate::replica::ReplicaOutput;
 
@@ -34,8 +34,6 @@ pub struct ConvergenceReport {
     pub converged_at: Option<Time>,
     /// Divergence episodes, in order.
     pub divergences: Vec<Divergence>,
-    /// Per-replica number of applied commands at the end of the history.
-    pub final_applied: Vec<(ProcessId, usize)>,
 }
 
 impl ConvergenceReport {
@@ -76,14 +74,9 @@ impl ConvergenceReport {
         } else {
             None
         };
-        let final_applied = correct
-            .iter()
-            .map(|p| (p, history.last(p).map(|o| o.applied).unwrap_or(0)))
-            .collect();
         ConvergenceReport {
             converged_at,
             divergences,
-            final_applied,
         }
     }
 
@@ -101,22 +94,12 @@ impl ConvergenceReport {
     pub fn divergence_count(&self) -> usize {
         self.divergences.len()
     }
-
-    /// Returns `true` if the correct replicas agree at the end of the
-    /// recorded history.
-    pub fn is_converged(&self) -> bool {
-        self.converged_at.is_some()
-    }
-
-    /// Total number of commands applied across correct replicas at the end.
-    pub fn total_applied(&self) -> usize {
-        self.final_applied.iter().map(|(_, a)| a).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ec_sim::ProcessId;
 
     fn out(applied: usize, tag: u8) -> ReplicaOutput {
         ReplicaOutput {
@@ -135,9 +118,8 @@ mod tests {
         h.record(ProcessId::new(0), Time::new(5), out(1, 1));
         h.record(ProcessId::new(1), Time::new(5), out(1, 1));
         let report = ConvergenceReport::from_history(&h, &correct(2));
-        assert!(report.is_converged());
+        assert_eq!(report.converged_at, Some(Time::new(5)));
         assert_eq!(report.divergence_count(), 0);
-        assert_eq!(report.total_applied(), 2);
     }
 
     #[test]
@@ -147,7 +129,6 @@ mod tests {
         // p1 lags: at t=5 it has no output yet → divergence
         h.record(ProcessId::new(1), Time::new(20), out(1, 1));
         let report = ConvergenceReport::from_history(&h, &correct(2));
-        assert!(report.is_converged());
         assert_eq!(report.divergence_count(), 1);
         assert_eq!(report.divergences[0].from, Time::new(5));
         assert_eq!(report.divergences[0].until, Some(Time::new(20)));
@@ -160,7 +141,7 @@ mod tests {
         h.record(ProcessId::new(0), Time::new(5), out(1, 1));
         h.record(ProcessId::new(1), Time::new(10), out(1, 2));
         let report = ConvergenceReport::from_history(&h, &correct(2));
-        assert!(!report.is_converged());
+        assert_eq!(report.converged_at, None);
         assert_eq!(report.divergence_count(), 1);
         assert_eq!(report.divergences[0].until, None);
     }
@@ -194,15 +175,14 @@ mod tests {
         h.record(ProcessId::new(1), Time::new(10), out(9, 9));
         let only_p0: ProcessSet = [0].into_iter().collect();
         let report = ConvergenceReport::from_history(&h, &only_p0);
-        assert!(report.is_converged());
-        assert_eq!(report.final_applied, vec![(ProcessId::new(0), 1)]);
+        assert_eq!(report.converged_at, Some(Time::new(5)));
+        assert_eq!(report.divergence_count(), 0);
     }
 
     #[test]
     fn empty_history_is_trivially_converged() {
         let h: OutputHistory<ReplicaOutput> = OutputHistory::new(3);
         let report = ConvergenceReport::from_history(&h, &correct(3));
-        assert!(report.is_converged());
-        assert_eq!(report.total_applied(), 0);
+        assert_eq!(report.converged_at, Some(Time::ZERO));
     }
 }

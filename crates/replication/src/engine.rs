@@ -54,7 +54,6 @@ use ec_sim::{
 use ec_telemetry::{Event, Recorder, TelemetryReport, TimeSource, FLIGHT_CAPACITY};
 
 use crate::cluster::Consistency;
-use crate::convergence::ConvergenceReport;
 use crate::durable::DurableOptions;
 use crate::net::TcpTransport;
 use crate::replica::{Replica, ReplicaCommand, ReplicaOutput};
@@ -492,11 +491,66 @@ impl Engine for NetEngine {
 // The uniform deployment handle
 // ---------------------------------------------------------------------------
 
+/// What the facade reads of one replica, on any engine: the one view
+/// [`Deployment::look`] lends a question, implemented by every [`Replica`].
+pub trait ReplicaView<S> {
+    /// The replica's state machine.
+    fn state(&self) -> &S;
+
+    /// The stable delivered sequence of its broadcast layer.
+    fn delivered(&self) -> &[AppMessage];
+
+    /// `update` broadcasts its layer performed so far (see
+    /// [`BroadcastLayer::updates_sent`]).
+    fn updates_sent(&self) -> u64;
+
+    /// Digest pulls its layer performed so far (see
+    /// [`BroadcastLayer::sync_pulls`]).
+    fn sync_pulls(&self) -> u64;
+
+    /// The latency summary of its recorder.
+    fn telemetry(&self) -> TelemetryReport;
+
+    /// Its flight-recorder trace.
+    fn flight_events(&self) -> Vec<Event>;
+}
+
+impl<S: StateMachine, B: BroadcastLayer> ReplicaView<S> for Replica<S, B> {
+    fn state(&self) -> &S {
+        Replica::state(self)
+    }
+
+    fn delivered(&self) -> &[AppMessage] {
+        self.broadcast_layer().delivered()
+    }
+
+    fn updates_sent(&self) -> u64 {
+        self.broadcast_layer().updates_sent()
+    }
+
+    fn sync_pulls(&self) -> u64 {
+        self.broadcast_layer().sync_pulls()
+    }
+
+    fn telemetry(&self) -> TelemetryReport {
+        Replica::telemetry(self)
+    }
+
+    fn flight_events(&self) -> Vec<Event> {
+        Replica::flight_events(self)
+    }
+}
+
+/// A question for one replica, put to it through [`Deployment::look`].
+pub type Question<S> = Box<dyn FnOnce(&dyn ReplicaView<S>) + Send>;
+
 /// A running replica group behind the uniform driving interface the
-/// [`crate::cluster::Cluster`] facade uses. Every read of a replica is
-/// answered by the replica itself on every engine; the defaults are the
-/// answers of a deployment that lacks the capability: dynamic crashes, and
-/// what only a wire (addresses, malformed frames, scrapes) can provide.
+/// [`crate::cluster::Cluster`] facade uses: its verbs, and one read,
+/// [`Deployment::look`], that every read of a replica goes through. The
+/// defaults are the answers of a deployment that lacks the capability:
+/// dynamic crashes, and what only a wire (addresses, malformed frames,
+/// scrapes) can provide. A `p` outside the group is a replica that cannot be
+/// reached: `applied` 0, no answer to `look`, no crash or restart.
 pub trait Deployment<S: StateMachine>: fmt::Debug {
     /// Which engine this deployment runs on.
     fn kind(&self) -> EngineKind;
@@ -521,19 +575,12 @@ pub trait Deployment<S: StateMachine>: fmt::Debug {
     /// node's inbox; 0 until a restarted incarnation has output).
     fn applied(&self, p: ProcessId) -> usize;
 
-    /// The canonical snapshot of replica `p`'s state machine (of an empty
-    /// one if the replica cannot be reached, see [`Deployment::state`]).
-    fn snapshot(&self, p: ProcessId) -> Vec<u8>;
-
-    /// A typed copy of replica `p`'s state machine; of a replica that is
-    /// down, the state it went down with. `None` if a real-time node's
-    /// thread died or did not get to the question within
-    /// [`ec_runtime::GOODBYE_WAIT_MS`].
-    fn state(&self, p: ProcessId) -> Option<S>;
-
-    /// The stable delivered sequence of replica `p`'s broadcast layer
-    /// (`None` as for [`Deployment::state`]).
-    fn delivered(&self, p: ProcessId) -> Option<Vec<AppMessage>>;
+    /// Runs `question` on replica `p` and says whether it ran: at once on
+    /// the simulator; on a real-time engine between two steps of a live
+    /// node, or on the automaton a down one left behind. `false` if there is
+    /// no replica `p`, or if a real-time node's thread died or did not get
+    /// to the question within [`ec_runtime::GOODBYE_WAIT_MS`].
+    fn look(&self, p: ProcessId, question: Question<S>) -> bool;
 
     /// Crashes replica `p` if the engine supports dynamic crashes. `true`
     /// on the real-time engines; `false` on the simulator, where crashes
@@ -578,20 +625,12 @@ pub trait Deployment<S: StateMachine>: fmt::Debug {
     /// the simulator, everything minus `facade_crashed` elsewhere.
     fn correct(&self, facade_crashed: &ProcessSet) -> ProcessSet;
 
-    /// Total `update` broadcasts of the Algorithm 5 layers so far (0 for
-    /// strong deployments).
-    fn updates_sent(&self) -> u64;
-
-    /// Total digest pulls (delta-sync update-gap repairs, see
-    /// `EtobOmega::sync_pulls`) of the Algorithm 5 layers so far — each one
-    /// is a wire-level gap that was detected and healed.
-    fn sync_pulls(&self) -> u64;
-
-    /// The merged latency summary of the replicas so far.
-    fn telemetry(&self) -> TelemetryReport;
-
-    /// The per-replica flight-recorder traces so far.
-    fn flight_events(&self) -> Vec<Vec<Event>>;
+    /// Crash and recovery events the replicas' own recorders cannot see,
+    /// oldest first, each tagged with the replica it befell (the simulator's
+    /// scripted faults; none elsewhere).
+    fn fault_events(&self) -> Vec<Event> {
+        Vec::new()
+    }
 
     /// Scrapes the live metrics exposition of replica `p`'s node over its
     /// socket (net engine only; `None` elsewhere, and on a node that is
@@ -600,51 +639,10 @@ pub trait Deployment<S: StateMachine>: fmt::Debug {
         None
     }
 
-    /// What the deployment can say about itself right now, running or
-    /// stopped, from the accessors above.
-    fn summary(&self, facade_crashed: &ProcessSet) -> DeploymentSummary {
-        let ids = || (0..self.n()).map(ProcessId::new);
-        let correct = self.correct(facade_crashed);
-        let mut convergence = ConvergenceReport::default();
-        self.with_history(&mut |history| {
-            convergence = ConvergenceReport::from_history(history, &correct);
-        });
-        DeploymentSummary {
-            applied: ids().map(|p| self.applied(p)).collect(),
-            snapshots: ids().map(|p| self.snapshot(p)).collect(),
-            convergence,
-            metrics: self.metrics(),
-            correct,
-            updates_sent: self.updates_sent(),
-            telemetry: self.telemetry(),
-        }
-    }
-
-    /// Stops the deployment (a real-time engine lets every replica drain
-    /// its inbox and joins its thread; the simulator has nothing to stop)
-    /// and returns its [`Deployment::summary`].
-    fn finish(self: Box<Self>, facade_crashed: &ProcessSet) -> DeploymentSummary;
-}
-
-/// Everything a deployment can say about itself, live or once stopped.
-#[derive(Debug)]
-pub struct DeploymentSummary {
-    /// Commands applied, per replica.
-    pub applied: Vec<usize>,
-    /// Canonical state-machine snapshot, per replica.
-    pub snapshots: Vec<Vec<u8>>,
-    /// Convergence of the replicas' outputs over the whole run.
-    pub convergence: ConvergenceReport,
-    /// Message counters of the run.
-    pub metrics: Metrics,
-    /// Processes that were correct for the whole run.
-    pub correct: ProcessSet,
-    /// `update` broadcasts sent by the Algorithm 5 layers (0 for strong
-    /// deployments, which have no batching amortization to report).
-    pub updates_sent: u64,
-    /// Merged latency summary of all replicas (submit→deliver,
-    /// promote→stable, stability lag).
-    pub telemetry: TelemetryReport,
+    /// Stops the deployment: a real-time engine lets every replica drain
+    /// its inbox and joins its thread; the simulator has nothing to stop.
+    /// Every read still answers afterwards, from what the replicas left.
+    fn stop(&mut self) {}
 }
 
 impl<S, B, D> Deployment<S> for World<Replica<S, B>, D>
@@ -670,19 +668,19 @@ where
     }
 
     fn applied(&self, p: ProcessId) -> usize {
-        self.algorithm(p).applied()
+        if p.index() < self.n() {
+            self.algorithm(p).applied()
+        } else {
+            0
+        }
     }
 
-    fn snapshot(&self, p: ProcessId) -> Vec<u8> {
-        self.algorithm(p).state().snapshot()
-    }
-
-    fn state(&self, p: ProcessId) -> Option<S> {
-        Some(self.algorithm(p).state().clone())
-    }
-
-    fn delivered(&self, p: ProcessId) -> Option<Vec<AppMessage>> {
-        Some(self.algorithm(p).broadcast_layer().delivered().to_vec())
+    fn look(&self, p: ProcessId, question: Question<S>) -> bool {
+        let reachable = p.index() < self.n();
+        if reachable {
+            question(self.algorithm(p));
+        }
+        reachable
     }
 
     fn metrics(&self) -> Metrics {
@@ -697,45 +695,8 @@ where
         self.failures().correct()
     }
 
-    fn updates_sent(&self) -> u64 {
-        let layers = self
-            .process_ids()
-            .map(|p| self.algorithm(p).broadcast_layer());
-        layers.map(BroadcastLayer::updates_sent).sum()
-    }
-
-    fn sync_pulls(&self) -> u64 {
-        let layers = self
-            .process_ids()
-            .map(|p| self.algorithm(p).broadcast_layer());
-        layers.map(BroadcastLayer::sync_pulls).sum()
-    }
-
-    fn telemetry(&self) -> TelemetryReport {
-        let mut telemetry = TelemetryReport::default();
-        for p in self.process_ids() {
-            telemetry.merge(&self.algorithm(p).telemetry());
-        }
-        telemetry
-    }
-
-    /// Per-replica recorder events plus the world's crash/recover events
-    /// routed to the affected replica.
-    fn flight_events(&self) -> Vec<Vec<Event>> {
-        let mut flight: Vec<Vec<Event>> = self
-            .process_ids()
-            .map(|p| self.algorithm(p).flight_events())
-            .collect();
-        for event in self.fault_events() {
-            if let Some(slot) = flight.get_mut(event.origin as usize) {
-                slot.push(event);
-            }
-        }
-        flight
-    }
-
-    fn finish(self: Box<Self>, facade_crashed: &ProcessSet) -> DeploymentSummary {
-        self.summary(facade_crashed)
+    fn fault_events(&self) -> Vec<Event> {
+        World::fault_events(self)
     }
 }
 
@@ -750,10 +711,6 @@ pub struct RealTimeDeployment<S: StateMachine, B: BroadcastLayer, T> {
 }
 
 impl<S: StateMachine, B: BroadcastLayer, T> RealTimeDeployment<S, B, T> {
-    fn ids(&self) -> impl Iterator<Item = ProcessId> {
-        (0..self.runtime.n()).map(ProcessId::new)
-    }
-
     /// Sleeps until `t` milliseconds of wall-clock time have elapsed since
     /// deployment (no-op if that moment has already passed).
     fn pace_to(&self, t: u64) {
@@ -794,23 +751,16 @@ where
         self.runtime.latest_output_of(p).map_or(0, |o| o.applied)
     }
 
-    fn snapshot(&self, p: ProcessId) -> Vec<u8> {
-        let snapshot = self.runtime.look(p, |r| r.state().snapshot());
-        snapshot.unwrap_or_else(|| S::default().snapshot())
-    }
-
-    fn state(&self, p: ProcessId) -> Option<S> {
-        self.runtime.look(p, |r| r.state().clone())
-    }
-
-    fn delivered(&self, p: ProcessId) -> Option<Vec<AppMessage>> {
-        self.runtime
-            .look(p, |r| r.broadcast_layer().delivered().to_vec())
+    fn look(&self, p: ProcessId, question: Question<S>) -> bool {
+        self.runtime.look(p, move |r| question(r)).is_some()
     }
 
     fn crash(&mut self, p: ProcessId) -> bool {
-        self.runtime.crash(p);
-        true
+        let exists = p.index() < self.n();
+        if exists {
+            self.runtime.crash(p);
+        }
+        exists
     }
 
     fn restart(&mut self, p: ProcessId) -> bool {
@@ -837,30 +787,6 @@ where
         ProcessSet::all(self.n()).difference(facade_crashed)
     }
 
-    fn updates_sent(&self) -> u64 {
-        let sent = |p| self.runtime.look(p, |r| r.broadcast_layer().updates_sent());
-        self.ids().filter_map(sent).sum()
-    }
-
-    fn sync_pulls(&self) -> u64 {
-        let pulls = |p| self.runtime.look(p, |r| r.broadcast_layer().sync_pulls());
-        self.ids().filter_map(pulls).sum()
-    }
-
-    fn telemetry(&self) -> TelemetryReport {
-        let mut telemetry = TelemetryReport::default();
-        let reports = |p| self.runtime.look(p, Replica::telemetry);
-        for report in self.ids().filter_map(reports) {
-            telemetry.merge(&report);
-        }
-        telemetry
-    }
-
-    fn flight_events(&self) -> Vec<Vec<Event>> {
-        let events = |p| self.runtime.look(p, Replica::flight_events);
-        self.ids().map(|p| events(p).unwrap_or_default()).collect()
-    }
-
     fn scrape(&self, p: ProcessId) -> Option<String> {
         if self.runtime.is_down(p) {
             return None;
@@ -868,9 +794,8 @@ where
         self.runtime.transport().scrape(p)
     }
 
-    fn finish(mut self: Box<Self>, facade_crashed: &ProcessSet) -> DeploymentSummary {
+    fn stop(&mut self) {
         self.runtime.stop();
-        self.summary(facade_crashed)
     }
 }
 

@@ -27,8 +27,8 @@
 //! * [`session`] — client sessions that automatically thread causal
 //!   dependencies (`C(m)`) through successive commands, replacing hand-built
 //!   dependency lists.
-//! * [`state_machine`] — deterministic state machines (a key–value store, a
-//!   counter, a last-writer-wins register) driven by opaque commands.
+//! * [`state_machine`] — deterministic state machines (a key–value store and
+//!   a counter) driven by opaque commands.
 //! * [`replica`] — the low-level path: a generic replica that feeds client
 //!   commands into *any* [`ec_core::types::EventualTotalOrderBroadcast`]
 //!   implementation and applies its delivery deltas to its state
@@ -62,9 +62,9 @@ pub use cluster::{Cluster, ClusterBuilder, ClusterReport, Consistency, ShardRepo
 pub use convergence::{ConvergenceReport, Divergence};
 pub use durable::{DurableError, DurableOptions, DurableStore, Recovered};
 pub use engine::{
-    BroadcastLayer, DeployError, DeployPlan, Deployment, Engine, EngineKind, NetEngine,
-    RealTimeDeployment, RealTimeEngine, SimEngine, ThreadEngine,
+    BroadcastLayer, DeployError, DeployPlan, Deployment, Engine, EngineKind, NetEngine, Question,
+    RealTimeDeployment, RealTimeEngine, ReplicaView, SimEngine, ThreadEngine,
 };
 pub use replica::{Replica, ReplicaCommand, ReplicaOutput};
 pub use session::Session;
-pub use state_machine::{snapshot_digest, Counter, KvStore, Register, StateMachine};
+pub use state_machine::{snapshot_digest, Counter, KvStore, StateMachine};

@@ -249,47 +249,6 @@ impl StateMachine for Counter {
     }
 }
 
-/// A register holding the last written value (last writer in delivery order
-/// wins). Commands: the raw value to write.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Register {
-    value: Vec<u8>,
-    writes: u64,
-}
-
-impl Register {
-    /// The current value.
-    pub fn value(&self) -> &[u8] {
-        &self.value
-    }
-
-    /// Number of writes applied.
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-}
-
-impl StateMachine for Register {
-    fn apply(&mut self, command: &[u8]) {
-        self.value = command.to_vec();
-        self.writes += 1;
-    }
-
-    fn snapshot(&self) -> Vec<u8> {
-        let mut out = self.writes.to_le_bytes().to_vec();
-        out.extend_from_slice(&self.value);
-        out
-    }
-
-    fn from_snapshot(snapshot: &[u8]) -> Option<Self> {
-        let (writes, value) = snapshot.split_first_chunk::<8>()?;
-        Some(Register {
-            value: value.to_vec(),
-            writes: u64::from_le_bytes(*writes),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,17 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn register_tracks_last_write_and_count() {
-        let mut r = Register::default();
-        r.apply(b"first");
-        r.apply(b"second");
-        assert_eq!(r.value(), b"second");
-        assert_eq!(r.writes(), 2);
-        let again = Register::replay([b"first".as_slice(), b"second".as_slice()]);
-        assert_eq!(again.snapshot(), r.snapshot());
-    }
-
-    #[test]
     fn snapshots_round_trip_through_from_snapshot() {
         let mut kv = KvStore::default();
         kv.apply(&KvStore::put("x", "1"));
@@ -362,11 +310,6 @@ mod tests {
         c.apply(&Counter::add(-12));
         assert_eq!(Counter::from_snapshot(&c.snapshot()), Some(c));
         assert_eq!(Counter::from_snapshot(b"short"), None);
-
-        let mut r = Register::default();
-        r.apply(b"payload");
-        assert_eq!(Register::from_snapshot(&r.snapshot()), Some(r));
-        assert_eq!(Register::from_snapshot(b"tiny"), None);
     }
 
     #[test]
@@ -464,14 +407,5 @@ mod tests {
         let mut c = Counter::default();
         c.apply(&Counter::add(3));
         assert_eq!(c.digest(), snapshot_digest(&c.snapshot()));
-        let r = Register::replay([b"v".as_slice()]);
-        assert_eq!(r.digest(), snapshot_digest(&r.snapshot()));
-    }
-
-    #[test]
-    fn replay_order_matters_for_the_register() {
-        let a = Register::replay([b"x".as_slice(), b"y".as_slice()]);
-        let b = Register::replay([b"y".as_slice(), b"x".as_slice()]);
-        assert_ne!(a.snapshot(), b.snapshot());
     }
 }

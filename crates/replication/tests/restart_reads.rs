@@ -24,9 +24,12 @@ fn reads_after_a_blank_restart_answer_for_the_new_incarnation<E: Engine>(engine:
     }
     assert!(cluster.run_until_applied(OPS, 30_000));
 
-    // a replica that is down answers for the state it went down with
+    // a replica that is down answers every read for the state it went
+    // down with
     assert!(cluster.crash(victim));
     assert_eq!(cluster.state(victim).map(|s| s.len()), Some(OPS));
+    assert_eq!(cluster.delivered(victim).map(|d| d.len()), Some(OPS));
+    assert!(!cluster.flight_events()[victim.index()].is_empty());
     // restarted among live peers, it is re-filled, and the reads follow the
     // new incarnation once it outputs
     assert!(cluster.restart(victim));
@@ -43,6 +46,7 @@ fn reads_after_a_blank_restart_answer_for_the_new_incarnation<E: Engine>(engine:
     assert_eq!(cluster.applied(victim), 0);
     assert_eq!(cluster.state(victim), Some(KvStore::default()));
     assert!(cluster.snapshot(victim).is_empty());
+    assert_eq!(cluster.delivered(victim), Some(vec![]));
     let before = cluster.clock();
     assert!(
         !cluster.run_until_applied(OPS, before + 200),
