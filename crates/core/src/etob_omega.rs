@@ -89,8 +89,7 @@
 //! its state after the group folds recovers through `ec-replication`'s
 //! durable facade instead.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 use ec_sim::{Algorithm, Context, ProcessId};
@@ -119,7 +118,13 @@ use crate::version::VersionVector;
 /// edge from a retired node is satisfied by [`CausalGraph::is_compacted`].
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct CausalGraph {
-    nodes: BTreeMap<MsgId, AppMessage>,
+    /// The resident nodes as one run per origin: the runs sorted by origin,
+    /// each sorted by `seq` and never empty — so iteration is `(origin,
+    /// seq)` order and equal graphs hold equal runs. Runs are sorted, not
+    /// dense: an origin's messages need not form a chain (explicit ids and
+    /// dependencies break it), and a peer-chosen `seq` must not size a
+    /// buffer.
+    runs: Vec<VecDeque<AppMessage>>,
     /// Exact digest of every identifier ever added — resident *and*
     /// compacted — maintained incrementally and never shrunk.
     digest: VersionVector,
@@ -138,9 +143,28 @@ impl CausalGraph {
     /// `frontier` recorded as the already-compacted (and digested) history.
     pub fn recovered(frontier: VersionVector) -> Self {
         CausalGraph {
-            nodes: BTreeMap::new(),
+            runs: Vec::new(),
             digest: frontier.clone(),
             compacted: frontier,
+        }
+    }
+
+    /// Position of `origin`'s run: `Ok` where it is, `Err` where it goes.
+    fn run_of(&self, origin: ProcessId) -> Result<usize, usize> {
+        self.runs
+            .binary_search_by_key(&Some(origin), |run| run.front().map(|m| m.id.origin))
+    }
+
+    /// Position of `seq` in a run: `Ok` where it is, `Err` where it goes. A
+    /// run without holes holds `seq` at its offset from the front, so that
+    /// slot is tried before the binary search.
+    fn slot(run: &VecDeque<AppMessage>, seq: u64) -> Result<usize, usize> {
+        let offset = run
+            .front()
+            .and_then(|first| usize::try_from(seq.checked_sub(first.id.seq)?).ok());
+        match offset {
+            Some(at) if run.get(at).is_some_and(|m| m.id.seq == seq) => Ok(at),
+            _ => run.binary_search_by_key(&seq, |m| m.id.seq),
         }
     }
 
@@ -150,22 +174,34 @@ impl CausalGraph {
     /// known one keeps its first copy: a duplicate id never rewrites the
     /// dependencies of a node that may already be promoted.
     pub fn update(&mut self, message: AppMessage) -> bool {
-        if self.compacted.contains(message.id) {
+        let id = message.id;
+        if self.compacted.contains(id) {
             return false;
         }
-        match self.nodes.entry(message.id) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(slot) => {
-                self.digest.insert(message.id);
-                slot.insert(message);
-                true
+        match self.run_of(id.origin) {
+            Err(at) => self.runs.insert(at, VecDeque::from([message])),
+            Ok(at) => {
+                let Some(run) = self.runs.get_mut(at) else {
+                    return false;
+                };
+                if run.back().is_some_and(|last| last.id.seq < id.seq) {
+                    run.push_back(message);
+                } else {
+                    match Self::slot(run, id.seq) {
+                        Ok(_) => return false,
+                        Err(pos) => run.insert(pos, message),
+                    }
+                }
             }
         }
+        self.digest.insert(id);
+        true
     }
 
     /// Retires a causally closed set of nodes folded into a snapshot: drops
     /// the nodes, keeps their identifiers in the digest, and records them
-    /// as compacted.
+    /// as compacted. A fold retires delivered prefixes, so the node is
+    /// mostly its run's front, which the deque removes in O(1).
     pub fn retire<I: IntoIterator<Item = MsgId>>(&mut self, ids: I) {
         for id in ids {
             self.compacted.insert(id);
@@ -173,7 +209,18 @@ impl CausalGraph {
             // have become a resident node; retiring still claims it in the
             // digest so peers' frontiers covering it stay covered by ours.
             self.digest.insert(id);
-            self.nodes.remove(&id);
+            let Ok(at) = self.run_of(id.origin) else {
+                continue;
+            };
+            let Some(run) = self.runs.get_mut(at) else {
+                continue;
+            };
+            if let Ok(pos) = Self::slot(run, id.seq) {
+                run.remove(pos);
+            }
+            if run.is_empty() {
+                self.runs.remove(at);
+            }
         }
     }
 
@@ -195,37 +242,37 @@ impl CausalGraph {
     /// The nodes of the graph not contained in `known`, in identifier order
     /// — the repair payload answering a [`EtobMsg::SyncRequest`].
     pub fn missing_from(&self, known: &VersionVector) -> Vec<AppMessage> {
-        self.nodes
-            .iter()
-            .filter(|(id, _)| !known.contains(**id))
-            .map(|(_, m)| m.clone())
+        self.messages()
+            .filter(|m| !known.contains(m.id))
+            .cloned()
             .collect()
     }
 
     /// The node with identifier `id`, if known.
     pub fn get(&self, id: MsgId) -> Option<&AppMessage> {
-        self.nodes.get(&id)
+        let run = self.runs.get(self.run_of(id.origin).ok()?)?;
+        run.get(Self::slot(run, id.seq).ok()?)
     }
 
     /// Number of *resident* messages (compacted history excluded) — the
     /// quantity bounded by compaction, reported by experiment E13.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.runs.iter().map(VecDeque::len).sum()
     }
 
     /// Returns `true` if no message is resident.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.runs.is_empty()
     }
 
     /// Returns `true` if the graph holds the message as a resident node.
     pub fn contains(&self, id: MsgId) -> bool {
-        self.nodes.contains_key(&id)
+        self.get(id).is_some()
     }
 
-    /// The messages of the graph, keyed by identifier.
+    /// The messages of the graph, in identifier order.
     pub fn messages(&self) -> impl Iterator<Item = &AppMessage> + '_ {
-        self.nodes.values()
+        self.runs.iter().flatten()
     }
 }
 
@@ -470,6 +517,31 @@ fn prefix_hashes_from(h0: u64, sequence: &[AppMessage]) -> Vec<u64> {
     out
 }
 
+/// What a process keeps about one peer, in [`EtobOmega`]'s table indexed
+/// by [`ProcessId::index`]. The evidence (`acked`, `delivered_ack`,
+/// `delivered_claim`) only ever advances on messages from the peer itself.
+#[derive(Default)]
+struct Peer {
+    /// Delta state: the peer's *acked* frontier — everything it has provably
+    /// confirmed knowing, through the digests it sent (deltas, beacons and
+    /// sync requests) — so targeted resends never skip a lost node.
+    acked: VersionVector,
+    /// Compaction evidence: the largest delivered prefix length the peer
+    /// claimed in a [`EtobMsg::Delta`] whose hash matched this process's
+    /// own delivered lineage.
+    delivered_ack: u64,
+    /// Compaction evidence not yet checkable: the peer's lowest
+    /// `(delivered, hash)` claim beyond this process's own delivered
+    /// prefix, verified once the prefix reaches it.
+    delivered_claim: Option<(u64, u64)>,
+    /// The peer was sent a [`EtobMsg::Delta`] since the previous
+    /// promote-cadence fire; a link that was not is quiet and gets a beacon.
+    delta_sent: bool,
+    /// Pull discipline: the tick before which no further
+    /// [`EtobMsg::SyncRequest`] goes to the peer.
+    pull_after: u64,
+}
+
 /// Algorithm 5: ETOB from Ω.
 pub struct EtobOmega {
     me: ProcessId,
@@ -497,8 +569,9 @@ pub struct EtobOmega {
     /// per-message cost grows with the whole retained history, which is
     /// exactly the unbounded-residency failure mode experiment E13 measures.
     /// Its complement in the graph is the resident part of `promote`
-    /// ([`EtobOmega::is_promoted`]).
-    unpromoted: BTreeSet<MsgId>,
+    /// ([`EtobOmega::is_promoted`]). Sorted: it holds only the few
+    /// candidates still pending, so a vector beats a tree.
+    unpromoted: Vec<MsgId>,
     /// `CG_i`: the causality graph.
     graph: CausalGraph,
     /// Delta state: the graph nodes added since this process's last
@@ -506,11 +579,10 @@ pub struct EtobOmega {
     /// [`EtobOmega::admit`] was handed, so a broadcast neither rescans nor
     /// looks up the graph.
     unsent: Vec<AppMessage>,
-    /// Delta state: per-peer *acked* frontiers — everything a peer has
-    /// provably confirmed knowing, through the digests it sent (deltas,
-    /// beacons and sync requests). Only ever advanced by evidence from the
-    /// peer itself, so targeted resends never skip a lost node.
-    peer_acked: BTreeMap<ProcessId, VersionVector>,
+    /// Per-peer delta and compaction state, one entry per process of the
+    /// group, sized from [`Context::n`] at every handler entry and read
+    /// only through `.get()`: a sender index comes from the wire.
+    peers: Vec<Peer>,
     /// Delta state: *absolute* length of `promote` (fold offset included)
     /// at the previous promote broadcast.
     last_promote_broadcast: usize,
@@ -536,20 +608,6 @@ pub struct EtobOmega {
     /// Compaction state: absolute number of delivered entries folded out of
     /// the resident sequences (see [`EtobConfig::compact_after`]).
     folded: usize,
-    /// Compaction evidence: per-peer maximum delivered prefix length the
-    /// peer claimed in a [`EtobMsg::Delta`] — only ever advanced by claims
-    /// whose hash matched this process's own delivered lineage.
-    peer_delivered_ack: BTreeMap<ProcessId, u64>,
-    /// Compaction evidence not yet checkable: each peer's lowest
-    /// `(delivered, hash)` claim that lies beyond this process's own
-    /// delivered prefix, verified once the prefix reaches it.
-    peer_delivered_claim: BTreeMap<ProcessId, (u64, u64)>,
-    /// Peers sent a [`EtobMsg::Delta`] since the previous promote-cadence
-    /// fire; the others are the quiet links a beacon goes to.
-    delta_sent_to: BTreeSet<ProcessId>,
-    /// Pull discipline: per peer, the tick before which no further
-    /// [`EtobMsg::SyncRequest`] goes to it.
-    pull_outstanding: BTreeMap<ProcessId, u64>,
     /// Number of beacons (node-less quiet-link deltas) sent.
     beacons_sent: u64,
     /// Number of fold operations performed by this incarnation.
@@ -562,10 +620,6 @@ pub struct EtobOmega {
     /// lifecycle events and latency clocks, attached by the engines and
     /// never consulted by the protocol itself.
     telemetry: Option<Box<ec_telemetry::Recorder>>,
-    /// Reusable candidate buffer for the `UpdatePromote()` fixpoint. The
-    /// fixpoint runs on every update delivery, so a fresh `Vec` per pass
-    /// was measurable allocator churn on the per-operation hot path.
-    promote_scratch: Vec<MsgId>,
 }
 
 impl EtobOmega {
@@ -604,10 +658,10 @@ impl EtobOmega {
             delivered_hashes: vec![FNV_OFFSET],
             promote: Vec::new(),
             promote_hashes: vec![FNV_OFFSET],
-            unpromoted: BTreeSet::new(),
+            unpromoted: Vec::new(),
             graph: CausalGraph::new(),
             unsent: Vec::new(),
-            peer_acked: BTreeMap::new(),
+            peers: Vec::new(),
             last_promote_broadcast: 0,
             next_flush: None,
             next_promote: 0,
@@ -617,15 +671,10 @@ impl EtobOmega {
             promote_pulls: 0,
             malformed: 0,
             folded: 0,
-            peer_delivered_ack: BTreeMap::new(),
-            peer_delivered_claim: BTreeMap::new(),
-            delta_sent_to: BTreeSet::new(),
-            pull_outstanding: BTreeMap::new(),
             beacons_sent: 0,
             compactions: 0,
             compact_conflicts: 0,
             telemetry: None,
-            promote_scratch: Vec::new(),
         }
     }
 
@@ -716,7 +765,9 @@ impl EtobOmega {
         let copy = msg.clone();
         if self.graph.update(msg) {
             self.unsent.push(copy);
-            self.unpromoted.insert(id);
+            if let Err(at) = self.unpromoted.binary_search(&id) {
+                self.unpromoted.insert(at, id);
+            }
             if let Some(t) = self.telemetry.as_deref_mut() {
                 t.admitted(id.origin.index() as u32, id.seq);
             }
@@ -731,7 +782,7 @@ impl EtobOmega {
     /// `update_promote`, the fold and recovery keep it so — so this needs
     /// no set of its own.
     fn is_promoted(&self, id: MsgId) -> bool {
-        self.graph.contains(id) && !self.unpromoted.contains(&id)
+        self.graph.contains(id) && self.unpromoted.binary_search(&id).is_err()
     }
 
     /// Drops a malformed peer message: bumps the counter and records the
@@ -743,12 +794,16 @@ impl EtobOmega {
         }
     }
 
-    /// Pushes the current logical tick into the attached recorder, if any.
-    /// Called at every handler entry so logical-time recorders timestamp
-    /// with the handler's simulation tick.
-    fn telemetry_tick(&mut self, now: u64) {
+    /// Handler entry: sizes the peer table to the group (once — `n` is
+    /// fixed for a run) and pushes the current logical tick into the
+    /// attached recorder, if any, so logical-time recorders timestamp with
+    /// the handler's simulation tick.
+    fn enter(&mut self, ctx: &Context<'_, Self>) {
+        if self.peers.len() < ctx.n() {
+            self.peers.resize_with(ctx.n(), Peer::default);
+        }
         if let Some(t) = self.telemetry.as_deref_mut() {
-            t.set_tick(now);
+            t.set_tick(ctx.now().as_u64());
         }
     }
 
@@ -784,49 +839,53 @@ impl EtobOmega {
     /// predecessors arrive. Returns `true` if the sequence grew.
     fn update_promote(&mut self) -> bool {
         let before = self.promote.len();
-        // The candidate list is a reusable scratch buffer: the fixpoint
-        // runs on every update delivery, so collecting a fresh `Vec` per
-        // pass is allocator churn on the per-operation path.
-        let mut scratch = std::mem::take(&mut self.promote_scratch);
         loop {
             let mut appended = false;
-            let mut held_back = false;
-            // Deterministic scan order: by message identifier. Only the
-            // incrementally maintained pending set is scanned, so a pass
-            // costs O(pending), independent of how much promoted history
-            // the graph retains.
-            scratch.clear();
-            scratch.extend(self.unpromoted.iter().copied());
-            for &id in &scratch {
+            // One pass in identifier order over the pending candidates only,
+            // so it costs O(pending), independent of how much promoted
+            // history the graph retains. The pass compacts the candidates
+            // in place: `unpromoted[..held]` were held back by it and
+            // `unpromoted[next..]` are still to scan, so together they are
+            // what is pending now — a node promoted earlier in the pass
+            // already satisfies a later one's dependencies.
+            let mut held = 0;
+            for next in 0..self.unpromoted.len() {
+                let Some(&id) = self.unpromoted.get(next) else {
+                    break;
+                };
+                // not a node (any more): drop the candidate
                 let Some(msg) = self.graph.get(id) else {
-                    self.unpromoted.remove(&id);
                     continue;
                 };
-                let deps_satisfied = msg
-                    .deps
-                    .iter()
-                    .all(|dep| self.is_promoted(*dep) || self.graph.is_compacted(*dep));
+                let pending = |dep: &MsgId| {
+                    let (kept, rest) = (self.unpromoted.get(..held), self.unpromoted.get(next..));
+                    kept.is_some_and(|k| k.binary_search(dep).is_ok())
+                        || rest.is_some_and(|r| r.binary_search(dep).is_ok())
+                };
+                let deps_satisfied = msg.deps.iter().all(|dep| {
+                    self.graph.is_compacted(*dep) || (self.graph.contains(*dep) && !pending(dep))
+                });
                 if !deps_satisfied {
-                    held_back = true;
+                    self.unpromoted.swap(held, next);
+                    held += 1;
                     continue;
                 }
                 let msg = msg.clone();
                 let tail = self.promote_hashes.last().copied().unwrap_or(FNV_OFFSET);
                 self.promote_hashes.push(hash_step(tail, id));
                 self.promote.push(msg);
-                self.unpromoted.remove(&id);
                 if let Some(t) = self.telemetry.as_deref_mut() {
                     t.promoted(id.origin.index() as u32, id.seq);
                 }
                 appended = true;
             }
+            self.unpromoted.truncate(held);
             // A pass that held nothing back emptied the candidate set, so
             // another could not append.
-            if !appended || !held_back {
+            if !appended || held == 0 {
                 break;
             }
         }
-        self.promote_scratch = scratch;
         self.promote.len() > before
     }
 
@@ -834,7 +893,9 @@ impl EtobOmega {
     /// (it sent us a delta frontier, a beacon or a sync request).
     fn note_peer_knows(&mut self, from: ProcessId, digest: &VersionVector) {
         if from != self.me {
-            self.peer_acked.entry(from).or_default().merge(digest);
+            if let Some(peer) = self.peers.get_mut(from.index()) {
+                peer.acked.merge(digest);
+            }
         }
     }
 
@@ -858,16 +919,16 @@ impl EtobOmega {
         else {
             return;
         };
-        match self.delivered_hashes.get(rel) {
-            Some(own) if *own == hash => {
-                let slot = self.peer_delivered_ack.entry(from).or_insert(0);
-                *slot = (*slot).max(delivered);
-            }
+        let own = self.delivered_hashes.get(rel).copied();
+        let Some(peer) = self.peers.get_mut(from.index()) else {
+            return;
+        };
+        match own {
+            Some(own) if own == hash => peer.delivered_ack = peer.delivered_ack.max(delivered),
             Some(_) => {}
             None => {
                 let claim = (delivered, hash);
-                let slot = self.peer_delivered_claim.entry(from).or_insert(claim);
-                *slot = (*slot).min(claim);
+                peer.delivered_claim = Some(peer.delivered_claim.map_or(claim, |c| c.min(claim)));
             }
         }
     }
@@ -880,7 +941,9 @@ impl EtobOmega {
     /// durable replica has logged it by the time the claim leaves.
     fn send_delta(&mut self, to: ProcessId, nodes: Vec<AppMessage>, ctx: &mut Context<'_, Self>) {
         if self.config.compact_after > 0 {
-            self.delta_sent_to.insert(to);
+            if let Some(peer) = self.peers.get_mut(to.index()) {
+                peer.delta_sent = true;
+            }
         }
         ctx.send(
             to,
@@ -911,17 +974,13 @@ impl EtobOmega {
         let mut fresh = std::mem::take(&mut self.unsent);
         for i in 0..ctx.n() {
             let to = ProcessId::new(i);
-            let nodes = if to == self.me {
-                Vec::new()
-            } else {
-                match self.peer_acked.get(&to) {
-                    Some(acked) => fresh
-                        .iter()
-                        .filter(|m| !acked.contains(m.id))
-                        .cloned()
-                        .collect(),
-                    None => fresh.clone(),
-                }
+            let nodes = match self.peers.get(i) {
+                Some(peer) if to != self.me => fresh
+                    .iter()
+                    .filter(|m| !peer.acked.contains(m.id))
+                    .cloned()
+                    .collect(),
+                _ => Vec::new(),
             };
             self.send_delta(to, nodes, ctx);
         }
@@ -1023,7 +1082,7 @@ impl EtobOmega {
         if self.next_flush.is_none() {
             for i in 0..ctx.n() {
                 let to = ProcessId::new(i);
-                if to != self.me && !self.delta_sent_to.contains(&to) {
+                if to != self.me && self.peers.get(i).is_some_and(|peer| !peer.delta_sent) {
                     self.beacons_sent += 1;
                     self.send_delta(to, Vec::new(), ctx);
                 }
@@ -1031,7 +1090,9 @@ impl EtobOmega {
         }
         // A beacon does not make a link busy: a peer that gets nothing else
         // is beaconed every period.
-        self.delta_sent_to.clear();
+        for peer in &mut self.peers {
+            peer.delta_sent = false;
+        }
     }
 
     /// Stable-prefix compaction: folds the longest eligible multiple-of-
@@ -1051,17 +1112,22 @@ impl EtobOmega {
             return;
         }
         // Claims that were ahead of our prefix may be checkable by now.
-        for (peer, (delivered, hash)) in std::mem::take(&mut self.peer_delivered_claim) {
-            self.note_peer_delivered(peer, delivered, hash);
+        for i in 0..self.peers.len() {
+            let claim = self
+                .peers
+                .get_mut(i)
+                .and_then(|peer| peer.delivered_claim.take());
+            if let Some((delivered, hash)) = claim {
+                self.note_peer_delivered(ProcessId::new(i), delivered, hash);
+            }
         }
         // (a) unanimous delivered-level acks, bounded by our own sequence.
         let mut acked = self.folded + self.delivered.len();
         for i in 0..n {
-            let p = ProcessId::new(i);
-            if p == self.me {
+            if i == self.me.index() {
                 continue;
             }
-            let peer = self.peer_delivered_ack.get(&p).copied().unwrap_or(0);
+            let peer = self.peers.get(i).map_or(0, |peer| peer.delivered_ack);
             acked = acked.min(usize::try_from(peer).unwrap_or(usize::MAX));
         }
         let target = (acked / chunk) * chunk;
@@ -1081,14 +1147,13 @@ impl EtobOmega {
         }
         // (b) every peer's graph digest covers every identifier folded.
         for i in 0..n {
-            let p = ProcessId::new(i);
-            if p == self.me {
+            if i == self.me.index() {
                 continue;
             }
-            let Some(acked_graph) = self.peer_acked.get(&p) else {
+            let Some(peer) = self.peers.get(i) else {
                 return;
             };
-            if !ids.iter().all(|id| acked_graph.contains(*id)) {
+            if !ids.iter().all(|id| peer.acked.contains(*id)) {
                 return;
             }
         }
@@ -1098,9 +1163,6 @@ impl EtobOmega {
         // the prefix of `promote`, which is then drained the same way; only
         // a sequence that promoted them in another order is filtered and
         // its hashes rebased on the fold hash.
-        for id in &ids {
-            self.unpromoted.remove(id);
-        }
         let promoted_prefix = self
             .promote
             .get(..fold)
@@ -1110,6 +1172,7 @@ impl EtobOmega {
             t.folded(target as u64, folded);
         }
         self.graph.retire(ids);
+        self.unpromoted.retain(|id| !self.graph.is_compacted(*id));
         self.delivered.drain(..fold);
         self.delivered_hashes.drain(..fold);
         if promoted_prefix {
@@ -1145,7 +1208,7 @@ impl EtobOmega {
         self.next_resend = now + self.config.resend_period;
         ctx.set_timer(self.config.resend_period);
         let delivered: BTreeSet<MsgId> = self.delivered.iter().map(|m| m.id).collect();
-        if !self.graph.nodes.keys().any(|id| !delivered.contains(id)) {
+        if self.graph.messages().all(|m| delivered.contains(&m.id)) {
             return;
         }
         self.updates_sent += 1;
@@ -1163,9 +1226,10 @@ impl EtobOmega {
             // missing_from is confined to this period-gated repair path,
             // which stops firing once the delivered sequence covers the
             // graph — the steady-state broadcast path never rescans.
-            let empty = VersionVector::new();
-            let acked = self.peer_acked.get(&to).unwrap_or(&empty);
-            let nodes = self.graph.missing_from(acked);
+            let Some(peer) = self.peers.get(i) else {
+                continue;
+            };
+            let nodes = self.graph.missing_from(&peer.acked);
             self.send_delta(to, nodes, ctx);
         }
     }
@@ -1190,8 +1254,8 @@ impl Algorithm for EtobOmega {
     type Fd = ProcessId;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
+        self.enter(ctx);
         let now = ctx.now().as_u64();
-        self.telemetry_tick(now);
         self.next_promote = now + self.config.promote_period;
         ctx.set_timer(self.config.promote_period);
         if self.config.resend_period > 0 {
@@ -1203,7 +1267,7 @@ impl Algorithm for EtobOmega {
     fn on_input(&mut self, input: EtobBroadcast, ctx: &mut Context<'_, Self>) {
         // On broadcastETOB(m, C(m)): UpdateCG(m, C(m)); send update(CG_i) to all.
         let id = input.message.id;
-        self.telemetry_tick(ctx.now().as_u64());
+        self.enter(ctx);
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.submitted(id.origin.index() as u32, id.seq);
         }
@@ -1221,7 +1285,13 @@ impl Algorithm for EtobOmega {
     }
 
     fn on_message(&mut self, from: ProcessId, msg: EtobMsg, ctx: &mut Context<'_, Self>) {
-        self.telemetry_tick(ctx.now().as_u64());
+        self.enter(ctx);
+        if from.index() >= ctx.n() {
+            // A sender outside the group has no entry in the peer table: its
+            // message is not evidence of anything.
+            self.note_malformed();
+            return;
+        }
         match msg {
             EtobMsg::Update(graph) => {
                 // On reception of update(CG_j): UnionCG(CG_j); UpdatePromote().
@@ -1270,12 +1340,10 @@ impl Algorithm for EtobOmega {
                 // the peer's send rate; a lost request or repair is pulled
                 // again a period later.
                 let now = ctx.now().as_u64();
-                if from != self.me
-                    && !self.graph.digest().covers(&frontier)
-                    && self.pull_outstanding.get(&from).is_none_or(|t| now >= *t)
-                {
-                    self.pull_outstanding
-                        .insert(from, now + self.config.promote_period);
+                let gap = from != self.me && !self.graph.digest().covers(&frontier);
+                let due = self.peers.get_mut(from.index());
+                if let Some(peer) = due.filter(|peer| gap && now >= peer.pull_after) {
+                    peer.pull_after = now + self.config.promote_period;
                     self.sync_pulls += 1;
                     if let Some(t) = self.telemetry.as_deref_mut() {
                         t.sync_pull();
@@ -1401,8 +1469,8 @@ impl Algorithm for EtobOmega {
         // its deadline does nothing and does not re-arm. (An unconditional
         // re-arm would spawn one fresh perpetual chain per foreign fire —
         // quadratic timer proliferation once a second chain exists.)
+        self.enter(ctx);
         let now = ctx.now().as_u64();
-        self.telemetry_tick(now);
         if self.config.batch > 0 && self.next_flush.is_some_and(|at| now >= at) {
             self.next_flush = None;
             self.broadcast_update(ctx);
@@ -1427,6 +1495,7 @@ impl Algorithm for EtobOmega {
     }
 
     fn on_idle(&mut self, ctx: &mut Context<'_, Self>) {
+        self.enter(ctx);
         // Nothing else is queued: a pending batch and an unsent promote
         // suffix leave now instead of at their deadlines, so a broadcast is
         // delivered in the paper's two communication steps, not two timers.
@@ -2072,6 +2141,42 @@ mod tests {
     }
 
     #[test]
+    fn a_sender_outside_the_group_is_dropped_and_counted() {
+        // A socket peer claims its own `from`: an index past the group has
+        // no peer-table entry, so its messages are malformed input — even
+        // under an Ω output naming it, its promote is not adopted.
+        let outsider = ProcessId::new(u32::MAX as usize);
+        let m = AppMessage::new(MsgId::new(outsider, 1), b"x".to_vec());
+        let mut digest = VersionVector::new();
+        digest.insert(m.id);
+        let config = EtobConfig::default().with_compaction(1);
+        let mut alg = EtobOmega::new(ProcessId::new(0), config);
+        let mut actions = ec_sim::Actions::<EtobOmega>::new();
+        let messages = [
+            EtobMsg::Delta {
+                nodes: vec![m.clone()],
+                frontier: digest.clone(),
+                delivered: 1,
+                hash: hash_step(FNV_OFFSET, m.id),
+            },
+            EtobMsg::SyncRequest { digest },
+            EtobMsg::PromoteDelta {
+                base: 0,
+                prefix_hash: FNV_OFFSET,
+                suffix: vec![m],
+            },
+        ];
+        for msg in messages {
+            let mut ctx = Context::new(ProcessId::new(0), Time::new(5), 3, outsider, &mut actions);
+            alg.on_message(outsider, msg, &mut ctx);
+        }
+        assert!(actions.is_empty(), "{:?}", actions.sends);
+        assert_eq!(alg.malformed(), 3);
+        assert!(alg.causal_graph().is_empty() && alg.delivered().is_empty());
+        assert_eq!(alg.peers.len(), 3, "the table is the group, no more");
+    }
+
+    #[test]
     fn a_detected_update_gap_triggers_a_digest_pull_and_the_repair_heals_it() {
         // p1 broadcast m1 then m2; p0 receives only the m2 delta (the m1
         // delta was "lost"), detects the gap from the frontier, pulls, and
@@ -2132,7 +2237,7 @@ mod tests {
         assert_eq!(nodes.len(), 1);
         assert_eq!(nodes[0].id, m1.id);
         // … and the sender now knows what p0 has acked
-        assert!(sender.peer_acked[&ProcessId::new(0)].contains(m2.id));
+        assert!(sender.peers[0].acked.contains(m2.id));
 
         // … which closes the receiver's gap (no further pull)
         let mut heal = ec_sim::Actions::<EtobOmega>::new();
@@ -2424,6 +2529,25 @@ mod tests {
         assert_eq!(g.get(b.id).map(|m| m.deps.as_ref()), Some(&[a.id][..]));
         assert!(g.get(a.id).is_some_and(|m| m.deps.is_empty()));
         assert_eq!(g.messages().count(), 2);
+    }
+
+    #[test]
+    fn a_candidate_waits_for_a_dependency_held_back_earlier_in_the_pass() {
+        // p1#1 waits for p0#1, which is unknown; p1#2 waits for p1#1, which
+        // the same pass scanned and held back just before it
+        let root = AppMessage::new(MsgId::new(ProcessId::new(0), 1), b"r".to_vec());
+        let first = AppMessage::with_deps(MsgId::new(ProcessId::new(1), 1), vec![], [root.id]);
+        let second = AppMessage::with_deps(MsgId::new(ProcessId::new(1), 2), vec![], [first.id]);
+        let mut alg = EtobOmega::new(ProcessId::new(0), EtobConfig::default());
+        alg.admit(first.clone());
+        alg.admit(second.clone());
+        assert!(!alg.update_promote(), "both wait for p0#1");
+        assert_eq!(alg.unpromoted, [first.id, second.id]);
+        alg.admit(root.clone());
+        assert!(alg.update_promote());
+        let order: Vec<MsgId> = alg.promote.iter().map(|m| m.id).collect();
+        assert_eq!(order, [root.id, first.id, second.id]);
+        assert!(alg.unpromoted.is_empty());
     }
 
     #[test]

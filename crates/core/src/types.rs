@@ -435,9 +435,17 @@ impl std::error::Error for DecodeError {}
 /// Validates a promotion/delivery sequence received from a peer: every
 /// identifier must be unique.
 pub fn decode_sequence(sequence: &[AppMessage]) -> Result<(), DecodeError> {
+    // A promote carries a handful of entries: up to `SHORT` of them a
+    // pairwise scan allocates nothing; a longer sequence fills a set.
+    const SHORT: usize = 32;
     let mut seen = std::collections::BTreeSet::new();
-    for m in sequence {
-        if !seen.insert(m.id) {
+    for (i, m) in sequence.iter().enumerate() {
+        let repeated = if sequence.len() <= SHORT {
+            sequence.iter().take(i).any(|earlier| earlier.id == m.id)
+        } else {
+            !seen.insert(m.id)
+        };
+        if repeated {
             return Err(DecodeError::DuplicateId(m.id));
         }
     }
@@ -525,6 +533,20 @@ mod tests {
         assert!(decode_sequence(&ok).is_ok());
         let dup = vec![AppMessage::new(id, vec![]), AppMessage::new(id, vec![])];
         assert_eq!(decode_sequence(&dup), Err(DecodeError::DuplicateId(id)));
+        // the first id to repeat is reported, by the scan (≤ 32 entries)
+        // and by the set: at positions 0 and 5, then a pair that closes
+        // inside that one
+        let mk = |seq| AppMessage::new(MsgId::new(ProcessId::new(0), seq), vec![]);
+        for len in [6, 40] {
+            let mut seq: Vec<AppMessage> = (1..=len).map(mk).collect();
+            seq[5] = mk(1);
+            assert_eq!(decode_sequence(&seq), Err(DecodeError::DuplicateId(id)));
+            seq[2] = mk(4);
+            assert_eq!(
+                decode_sequence(&seq),
+                Err(DecodeError::DuplicateId(mk(4).id))
+            );
+        }
         let selfdep = AppMessage::with_deps(id, vec![], vec![id]);
         assert_eq!(decode_node(&selfdep), Err(DecodeError::SelfDependency(id)));
         assert!(format!("{}", DecodeError::DuplicateId(id)).contains("duplicate"));

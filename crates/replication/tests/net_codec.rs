@@ -26,6 +26,7 @@ use ec_replication::net::codec::{
 };
 use ec_replication::{Cluster, ClusterBuilder, KvStore, NetEngine, StateMachine};
 use ec_sim::{Algorithm, ProcessId};
+use ec_telemetry::EventKind;
 use proptest::prelude::*;
 
 fn roundtrip<T: WireCodec + PartialEq + std::fmt::Debug>(value: &T) {
@@ -351,7 +352,9 @@ fn adversarial_corpus_yields_typed_errors() {
 /// counter and closes only the offending connections: the cluster still
 /// converges, and a clean run counts zero. No connection can reach what
 /// the facade does in-process: a retired `Crash` frame is malformed and
-/// stops nobody, and a hello with the old driver id takes no outputs.
+/// stops nobody, and a hello with the old driver id takes no outputs. A
+/// well-formed frame claiming a sender outside the group reaches the
+/// automaton, which drops it and records it as malformed.
 #[test]
 fn live_nodes_count_malformed_frames_and_keep_converging() {
     let mut cluster: Cluster<KvStore> = ClusterBuilder::new(3).deploy(&NetEngine::default());
@@ -399,12 +402,38 @@ fn live_nodes_count_malformed_frames_and_keep_converging() {
     held.set_read_timeout(Some(Duration::from_millis(200)))
         .expect("set a read timeout");
 
+    // connection 6: a peer hello at p0, then a delta claiming to come
+    // from p7 in a group of three
+    let mut outsider = TcpStream::connect(addr).expect("dial node");
+    let node = AppMessage::new(MsgId::new(ProcessId::new(7), 1), b"x".to_vec());
+    let mut frontier = VersionVector::new();
+    frontier.insert(node.id);
+    let delta = Frame::App {
+        from: ProcessId::new(7),
+        msg: EtobMsg::Delta {
+            nodes: vec![node],
+            frontier,
+            delivered: 0,
+            hash: 0,
+        },
+    };
+    outsider.write_all(&hello(1)).expect("write hello");
+    outsider
+        .write_all(&frame_bytes(&delta))
+        .expect("write outsider frame");
+
     let deadline = Instant::now() + Duration::from_secs(10);
-    while cluster.malformed_frames() < 4 {
+    let dropped = |cluster: &Cluster<KvStore>| {
+        cluster.flight_events()[0]
+            .iter()
+            .any(|event| event.kind == EventKind::Malformed)
+    };
+    while cluster.malformed_frames() < 4 || !dropped(&cluster) {
         assert!(
             Instant::now() < deadline,
-            "only {} of 4 malformed frames were counted",
-            cluster.malformed_frames()
+            "only {} of 4 malformed frames were counted, outsider dropped: {}",
+            cluster.malformed_frames(),
+            dropped(&cluster)
         );
         std::thread::sleep(Duration::from_millis(2));
     }
