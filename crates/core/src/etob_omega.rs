@@ -95,8 +95,8 @@ use std::fmt;
 use ec_sim::{Algorithm, Context, ProcessId};
 
 use crate::types::{
-    common_prefix_len, decode_node, decode_sequence, AppMessage, DeliveryDelta, EtobBroadcast,
-    MsgId,
+    common_prefix_len, decode_node, decode_sequence, AppMessage, Compactable, DeliveryDelta,
+    EtobBroadcast, MsgId,
 };
 use crate::version::VersionVector;
 
@@ -558,11 +558,19 @@ pub struct EtobOmega {
     /// different fold points.
     delivered_hashes: Vec<u64>,
     /// `promote_i`: the sequence this process promotes while it trusts
-    /// itself — like `delivered`, the resident tail beyond `folded`.
-    promote: Vec<AppMessage>,
-    /// Rolling *absolute* prefix hashes of `promote`
-    /// (`promote.len() + 1` entries, entry 0 the fold hash).
-    promote_hashes: Vec<u64>,
+    /// itself — like `delivered`, the resident tail beyond `folded` — as
+    /// identifiers: every resident promoted entry is a graph node
+    /// (`update_promote` appends only nodes, a fold retires from both, and
+    /// recovery inserts the tail into both), so the node is the one copy.
+    promote: Vec<MsgId>,
+    /// Rolling *absolute* hash of `promote`: the fold hash extended with
+    /// every resident identifier. Below the resident part the promotion
+    /// sequence is the folded prefix, so its hash is
+    /// [`Compactable::stable_hash`].
+    promote_hash: u64,
+    /// The absolute hash of `promote` up to `last_promote_broadcast`: the
+    /// prefix a [`EtobMsg::PromoteDelta`] is keyed by.
+    broadcast_hash: u64,
     /// Graph nodes *not yet* in `promote` — the candidate set
     /// `UpdatePromote()` scans. Maintained incrementally at every graph
     /// insertion so the scan is O(pending), not O(graph): without this the
@@ -608,6 +616,11 @@ pub struct EtobOmega {
     /// Compaction state: absolute number of delivered entries folded out of
     /// the resident sequences (see [`EtobConfig::compact_after`]).
     folded: usize,
+    /// Compaction state: the delivered entries the latest fold moved out of
+    /// `delivered`, until [`Compactable::drain_folded`] hands them out. The
+    /// buffer is kept across folds, so a fold allocates nothing once it
+    /// has grown.
+    folded_out: Vec<AppMessage>,
     /// Number of beacons (node-less quiet-link deltas) sent.
     beacons_sent: u64,
     /// Number of fold operations performed by this incarnation.
@@ -657,7 +670,8 @@ impl EtobOmega {
             delivered: Vec::new(),
             delivered_hashes: vec![FNV_OFFSET],
             promote: Vec::new(),
-            promote_hashes: vec![FNV_OFFSET],
+            promote_hash: FNV_OFFSET,
+            broadcast_hash: FNV_OFFSET,
             unpromoted: Vec::new(),
             graph: CausalGraph::new(),
             unsent: Vec::new(),
@@ -671,6 +685,7 @@ impl EtobOmega {
             promote_pulls: 0,
             malformed: 0,
             folded: 0,
+            folded_out: Vec::new(),
             beacons_sent: 0,
             compactions: 0,
             compact_conflicts: 0,
@@ -753,6 +768,28 @@ impl EtobOmega {
     /// The causality graph `CG_i`.
     pub fn causal_graph(&self) -> &CausalGraph {
         &self.graph
+    }
+
+    /// The *resident* promotion sequence `promote_i` — the tail beyond the
+    /// [`EtobOmega::folded`] offset — as identifiers; each one is a node of
+    /// [`EtobOmega::causal_graph`].
+    pub fn promotion(&self) -> &[MsgId] {
+        &self.promote
+    }
+
+    /// The messages of `promote[from..]` (a *resident* offset), read from
+    /// the graph: every promoted identifier is a node, so none is skipped.
+    fn promoted_messages(&self, from: usize) -> Vec<AppMessage> {
+        let ids = self.promote.get(from..).unwrap_or_default();
+        let mut out = Vec::with_capacity(ids.len());
+        out.extend(ids.iter().filter_map(|id| self.graph.get(*id)).cloned());
+        debug_assert_eq!(out.len(), ids.len(), "a promoted id is not a graph node");
+        out
+    }
+
+    /// Whether every resident promoted identifier is a graph node.
+    fn promote_in_graph(&self) -> bool {
+        self.promote.iter().all(|id| self.graph.contains(*id))
     }
 
     /// Admits one message into the causality graph, keeping the incremental
@@ -870,10 +907,8 @@ impl EtobOmega {
                     held += 1;
                     continue;
                 }
-                let msg = msg.clone();
-                let tail = self.promote_hashes.last().copied().unwrap_or(FNV_OFFSET);
-                self.promote_hashes.push(hash_step(tail, id));
-                self.promote.push(msg);
+                self.promote_hash = hash_step(self.promote_hash, id);
+                self.promote.push(id);
                 if let Some(t) = self.telemetry.as_deref_mut() {
                     t.promoted(id.origin.index() as u32, id.seq);
                 }
@@ -993,24 +1028,23 @@ impl EtobOmega {
     /// prefix length and hash in delta mode.
     fn broadcast_promote(&mut self, ctx: &mut Context<'_, Self>) {
         if self.config.delta_sync {
-            // `base` is absolute; the resident `promote`/`promote_hashes`
-            // start at `folded`, and `promote_hashes` always has
-            // `promote.len() + 1` entries, so the clamped relative index is
-            // always in range; the fallbacks keep this path panic-free even
-            // if that invariant is ever broken.
+            // `base` is absolute and the resident `promote` starts at
+            // `folded`; the fold keeps `last_promote_broadcast` within
+            // `folded..=folded + promote.len()`, and the clamp keeps this
+            // path panic-free even if that invariant is ever broken.
             let base = self
                 .last_promote_broadcast
                 .clamp(self.folded, self.folded + self.promote.len());
-            let rel = base - self.folded;
             ctx.broadcast(EtobMsg::PromoteDelta {
                 base,
-                prefix_hash: self.promote_hashes.get(rel).copied().unwrap_or(FNV_OFFSET),
-                suffix: self.promote.get(rel..).unwrap_or_default().to_vec(),
+                prefix_hash: self.broadcast_hash,
+                suffix: self.promoted_messages(base - self.folded),
             });
         } else {
-            ctx.broadcast(EtobMsg::Promote(self.promote.clone()));
+            ctx.broadcast(EtobMsg::Promote(self.promoted_messages(0)));
         }
         self.last_promote_broadcast = self.folded + self.promote.len();
+        self.broadcast_hash = self.promote_hash;
     }
 
     /// Adopts a full promotion sequence as the delivered sequence
@@ -1157,36 +1191,45 @@ impl EtobOmega {
                 return;
             }
         }
-        // Fold: retire the nodes and drop the resident prefixes. Hashes are
-        // absolute, so draining the first `fold` entries leaves entry 0 as
-        // the new fold hash. Under a stable Ω the folded entries are also
-        // the prefix of `promote`, which is then drained the same way; only
-        // a sequence that promoted them in another order is filtered and
-        // its hashes rebased on the fold hash.
-        let promoted_prefix = self
-            .promote
-            .get(..fold)
-            .is_some_and(|prefix| prefix.iter().map(|m| m.id).eq(ids.iter().copied()));
+        // Fold: retire the nodes and move the resident prefix out to be
+        // drained. Hashes are absolute, so draining the first `fold`
+        // entries leaves entry 0 as the new fold hash. Under a stable Ω the
+        // folded entries are also the prefix of `promote`, which is then
+        // drained the same way and keeps its hashes; only a sequence that
+        // promoted them in another order is filtered and its hashes rebased
+        // on the fold hash.
+        let promoted_prefix = self.promote.get(..fold) == Some(ids.as_slice());
         if let Some(t) = self.telemetry.as_deref_mut() {
             let folded = ids.iter().map(|id| (id.origin.index() as u32, id.seq));
             t.folded(target as u64, folded);
         }
         self.graph.retire(ids);
         self.unpromoted.retain(|id| !self.graph.is_compacted(*id));
-        self.delivered.drain(..fold);
+        self.folded_out.clear();
+        self.folded_out.extend(self.delivered.drain(..fold));
         self.delivered_hashes.drain(..fold);
+        let fold_hash = self.delivered_hashes.first().copied().unwrap_or(FNV_OFFSET);
+        let broadcast = self.last_promote_broadcast.max(target);
         if promoted_prefix {
             self.promote.drain(..fold);
-            self.promote_hashes.drain(..fold);
+            if broadcast > self.last_promote_broadcast {
+                self.broadcast_hash = fold_hash;
+            }
         } else {
-            self.promote.retain(|m| !self.graph.is_compacted(m.id));
-            let fold_hash = self.delivered_hashes.first().copied().unwrap_or(FNV_OFFSET);
-            self.promote_hashes = prefix_hashes_from(fold_hash, &self.promote);
+            self.promote.retain(|id| !self.graph.is_compacted(*id));
+            // rebased in one pass: the broadcast prefix, then the rest
+            let sent = (broadcast - target).min(self.promote.len());
+            let (prefix, rest) = self.promote.split_at(sent);
+            self.broadcast_hash = prefix.iter().fold(fold_hash, |h, id| hash_step(h, *id));
+            self.promote_hash = rest
+                .iter()
+                .fold(self.broadcast_hash, |h, id| hash_step(h, *id));
         }
         self.unsent.retain(|m| !self.graph.is_compacted(m.id));
         self.folded = target;
-        self.last_promote_broadcast = self.last_promote_broadcast.max(target);
+        self.last_promote_broadcast = broadcast;
         self.compactions += 1;
+        debug_assert!(self.promote_in_graph());
     }
 
     /// Anti-entropy step: when enabled and due, retransmits graph state if
@@ -1441,19 +1484,16 @@ impl Algorithm for EtobOmega {
                 // (e.g. restarted blank) needs durable recovery — folded
                 // entries cannot be re-served by anti-entropy.
                 if *ctx.fd() == self.me {
+                    let sequence = self.promoted_messages(0);
                     if self.folded == 0 {
-                        ctx.send(from, EtobMsg::Promote(self.promote.clone()));
+                        ctx.send(from, EtobMsg::Promote(sequence));
                     } else {
                         ctx.send(
                             from,
                             EtobMsg::PromoteDelta {
                                 base: self.folded,
-                                prefix_hash: self
-                                    .promote_hashes
-                                    .first()
-                                    .copied()
-                                    .unwrap_or(FNV_OFFSET),
-                                suffix: self.promote.clone(),
+                                prefix_hash: self.stable_hash(),
+                                suffix: sequence,
                             },
                         );
                     }
@@ -1514,7 +1554,20 @@ impl Algorithm for EtobOmega {
     }
 }
 
-impl crate::types::Compactable for EtobOmega {
+impl Compactable for EtobOmega {
+    fn delivered(&self) -> &[AppMessage] {
+        &self.delivered
+    }
+
+    fn drain_folded(&mut self, f: &mut dyn FnMut(&AppMessage)) -> usize {
+        for m in &self.folded_out {
+            f(m);
+        }
+        let drained = self.folded_out.len();
+        self.folded_out.clear();
+        drained
+    }
+
     fn stable_base(&self) -> u64 {
         self.folded as u64
     }
@@ -1555,12 +1608,19 @@ impl crate::types::Compactable for EtobOmega {
         for m in &tail {
             self.graph.update(m.clone());
         }
-        self.promote = tail.clone();
-        self.promote_hashes = self.delivered_hashes.clone();
-        // Every resident node is in the tail and thus already promoted.
+        // Every resident node is in the tail and thus already promoted; an
+        // entry the frontier already covers is no node and is not promoted.
+        let nodes = tail
+            .iter()
+            .map(|m| m.id)
+            .filter(|id| self.graph.contains(*id));
+        self.promote = nodes.collect();
+        self.promote_hash = self.promote.iter().fold(hash, |h, id| hash_step(h, *id));
+        self.broadcast_hash = self.promote_hash;
         self.unpromoted.clear();
         self.delivered = tail;
         self.last_promote_broadcast = folded + self.promote.len();
+        debug_assert!(self.promote_in_graph());
         if let Some(t) = self.telemetry.as_deref_mut() {
             // The recovered prefix was delivered by the previous
             // incarnation: advance the watermark past it so rejoining does
@@ -2268,7 +2328,11 @@ mod tests {
             leader.admit(mk(seq));
         }
         leader.update_promote();
-        leader.last_promote_broadcast = 2; // as if promote[..2] was broadcast
+        // as if promote[..2] was broadcast
+        leader.last_promote_broadcast = 2;
+        leader.broadcast_hash = leader.promote[..2]
+            .iter()
+            .fold(FNV_OFFSET, |h, id| hash_step(h, *id));
 
         let mut suffix_actions = ec_sim::Actions::<EtobOmega>::new();
         {
@@ -2364,8 +2428,7 @@ mod tests {
         assert_eq!(receiver.delivered().len(), 5);
         assert_eq!(receiver.promote_pulls(), 1, "no further fallback needed");
         let ids: Vec<MsgId> = receiver.delivered().iter().map(|m| m.id).collect();
-        let expected: Vec<MsgId> = leader.promote.iter().map(|m| m.id).collect();
-        assert_eq!(ids, expected);
+        assert_eq!(ids, leader.promote);
     }
 
     /// Delivers `msg` from p1 (whom Ω trusts) to `alg` and returns what it
@@ -2436,7 +2499,6 @@ mod tests {
 
     #[test]
     fn a_full_promote_beyond_a_fold_keeps_absolute_positions() {
-        use crate::types::Compactable;
         let mk = |seq| AppMessage::new(MsgId::new(ProcessId::new(1), seq), b"x".to_vec());
         let history: Vec<AppMessage> = (1..=5u64).map(mk).collect();
         let hashes = prefix_hashes_from(FNV_OFFSET, &history);
@@ -2470,6 +2532,50 @@ mod tests {
             hashes[5],
             "compacted history survived"
         );
+    }
+
+    #[test]
+    fn a_fold_that_is_not_the_promoted_prefix_rebases_both_promote_hashes() {
+        // p0 promoted [x, a, b] in identifier order but delivered the
+        // leader's [a, b, x]; folding [a, b] leaves x promoted, hashed on
+        // top of the fold, and hands a and b out once.
+        let (x, a, b) = (
+            MsgId::new(ProcessId::new(0), 1),
+            MsgId::new(ProcessId::new(1), 1),
+            MsgId::new(ProcessId::new(1), 2),
+        );
+        let mk = |id| AppMessage::new(id, b"v".to_vec());
+        let fold_hash = [a, b].into_iter().fold(FNV_OFFSET, hash_step);
+        for (sent, broadcast_hash) in [(1, fold_hash), (3, hash_step(fold_hash, x))] {
+            let mut alg =
+                EtobOmega::new(ProcessId::new(0), EtobConfig::default().with_compaction(2));
+            for id in [x, a, b] {
+                alg.admit(mk(id));
+            }
+            assert!(alg.update_promote());
+            assert_eq!(alg.promote, [x, a, b]);
+            // as if the first `sent` entries of promote went out
+            alg.last_promote_broadcast = sent;
+            alg.broadcast_hash = alg.promote[..sent]
+                .iter()
+                .fold(FNV_OFFSET, |h, id| hash_step(h, *id));
+            deliver_from_leader(&mut alg, EtobMsg::Promote(vec![mk(a), mk(b), mk(x)]));
+            alg.peers.resize_with(2, Peer::default);
+            alg.peers[1].delivered_ack = 2;
+            alg.peers[1].acked.insert(a);
+            alg.peers[1].acked.insert(b);
+            alg.maybe_compact(2);
+
+            assert_eq!((alg.folded(), alg.stable_hash()), (2, fold_hash));
+            assert_eq!(alg.promote, [x]);
+            assert_eq!(alg.promote_hash, hash_step(fold_hash, x));
+            assert_eq!(alg.broadcast_hash, broadcast_hash, "{sent} sent");
+            assert_eq!(alg.last_promote_broadcast, sent.max(2));
+            let mut drained = Vec::new();
+            assert_eq!(alg.drain_folded(&mut |m| drained.push(m.id)), 2);
+            assert_eq!(drained, [a, b]);
+            assert_eq!(alg.drain_folded(&mut |_| {}), 0, "handed out once");
+        }
     }
 
     #[test]
@@ -2545,8 +2651,7 @@ mod tests {
         assert_eq!(alg.unpromoted, [first.id, second.id]);
         alg.admit(root.clone());
         assert!(alg.update_promote());
-        let order: Vec<MsgId> = alg.promote.iter().map(|m| m.id).collect();
-        assert_eq!(order, [root.id, first.id, second.id]);
+        assert_eq!(alg.promote, [root.id, first.id, second.id]);
         assert!(alg.unpromoted.is_empty());
     }
 
@@ -2567,7 +2672,6 @@ mod tests {
 
     #[test]
     fn a_message_whose_dependency_was_folded_before_it_arrived_is_promoted() {
-        use crate::types::Compactable;
         let a = MsgId::new(ProcessId::new(1), 1);
         let b = AppMessage::with_deps(MsgId::new(ProcessId::new(1), 2), b"b".to_vec(), vec![a]);
         let mut frontier = VersionVector::new();
@@ -2578,7 +2682,7 @@ mod tests {
         assert!(!alg.causal_graph().contains(a) && alg.causal_graph().is_compacted(a));
         assert!(alg.admit(b.clone()));
         assert!(alg.update_promote());
-        assert_eq!(alg.promote, vec![b.clone()]);
+        assert_eq!(alg.promote, [b.id]);
         assert!(alg.is_promoted(b.id));
     }
 
@@ -2609,7 +2713,7 @@ mod tests {
             world.run_until(horizon);
             for p in world.process_ids() {
                 let alg = world.algorithm(p);
-                let promoted: BTreeSet<MsgId> = alg.promote.iter().map(|m| m.id).collect();
+                let promoted: BTreeSet<MsgId> = alg.promote.iter().copied().collect();
                 let derived: BTreeSet<MsgId> = alg
                     .graph
                     .messages()
@@ -2644,8 +2748,7 @@ mod tests {
         // once a arrives, both are appended in causal order
         alg.admit(a.clone());
         alg.update_promote();
-        let ids: Vec<MsgId> = alg.promote.iter().map(|m| m.id).collect();
-        assert_eq!(ids, vec![a.id, b.id]);
+        assert_eq!(alg.promote, [a.id, b.id]);
         assert!(format!("{alg:?}").contains("EtobOmega"));
     }
 
@@ -2707,7 +2810,6 @@ mod tests {
 
     #[test]
     fn recovery_priming_restores_the_fold_and_rejects_divergent_prefixes() {
-        use crate::types::Compactable;
         let mk = |seq| AppMessage::new(MsgId::new(ProcessId::new(1), seq), b"x".to_vec());
         let history: Vec<AppMessage> = (1..=3u64).map(mk).collect();
         let hashes = prefix_hashes_from(FNV_OFFSET, &history);

@@ -501,9 +501,13 @@ impl Algorithm for ConsensusTob {
 }
 
 // The strong baseline never folds history: the trait defaults (`stable_base`
-// 0, empty frontier, recovery unsupported) are exactly its behavior, and the
-// durable facade then recovers it by replaying the whole logged tail.
-impl crate::types::Compactable for ConsensusTob {}
+// 0, empty frontier, nothing to drain, recovery unsupported) are exactly its
+// behavior, and a durable replica of it restarts blank and catches up.
+impl crate::types::Compactable for ConsensusTob {
+    fn delivered(&self) -> &[AppMessage] {
+        &self.delivered
+    }
+}
 
 impl crate::types::Instrumented for ConsensusTob {
     fn attach_recorder(&mut self, recorder: ec_telemetry::Recorder) {

@@ -153,8 +153,10 @@ pub type DeliveredSequence = Vec<AppMessage>;
 /// change cost O(history) three times over — the clone here, the comparison
 /// in the consumer, the drop of the superseded copy — so a run's cost was
 /// quadratic in its length. A delta costs O(|suffix|), and a consumer that
-/// keeps its own copy (a replica, a checker) loses nothing: folding the
-/// deltas of one process in order reproduces `d_i(t)` for every `t`.
+/// keeps its own copy (a checker) loses nothing: folding the deltas of one
+/// process in order reproduces `d_i(t)` for every `t`. A replica keeps no
+/// copy: the deltas tell it where the layer's sequence changed, and it
+/// reads the entries from [`Compactable::delivered`].
 ///
 /// **What `keep` counts.** `keep` is *absolute*: the number of entries of
 /// the whole history that stay, entries folded away by stable-prefix
@@ -259,11 +261,31 @@ pub fn seq_hash_step(mut h: u64, id: MsgId) -> u64 {
 /// automaton before the node rejoins, so anti-entropy only has to fetch the
 /// suffix the node missed while down.
 ///
-/// Every method has a no-compaction default, so implementations that never
-/// fold anything (e.g. the strong baseline `ConsensusTob`) implement the
-/// trait as an empty `impl` block and remain fully functional — recovery
-/// then degrades to replaying the whole logged tail.
+/// The layer's resident delivered sequence ([`Compactable::delivered`]) is
+/// the one copy a wrapper reads: the replication facade keeps no sequence
+/// of its own, and takes the entries a fold retires through
+/// [`Compactable::drain_folded`]. Every other method has a no-compaction
+/// default, so implementations that never fold anything (e.g. the strong
+/// baseline `ConsensusTob`) implement only `delivered` and remain fully
+/// functional — recovery then degrades to a blank start that anti-entropy
+/// refills.
 pub trait Compactable {
+    /// The resident delivered sequence: every delivered entry beyond
+    /// [`Compactable::stable_base`], in delivery order.
+    fn delivered(&self) -> &[AppMessage];
+
+    /// Hands `f` the entries the latest fold moved out of
+    /// [`Compactable::delivered`], in delivery order, and forgets them;
+    /// returns how many there were (0 once drained). A layer folds at most
+    /// once per activation and a fold replaces what the previous one left
+    /// undrained, so a wrapper that calls this after every activation sees
+    /// each folded entry exactly once, and a bare layer holds at most one
+    /// fold's entries. The default folds nothing and returns 0.
+    fn drain_folded(&mut self, f: &mut dyn FnMut(&AppMessage)) -> usize {
+        let _ = f;
+        0
+    }
+
     /// Absolute number of delivered entries folded into the stable prefix.
     fn stable_base(&self) -> u64 {
         0

@@ -11,7 +11,9 @@
 //!   and off, compaction on and off, and both wire formats, the folded
 //!   sequence is the *absolute* history: its length is `delivered_total()`,
 //!   its part beyond `folded()` is the resident `delivered()`, and its
-//!   rolling identifier hash is `delivered_hash()` — folds never show;
+//!   rolling identifier hash is `delivered_hash()` — folds never show —
+//!   and every resident promoted identifier is a causal-graph node (the
+//!   promotion sequence holds identifiers, the graph the messages);
 //! * for the strong baseline (`ConsensusTob`) and for Algorithm 1
 //!   (`EcToEtob`), the folded sequence is `delivered()`.
 
@@ -19,7 +21,9 @@ use ec_core::ec_omega::{EcConfig, EcOmega};
 use ec_core::etob_omega::{EtobConfig, EtobOmega};
 use ec_core::tob_consensus::{ConsensusTob, ConsensusTobConfig};
 use ec_core::transforms::EcToEtob;
-use ec_core::types::{seq_hash_step, AppMessage, DeliveredSequence, DeliveryDelta, SEQ_HASH_SEED};
+use ec_core::types::{
+    seq_hash_step, AppMessage, DeliveredSequence, DeliveryDelta, MsgId, SEQ_HASH_SEED,
+};
 use ec_core::workload::BroadcastWorkload;
 use ec_detectors::omega::{OmegaOracle, PreStabilization};
 use ec_detectors::{sigma::SigmaOracle, PairFd};
@@ -31,11 +35,13 @@ use proptest::prelude::*;
 
 /// What an automaton says its delivered sequence is: entries folded out of
 /// resident state, the resident tail, and (if it keeps one) the rolling
-/// identifier hash of the whole history.
+/// identifier hash of the whole history — plus a promoted identifier that
+/// is no graph node, if it has one (it must not).
 struct View<'a> {
     folded: usize,
     resident: &'a [AppMessage],
     hash: Option<u64>,
+    orphan: Option<MsgId>,
 }
 
 /// Steps `world` event by event up to `horizon`, folding every emitted
@@ -86,6 +92,12 @@ where
                 "{p} at {}: folded deltas are not the resident tail",
                 world.now()
             );
+            assert_eq!(
+                view.orphan,
+                None,
+                "{p} at {}: a promoted id is not a graph node",
+                world.now()
+            );
             if let Some(hash) = view.hash {
                 let rolled = sequence
                     .iter()
@@ -107,6 +119,11 @@ fn etob_view(alg: &EtobOmega) -> View<'_> {
         folded: alg.folded() as usize,
         resident: alg.delivered(),
         hash: Some(alg.delivered_hash()),
+        orphan: alg
+            .promotion()
+            .iter()
+            .copied()
+            .find(|id| !alg.causal_graph().contains(*id)),
     }
 }
 
@@ -198,6 +215,7 @@ proptest! {
             folded: 0,
             resident: alg.delivered(),
             hash: None,
+            orphan: None,
         });
         prop_assert_eq!(rewrites, 0, "decided slots are final: deltas only extend");
     }
@@ -230,6 +248,7 @@ proptest! {
                 folded: 0,
                 resident: alg.delivered(),
                 hash: None,
+                orphan: None,
             },
         );
         for p in world.process_ids() {

@@ -83,9 +83,6 @@ pub struct DeployPlan {
 pub trait BroadcastLayer:
     EventualTotalOrderBroadcast<Msg: Send> + Compactable + Instrumented + fmt::Debug + Send + 'static
 {
-    /// The stable delivered sequence (its resident tail under compaction).
-    fn delivered(&self) -> &[AppMessage];
-
     /// `update` broadcasts performed so far.
     fn updates_sent(&self) -> u64 {
         0
@@ -98,10 +95,6 @@ pub trait BroadcastLayer:
 }
 
 impl BroadcastLayer for EtobOmega {
-    fn delivered(&self) -> &[AppMessage] {
-        EtobOmega::delivered(self)
-    }
-
     fn updates_sent(&self) -> u64 {
         EtobOmega::updates_sent(self)
     }
@@ -111,11 +104,7 @@ impl BroadcastLayer for EtobOmega {
     }
 }
 
-impl BroadcastLayer for ConsensusTob {
-    fn delivered(&self) -> &[AppMessage] {
-        ConsensusTob::delivered(self)
-    }
-}
+impl BroadcastLayer for ConsensusTob {}
 
 /// Builds one replica for a deployment, durable when the plan says so. The
 /// broadcast layer gets its telemetry recorder attached *before* the replica
@@ -497,7 +486,8 @@ pub trait ReplicaView<S> {
     /// The replica's state machine.
     fn state(&self) -> &S;
 
-    /// The stable delivered sequence of its broadcast layer.
+    /// The resident delivered sequence of its broadcast layer
+    /// ([`Compactable::delivered`]).
     fn delivered(&self) -> &[AppMessage];
 
     /// `update` broadcasts its layer performed so far (see
@@ -521,7 +511,7 @@ impl<S: StateMachine, B: BroadcastLayer> ReplicaView<S> for Replica<S, B> {
     }
 
     fn delivered(&self) -> &[AppMessage] {
-        self.broadcast_layer().delivered()
+        Compactable::delivered(self.broadcast_layer())
     }
 
     fn updates_sent(&self) -> u64 {

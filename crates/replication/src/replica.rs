@@ -4,8 +4,8 @@
 use std::fmt;
 
 use ec_core::types::{
-    AppMessage, Compactable, DeliveryDelta, EtobBroadcast, EventualTotalOrderBroadcast,
-    Instrumented, MsgId, Payload,
+    AppMessage, Compactable, EtobBroadcast, EventualTotalOrderBroadcast, Instrumented, MsgId,
+    Payload,
 };
 use ec_sim::{Algorithm, Context, ProcessId};
 use ec_telemetry::{Event, Recorder, TelemetryReport};
@@ -104,31 +104,35 @@ pub struct ReplicaOutput {
 ///
 /// With `B = EtobOmega` (Algorithm 5) this is an **eventually consistent**
 /// replicated service that only needs Ω; with `B = ConsensusTob` it is a
-/// **strongly consistent** one that needs Ω + Σ. The replica keeps its own
-/// copy of the delivered sequence and applies every [`DeliveryDelta`] the
-/// broadcast layer emits to it, so divergence and convergence of the
-/// broadcast layer translate directly into divergence and convergence of
-/// replica snapshots.
+/// **strongly consistent** one that needs Ω + Σ. The replica holds no copy
+/// of the delivered sequence: it reads the layer's resident one
+/// ([`Compactable::delivered`]) and keeps only the state machines, so
+/// divergence and convergence of the broadcast layer translate directly
+/// into divergence and convergence of replica snapshots.
 ///
-/// ## Adoption: extension, rewrite, below-fold
+/// ## Adoption: extension, rewrite, rejection
 ///
-/// A delta `{ keep, suffix }` is one of three things (`DESIGN.md`, "Replica
-/// adoption"): `keep` at the end of the replica's copy is an **extension** —
-/// the suffix is applied to the live state, O(|suffix|), whatever the length
-/// of the history; `keep` inside the resident tail is a genuine **rewrite**
-/// (Ω was unstable) — the tail is cut there and the state rebuilt from
-/// `base_state`; `keep` below the folded prefix, or beyond the copy, cannot
-/// be applied — it is **rejected** and counted
-/// ([`Replica::rejected_deltas`]), never a panic or a mis-truncation.
+/// The deltas `{ keep, suffix }` an activation emits say where the layer's
+/// sequence changed (`DESIGN.md`, "Replica adoption"); the replica checks
+/// each `keep` against a running length that starts at `applied`, the
+/// entries `state` has absorbed. If no `keep` falls below `applied`, the
+/// activation is an **extension** — the new resident entries are applied
+/// to the live state, O(new entries), whatever the length of the history.
+/// A `keep` below it is a genuine **rewrite** (Ω was unstable) — the state
+/// is rebuilt from `base_state` plus the resident sequence. A `keep` below
+/// the folded prefix or beyond the running length is **rejected** and
+/// counted ([`Replica::rejected_deltas`]), never a panic: the layer's
+/// sequence is the one truth, so the state is rebuilt from it.
 ///
 /// ## Stable-prefix folding
 ///
 /// When the broadcast layer compacts ([`Compactable::stable_base`] grows)
 /// it emits nothing — `keep` is absolute, so a fold changes no position.
-/// The replica mirrors the fold: the folded prefix's effect is absorbed into
-/// `base_state` (the state machine at absolute index `base_applied`) and
-/// dropped from the tail, so replica memory tracks the broadcast layer's
-/// instead of the full history. With compaction off, `base_applied` stays 0.
+/// The replica absorbs the entries the fold hands out
+/// ([`Compactable::drain_folded`]) into `base_state` (the state machine at
+/// absolute index `base_applied`), so replica memory tracks the broadcast
+/// layer's instead of the full history. With compaction off,
+/// `base_applied` stays 0.
 ///
 /// ## Durability
 ///
@@ -144,7 +148,11 @@ pub struct ReplicaOutput {
 /// the instance it replaces.
 pub struct Replica<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumented> {
     broadcast: B,
+    /// `base_state` plus the layer's resident delivered sequence, up to
+    /// absolute index `applied`.
     state: S,
+    /// Absolute number of delivered entries `state` has absorbed; after
+    /// every activation `base_applied` plus the layer's resident length.
     applied: usize,
     next_seq: u64,
     last_output: Option<ReplicaOutput>,
@@ -152,12 +160,11 @@ pub struct Replica<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable
     base_state: S,
     /// Absolute length of the folded prefix baked into `base_state`.
     base_applied: usize,
-    /// Resident delivered tail: the broadcast layer's deltas folded into
-    /// this replica's own copy, from absolute index `base_applied` on.
-    tail: Vec<AppMessage>,
-    /// Times the state was rebuilt from `base_state` (rewrites, recovery).
+    /// Times the state was rebuilt from `base_state` (rewrites, recovery,
+    /// rejected deltas).
     rebuilds: u64,
-    /// Deltas that could not be applied (below the fold or beyond the tail).
+    /// Deltas that could not be placed (below the fold or beyond the
+    /// sequence).
     rejected_deltas: u64,
     durable_options: Option<DurableOptions>,
     durable: Option<DurableStore>,
@@ -191,7 +198,6 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
             last_output: None,
             base_state: S::default(),
             base_applied: 0,
-            tail: Vec::new(),
             rebuilds: 0,
             rejected_deltas: 0,
             durable_options: None,
@@ -229,17 +235,17 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
         self.base_applied
     }
 
-    /// Times the state was rebuilt by replaying the resident tail over the
-    /// base state: once per activation that rewrote the delivered suffix
-    /// (possible only while Ω is unstable) and once per durable recovery.
-    /// Extensions never rebuild.
+    /// Times the state was rebuilt by replaying the resident sequence over
+    /// the base state: once per activation that rewrote the delivered
+    /// suffix (possible only while Ω is unstable) or emitted a rejected
+    /// delta, and once per durable recovery. Extensions never rebuild.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
 
     /// Delivery deltas rejected because they could not be placed: `keep`
-    /// below the folded prefix or beyond the delivered copy. A correct
-    /// broadcast layer never emits one.
+    /// below the folded prefix or beyond the sequence the activation's
+    /// earlier deltas left. A correct broadcast layer never emits one.
     pub fn rejected_deltas(&self) -> u64 {
         self.rejected_deltas
     }
@@ -256,39 +262,23 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
         recorder.map(Recorder::events).unwrap_or_default()
     }
 
-    /// Recomputes `state` as `base_state` plus the resident tail and emits
-    /// an output if the visible state changed.
+    /// Recomputes `state` as `base_state` plus the layer's resident
+    /// sequence and emits an output if the visible state changed.
     fn rebuild(&mut self, ctx: &mut Context<'_, Self>) {
         let mut state = self.base_state.clone();
-        for m in &self.tail {
+        let resident = self.broadcast.delivered();
+        for m in resident {
             state.apply(m.payload.as_ref());
         }
         self.state = state;
+        self.applied = self.base_applied + resident.len();
         self.rebuilds += 1;
         self.emit_output(ctx);
     }
 
-    /// Folds one delivery delta into the resident tail (the state follows
-    /// in [`Replica::drive`]). Returns the absolute index from which the
-    /// tail changed, or `None` if the delta was rejected.
-    fn splice(&mut self, delta: DeliveryDelta) -> Option<usize> {
-        let rel = delta
-            .keep
-            .checked_sub(self.base_applied)
-            .filter(|rel| *rel <= self.tail.len());
-        let Some(rel) = rel else {
-            self.rejected_deltas += 1;
-            return None;
-        };
-        self.tail.truncate(rel);
-        self.tail.extend(delta.suffix);
-        Some(delta.keep)
-    }
-
     /// Emits a [`ReplicaOutput`] if the visible state changed since the
-    /// last one, keeping `applied` in sync with the adopted tail.
+    /// last one.
     fn emit_output(&mut self, ctx: &mut Context<'_, Self>) {
-        self.applied = self.base_applied + self.tail.len();
         let output = ReplicaOutput {
             applied: self.applied,
             digest: self.state.digest(),
@@ -297,8 +287,8 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
             return;
         }
         // flight-record the newest applied command (one event per visible
-        // state change, not per replayed tail entry)
-        if let Some(m) = self.tail.last() {
+        // state change, not per replayed entry)
+        if let Some(m) = self.broadcast.delivered().last() {
             let (origin, seq) = (m.id.origin.index() as u32, m.id.seq);
             if let Some(recorder) = self.broadcast.recorder_mut() {
                 recorder.applied(origin, seq);
@@ -309,51 +299,38 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
     }
 
     /// Absorbs a broadcast-layer fold into the base state: the broadcast
-    /// only folds a globally stable prefix, so the tail entries below the
-    /// new stable base are final and can be applied permanently.
-    ///
-    /// Runs *before* the activation's deltas are applied: the stored tail
-    /// always starts at `base_applied`, and the broadcast layer never folds
-    /// and emits a delta in the same activation (folds happen on the promote
-    /// timer, deltas on message receipt), so draining the prefix from the
-    /// tail as it stood is correct in every interleaving. Returns whether
-    /// the base advanced.
+    /// only folds a globally stable prefix, so the entries it hands out are
+    /// final and can be applied permanently. Returns whether the base
+    /// advanced.
     fn reconcile_fold(&mut self) -> bool {
-        let stable = usize::try_from(self.broadcast.stable_base()).unwrap_or(usize::MAX);
-        if stable <= self.base_applied {
-            return false;
-        }
-        let drain = (stable - self.base_applied).min(self.tail.len());
-        for m in self.tail.drain(..drain) {
-            self.base_state.apply(m.payload.as_ref());
-        }
-        self.base_applied += drain;
-        drain > 0
+        let base_state = &mut self.base_state;
+        let drained = self
+            .broadcast
+            .drain_folded(&mut |m| base_state.apply(m.payload.as_ref()));
+        self.base_applied += drained;
+        debug_assert_eq!(
+            self.base_applied as u64,
+            self.broadcast.stable_base(),
+            "a fold moved the base without handing its entries out"
+        );
+        drained > 0
     }
 
-    /// Mirrors a change of the tail — everything from absolute index `keep`
-    /// on — into the durable store and checkpoints when due. A no-op
-    /// without a store.
+    /// Mirrors a change of the layer's resident sequence — everything from
+    /// absolute index `keep` on — into the durable store and checkpoints
+    /// when due. A no-op without a store.
     fn persist(&mut self, keep: usize) {
-        if self.durable.is_none() {
+        let Some(store) = self.durable.as_mut() else {
             return;
-        }
+        };
         let base = self.base_applied as u64;
         let hash = self.broadcast.stable_hash();
-        if let Some(store) = self.durable.as_mut() {
-            store.record_change(base, hash, &self.tail, keep as u64);
-        }
-        if self
-            .durable
-            .as_ref()
-            .is_some_and(DurableStore::checkpoint_due)
-        {
+        let resident = self.broadcast.delivered();
+        store.record_change(base, hash, resident, keep as u64);
+        if store.checkpoint_due() {
             let frontier = self.broadcast.stable_frontier();
             let state = self.base_state.snapshot();
-            let own_seq = self.next_seq;
-            if let Some(store) = self.durable.as_mut() {
-                store.checkpoint(base, hash, &frontier, &state, &self.tail, own_seq);
-            }
+            store.checkpoint(base, hash, &frontier, &state, resident, self.next_seq);
         }
     }
 
@@ -390,13 +367,12 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
         };
         if !self
             .broadcast
-            .prime_recovery(rec.base, rec.hash, rec.frontier, rec.tail.clone())
+            .prime_recovery(rec.base, rec.hash, rec.frontier, rec.tail)
         {
             return;
         }
         self.base_state = base_state;
         self.base_applied = usize::try_from(rec.base).unwrap_or(0);
-        self.tail = rec.tail;
         self.rebuild(ctx);
     }
 
@@ -405,30 +381,43 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
         F: FnOnce(&mut B, &mut Context<'_, B>),
     {
         let deltas = ctx.nest(&mut self.broadcast, |m| m, f);
-        // Where the delivered copy ended before this activation. A fold
-        // moves the base under an unchanged tail: a change that starts
-        // there.
-        let end = self.base_applied + self.tail.len();
-        let mut changed_from = self.reconcile_fold().then_some(end);
-        // Every delta of the activation is applied, in order; the state,
-        // the visible output and the durable store follow once.
+        // What the state had absorbed before this activation. A fold moves
+        // the base under it: a change that starts there.
+        let absorbed = self.applied;
+        let mut changed_from = self.reconcile_fold().then_some(absorbed);
+        // The deltas only say where the layer's sequence changed; each
+        // `keep` is checked against the length the earlier ones left.
+        let mut len = absorbed;
+        let mut rejected = false;
         for delta in deltas {
-            if let Some(keep) = self.splice(delta) {
-                changed_from = Some(changed_from.map_or(keep, |from| from.min(keep)));
+            if delta.keep < self.base_applied || delta.keep > len {
+                self.rejected_deltas += 1;
+                rejected = true;
+                continue;
             }
+            len = delta.keep + delta.suffix.len();
+            changed_from = Some(changed_from.map_or(delta.keep, |from| from.min(delta.keep)));
+        }
+        if rejected {
+            changed_from = Some(self.base_applied);
         }
         let Some(from) = changed_from else {
             return;
         };
-        if from < end {
-            // entries the state had already absorbed were replaced
-            self.rebuild(ctx);
-        } else {
-            let appended = end.saturating_sub(self.base_applied);
-            for m in self.tail.get(appended..).unwrap_or_default() {
+        // the resident entries the state has not absorbed yet, unless the
+        // activation replaced or folded some it had
+        let fresh = absorbed
+            .checked_sub(self.base_applied)
+            .filter(|_| from >= absorbed && !rejected)
+            .and_then(|at| self.broadcast.delivered().get(at..));
+        if let Some(fresh) = fresh {
+            for m in fresh {
                 self.state.apply(m.payload.as_ref());
             }
+            self.applied = self.base_applied + self.broadcast.delivered().len();
             self.emit_output(ctx);
+        } else {
+            self.rebuild(ctx);
         }
         self.persist(from);
     }
@@ -509,6 +498,7 @@ mod tests {
     use crate::state_machine::KvStore;
     use ec_core::etob_omega::{EtobConfig, EtobOmega};
     use ec_core::tob_consensus::{ConsensusTob, ConsensusTobConfig};
+    use ec_core::types::DeliveryDelta;
     use ec_detectors::{omega::OmegaOracle, sigma::SigmaOracle, PairFd};
     use ec_sim::{FailurePattern, NetworkModel, PartitionSpec, ProcessSet, Time, WorldBuilder};
 
@@ -650,36 +640,71 @@ mod tests {
         }
     }
 
-    /// A broadcast layer scripted by its "peers": it emits the delta, or
-    /// folds to the base, that a message tells it to.
+    /// A broadcast layer scripted by its "peers": each message is one
+    /// activation's steps. It owns its delivered sequence, as a real layer
+    /// does, and keeps every entry it folded for the checks.
     #[derive(Debug, Default)]
     struct Scripted {
         stable: u64,
+        delivered: Vec<AppMessage>,
+        folded_out: Vec<AppMessage>,
+        retired: Vec<AppMessage>,
     }
 
     #[derive(Clone, Debug)]
-    enum Script {
+    enum Step {
+        /// Applies the delta to the sequence and emits it.
         Emit(DeliveryDelta),
+        /// Emits the delta without applying it: one that cannot be placed.
+        Bogus(DeliveryDelta),
+        /// Folds the resident sequence up to absolute index `base`.
         FoldTo(u64),
     }
 
     impl Algorithm for Scripted {
-        type Msg = Script;
+        type Msg = Vec<Step>;
         type Input = EtobBroadcast;
         type Output = DeliveryDelta;
         type Fd = ();
 
         fn on_input(&mut self, _: EtobBroadcast, _: &mut Context<'_, Self>) {}
 
-        fn on_message(&mut self, _: ProcessId, msg: Script, ctx: &mut Context<'_, Self>) {
-            match msg {
-                Script::Emit(delta) => ctx.output(delta),
-                Script::FoldTo(base) => self.stable = base,
+        fn on_message(&mut self, _: ProcessId, steps: Vec<Step>, ctx: &mut Context<'_, Self>) {
+            for step in steps {
+                match step {
+                    Step::Emit(delta) => {
+                        self.delivered
+                            .truncate((delta.keep as u64 - self.stable) as usize);
+                        self.delivered.extend(delta.suffix.iter().cloned());
+                        ctx.output(delta);
+                    }
+                    Step::Bogus(delta) => ctx.output(delta),
+                    Step::FoldTo(base) => {
+                        let fold = (base - self.stable) as usize;
+                        self.folded_out.clear();
+                        self.folded_out.extend(self.delivered.drain(..fold));
+                        self.retired.extend(self.folded_out.iter().cloned());
+                        self.stable = base;
+                    }
+                }
             }
         }
     }
 
     impl Compactable for Scripted {
+        fn delivered(&self) -> &[AppMessage] {
+            &self.delivered
+        }
+
+        fn drain_folded(&mut self, f: &mut dyn FnMut(&AppMessage)) -> usize {
+            for m in &self.folded_out {
+                f(m);
+            }
+            let drained = self.folded_out.len();
+            self.folded_out.clear();
+            drained
+        }
+
         fn stable_base(&self) -> u64 {
             self.stable
         }
@@ -687,35 +712,42 @@ mod tests {
 
     impl Instrumented for Scripted {}
 
+    type ScriptedReplica = Replica<KvStore, Scripted>;
+
+    /// Runs one activation of `steps` and returns what the replica output.
+    fn activate(replica: &mut ScriptedReplica, steps: Vec<Step>) -> Vec<ReplicaOutput> {
+        let mut actions = ec_sim::Actions::<ScriptedReplica>::new();
+        let mut ctx = Context::new(ProcessId::new(0), Time::new(1), 2, (), &mut actions);
+        replica.on_message(ProcessId::new(1), steps, &mut ctx);
+        actions.outputs
+    }
+
+    fn put(seq: u64, key: &str, value: &str) -> AppMessage {
+        AppMessage::new(MsgId::new(ProcessId::new(1), seq), KvStore::put(key, value))
+    }
+
     #[test]
     fn deltas_extend_rewrite_or_are_rejected_by_where_keep_falls() {
-        let put = |seq: u64, key: &str, value: &str| {
-            AppMessage::new(MsgId::new(ProcessId::new(1), seq), KvStore::put(key, value))
-        };
-        let mut replica: Replica<KvStore, Scripted> = Replica::new(Scripted::default());
-        let step = |replica: &mut Replica<KvStore, Scripted>, script: Script| {
-            let mut actions = ec_sim::Actions::<Replica<KvStore, Scripted>>::new();
-            let mut ctx = Context::new(ProcessId::new(0), Time::new(1), 2, (), &mut actions);
-            replica.on_message(ProcessId::new(1), script, &mut ctx);
-            actions.outputs
-        };
-        let emit = |keep, suffix: Vec<AppMessage>| Script::Emit(DeliveryDelta { keep, suffix });
+        let mut replica = ScriptedReplica::new(Scripted::default());
+        let emit = |keep, suffix: Vec<AppMessage>| vec![Step::Emit(DeliveryDelta { keep, suffix })];
+        let bogus =
+            |keep, suffix: Vec<AppMessage>| vec![Step::Bogus(DeliveryDelta { keep, suffix })];
 
         // extension of the empty sequence, then of a longer one
-        let out = step(
+        let out = activate(
             &mut replica,
             emit(0, vec![put(1, "a", "1"), put(2, "b", "2")]),
         );
         assert_eq!(out.last().map(|o| o.applied), Some(2));
-        step(&mut replica, emit(2, vec![put(3, "a", "3")]));
+        activate(&mut replica, emit(2, vec![put(3, "a", "3")]));
         assert_eq!(
             (replica.applied(), replica.state().get("a")),
             (3, Some("3"))
         );
         assert_eq!(replica.rebuilds(), 0, "extensions never rebuild");
 
-        // rewrite from inside the tail: entries 1.. are replaced
-        let out = step(&mut replica, emit(1, vec![put(4, "c", "9")]));
+        // rewrite from inside the sequence: entries 1.. are replaced
+        let out = activate(&mut replica, emit(1, vec![put(4, "c", "9")]));
         assert_eq!(out.last().map(|o| o.applied), Some(2));
         assert_eq!(replica.rebuilds(), 1);
         let state = replica.state();
@@ -725,23 +757,110 @@ mod tests {
         );
 
         // a fold moves the base and shows nothing
-        assert!(step(&mut replica, Script::FoldTo(1)).is_empty());
+        assert!(activate(&mut replica, vec![Step::FoldTo(1)]).is_empty());
         assert_eq!((replica.base_applied(), replica.applied()), (1, 2));
+        assert_eq!(replica.base_state.get("a"), Some("1"));
 
-        // below the fold, and beyond the copy: rejected, nothing moves
+        // below the fold, and beyond the sequence: rejected and rebuilt
+        // from the layer's sequence, which did not move
         let before = replica.state().snapshot();
-        assert!(step(&mut replica, emit(0, vec![put(5, "z", "0")])).is_empty());
-        assert!(step(&mut replica, emit(5, vec![put(5, "z", "0")])).is_empty());
-        assert_eq!(replica.rejected_deltas(), 2);
+        assert!(activate(&mut replica, bogus(0, vec![put(5, "z", "0")])).is_empty());
+        assert!(activate(&mut replica, bogus(5, vec![put(5, "z", "0")])).is_empty());
+        assert_eq!((replica.rejected_deltas(), replica.rebuilds()), (2, 3));
         assert_eq!((replica.applied(), replica.state().snapshot()), (2, before));
 
         // positions stay absolute across the fold
-        step(&mut replica, emit(2, vec![put(6, "d", "4")]));
+        activate(&mut replica, emit(2, vec![put(6, "d", "4")]));
         assert_eq!(
             (replica.applied(), replica.state().get("d")),
             (3, Some("4"))
         );
-        assert_eq!(replica.rebuilds(), 1);
+        assert_eq!(replica.rebuilds(), 3);
+    }
+
+    proptest::proptest! {
+        /// After every activation of random extensions, rewrites, folds and
+        /// out-of-range deltas, the state is `base_state` plus the layer's
+        /// resident sequence replayed, `base_state` is the folded entries
+        /// replayed, and only rewrites and rejections rebuild.
+        #[test]
+        fn the_state_is_the_base_plus_the_resident_sequence_after_every_activation(
+            activations in proptest::collection::vec((0u8..5, 0u64..1_000, 0u64..1_000), 1..60),
+        ) {
+            let mut replica = ScriptedReplica::new(Scripted::default());
+            let (mut seq, mut rejected, mut rebuilds) = (0u64, 0u64, 0u64);
+            let mut fresh = |n: u64| -> Vec<AppMessage> {
+                (0..n)
+                    .map(|_| {
+                        seq += 1;
+                        put(seq, &format!("k{}", seq % 3), &seq.to_string())
+                    })
+                    .collect()
+            };
+            for (kind, a, b) in activations {
+                let layer = replica.broadcast_layer();
+                let (base, end) = (layer.stable, layer.stable + layer.delivered.len() as u64);
+                let at = |x: u64| base + x % (end - base + 1);
+                let delta = |keep: u64, suffix| DeliveryDelta { keep: keep as usize, suffix };
+                let steps = match kind {
+                    // an extension, or two in one activation
+                    0 => {
+                        let first = fresh(1 + a % 3);
+                        let second_keep = end + first.len() as u64;
+                        let mut steps = vec![Step::Emit(delta(end, first))];
+                        if b % 2 == 0 {
+                            steps.push(Step::Emit(delta(second_keep, fresh(1 + b % 3))));
+                        }
+                        steps
+                    }
+                    // a rewrite anywhere in the resident sequence
+                    1 => vec![Step::Emit(delta(at(a), fresh(b % 4)))],
+                    // a fold of a resident prefix
+                    2 => vec![Step::FoldTo(at(a))],
+                    // a delta below the fold or beyond the sequence
+                    3 => {
+                        let keep = if a % 2 == 0 && base > 0 { b % base } else { end + 1 + b % 3 };
+                        vec![Step::Bogus(delta(keep, fresh(1)))]
+                    }
+                    // an extension, then a rewrite in the same activation
+                    _ => {
+                        let first = fresh(1 + a % 3);
+                        let rewrite_at = base + b % (end + first.len() as u64 - base + 1);
+                        vec![
+                            Step::Emit(delta(end, first)),
+                            Step::Emit(delta(rewrite_at, fresh(b % 3))),
+                        ]
+                    }
+                };
+                let absorbed = replica.applied() as u64;
+                let min_keep = steps.iter().filter_map(|step| match step {
+                    Step::Emit(d) => Some(d.keep as u64),
+                    _ => None,
+                }).min();
+                let bogus = steps.iter().filter(|s| matches!(s, Step::Bogus(_))).count() as u64;
+                rejected += bogus;
+                if bogus > 0 || min_keep.is_some_and(|keep| keep < absorbed) {
+                    rebuilds += 1;
+                }
+                activate(&mut replica, steps);
+
+                let layer = replica.broadcast_layer();
+                let mut expected = replica.base_state.clone();
+                for m in &layer.delivered {
+                    expected.apply(m.payload.as_ref());
+                }
+                let folded = KvStore::replay(layer.retired.iter().map(|m| m.payload.as_ref()));
+                proptest::prop_assert_eq!(replica.state().snapshot(), expected.snapshot());
+                proptest::prop_assert_eq!(replica.base_state.snapshot(), folded.snapshot());
+                proptest::prop_assert_eq!(
+                    replica.applied(),
+                    layer.stable as usize + layer.delivered.len()
+                );
+                proptest::prop_assert_eq!(replica.base_applied() as u64, layer.stable);
+                proptest::prop_assert_eq!(replica.rejected_deltas(), rejected);
+                proptest::prop_assert_eq!(replica.rebuilds(), rebuilds);
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::cell::Cell;
 
 use ec_core::etob_omega::{EtobConfig, EtobMsg, EtobOmega};
-use ec_core::types::{Compactable, DeliveryDelta, EtobBroadcast, Instrumented, MsgId};
+use ec_core::types::{AppMessage, Compactable, DeliveryDelta, EtobBroadcast, Instrumented, MsgId};
 use ec_detectors::omega::{OmegaOracle, PreStabilization};
 use ec_replication::{KvStore, Replica, ReplicaCommand, StateMachine};
 use ec_sim::{
@@ -99,8 +99,13 @@ impl Algorithm for Tallied {
     }
 }
 
-// nothing is folded and nothing recorded: the defaults are the behaviour
-impl Compactable for Tallied {}
+// the sequence is the inner layer's; nothing is folded and nothing
+// recorded, so the other defaults are the behaviour
+impl Compactable for Tallied {
+    fn delivered(&self) -> &[AppMessage] {
+        self.inner.delivered()
+    }
+}
 impl Instrumented for Tallied {}
 
 /// Schedules `ops` puts, one per tick from tick 10, round-robin over the
