@@ -12,8 +12,8 @@
 //! virtual time), so every column is bit-reproducible — the `perf-smoke` CI
 //! job regenerates `BENCH_compaction.json` twice and diffs the outputs.
 //! Wall-clock cost per operation is measured by `benchmark/` (`sim-steady`
-//! against `sim-history`). This module backs the Criterion bench target
-//! (experiment E13) and the standalone `e13_compaction` binary.
+//! against `sim-history`). This module backs the E13 table of the
+//! `experiments` binary and the standalone `e13_compaction` binary.
 
 use ec_core::etob_omega::{EtobConfig, EtobOmega};
 use ec_core::workload::BroadcastWorkload;
@@ -150,7 +150,8 @@ pub fn run_grid() -> Vec<(CompactionPoint, CompactionPoint)> {
     run_grid_over(&E13_GRID)
 }
 
-/// [`run_grid`] over an explicit grid — the unit test uses a reduced one.
+/// [`run_grid`] over an explicit grid — the unit test and the `experiments`
+/// binary use reduced ones.
 pub fn run_grid_over(grid: &[usize]) -> Vec<(CompactionPoint, CompactionPoint)> {
     grid.iter()
         .map(|&ops| {

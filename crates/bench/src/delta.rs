@@ -5,8 +5,8 @@
 //! time), so every column is bit-reproducible — which is what lets the
 //! `perf-smoke` CI job regenerate `BENCH_delta.json` twice and diff the
 //! outputs. Wall-clock time is measured by `benchmark/`, not here. This
-//! module backs the Criterion bench target (`cargo bench -p ec-bench`,
-//! experiment E12) and the standalone `e12_delta` binary.
+//! module backs the E12 table of the `experiments` binary and the
+//! standalone `e12_delta` binary.
 
 use ec_core::etob_omega::{EtobConfig, EtobOmega};
 use ec_core::types::{Instrumented, MsgId};
@@ -139,8 +139,8 @@ pub fn run_grid() -> Vec<(DeltaPoint, DeltaPoint)> {
         .collect()
 }
 
-/// Prints the human-readable E12 table — shared by the Criterion bench
-/// target and the `e12_delta` binary so the two outputs cannot drift apart.
+/// Prints the human-readable E12 table — shared by the `experiments` and
+/// `e12_delta` binaries so the two outputs cannot drift apart.
 pub fn print_table(pairs: &[(DeltaPoint, DeltaPoint)]) {
     println!(
         "{:<10} {:<7} {:>14} {:>10} {:>10} {:>9} {:>9}",

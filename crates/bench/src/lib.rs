@@ -1,17 +1,18 @@
-//! Shared helpers for the benchmark harness (see `benches/`).
+//! The drivers of every experiment in `EXPERIMENTS.md`.
 //!
-//! Each Criterion bench target in this crate regenerates one experiment from
-//! `EXPERIMENTS.md`; this library holds the workload generators and reporting
-//! helpers they share. The [`delta`] module is the driver of experiment E12
-//! (delta-state wire bytes vs history length), shared between the Criterion
-//! bench and the `e12_delta` binary that writes `BENCH_delta.json`; the
-//! [`compaction`] module is the driver of experiment E13 (resident graph
-//! size with stable-prefix compaction on vs off), shared between the
-//! Criterion bench and the `e13_compaction` binary that writes
-//! `BENCH_compaction.json`.
+//! [`experiments`] holds E1–E9, E11 and the ablations A1–A2: one function
+//! per experiment returning its rows, and a printer per table. The
+//! [`delta`] module is the driver of experiment E12 (delta-state wire bytes
+//! vs history length) and the [`compaction`] module that of experiment E13
+//! (resident graph size with stable-prefix compaction on vs off). The
+//! `experiments` binary prints every table; the `e12_delta` and
+//! `e13_compaction` binaries write `BENCH_delta.json` and
+//! `BENCH_compaction.json`; the root integration suites assert the paper's
+//! claims on the same rows.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod compaction;
 pub mod delta;
+pub mod experiments;

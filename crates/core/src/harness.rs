@@ -6,13 +6,18 @@
 //! [`EventualConsensus`] implementation through a fixed list of per-instance
 //! proposal values following exactly that discipline, re-emitting the
 //! decisions so that the run trace contains the full decision history.
+//! [`EicProposer`] does the same for an [`EventualIrrevocableConsensus`]
+//! implementation, whose responses an instance may revoke: it proposes the
+//! next instance on the *first* response of the current one.
 
 use std::collections::VecDeque;
 use std::fmt;
 
 use ec_sim::{Algorithm, Context, ProcessId};
 
-use crate::types::{EcInput, EcOutput, EventualConsensus};
+use crate::types::{
+    EcInput, EcOutput, EicInput, EicOutput, EventualConsensus, EventualIrrevocableConsensus,
+};
 
 /// Ticks between the driver's local timeouts, which also pace the wrapped
 /// algorithm's timeout-driven logic (the driver owns the single timer chain
@@ -113,6 +118,96 @@ impl<E: EventualConsensus> Algorithm for MultiInstanceProposer<E> {
 
     fn on_input(&mut self, _input: (), _ctx: &mut Context<'_, Self>) {
         // The driver's proposal schedule is fixed at construction time.
+    }
+}
+
+/// Drives an [`EventualIrrevocableConsensus`] implementation through
+/// sequential instances `1, 2, …, values.len()`, proposing `values[ℓ-1]` in
+/// instance `ℓ` as soon as the first response of instance `ℓ-1` has arrived
+/// at this process, and re-emitting every response — revocations included —
+/// as its own output, so the run's output history is the EIC response
+/// history.
+pub struct EicProposer<I: EventualIrrevocableConsensus> {
+    inner: I,
+    values: Vec<I::Value>,
+    /// Highest instance proposed so far (0 = none).
+    proposed: u64,
+}
+
+impl<I: EventualIrrevocableConsensus> EicProposer<I> {
+    /// Creates a driver proposing the given values in instances `1..=len`.
+    pub fn new(inner: I, values: Vec<I::Value>) -> Self {
+        EicProposer {
+            inner,
+            values,
+            proposed: 0,
+        }
+    }
+
+    /// Runs `f` on the wrapped EIC, re-emits its responses and says whether
+    /// one answered the current instance.
+    fn run<F>(&mut self, ctx: &mut Context<'_, Self>, f: F) -> bool
+    where
+        F: FnOnce(&mut I, &mut Context<'_, I>),
+    {
+        let responses = ctx.nest(&mut self.inner, |m| m, f);
+        let answered = responses.iter().any(|out| out.instance == self.proposed);
+        for response in responses {
+            ctx.output(response);
+        }
+        answered
+    }
+
+    fn drive<F>(&mut self, ctx: &mut Context<'_, Self>, f: F)
+    where
+        F: FnOnce(&mut I, &mut Context<'_, I>),
+    {
+        if self.run(ctx, f) {
+            self.propose_next(ctx);
+        }
+    }
+
+    fn propose_next(&mut self, ctx: &mut Context<'_, Self>) {
+        let Some(value) = self.values.get(self.proposed as usize).cloned() else {
+            return;
+        };
+        self.proposed += 1;
+        let instance = self.proposed;
+        self.run(ctx, |inner, ictx| {
+            inner.on_input(EicInput { instance, value }, ictx)
+        });
+    }
+}
+
+impl<I: EventualIrrevocableConsensus + fmt::Debug> fmt::Debug for EicProposer<I> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EicProposer")
+            .field("inner", &self.inner)
+            .field("proposed", &self.proposed)
+            .field("total_values", &self.values.len())
+            .finish()
+    }
+}
+
+impl<I: EventualIrrevocableConsensus> Algorithm for EicProposer<I> {
+    type Msg = I::Msg;
+    type Input = ();
+    type Output = EicOutput<I::Value>;
+    type Fd = I::Fd;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
+        self.drive(ctx, |inner, ictx| inner.on_start(ictx));
+        self.propose_next(ctx);
+        ctx.set_timer(POLL_PERIOD);
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: I::Msg, ctx: &mut Context<'_, Self>) {
+        self.drive(ctx, |inner, ictx| inner.on_message(from, msg, ictx));
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, Self>) {
+        self.drive(ctx, |inner, ictx| inner.on_timer(ictx));
+        ctx.set_timer(POLL_PERIOD);
     }
 }
 

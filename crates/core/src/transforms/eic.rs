@@ -226,7 +226,7 @@ impl<I: EventualIrrevocableConsensus> EventualConsensus for EicToEc<I> {
 mod tests {
     use super::*;
     use crate::ec_omega::{EcConfig, EcOmega};
-    use crate::harness::MultiInstanceProposer;
+    use crate::harness::{EicProposer, MultiInstanceProposer};
     use crate::spec::{EcChecker, EicChecker, ProposalRecord};
     use ec_detectors::omega::OmegaOracle;
     use ec_sim::{FailurePattern, NetworkModel, Time, WorldBuilder};
@@ -303,11 +303,10 @@ mod tests {
                     let values: Vec<Vec<u8>> = (1..=instances)
                         .map(|inst| vec![p.index() as u8, inst as u8])
                         .collect();
-                    EicDriver {
-                        inner: EcToEic::new(EcOmega::new(EcConfig { poll_period: 3 })),
+                    EicProposer::new(
+                        EcToEic::new(EcOmega::new(EcConfig { poll_period: 3 })),
                         values,
-                        proposed: 0,
-                    }
+                    )
                 },
                 omega,
             );
@@ -352,72 +351,5 @@ mod tests {
         assert_eq!(ec.current_instance(), 0);
         assert!(format!("{ec:?}").contains("EicToEc"));
         assert!(ec.inner().inner().stored_promotions() == 0);
-    }
-
-    /// Minimal driver for the EIC interface used by the revocation test: it
-    /// proposes the next instance as soon as the *first* response for the
-    /// current one arrives.
-    struct EicDriver<I: EventualIrrevocableConsensus> {
-        inner: I,
-        values: Vec<I::Value>,
-        proposed: u64,
-    }
-
-    impl<I: EventualIrrevocableConsensus> EicDriver<I> {
-        /// Runs `f` on the wrapped EIC and re-emits its responses.
-        fn run<F>(&mut self, ctx: &mut Context<'_, Self>, f: F) -> bool
-        where
-            F: FnOnce(&mut I, &mut Context<'_, I>),
-        {
-            let responses = ctx.nest(&mut self.inner, |m| m, f);
-            let first_response_for_current = responses.iter().any(|o| o.instance == self.proposed);
-            for response in responses {
-                ctx.output(response);
-            }
-            first_response_for_current
-        }
-
-        fn drive<F>(&mut self, ctx: &mut Context<'_, Self>, f: F)
-        where
-            F: FnOnce(&mut I, &mut Context<'_, I>),
-        {
-            if self.run(ctx, f) {
-                self.propose_next(ctx);
-            }
-        }
-
-        fn propose_next(&mut self, ctx: &mut Context<'_, Self>) {
-            if (self.proposed as usize) >= self.values.len() {
-                return;
-            }
-            self.proposed += 1;
-            let value = self.values[self.proposed as usize - 1].clone();
-            let instance = self.proposed;
-            self.run(ctx, |inner, ictx| {
-                inner.on_input(EicInput { instance, value }, ictx)
-            });
-        }
-    }
-
-    impl<I: EventualIrrevocableConsensus> Algorithm for EicDriver<I> {
-        type Msg = I::Msg;
-        type Input = ();
-        type Output = EicOutput<I::Value>;
-        type Fd = I::Fd;
-
-        fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
-            self.drive(ctx, |inner, ictx| inner.on_start(ictx));
-            self.propose_next(ctx);
-            ctx.set_timer(3);
-        }
-
-        fn on_message(&mut self, from: ProcessId, msg: I::Msg, ctx: &mut Context<'_, Self>) {
-            self.drive(ctx, |inner, ictx| inner.on_message(from, msg, ictx));
-        }
-
-        fn on_timer(&mut self, ctx: &mut Context<'_, Self>) {
-            self.drive(ctx, |inner, ictx| inner.on_timer(ictx));
-            ctx.set_timer(3);
-        }
     }
 }

@@ -1,16 +1,22 @@
-//! Experiments E5 and E9 (integration form): the equivalence transformations.
+//! Algorithm 4 (EC from Ω) and the equivalence transformations over it.
 //!
 //! Theorem 1: ETOB built from EC (Algorithm 1 over Algorithm 4) satisfies the
-//! ETOB specification, and EC built from ETOB (Algorithm 2 over Algorithm 5)
-//! satisfies the EC specification. Theorem 3: the EC → EIC → EC circle
-//! (Algorithms 6 and 7) still satisfies EC. Every wrapper stack runs its
-//! wrapped algorithm as a black box, and only the outermost layer keeps a
-//! timer chain.
+//! ETOB specification (experiment E5, with its message overhead), and EC
+//! built from ETOB (Algorithm 2 over Algorithm 5) satisfies the EC
+//! specification. Algorithm 4 itself holds under any number of crashes (E6).
+//! Theorem 3: the EIC layer revokes finitely often (E9), and the EC → EIC →
+//! EC circle (Algorithms 6 and 7) still satisfies EC. Every wrapper stack
+//! runs its wrapped algorithm as a black box, and only the outermost layer
+//! keeps a timer chain.
 
+use ec_bench::experiments::{
+    e5_transformations, e6_ec_omega, e9_eic, E5_BROADCASTS, E5_HORIZON, E5_SIZES, E6_CRASHES,
+    E9_DIVERGENCES,
+};
 use ec_core::ec_omega::{EcConfig, EcOmega};
 use ec_core::etob_omega::{EtobConfig, EtobOmega};
 use ec_core::harness::MultiInstanceProposer;
-use ec_core::spec::{EcChecker, EtobChecker, ProposalRecord};
+use ec_core::spec::{EcChecker, ProposalRecord};
 use ec_core::tob_consensus::{ConsensusTob, ConsensusTobConfig};
 use ec_core::transforms::{EcToEic, EcToEtob, EicToEc, EtobToEc};
 use ec_core::types::AppMessage;
@@ -21,54 +27,37 @@ use ec_sim::{
     Algorithm, FailureDetector, FailurePattern, NetworkModel, ProcessId, Time, World, WorldBuilder,
 };
 
+/// E5: ETOB built from EC satisfies ETOB, and costs more messages than
+/// Algorithm 5: it keeps running consensus instances forever — on the
+/// table's runs and on ten broadcasts over 6 000 ticks.
 #[test]
 fn etob_from_ec_satisfies_etob_and_measures_overhead() {
-    let n = 3;
-    let failures = FailurePattern::no_failures(n);
-    let omega = OmegaOracle::stable_from_start(failures.clone());
-    let workload = BroadcastWorkload::uniform(n, 10, 10, 9);
+    let table = e5_transformations(&E5_SIZES, E5_BROADCASTS, E5_HORIZON);
+    for row in table.iter().chain(&e5_transformations(&[3], 10, 6_000)) {
+        assert!(row.transformed_violations.is_empty(), "{row:?}");
+        assert!(row.transformed_messages > row.direct_messages, "{row:?}");
+    }
+}
 
-    // transformed stack: Algorithm 1 over Algorithm 4
-    let mut transformed = WorldBuilder::new(n)
-        .network(NetworkModel::fixed_delay(2))
-        .failures(failures.clone())
-        .seed(4)
-        .build_with(
-            |_p| {
-                EcToEtob::new(
-                    EcOmega::<Vec<AppMessage>>::new(EcConfig { poll_period: 3 }),
-                    4,
-                )
-            },
-            omega.clone(),
-        );
-    workload.submit_to(&mut transformed);
-    transformed.run_until(6_000);
-    let checker = EtobChecker::from_delivered(
-        transformed.output_history(),
-        workload.records(),
-        failures.correct(),
-        Time::ZERO,
-    );
-    assert!(checker.check_all().is_ok(), "{:?}", checker.check_all());
+/// E6: Algorithm 4 implements EC from Ω alone in any environment — with a
+/// correct majority and without one.
+#[test]
+fn ec_from_omega_holds_whatever_the_number_of_crashes() {
+    for row in e6_ec_omega(&E6_CRASHES) {
+        assert!(row.violations.is_empty(), "{row:?}");
+    }
+}
 
-    // direct Algorithm 5, for the message-overhead comparison
-    let mut direct = WorldBuilder::new(n)
-        .network(NetworkModel::fixed_delay(2))
-        .failures(failures.clone())
-        .seed(4)
-        .build_with(|p| EtobOmega::new(p, EtobConfig::default()), omega);
-    workload.submit_to(&mut direct);
-    direct.run_until(6_000);
-
-    // the transformation is correct but chattier: it keeps running consensus
-    // instances forever, so it sends strictly more messages
-    assert!(
-        transformed.metrics().messages_sent > direct.metrics().messages_sent,
-        "transformed: {} direct: {}",
-        transformed.metrics().messages_sent,
-        direct.metrics().messages_sent
-    );
+/// E9: the EIC layer over Algorithm 4 revokes nothing under a stable Ω, and
+/// its final responses agree and are valid whatever the divergence.
+#[test]
+fn eic_revokes_only_while_leaders_diverge_and_ends_in_agreement() {
+    let rows = e9_eic(&E9_DIVERGENCES);
+    for row in &rows {
+        assert!(row.violations.is_empty(), "{row:?}");
+    }
+    assert_eq!(rows[0].divergence, 0);
+    assert_eq!(rows[0].revocations, 0, "{rows:?}");
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Experiments E2 and E7 (integration form).
+//! Ω's side of the paper: experiments E2 and E7 and the ablation A1.
 //!
 //! E2: during a minority partition containing the leader, the Ω-only
 //! replicated KV store keeps serving on the leader's side while the Ω + Σ
@@ -6,130 +6,67 @@
 //!
 //! E7: the CHT extraction emulates Ω end to end from the failure-detector
 //! samples of a real run of Algorithm 4 across a leader crash.
+//!
+//! A1: a heartbeat implementation of Ω re-elects within its detection
+//! window after the leader crashes.
 
-use ec_cht::{OmegaEmulation, OmegaExtractor, TreeConfig};
-use ec_core::ec_omega::{EcConfig, EcOmega};
-use ec_core::harness::MultiInstanceProposer;
-use ec_detectors::omega::{OmegaOracle, PreStabilization};
-use ec_replication::{Cluster, ClusterBuilder, Consistency, KvStore, SimEngine};
-use ec_sim::{
-    FailurePattern, NetworkModel, PartitionSpec, ProcessId, ProcessSet, RecordingFd, Time,
-    WorldBuilder,
+use ec_bench::experiments::{
+    a1_heartbeat, e2_partition, e7_cht_extraction, A1_SIZES, E2_PROCESSES,
 };
-
-const N: usize = 5;
-const HEAL: u64 = 900;
-
-fn partitioned_network() -> NetworkModel {
-    let minority: ProcessSet = [0, 1].into_iter().collect();
-    NetworkModel::fixed_delay(2).with_partition(
-        Time::new(50),
-        Time::new(HEAL),
-        PartitionSpec::isolate(minority, N),
-    )
-}
-
-/// The same service code at both consistency levels: only the builder's
-/// `consistency` knob differs.
-fn deploy_store(consistency: Consistency) -> Cluster<KvStore> {
-    let engine = SimEngine::new().network(partitioned_network()).seed(1);
-    let mut cluster = ClusterBuilder::<KvStore>::new(N)
-        .consistency(consistency)
-        .deploy(&engine);
-    // two client sessions on the leader's (minority) side of the partition
-    let mut sessions = [
-        cluster.session_at(ProcessId::new(0)),
-        cluster.session_at(ProcessId::new(1)),
-    ];
-    for k in 0..6u64 {
-        let session = &mut sessions[(k % 2) as usize];
-        cluster.submit(session, KvStore::put(&format!("k{k}"), "v"), 100 + 25 * k);
-    }
-    cluster.run_until(2_500);
-    cluster
-}
+use ec_detectors::heartbeat::HeartbeatConfig;
+use ec_replication::Consistency;
+use ec_sim::ProcessId;
 
 #[test]
 fn eventual_store_serves_during_partition_strong_store_blocks() {
-    let eventual = deploy_store(Consistency::Eventual);
-    let strong = deploy_store(Consistency::Strong);
-
-    let probe = HEAL - 20;
+    // the same service code at both levels: only the builder's
+    // `consistency` knob differs
+    let eventual = e2_partition(Consistency::Eventual);
+    let strong = e2_partition(Consistency::Strong);
 
     // E2 headline: the eventually consistent leader-side replica made
     // progress during the partition, the strongly consistent one did not.
     assert!(
-        eventual.applied_at(ProcessId::new(1), probe) >= 1,
+        eventual.during[1] >= 1,
         "Ω-only replica must serve during the partition"
     );
     assert_eq!(
-        strong.applied_at_all(probe),
-        vec![0; N],
+        strong.during,
+        vec![0; E2_PROCESSES],
         "every Ω+Σ replica must be blocked during the partition"
     );
 
     // both converge after the heal
-    for p in (0..N).map(ProcessId::new) {
-        assert_eq!(eventual.applied(p), 6);
-        assert_eq!(strong.applied(p), 6);
-    }
-    let eventual_report = eventual.finish();
-    assert!(eventual_report.all_converged());
+    let (eventual, strong) = (&eventual.report, &strong.report);
+    assert_eq!(eventual.shards[0].applied, vec![6; E2_PROCESSES]);
+    assert_eq!(strong.shards[0].applied, vec![6; E2_PROCESSES]);
+    assert!(eventual.all_converged());
     assert!(
-        eventual_report.shards[0].divergences >= 1,
+        eventual.shards[0].divergences >= 1,
         "the partition must show up as a divergence episode"
     );
-    assert!(eventual_report.shards[0].snapshots_agree());
-    let strong_report = strong.finish();
-    assert!(strong_report.all_converged());
+    assert!(eventual.shards[0].snapshots_agree());
+    assert!(strong.all_converged());
     // both levels end in the same state on this conflict-free workload
-    assert_eq!(
-        eventual_report.shards[0].snapshots,
-        strong_report.shards[0].snapshots
-    );
+    assert_eq!(eventual.shards[0].snapshots, strong.shards[0].snapshots);
 }
 
 #[test]
 fn cht_extraction_emulates_omega_across_a_leader_crash() {
-    let n = 2;
-    let failures = FailurePattern::no_failures(n).with_crash(ProcessId::new(0), Time::new(120));
-    let omega = OmegaOracle::stabilizing_at(failures.clone(), Time::new(150))
-        .with_pre_stabilization(PreStabilization::Fixed(ProcessId::new(0)));
-    let mut world = WorldBuilder::new(n)
-        .network(NetworkModel::fixed_delay(2))
-        .failures(failures.clone())
-        .seed(77)
-        .build_with(
-            |p| {
-                MultiInstanceProposer::new(
-                    EcOmega::<bool>::new(EcConfig::default()),
-                    vec![p.index() % 2 == 0; 4],
-                )
-            },
-            RecordingFd::new(omega, n),
-        );
-    world.run_until(600);
-    let samples = world.fd().history().clone();
-    assert!(samples.len() > 20, "the run must produce enough samples");
-
-    let extractor = OmegaExtractor::new(
-        n,
-        Box::new(|_p| EcOmega::<bool>::new(EcConfig { poll_period: 1 })),
-    )
-    .with_window(6)
-    .with_tree_config(TreeConfig {
-        max_depth: 6,
-        closure_steps: 40,
-        max_instance: 1,
-        max_vertices: 2_000,
-    });
-    let emulation = OmegaEmulation::run(&extractor, &samples, &failures, 6);
-    let (_, leader) = emulation
-        .verify(&failures)
-        .expect("the emulated history satisfies the Omega specification");
+    let row = e7_cht_extraction(77);
+    assert!(row.samples > 20, "the run must produce enough samples");
     assert_eq!(
-        leader,
-        ProcessId::new(1),
-        "the extracted leader is the surviving process"
+        row.leader,
+        Ok(ProcessId::new(1)),
+        "the emulated history satisfies the Omega specification and elects the surviving process"
     );
+}
+
+#[test]
+fn heartbeat_omega_reelects_within_its_detection_window() {
+    let config = HeartbeatConfig::default();
+    let window = config.period * (config.suspect_after + 1);
+    for row in a1_heartbeat(&A1_SIZES) {
+        assert!(row.reelection_delay <= window, "{row:?} (window {window})");
+    }
 }
